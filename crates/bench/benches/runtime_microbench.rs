@@ -8,8 +8,8 @@
 //! * `recovery` — a full run whose every 8th iteration misspeculates;
 //! * `hot_path_hasher` — std SipHash vs the vendored Fx hasher on the
 //!   page-table access pattern the validation/commit paths run;
-//! * `access_stream` — one subTX's validation traffic encoded as per-record
-//!   `Msg`s vs one packed `AccessBlock`, then replayed record by record;
+//! * `access_stream` — one subTX's validation traffic packed into an
+//!   `AccessBlock`, then replayed record by record;
 //! * `coa_page_cache` — worker-side page cache epoch hits vs full
 //!   page-install misses.
 
@@ -229,11 +229,9 @@ fn bench_hot_path_hasher(c: &mut Criterion) {
 fn bench_access_stream(c: &mut Criterion) {
     // One validation-bound subTX's worth of traffic: 1 load + 256 stores
     // scattered column-major (page-sized strides, the shard sweep's
-    // pattern). The unpacked protocol ships framing + one Msg per record;
-    // the packed protocol ships one AccessBlock. Both sides then replay
-    // the stream record by record, as the try-commit unit does.
-    use dsmtx::wire::{AccessBlock, Msg};
-    use dsmtx::{MtxId, StageId};
+    // pattern), packed into one AccessBlock and replayed record by record,
+    // as the try-commit unit does.
+    use dsmtx::wire::AccessBlock;
     use dsmtx_mem::AccessKind;
 
     let mut group = c.benchmark_group("access_stream");
@@ -252,35 +250,6 @@ fn bench_access_stream(c: &mut Criterion) {
             (kind, 0x4_0000 + i * 4096 * 8, i.wrapping_mul(0x9E37_79B9))
         })
         .collect();
-
-    group.bench_function("per_record_msgs", |b| {
-        b.iter(|| {
-            let mut msgs: Vec<Msg> = Vec::with_capacity(stream.len() + 2);
-            msgs.push(Msg::SubTxBegin {
-                mtx: MtxId(0),
-                attempt: 0,
-                stage: StageId(0),
-            });
-            for &(kind, addr, value) in &stream {
-                msgs.push(match kind {
-                    AccessKind::Load => Msg::Load { addr, value },
-                    AccessKind::Store => Msg::Store { addr, value },
-                });
-            }
-            msgs.push(Msg::SubTxEnd {
-                mtx: MtxId(0),
-                stage: StageId(0),
-            });
-            // Replay: walk the stream as the try-commit unit would.
-            let mut sum = 0u64;
-            for m in &msgs {
-                if let Msg::Load { addr, value } | Msg::Store { addr, value } = m {
-                    sum = sum.wrapping_add(addr ^ value);
-                }
-            }
-            sum
-        });
-    });
 
     group.bench_function("packed_access_block", |b| {
         b.iter(|| {

@@ -37,10 +37,11 @@
 //! simulator's prediction; `--sweep-out` additionally writes the
 //! `BENCH_shard_sweep.json` artifact.
 //!
-//! The `valplane` section runs the validation-plane compaction
-//! before/after comparison (unpacked per-record protocol vs filtering +
-//! packed frames + COA cache) on the same validation-bound workload;
-//! `--sweep-out` there writes the `BENCH_valplane.json` artifact.
+//! The `valplane` section runs the same validation-bound workload once
+//! and prints what the validation and commit planes shipped (filtering +
+//! packed frames + COA cache) next to the per-record baseline the
+//! workers count; `--sweep-out` there writes the `BENCH_valplane.json`
+//! artifact.
 //!
 //! The `trace` section runs a real traced pipeline and prints a
 //! stage-occupancy report; `--trace-out` additionally writes a Chrome

@@ -1,19 +1,20 @@
 //! Validation-plane compaction benchmark.
 //!
-//! Runs the same validation-bound Spec-DOALL loop twice — once with the
-//! legacy unpacked per-record protocol and once with the compacted
-//! protocol (per-subTX access filtering + packed `AccessBlock` frames +
-//! the worker-side COA page cache) — and reports what actually crossed
-//! the validation and commit planes in each mode: records, bytes, packed
-//! frames, filter suppressions, COA cache traffic, and the try-commit
-//! unit's verdict latency.
+//! Runs a validation-bound Spec-DOALL loop once and reports what crossed
+//! the validation and commit planes — records, bytes, packed frames,
+//! filter suppressions, COA cache traffic, and the try-commit unit's
+//! verdict latency — next to the per-record baseline the workers count
+//! from their unfiltered access logs (`records_pre`/`bytes_pre`: one
+//! message per access plus framing). The gap between the two rows is
+//! what per-subTX access filtering, packed `AccessBlock` frames, and the
+//! worker-side COA page cache buy.
 //!
-//! Both runs must be semantically identical; the sweep asserts
-//! byte-identical committed memory, identical outputs, and an identical
-//! commit order before reporting any numbers. The measured
-//! `bytes_post / bytes_pre` ratio also feeds the simulator's
-//! `val_compaction` knob so the model's shard-sweep predictions reflect
-//! the protocol actually running.
+//! A wrong run reports nothing: before any number is returned, the
+//! committed memory must equal the loop's recovery body replayed
+//! sequentially over a [`MasterMem`], and the MTXs must have committed in
+//! iteration order. The measured `bytes_post / bytes_pre` ratio also
+//! feeds the simulator's `val_compaction` knob so the model's shard-sweep
+//! predictions reflect the protocol actually running.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,29 +23,24 @@ use dsmtx::{
     IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, TraceKind, ValPlaneStats,
     WorkerCtx,
 };
-use dsmtx_mem::{MasterMem, Page};
+use dsmtx_mem::MasterMem;
 use dsmtx_sim::unit_shard_sweep_with;
-use dsmtx_uva::{OwnerId, PageId, RegionAllocator};
+use dsmtx_uva::{OwnerId, RegionAllocator};
 use dsmtx_workloads::kernel_by_name;
 
 use crate::format::Table;
 
-/// Everything one mode's run produced that the comparison needs.
+/// Everything one run produced that the artifact needs.
 struct ValRun {
-    outputs: Vec<u64>,
-    commit_order: Vec<u64>,
-    memory: Vec<(PageId, Page)>,
     valplane: ValPlaneStats,
     verdict_p50_us: u64,
     verdict_p99_us: u64,
     elapsed: Duration,
 }
 
-/// One mode's numbers, reduced to the artifact's fields.
+/// What the run shipped, reduced to the artifact's fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValPlanePoint {
-    /// Whether the compacted protocol was on.
-    pub compaction: bool,
     /// Wall-clock time of the parallel section, microseconds.
     pub elapsed_us: u64,
     /// Messages that actually crossed the validation + commit planes.
@@ -53,7 +49,7 @@ pub struct ValPlanePoint {
     pub bytes: u64,
     /// Accesses suppressed by the write-combining filter.
     pub records_filtered: u64,
-    /// Packed frames shipped (0 in unpacked mode).
+    /// Packed frames shipped.
     pub blocks: u64,
     /// Mean records per packed frame.
     pub block_fill: f64,
@@ -67,7 +63,8 @@ pub struct ValPlanePoint {
     pub verdict_p99_us: u64,
 }
 
-/// The before/after comparison plus the simulator's prediction.
+/// The per-record baseline next to what was shipped, plus the
+/// simulator's prediction.
 #[derive(Debug, Clone)]
 pub struct ValPlaneSweep {
     /// Iterations per run.
@@ -76,13 +73,16 @@ pub struct ValPlaneSweep {
     pub writes_per_iter: u64,
     /// Cores available to this process when the sweep ran.
     pub cores: usize,
-    /// The unpacked (legacy per-record) run.
-    pub unpacked: ValPlanePoint,
-    /// The compacted (filter + packed frames + COA cache) run.
-    pub packed: ValPlanePoint,
-    /// Unpacked records divided by packed records.
+    /// Messages one message per access record would have shipped
+    /// (counted by the workers, not run).
+    pub pre_records: u64,
+    /// Bytes one message per access record would have cost.
+    pub pre_bytes: u64,
+    /// What the run actually shipped (filter + packed frames + COA cache).
+    pub post: ValPlanePoint,
+    /// Per-record messages divided by shipped messages.
     pub records_ratio: f64,
-    /// Unpacked bytes divided by packed bytes.
+    /// Per-record bytes divided by shipped bytes.
     pub bytes_ratio: f64,
     /// The simulator's predicted loop speedup from feeding the measured
     /// byte ratio into its `val_compaction` knob (128 simulated cores,
@@ -90,16 +90,34 @@ pub struct ValPlaneSweep {
     pub sim_predicted_speedup: f64,
 }
 
-/// Runs the validation-bound DOALL once in the given mode, with tracing
-/// on, and returns everything the identity check and the artifact need.
-fn run_valplane_once(iters: u64, writes_per_iter: u64, compaction: bool) -> ValRun {
+/// Runs the validation-bound DOALL once, with tracing on, and returns
+/// what the artifact needs.
+///
+/// # Panics
+///
+/// Panics unless the committed memory equals the recovery body replayed
+/// sequentially and the MTXs committed in iteration order — numbers from
+/// a wrong run mean nothing.
+fn run_valplane_once(iters: u64, writes_per_iter: u64) -> ValRun {
     let mut heap = RegionAllocator::new(OwnerId(0));
     let input = heap.alloc_words(iters).expect("alloc");
     let data = heap.alloc_words(iters * writes_per_iter).expect("alloc");
-    let mut master = MasterMem::new();
-    for i in 0..iters {
-        master.write(input.add_words(i), i.wrapping_mul(0x9E37_79B9) | 1);
-    }
+    let initial = || {
+        let mut m = MasterMem::new();
+        for i in 0..iters {
+            m.write(input.add_words(i), i.wrapping_mul(0x9E37_79B9) | 1);
+        }
+        m
+    };
+    // The loop body on committed memory: the recovery re-execution, and
+    // replayed over every iteration, the sequential reference.
+    let sequential = move |mtx: MtxId, m: &mut MasterMem| {
+        let x = m.read(input.add_words(mtx.0));
+        for k in 0..writes_per_iter {
+            m.write(data.add_words(k * iters + mtx.0), x.wrapping_add(k));
+        }
+        IterOutcome::Continue
+    };
 
     let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
         let x = ctx.read(input.add_words(mtx.0))?;
@@ -111,45 +129,49 @@ fn run_valplane_once(iters: u64, writes_per_iter: u64, compaction: bool) -> ValR
         Ok(IterOutcome::Continue)
     });
     let mut cfg = SystemConfig::new();
-    cfg.stage(StageKind::Parallel { replicas: 3 })
-        .compaction(compaction);
+    cfg.stage(StageKind::Parallel { replicas: 3 });
     let result = MtxSystem::new(&cfg)
         .expect("config")
         .trace(true)
         .run(Program {
-            master,
+            master: initial(),
             stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                let x = m.read(input.add_words(mtx.0));
-                for k in 0..writes_per_iter {
-                    m.write(data.add_words(k * iters + mtx.0), x.wrapping_add(k));
-                }
-                IterOutcome::Continue
-            }),
+            recovery: Box::new(sequential),
             on_commit: None,
             iteration_limit: Some(iters),
         })
         .expect("run");
-    assert_eq!(result.report.total_iterations(), iters, "lost iterations");
 
-    let outputs = (0..iters * writes_per_iter)
-        .map(|w| result.master.read(data.add_words(w)))
-        .collect();
-    let commit_order = result
+    let mut reference = initial();
+    for i in 0..iters {
+        sequential(MtxId(i), &mut reference);
+    }
+    let (got, want) = (result.master.snapshot(), reference.snapshot());
+    assert_eq!(got.len(), want.len(), "committed a different page set");
+    for ((id_a, page_a), (id_b, page_b)) in got.iter().zip(want.iter()) {
+        assert_eq!(id_a, id_b, "page ids diverged from the sequential run");
+        assert!(
+            page_a == page_b,
+            "page {id_a:?} diverged from the sequential run"
+        );
+    }
+    let commit_order: Vec<u64> = result
         .report
         .trace
         .iter()
         .filter(|e| e.kind == TraceKind::Committed)
         .map(|e| e.mtx.unwrap().0)
         .collect();
+    assert!(
+        commit_order.iter().copied().eq(0..iters),
+        "MTXs did not commit in iteration order"
+    );
+
     let verdicts = dsmtx_obs::Histogram::new();
     for s in &result.report.shard_stats {
         verdicts.merge(&s.verdict_latency);
     }
     ValRun {
-        outputs,
-        commit_order,
-        memory: result.master.snapshot(),
         valplane: result.report.valplane.clone(),
         verdict_p50_us: verdicts.p50(),
         verdict_p99_us: verdicts.p99(),
@@ -157,10 +179,17 @@ fn run_valplane_once(iters: u64, writes_per_iter: u64, compaction: bool) -> ValR
     }
 }
 
-fn point(compaction: bool, r: &ValRun) -> ValPlanePoint {
+/// Runs the loop, checks it against the sequential run, and returns the
+/// per-record baseline next to what was shipped.
+///
+/// # Panics
+///
+/// Panics if the run committed different memory than the sequential run
+/// or committed out of iteration order.
+pub fn run_valplane_sweep(iters: u64, writes_per_iter: u64) -> ValPlaneSweep {
+    let r = run_valplane_once(iters, writes_per_iter);
     let v = &r.valplane;
-    ValPlanePoint {
-        compaction,
+    let post = ValPlanePoint {
         elapsed_us: (r.elapsed.as_micros() as u64).max(1),
         records: v.records_post,
         bytes: v.bytes_post,
@@ -171,48 +200,14 @@ fn point(compaction: bool, r: &ValRun) -> ValPlanePoint {
         cache_misses: v.cache_misses,
         verdict_p50_us: r.verdict_p50_us,
         verdict_p99_us: r.verdict_p99_us,
-    }
-}
-
-/// Runs both modes, asserts they are semantically identical, and returns
-/// the before/after comparison.
-///
-/// # Panics
-///
-/// Panics if the two modes commit different memory, different outputs, or
-/// a different commit order — the compaction layers must be invisible to
-/// program semantics before their numbers mean anything.
-pub fn run_valplane_sweep(iters: u64, writes_per_iter: u64) -> ValPlaneSweep {
-    let unpacked = run_valplane_once(iters, writes_per_iter, false);
-    let packed = run_valplane_once(iters, writes_per_iter, true);
-
-    assert_eq!(
-        unpacked.outputs, packed.outputs,
-        "packed and unpacked runs committed different outputs"
-    );
-    assert_eq!(
-        unpacked.commit_order, packed.commit_order,
-        "packed and unpacked runs committed in different orders"
-    );
-    assert_eq!(
-        unpacked.memory.len(),
-        packed.memory.len(),
-        "packed and unpacked runs touched different page sets"
-    );
-    for ((id_a, page_a), (id_b, page_b)) in unpacked.memory.iter().zip(packed.memory.iter()) {
-        assert_eq!(id_a, id_b, "page ids diverged");
-        assert_eq!(page_a, page_b, "page {id_a:?} contents diverged");
-    }
-
-    let up = point(false, &unpacked);
-    let pp = point(true, &packed);
-    let records_ratio = up.records as f64 / pp.records.max(1) as f64;
-    let bytes_ratio = up.bytes as f64 / pp.bytes.max(1) as f64;
+    };
+    let records_ratio = v.records_pre as f64 / post.records.max(1) as f64;
+    let bytes_ratio = v.bytes_pre as f64 / post.bytes.max(1) as f64;
 
     // Feed the measured byte ratio into the simulator: predicted loop
     // speedup of the compacted protocol on the paper's 128-core platform,
     // one speculation-unit shard, validation-heavy profile.
-    let vc = (pp.bytes as f64 / up.bytes.max(1) as f64).clamp(0.0, 1.0);
+    let vc = (post.bytes as f64 / v.bytes_pre.max(1) as f64).clamp(0.0, 1.0);
     let profile = validation_heavy_profile();
     let before = unit_shard_sweep_with(&profile, 128, &[1], 1.0);
     let after = unit_shard_sweep_with(&profile, 128, &[1], vc);
@@ -225,8 +220,9 @@ pub fn run_valplane_sweep(iters: u64, writes_per_iter: u64) -> ValPlaneSweep {
         iters,
         writes_per_iter,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        unpacked: up,
-        packed: pp,
+        pre_records: v.records_pre,
+        pre_bytes: v.bytes_pre,
+        post,
         records_ratio,
         bytes_ratio,
         sim_predicted_speedup,
@@ -249,7 +245,7 @@ pub(crate) fn validation_heavy_profile() -> dsmtx_sim::WorkloadProfile {
 /// bytes_pre`) on a small validation-bound run — the plug-in value for
 /// the simulator's `val_compaction` knob.
 pub fn measured_compaction_factor() -> f64 {
-    let r = run_valplane_once(128, 16, true);
+    let r = run_valplane_once(128, 16);
     let v = &r.valplane;
     (v.bytes_post as f64 / v.bytes_pre.max(1) as f64).clamp(0.0, 1.0)
 }
@@ -266,22 +262,29 @@ pub fn valplane_text(s: &ValPlaneSweep) -> String {
         "verdict p50/p99 (us)",
         "elapsed (us)",
     ]);
-    for p in [&s.unpacked, &s.packed] {
-        t.row(vec![
-            if p.compaction { "packed" } else { "unpacked" }.to_string(),
-            p.records.to_string(),
-            p.bytes.to_string(),
-            p.records_filtered.to_string(),
-            p.blocks.to_string(),
-            format!("{:.1}", p.block_fill),
-            format!("{}/{}", p.verdict_p50_us, p.verdict_p99_us),
-            p.elapsed_us.to_string(),
-        ]);
-    }
+    // The per-record row is counted, not run: only its sizes exist.
+    let mut counted = vec![
+        "per-record (counted)".to_string(),
+        s.pre_records.to_string(),
+        s.pre_bytes.to_string(),
+    ];
+    counted.resize(8, "-".to_string());
+    t.row(counted);
+    let p = &s.post;
+    t.row(vec![
+        "packed (shipped)".to_string(),
+        p.records.to_string(),
+        p.bytes.to_string(),
+        p.records_filtered.to_string(),
+        p.blocks.to_string(),
+        format!("{:.1}", p.block_fill),
+        format!("{}/{}", p.verdict_p50_us, p.verdict_p99_us),
+        p.elapsed_us.to_string(),
+    ]);
     format!(
         "Validation-plane compaction (filter + packed frames + COA cache)\n\
          validation-bound DOALL: {} iters x {} scattered writes, {} core(s)\n\
-         both modes byte-identical: memory, outputs, commit order\n\n{}\n\
+         committed memory equals the sequential run, commits in iteration order\n\n{}\n\
          records {:.1}x fewer, bytes {:.1}x fewer; simulator predicts \
          {:.2}x loop speedup at 128 cores from the measured byte ratio\n\
          packed COA cache: {} hits / {} misses",
@@ -292,19 +295,30 @@ pub fn valplane_text(s: &ValPlaneSweep) -> String {
         s.records_ratio,
         s.bytes_ratio,
         s.sim_predicted_speedup,
-        s.packed.cache_hits,
-        s.packed.cache_misses,
+        p.cache_hits,
+        p.cache_misses,
     )
 }
 
-fn point_json(p: &ValPlanePoint) -> String {
+/// Serializes the sweep as the `BENCH_valplane.json` artifact.
+pub fn valplane_json(s: &ValPlaneSweep) -> String {
+    let p = &s.post;
     format!(
         concat!(
-            r#"{{"compaction":{},"records":{},"bytes":{},"records_filtered":{},"#,
+            r#"{{"bench":"valplane","workload":"validation_bound_doall","#,
+            r#""iters":{},"writes_per_iter":{},"cores":{},"#,
+            r#""pre":{{"records":{},"bytes":{}}},"#,
+            r#""post":{{"records":{},"bytes":{},"records_filtered":{},"#,
             r#""blocks":{},"block_fill":{:.2},"cache_hits":{},"cache_misses":{},"#,
-            r#""verdict_p50_us":{},"verdict_p99_us":{},"elapsed_us":{}}}"#
+            r#""verdict_p50_us":{},"verdict_p99_us":{},"elapsed_us":{}}},"#,
+            r#""records_ratio":{:.4},"bytes_ratio":{:.4},"#,
+            r#""sim_predicted_speedup":{:.4},"identical":true}}"#
         ),
-        p.compaction,
+        s.iters,
+        s.writes_per_iter,
+        s.cores,
+        s.pre_records,
+        s.pre_bytes,
         p.records,
         p.bytes,
         p.records_filtered,
@@ -314,25 +328,7 @@ fn point_json(p: &ValPlanePoint) -> String {
         p.cache_misses,
         p.verdict_p50_us,
         p.verdict_p99_us,
-        p.elapsed_us
-    )
-}
-
-/// Serializes the sweep as the `BENCH_valplane.json` artifact.
-pub fn valplane_json(s: &ValPlaneSweep) -> String {
-    format!(
-        concat!(
-            r#"{{"bench":"valplane","workload":"validation_bound_doall","#,
-            r#""iters":{},"writes_per_iter":{},"cores":{},"#,
-            r#""unpacked":{},"packed":{},"#,
-            r#""records_ratio":{:.4},"bytes_ratio":{:.4},"#,
-            r#""sim_predicted_speedup":{:.4},"identical":true}}"#
-        ),
-        s.iters,
-        s.writes_per_iter,
-        s.cores,
-        point_json(&s.unpacked),
-        point_json(&s.packed),
+        p.elapsed_us,
         s.records_ratio,
         s.bytes_ratio,
         s.sim_predicted_speedup,
@@ -365,11 +361,10 @@ mod tests {
             "sim predicts a slowdown: {}",
             s.sim_predicted_speedup
         );
-        // Packed mode must actually pack; unpacked must be identity.
-        assert!(s.packed.blocks > 0);
-        assert!(s.packed.block_fill > 1.0);
-        assert_eq!(s.unpacked.blocks, 0);
-        assert_eq!(s.unpacked.records_filtered, 0);
+        // The run must actually pack: two frames per MTX (one shard plus
+        // the commit plane), many records per frame.
+        assert_eq!(s.post.blocks, 2 * 96);
+        assert!(s.post.block_fill > 1.0);
     }
 
     #[test]
@@ -378,8 +373,8 @@ mod tests {
         let json = valplane_json(&s);
         dsmtx_obs::json::validate(&json).expect("valid JSON artifact");
         assert!(json.contains(r#""bench":"valplane""#));
-        assert!(json.contains(r#""unpacked":"#));
-        assert!(json.contains(r#""packed":"#));
+        assert!(json.contains(r#""pre":"#));
+        assert!(json.contains(r#""post":"#));
         assert!(json.contains(r#""identical":true"#));
 
         let text = valplane_text(&s);

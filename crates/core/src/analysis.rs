@@ -625,7 +625,7 @@ mod tests {
         let doc = trace.render();
         dsmtx_obs::json::validate(&doc).expect("valid chrome trace JSON");
         assert!(doc.contains("\"worker0\""));
-        assert!(doc.contains("\"try-commit\""));
+        assert!(doc.contains("\"try-commit0\""));
         assert!(doc.contains("\"commit\""));
         assert!(doc.contains("mtx0"));
         assert!(doc.contains("\"ph\":\"X\""));

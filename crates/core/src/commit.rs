@@ -17,16 +17,16 @@ use std::collections::BTreeMap;
 
 use dsmtx_fabric::{RecvPort, SendPort};
 use dsmtx_mem::MasterMem;
-use dsmtx_uva::{PageId, VAddr};
+use dsmtx_uva::PageId;
 use fxhash::FxHashMap;
 
 use crate::config::PipelineShape;
-use crate::control::{ControlPlane, Interrupt, Status};
-use crate::ids::{MtxId, StageId, WorkerId};
+use crate::control::{ControlPlane, Interrupt, Status, EPOCH_UNSEEN};
+use crate::ids::{MtxId, WorkerId};
 use crate::poll::Backoff;
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
 use crate::trace::{Role, TraceKind, TraceSink};
-use crate::wire::{Msg, EPOCH_NONE};
+use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
 
 /// Per-MTX events gathered from workers.
 #[derive(Debug, Default, Clone, Copy)]
@@ -54,14 +54,6 @@ pub(crate) struct CommitCounters {
     pub fault_recoveries: u64,
 }
 
-/// In-progress store-stream assembly for one worker.
-#[derive(Debug, Default)]
-struct Assembly {
-    open: Option<(MtxId, StageId)>,
-    attempt: u32,
-    stores: Vec<(u64, u64)>,
-}
-
 /// Aggregated per-shard verdicts for one MTX: the group-commit decision
 /// needs `VerdictOk` from *every* try-commit shard (each owns a disjoint
 /// page partition), while a single `VerdictBad` from any shard squashes
@@ -85,9 +77,8 @@ pub(crate) struct CommitUnit {
     coa_out: Vec<(WorkerId, SendPort<Msg>)>,
     /// COA reply queues, one per try-commit shard.
     coa_tc_out: Vec<SendPort<Msg>>,
-    partial: FxHashMap<WorkerId, Assembly>,
-    /// Completed store sets per (mtx, stage).
-    store_sets: FxHashMap<(u64, u16), Vec<(u64, u64)>>,
+    /// Received store blocks per (mtx, stage), decoded at group commit.
+    store_sets: FxHashMap<(u64, u16), Box<AccessBlock>>,
     events: BTreeMap<u64, Events>,
     verdicts: BTreeMap<u64, VerdictState>,
     next_commit: MtxId,
@@ -135,7 +126,6 @@ impl CommitUnit {
             from_trycommit: w.from_trycommit,
             coa_out: w.coa_out,
             coa_tc_out: w.coa_tc_out,
-            partial: FxHashMap::default(),
             store_sets: FxHashMap::default(),
             events: BTreeMap::new(),
             verdicts: BTreeMap::new(),
@@ -166,7 +156,7 @@ impl CommitUnit {
             return (self.master, self.counters);
         }
         let mut backoff = Backoff::new();
-        let mut epoch = self.ctrl.epoch();
+        let mut epoch = EPOCH_UNSEEN;
         loop {
             // The commit unit is normally the only status writer, but a
             // thread that found its channel dead publishes the typed
@@ -222,42 +212,8 @@ impl CommitUnit {
                     }
                 };
                 progress = true;
-                let worker = self.from_workers[idx].0;
                 match msg {
                     Msg::CoaRequest { page, have } => self.serve_coa_worker(idx, page, have),
-                    Msg::SubTxBegin {
-                        mtx,
-                        attempt,
-                        stage,
-                    } => {
-                        let asm = self.partial.entry(worker).or_default();
-                        assert!(asm.open.is_none(), "nested commit frame from {worker}");
-                        asm.open = Some((mtx, stage));
-                        asm.attempt = attempt;
-                        asm.stores.clear();
-                    }
-                    Msg::Store { addr, value } => {
-                        let asm = self.partial.entry(worker).or_default();
-                        debug_assert!(asm.open.is_some(), "store outside frame");
-                        asm.stores.push((addr, value));
-                    }
-                    Msg::SubTxDone {
-                        mtx,
-                        attempt,
-                        stage,
-                        exit,
-                    } => {
-                        let asm = self.partial.entry(worker).or_default();
-                        let open = asm.open.take().expect("frame footer without header");
-                        assert_eq!(open, (mtx, stage), "commit framing mismatch");
-                        self.store_sets
-                            .insert((mtx.0, stage.0), std::mem::take(&mut asm.stores));
-                        let ev = self.events.entry(mtx.0).or_default();
-                        ev.attempt = attempt;
-                        if exit {
-                            ev.exit = true;
-                        }
-                    }
                     Msg::CommitBlock {
                         mtx,
                         attempt,
@@ -265,16 +221,7 @@ impl CommitUnit {
                         exit,
                         block,
                     } => {
-                        // A packed store stream: framing, write-set, and
-                        // the exit decision in one message.
-                        let asm = self.partial.entry(worker).or_default();
-                        assert!(
-                            asm.open.is_none(),
-                            "packed frame inside an open commit frame from {worker}"
-                        );
-                        let stores: Vec<(u64, u64)> =
-                            block.iter().map(|r| (r.addr.raw(), r.value)).collect();
-                        self.store_sets.insert((mtx.0, stage.0), stores);
+                        self.store_sets.insert((mtx.0, stage.0), block);
                         let ev = self.events.entry(mtx.0).or_default();
                         ev.attempt = attempt;
                         if exit {
@@ -407,16 +354,12 @@ impl CommitUnit {
         }
         // Group transaction commit: apply subTX write-sets in program
         // (stage) order; the last store to an address wins.
-        let writes = (0..self.shape.n_stages()).flat_map(|s| {
-            self.store_sets
-                .remove(&(m.0, s))
-                .expect("checked above")
-                .into_iter()
-                .map(|(a, v)| (VAddr::from_raw(a), v))
-                .collect::<Vec<_>>()
-        });
-        self.master
-            .commit_writes_parallel(writes.collect::<Vec<_>>());
+        let mut writes = Vec::new();
+        for s in 0..self.shape.n_stages() {
+            let block = self.store_sets.remove(&(m.0, s)).expect("checked above");
+            writes.extend(block.iter().map(|r| (r.addr, r.value)));
+        }
+        self.master.commit_writes_parallel(writes);
         self.advance_epoch();
         self.counters.committed += 1;
         self.counters.last_iteration = Some(m);
@@ -484,7 +427,6 @@ impl CommitUnit {
         for port in &mut self.coa_tc_out {
             port.clear();
         }
-        self.partial.clear();
         self.store_sets.clear();
         self.events.clear();
         self.verdicts.clear();

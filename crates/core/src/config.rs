@@ -149,15 +149,13 @@ pub struct SystemConfig {
     batch: usize,
     capacity: usize,
     unit_shards: usize,
-    compaction: bool,
     shard_map: Option<ShardMap>,
     fault: Option<FaultConfig>,
 }
 
 impl SystemConfig {
     /// Starts an empty pipeline with the default batch (64 items), queue
-    /// capacity (256 packets), a single speculation-unit shard, and
-    /// validation-plane compaction on.
+    /// capacity (256 packets), and a single speculation-unit shard.
     pub fn new() -> Self {
         SystemConfig {
             stages: Vec::new(),
@@ -165,7 +163,6 @@ impl SystemConfig {
             batch: 64,
             capacity: 256,
             unit_shards: 1,
-            compaction: true,
             shard_map: None,
             fault: None,
         }
@@ -226,17 +223,6 @@ impl SystemConfig {
         self
     }
 
-    /// Enables or disables validation-plane compaction (on by default):
-    /// per-subTX access filtering (last store / first load per address)
-    /// and packed `AccessBlock` frames on the validation and commit
-    /// planes. Disabling it selects the legacy one-message-per-record
-    /// encoding — the differential baseline; verdicts, commit order, and
-    /// committed memory are identical either way.
-    pub fn compaction(&mut self, on: bool) -> &mut Self {
-        self.compaction = on;
-        self
-    }
-
     /// Validates and freezes the configuration.
     ///
     /// # Errors
@@ -281,7 +267,6 @@ impl SystemConfig {
             batch: self.batch,
             capacity: self.capacity,
             unit_shards: self.unit_shards,
-            compaction: self.compaction,
             shard_map: self.shard_map.clone(),
             fault: self.fault,
         })
@@ -305,7 +290,6 @@ pub struct PipelineShape {
     batch: usize,
     capacity: usize,
     unit_shards: usize,
-    compaction: bool,
     shard_map: Option<ShardMap>,
     fault: Option<FaultConfig>,
 }
@@ -418,12 +402,6 @@ impl PipelineShape {
     /// Number of try-commit shards the system runs (≥ 1).
     pub fn unit_shards(&self) -> usize {
         self.unit_shards
-    }
-
-    /// Whether the validation/commit planes use access filtering and
-    /// packed frames (default) or the legacy per-record encoding.
-    pub fn compaction(&self) -> bool {
-        self.compaction
     }
 
     /// The profile-guided page→shard placement, if one was installed.
@@ -556,15 +534,6 @@ mod tests {
         assert_eq!(cfg.build().unwrap().unit_shards(), 1);
         cfg.unit_shards(4);
         assert_eq!(cfg.build().unwrap().unit_shards(), 4);
-    }
-
-    #[test]
-    fn compaction_defaults_on_and_is_configurable() {
-        let mut cfg = SystemConfig::new();
-        cfg.stage(StageKind::Sequential);
-        assert!(cfg.build().unwrap().compaction());
-        cfg.compaction(false);
-        assert!(!cfg.build().unwrap().compaction());
     }
 
     #[test]

@@ -90,6 +90,13 @@ struct Shared {
     channel_downs: AtomicU64,
 }
 
+/// A seen-epoch value no published epoch ever equals. A role seeds its
+/// seen epoch with it at start-up and after recovery barrier B3, so its
+/// first [`ControlPlane::poll`] reads the status word: a status published
+/// before the role's thread got to run (a zero-iteration loop's
+/// termination, a recovery at MTX 0) is never missed.
+pub(crate) const EPOCH_UNSEEN: u64 = u64::MAX;
+
 /// Shared control state; cloning yields another handle to the same plane.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {

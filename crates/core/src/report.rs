@@ -38,18 +38,18 @@ pub struct ShardStats {
 
 /// Validation-plane compaction statistics, aggregated across workers.
 ///
-/// "Pre" figures count what the unpacked per-record encoding would have
-/// shipped (one fabric item per access plus two framing items per shard
-/// and plane); "post" figures count what actually went on the wire
-/// (block frames plus their packed payload bytes). With compaction off
-/// the two coincide and nothing is filtered.
+/// "Pre" figures are an analytic baseline: what one message per access
+/// record would have shipped (one fabric item per access or store plus
+/// two framing items per shard and plane), counted by the worker from the
+/// unfiltered access log. "Post" figures count what actually went on the
+/// wire (block frames plus their packed payload bytes).
 #[derive(Debug, Default, Clone)]
 pub struct ValPlaneStats {
-    /// Fabric items the unpacked encoding would have shipped.
+    /// Fabric items one message per record would have shipped.
     pub records_pre: u64,
     /// Fabric items actually shipped (block frames).
     pub records_post: u64,
-    /// Wire bytes the unpacked encoding would have cost.
+    /// Wire bytes one message per record would have cost.
     pub bytes_pre: u64,
     /// Wire bytes actually spent (frames + packed payloads).
     pub bytes_post: u64,

@@ -141,18 +141,8 @@ impl MtxSystem {
         let worker_eps: Vec<EndpointId> = (0..n_workers)
             .map(|w| builder.endpoint(format!("worker{w}")))
             .collect();
-        // One endpoint per try-commit shard. The single-shard name stays
-        // "try-commit" so endpoint/link declaration order — and with it
-        // every seeded fault schedule — is identical to the unsharded
-        // runtime.
         let tc_eps: Vec<EndpointId> = (0..n_shards)
-            .map(|s| {
-                if n_shards == 1 {
-                    builder.endpoint("try-commit")
-                } else {
-                    builder.endpoint(format!("try-commit{s}"))
-                }
-            })
+            .map(|s| builder.endpoint(format!("try-commit{s}")))
             .collect();
         let cu_ep = builder.endpoint("commit");
 
@@ -287,7 +277,7 @@ impl MtxSystem {
                     if src == cu_ep {
                         coa_in = Some(port);
                     } else {
-                        val_in.push((as_worker(src), port));
+                        val_in.push(port);
                     }
                 }
                 let mut to_commit = None;

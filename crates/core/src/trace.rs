@@ -27,9 +27,6 @@ impl std::fmt::Display for Role {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Role::Worker(w) => write!(f, "worker{w}"),
-            // Shard 0 keeps the legacy single-unit name so existing
-            // traces, goldens, and fault schedules stay stable.
-            Role::TryCommit(0) => f.write_str("try-commit"),
             Role::TryCommit(s) => write!(f, "try-commit{s}"),
             Role::Commit => f.write_str("commit"),
         }
@@ -271,7 +268,7 @@ mod tests {
     #[test]
     fn role_display_matches_legacy_strings() {
         assert_eq!(Role::Worker(3).to_string(), "worker3");
-        assert_eq!(Role::TryCommit(0).to_string(), "try-commit");
+        assert_eq!(Role::TryCommit(0).to_string(), "try-commit0");
         assert_eq!(Role::TryCommit(2).to_string(), "try-commit2");
         assert_eq!(Role::Commit.to_string(), "commit");
     }

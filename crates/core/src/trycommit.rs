@@ -20,13 +20,12 @@
 //! prediction of a load depends only on prior stores to the same address.
 //! When `unit_shards > 1`, N instances of this unit run, each owning the
 //! disjoint hash-partition of `PageId` space given by
-//! [`dsmtx_mem::shard_of`]. Workers route each access record to the
-//! responsible shard and send the `SubTxBegin`/`SubTxEnd` framing to
-//! *every* shard, so each shard's program-order cursor advances through
-//! every (MTX, stage) — a shard whose partition a subTX never touched
-//! replays an empty stream. Each shard reports an independent per-MTX
-//! verdict; the commit unit aggregates them (all-OK commits, any-bad
-//! recovers).
+//! [`dsmtx_mem::shard_of`]. Workers pack each access record into the
+//! responsible shard's `ValBlock` and send a frame to *every* shard, so
+//! each shard's program-order cursor advances through every (MTX, stage)
+//! — a shard whose partition a subTX never touched replays an empty
+//! block. Each shard reports an independent per-MTX verdict; the commit
+//! unit aggregates them (all-OK commits, any-bad recovers).
 
 use std::time::Instant;
 
@@ -37,30 +36,12 @@ use dsmtx_uva::{PageId, VAddr};
 use fxhash::FxHashMap;
 
 use crate::config::PipelineShape;
-use crate::control::{ControlPlane, Interrupt};
-use crate::ids::{MtxId, StageId, WorkerId};
+use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
+use crate::ids::{MtxId, StageId};
 use crate::poll::{wait_for, wait_for_deadline, Backoff};
 use crate::trace::{Role, TraceKind, TraceSink};
 use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
 use crate::worker::{classify, flush_port};
-
-/// In-progress frame assembly for one worker's validation stream.
-#[derive(Debug, Default)]
-struct Assembly {
-    open: Option<(MtxId, StageId)>,
-    /// Attempt number carried by the frame header (trace context).
-    attempt: u32,
-    records: Vec<AccessRecord>,
-}
-
-/// One completed subTX stream awaiting its replay turn: either the
-/// legacy per-record assembly or a packed block, replayed by cursor
-/// straight out of the received frame with no per-record allocation.
-#[derive(Debug)]
-enum AccessStream {
-    Records(Vec<AccessRecord>),
-    Block(Box<AccessBlock>),
-}
 
 /// One detected conflict with its attribution context: which page
 /// mismatched, which shard caught it, and which MTX wrote the page first
@@ -123,15 +104,15 @@ pub(crate) struct TryCommitUnit {
     /// Covers only this shard's page partition.
     image: SpecMem,
     /// Validation streams, one per worker (this shard's partition only).
-    val_in: Vec<(WorkerId, RecvPort<Msg>)>,
+    val_in: Vec<RecvPort<Msg>>,
     /// Verdicts and COA requests to the commit unit.
     to_commit: SendPort<Msg>,
     /// COA replies from the commit unit.
     coa_in: RecvPort<Msg>,
-    partial: FxHashMap<WorkerId, Assembly>,
-    /// Completed subTX streams awaiting their replay turn, with their
-    /// arrival time (for replay-lag / verdict-latency histograms).
-    done: FxHashMap<(u64, u16), (AccessStream, u32, Instant)>,
+    /// Received subTX blocks awaiting their replay turn, with their
+    /// attempt number and arrival time (for replay-lag / verdict-latency
+    /// histograms).
+    done: FxHashMap<(u64, u16), (Box<AccessBlock>, u32, Instant)>,
     cursor_mtx: MtxId,
     cursor_stage: StageId,
     /// Attempt number of the stream currently replaying (trace context
@@ -151,27 +132,25 @@ pub(crate) struct TryCommitWiring {
     pub ctrl: ControlPlane,
     pub trace: TraceSink,
     pub shard: u16,
-    pub val_in: Vec<(WorkerId, RecvPort<Msg>)>,
+    pub val_in: Vec<RecvPort<Msg>>,
     pub to_commit: SendPort<Msg>,
     pub coa_in: RecvPort<Msg>,
 }
 
 impl TryCommitUnit {
     pub(crate) fn new(w: TryCommitWiring) -> Self {
-        let epoch = w.ctrl.epoch();
         let data_timeout = w.shape.recv_deadline();
         TryCommitUnit {
             shape: w.shape,
             ctrl: w.ctrl,
             trace: w.trace,
             shard: w.shard,
-            epoch,
+            epoch: EPOCH_UNSEEN,
             data_timeout,
             image: SpecMem::new(),
             val_in: w.val_in,
             to_commit: w.to_commit,
             coa_in: w.coa_in,
-            partial: FxHashMap::default(),
             done: FxHashMap::default(),
             cursor_mtx: MtxId(0),
             cursor_stage: StageId(0),
@@ -253,10 +232,10 @@ impl TryCommitUnit {
     }
 
     /// Drains whatever is available on the validation queues into the
-    /// assembly buffers. Never blocks.
+    /// replay buffer. Never blocks.
     fn ingest(&mut self) -> bool {
         let mut progress = false;
-        for (worker, port) in &mut self.val_in {
+        for port in &mut self.val_in {
             loop {
                 let msg = match port.try_consume() {
                     Ok(Some(m)) => m,
@@ -270,56 +249,15 @@ impl TryCommitUnit {
                     }
                 };
                 progress = true;
-                let asm = self.partial.entry(*worker).or_default();
                 match msg {
-                    Msg::SubTxBegin {
-                        mtx,
-                        attempt,
-                        stage,
-                    } => {
-                        assert!(asm.open.is_none(), "nested subTX from {worker}");
-                        asm.open = Some((mtx, stage));
-                        asm.attempt = attempt;
-                        asm.records.clear();
-                    }
-                    Msg::Load { addr, value } => asm.records.push(AccessRecord {
-                        kind: AccessKind::Load,
-                        addr: VAddr::from_raw(addr),
-                        value,
-                    }),
-                    Msg::Store { addr, value } => asm.records.push(AccessRecord {
-                        kind: AccessKind::Store,
-                        addr: VAddr::from_raw(addr),
-                        value,
-                    }),
-                    Msg::SubTxEnd { mtx, stage } => {
-                        let open = asm.open.take().expect("subTX end without begin");
-                        assert_eq!(open, (mtx, stage), "subTX framing mismatch");
-                        self.done.insert(
-                            (mtx.0, stage.0),
-                            (
-                                AccessStream::Records(std::mem::take(&mut asm.records)),
-                                asm.attempt,
-                                Instant::now(),
-                            ),
-                        );
-                    }
                     Msg::ValBlock {
                         mtx,
                         attempt,
                         stage,
                         block,
                     } => {
-                        // A packed frame is framing and records in one
-                        // message: it completes the stream on arrival.
-                        assert!(
-                            asm.open.is_none(),
-                            "packed frame inside an open unpacked subTX from {worker}"
-                        );
-                        self.done.insert(
-                            (mtx.0, stage.0),
-                            (AccessStream::Block(block), attempt, Instant::now()),
-                        );
+                        self.done
+                            .insert((mtx.0, stage.0), (block, attempt, Instant::now()));
                     }
                     other => panic!("unexpected message on validation plane: {other:?}"),
                 }
@@ -331,7 +269,7 @@ impl TryCommitUnit {
     /// Replays every stream whose program-order turn has come.
     fn replay_ready(&mut self) -> Result<bool, Interrupt> {
         let mut progress = false;
-        while let Some((stream, attempt, arrived)) =
+        while let Some((block, attempt, arrived)) =
             self.done.remove(&(self.cursor_mtx.0, self.cursor_stage.0))
         {
             progress = true;
@@ -339,7 +277,7 @@ impl TryCommitUnit {
             self.counters
                 .replay_lag
                 .record(arrived.elapsed().as_micros() as u64);
-            if let Some(conflict_addr) = self.replay(&stream)? {
+            if let Some(conflict_addr) = self.replay(&block)? {
                 // Conflict: tell the commit unit and freeze until it
                 // orchestrates recovery.
                 let page = conflict_addr.page().0;
@@ -390,25 +328,14 @@ impl TryCommitUnit {
         Ok(progress)
     }
 
-    /// Replays one subTX stream against the image. Returns the address of
-    /// the first mismatching load (`None` when the stream validates).
-    /// Packed blocks decode by cursor as they replay — no intermediate
-    /// record vector is materialized.
-    fn replay(&mut self, stream: &AccessStream) -> Result<Option<VAddr>, Interrupt> {
-        match stream {
-            AccessStream::Records(records) => {
-                for r in records {
-                    if let Some(addr) = self.replay_record(*r)? {
-                        return Ok(Some(addr));
-                    }
-                }
-            }
-            AccessStream::Block(block) => {
-                for r in block.iter() {
-                    if let Some(addr) = self.replay_record(r)? {
-                        return Ok(Some(addr));
-                    }
-                }
+    /// Replays one subTX block against the image. Returns the address of
+    /// the first mismatching load (`None` when the block validates). The
+    /// block decodes by cursor as it replays — no intermediate record
+    /// vector is materialized.
+    fn replay(&mut self, block: &AccessBlock) -> Result<Option<VAddr>, Interrupt> {
+        for r in block.iter() {
+            if let Some(addr) = self.replay_record(r)? {
+                return Ok(Some(addr));
             }
         }
         Ok(None)
@@ -463,20 +390,19 @@ impl TryCommitUnit {
         let barrier = self.ctrl.barrier().clone();
         barrier.wait(); // B1
         self.to_commit.clear();
-        for (_, port) in &mut self.val_in {
+        for port in &mut self.val_in {
             port.drain();
         }
         self.coa_in.drain();
         barrier.wait(); // B2
         self.image.rollback();
-        self.partial.clear();
         self.done.clear();
         self.first_writers.clear();
         self.cursor_mtx = boundary.next();
         self.cursor_stage = StageId(0);
         self.poisoned = false;
         barrier.wait(); // B3
-        self.epoch = u64::MAX;
+        self.epoch = EPOCH_UNSEEN;
     }
 }
 

@@ -6,20 +6,17 @@
 //! * **data plane** (worker → later-stage worker, or TLS ring neighbour):
 //!   per-iteration frames carrying forwarded uncommitted stores and
 //!   `mtx_produce`d user values;
-//! * **validation plane** (worker → try-commit shards): the
-//!   program-ordered access stream of each subTX. The compacted default
-//!   ships one [`Msg::ValBlock`] per (subTX, shard) — a packed
-//!   [`AccessBlock`] that carries the framing and every surviving record
-//!   in a single message. The legacy unpacked encoding
-//!   (`SubTxBegin`/`Load`/`Store`/`SubTxEnd`, one message per record)
-//!   remains available for differential testing. With `unit_shards > 1`
-//!   each worker fans the stream out by `PageId` partition — a frame
-//!   (possibly empty) goes to every shard so replay cursors advance in
-//!   lockstep, records only to the owning shard;
-//! * **commit plane** (worker → commit: store streams, packed as
-//!   [`Msg::CommitBlock`] or unpacked; each try-commit shard → commit:
-//!   per-shard verdicts, aggregated into the group-commit decision;
-//!   worker → commit: explicit misspeculation and loop exit events);
+//! * **validation plane** (worker → try-commit shards): the filtered,
+//!   program-ordered access stream of each subTX, shipped as one
+//!   [`Msg::ValBlock`] per (subTX, shard) — a packed [`AccessBlock`] that
+//!   carries the framing and every surviving record in a single message.
+//!   With `unit_shards > 1` each worker fans the stream out by `PageId`
+//!   partition — a frame (possibly empty) goes to every shard so replay
+//!   cursors advance in lockstep, records only to the owning shard;
+//! * **commit plane** (worker → commit: the coalesced store set and the
+//!   loop-exit decision as one [`Msg::CommitBlock`]; each try-commit
+//!   shard → commit: per-shard verdicts, aggregated into the group-commit
+//!   decision; worker → commit: explicit misspeculation events);
 //! * **COA plane** (worker/try-commit shards ↔ commit): page requests and
 //!   replies. Requests carry the epoch tag of the requester's cached copy
 //!   (if any); the commit unit answers with the full page
@@ -224,41 +221,8 @@ pub enum Msg {
     },
 
     // ------------------------------------------------ validation plane --
-    /// Start of a subTX access stream (legacy unpacked encoding).
-    SubTxBegin {
-        /// Enclosing MTX.
-        mtx: MtxId,
-        /// Speculative attempt number (trace context): retries after a
-        /// recovery carry a larger attempt so downstream roles chain
-        /// their lifecycle events onto the right span.
-        attempt: u32,
-        /// Pipeline stage executing the subTX.
-        stage: StageId,
-    },
-    /// A speculative load observation (value prediction to validate).
-    Load {
-        /// Raw address bits.
-        addr: u64,
-        /// The value the worker observed.
-        value: u64,
-    },
-    /// A speculative store.
-    Store {
-        /// Raw address bits.
-        addr: u64,
-        /// The stored value.
-        value: u64,
-    },
-    /// End of a subTX access stream (legacy unpacked encoding).
-    SubTxEnd {
-        /// Enclosing MTX.
-        mtx: MtxId,
-        /// Pipeline stage executing the subTX.
-        stage: StageId,
-    },
     /// A complete packed subTX access stream: framing plus every surviving
-    /// record in one message. Replaces `SubTxBegin` + per-record
-    /// `Load`/`Store` + `SubTxEnd` on the compacted validation plane.
+    /// record in one message.
     ValBlock {
         /// Enclosing MTX.
         mtx: MtxId,
@@ -291,11 +255,11 @@ pub enum Msg {
         /// Speculative attempt number (propagated trace context).
         attempt: u32,
     },
-    /// Footer of a store stream on the commit plane (legacy unpacked
-    /// encoding). Carries the loop-exit decision (`mtx_terminate`) in the
-    /// same message as stream completeness so the commit unit can never
-    /// commit an iteration without knowing it was the last one.
-    SubTxDone {
+    /// A complete packed store stream on the commit plane: framing, the
+    /// coalesced write-set, and the loop-exit decision in one message —
+    /// so the commit unit can never commit an iteration without knowing
+    /// it was the last one.
+    CommitBlock {
         /// Enclosing MTX.
         mtx: MtxId,
         /// Speculative attempt number (propagated trace context).
@@ -305,19 +269,6 @@ pub enum Msg {
         /// True when this subTX observed the sequential loop exit at this
         /// iteration: commit everything at or before `mtx`, squash the
         /// rest, stop.
-        exit: bool,
-    },
-    /// A complete packed store stream on the commit plane: framing, the
-    /// coalesced write-set, and the loop-exit decision in one message.
-    /// Replaces `SubTxBegin` + per-store `Store` + `SubTxDone`.
-    CommitBlock {
-        /// Enclosing MTX.
-        mtx: MtxId,
-        /// Speculative attempt number (propagated trace context).
-        attempt: u32,
-        /// Pipeline stage executing the subTX.
-        stage: StageId,
-        /// True when this subTX observed the sequential loop exit.
         exit: bool,
         /// The coalesced stores (kind stream is all-store).
         block: Box<AccessBlock>,
@@ -442,7 +393,7 @@ mod tests {
             block.push(AccessKind::Store, 0x1000 + 8 * i, i);
         }
         // 64 values (8 B) + 16 kind bytes + ~65 addr bytes + 4 B header:
-        // well under half the unpacked 64 * 32 B.
+        // well under half of 64 one-record messages at 32 B each.
         assert!(
             block.wire_bytes() < 64 * 32 / 2,
             "wire_bytes = {}",

@@ -27,7 +27,7 @@ use dsmtx_mem::{route, AccessKind, AccessRecord, Page, PageCache, ShardMap, Spec
 use dsmtx_uva::{PageId, RegionAllocator, VAddr};
 
 use crate::config::PipelineShape;
-use crate::control::{ControlPlane, Interrupt};
+use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId, WorkerId};
 use crate::poll::{wait_for, wait_for_deadline};
 use crate::program::{IterOutcome, StageFn};
@@ -35,8 +35,9 @@ use crate::report::ValPlaneStats;
 use crate::trace::{Role, TraceKind, TraceSink};
 use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
 
-/// Fabric accounting charges one enum slot per queued item; used to state
-/// what the unpacked per-record encoding would have cost on the wire.
+/// Fabric accounting charges one enum slot per queued item; used to count
+/// what one message per access record would cost on the wire (the
+/// `records_pre`/`bytes_pre` baseline of [`ValPlaneStats`]).
 const ITEM_BYTES: u64 = std::mem::size_of::<Msg>() as u64;
 
 /// A write-combining store buffer over one subTX's access log.
@@ -218,9 +219,9 @@ pub struct WorkerCtx {
     /// predecessor).
     inn: Vec<(WorkerId, RecvPort<Msg>)>,
     /// Validation streams, one per try-commit shard: each access record
-    /// goes to the shard owning its page ([`route`]); the
-    /// `SubTxBegin`/`SubTxEnd` framing goes to every shard so all replay
-    /// cursors advance in lockstep.
+    /// goes to the shard owning its page ([`route`]); every shard gets a
+    /// frame per subTX (possibly empty) so all replay cursors advance in
+    /// lockstep.
     val_out: Vec<SendPort<Msg>>,
     /// Profile-guided page→shard overrides from the shared shape; pages
     /// outside the map route by the hash partition. Identical on every
@@ -231,9 +232,6 @@ pub struct WorkerCtx {
     /// COA replies from the commit unit.
     coa_in: RecvPort<Msg>,
 
-    /// Packed validation/commit-plane encoding on (the default) or the
-    /// legacy per-record encoding (differential baseline).
-    compaction: bool,
     /// Write-combining store buffer filtering each subTX's access log.
     filter: AccessFilter,
     /// Scratch: the filtered access stream of the current subTX.
@@ -299,9 +297,7 @@ impl WorkerCtx {
     pub(crate) fn new(w: WorkerWiring) -> Self {
         let stage = w.shape.stage_of(w.worker);
         let n_stages = w.shape.n_stages() as usize;
-        let epoch = w.ctrl.epoch();
         let data_timeout = w.shape.recv_deadline();
-        let compaction = w.shape.compaction();
         let shard_map = w.shape.shard_map().cloned();
         let n_shards = w.val_out.len();
         WorkerCtx {
@@ -311,7 +307,7 @@ impl WorkerCtx {
             shape: w.shape,
             ctrl: w.ctrl,
             trace: w.trace,
-            epoch,
+            epoch: EPOCH_UNSEEN,
             data_timeout,
             spec: SpecMem::new(),
             heap: w.heap,
@@ -321,7 +317,6 @@ impl WorkerCtx {
             shard_map,
             cu_out: w.cu_out,
             coa_in: w.coa_in,
-            compaction,
             filter: AccessFilter::new(),
             filtered: Vec::new(),
             val_blocks: vec![AccessBlock::new(); n_shards],
@@ -372,12 +367,14 @@ impl WorkerCtx {
     // Memory operations
     // ------------------------------------------------------------------
 
-    /// Speculative load (validated by the try-commit unit).
-    ///
-    /// # Errors
-    ///
-    /// Interrupted by recovery or termination.
-    pub fn read(&mut self, addr: VAddr) -> Result<u64, Interrupt> {
+    /// Splits off the speculative memory and the Copy-On-Access fetch
+    /// that fills it on a first touch.
+    fn mem(
+        &mut self,
+    ) -> (
+        &mut SpecMem,
+        impl FnOnce(PageId) -> Result<Page, Interrupt> + '_,
+    ) {
         let Self {
             spec,
             cu_out,
@@ -387,22 +384,25 @@ impl WorkerCtx {
             data_timeout,
             coa_cache,
             coa_epoch,
-            compaction,
             ..
         } = self;
-        spec.read(addr, |page| {
+        let timeout = *data_timeout;
+        let fetch = move |page| {
             coa_fetch(
-                cu_out,
-                coa_in,
-                ctrl,
-                epoch,
-                *data_timeout,
-                coa_cache,
-                coa_epoch,
-                *compaction,
-                page,
+                cu_out, coa_in, ctrl, epoch, timeout, coa_cache, coa_epoch, page,
             )
-        })
+        };
+        (spec, fetch)
+    }
+
+    /// Speculative load (validated by the try-commit unit).
+    ///
+    /// # Errors
+    ///
+    /// Interrupted by recovery or termination.
+    pub fn read(&mut self, addr: VAddr) -> Result<u64, Interrupt> {
+        let (spec, fetch) = self.mem();
+        spec.read(addr, fetch)
     }
 
     /// Unvalidated load, for data the plan knows cannot conflict (e.g.
@@ -414,31 +414,8 @@ impl WorkerCtx {
     ///
     /// Interrupted by recovery or termination.
     pub fn read_private(&mut self, addr: VAddr) -> Result<u64, Interrupt> {
-        let Self {
-            spec,
-            cu_out,
-            coa_in,
-            ctrl,
-            epoch,
-            data_timeout,
-            coa_cache,
-            coa_epoch,
-            compaction,
-            ..
-        } = self;
-        spec.read_unlogged(addr, |page| {
-            coa_fetch(
-                cu_out,
-                coa_in,
-                ctrl,
-                epoch,
-                *data_timeout,
-                coa_cache,
-                coa_epoch,
-                *compaction,
-                page,
-            )
-        })
+        let (spec, fetch) = self.mem();
+        spec.read_unlogged(addr, fetch)
     }
 
     /// Speculative store with `mtx_writeAll` semantics: validated,
@@ -489,31 +466,8 @@ impl WorkerCtx {
     ///
     /// Interrupted by recovery or termination.
     pub fn write_no_forward(&mut self, addr: VAddr, value: u64) -> Result<(), Interrupt> {
-        let Self {
-            spec,
-            cu_out,
-            coa_in,
-            ctrl,
-            epoch,
-            data_timeout,
-            coa_cache,
-            coa_epoch,
-            compaction,
-            ..
-        } = self;
-        spec.write(addr, value, |page| {
-            coa_fetch(
-                cu_out,
-                coa_in,
-                ctrl,
-                epoch,
-                *data_timeout,
-                coa_cache,
-                coa_epoch,
-                *compaction,
-                page,
-            )
-        })
+        let (spec, fetch) = self.mem();
+        spec.write(addr, value, fetch)
     }
 
     /// Private store: stays in this worker's memory version only. Used for
@@ -524,31 +478,8 @@ impl WorkerCtx {
     ///
     /// Interrupted by recovery or termination.
     pub fn write_private(&mut self, addr: VAddr, value: u64) -> Result<(), Interrupt> {
-        let Self {
-            spec,
-            cu_out,
-            coa_in,
-            ctrl,
-            epoch,
-            data_timeout,
-            coa_cache,
-            coa_epoch,
-            compaction,
-            ..
-        } = self;
-        spec.write_unlogged(addr, value, |page| {
-            coa_fetch(
-                cu_out,
-                coa_in,
-                ctrl,
-                epoch,
-                *data_timeout,
-                coa_cache,
-                coa_epoch,
-                *compaction,
-                page,
-            )
-        })
+        let (spec, fetch) = self.mem();
+        spec.write_unlogged(addr, value, fetch)
     }
 
     // ------------------------------------------------------------------
@@ -739,10 +670,10 @@ impl WorkerCtx {
         let exit = outcome == IterOutcome::Exit;
         let n_shards = self.val_out.len();
 
-        // What the unpacked per-record encoding would have shipped: one
-        // item per access plus the per-shard framing pair on the
-        // validation plane, one item per store plus the framing pair on
-        // the commit plane.
+        // What one message per record would have shipped (the
+        // `records_pre`/`bytes_pre` baseline): one item per access plus
+        // the per-shard framing pair on the validation plane, one item per
+        // store plus the framing pair on the commit plane.
         let raw_stores = records
             .iter()
             .filter(|r| r.kind == AccessKind::Store)
@@ -751,147 +682,74 @@ impl WorkerCtx {
         self.valplane.records_pre += pre_items;
         self.valplane.bytes_pre += pre_items * ITEM_BYTES;
 
-        if self.compaction {
-            // Filter the access log through the write-combining store
-            // buffer, then pack each shard's share (and the coalesced
-            // store set) into block frames.
-            let Self {
-                filter,
-                filtered,
-                val_blocks,
-                commit_block,
-                valplane,
-                shard_map,
-                ..
-            } = self;
-            valplane.records_filtered += filter.filter_into(&records, filtered);
-            for block in val_blocks.iter_mut() {
-                block.clear();
-            }
-            for r in filtered.iter() {
-                val_blocks[route(shard_map.as_ref(), r.addr.page(), n_shards)].push(
-                    r.kind,
-                    r.addr.raw(),
-                    r.value,
-                );
-            }
-            commit_block.clear();
-            for (addr, value) in SpecMem::stores_of(filtered) {
-                commit_block.push(AccessKind::Store, addr.raw(), value);
-            }
+        // Filter the access log through the write-combining store buffer,
+        // then pack each shard's share (and the coalesced store set) into
+        // block frames.
+        let Self {
+            filter,
+            filtered,
+            val_blocks,
+            commit_block,
+            valplane,
+            shard_map,
+            ..
+        } = self;
+        valplane.records_filtered += filter.filter_into(&records, filtered);
+        for block in val_blocks.iter_mut() {
+            block.clear();
+        }
+        for r in filtered.iter() {
+            val_blocks[route(shard_map.as_ref(), r.addr.page(), n_shards)].push(
+                r.kind,
+                r.addr.raw(),
+                r.value,
+            );
+        }
+        commit_block.clear();
+        for (addr, value) in SpecMem::stores_of(filtered) {
+            commit_block.push(AccessKind::Store, addr.raw(), value);
+        }
 
-            // Validation plane: one block per shard, empty blocks
-            // included so every replay cursor advances.
-            for s in 0..n_shards {
-                let block = Box::new(std::mem::take(&mut self.val_blocks[s]));
-                self.valplane.records_post += 1;
-                self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
-                self.valplane.blocks += 1;
-                self.valplane.block_records += u64::from(block.len());
-                send(
-                    &mut self.val_out[s],
-                    Msg::ValBlock {
-                        mtx,
-                        attempt,
-                        stage,
-                        block,
-                    },
-                )?;
-            }
-            for port in &mut self.val_out {
-                flush_port(&self.ctrl, &mut self.epoch, port)?;
-            }
-
-            // Commit plane: the coalesced store set and the loop-exit
-            // decision in one frame.
-            let block = Box::new(std::mem::take(&mut self.commit_block));
+        // Validation plane: one block per shard, empty blocks included so
+        // every replay cursor advances.
+        for s in 0..n_shards {
+            let block = Box::new(std::mem::take(&mut self.val_blocks[s]));
             self.valplane.records_post += 1;
             self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
             self.valplane.blocks += 1;
             self.valplane.block_records += u64::from(block.len());
             send(
-                &mut self.cu_out,
-                Msg::CommitBlock {
+                &mut self.val_out[s],
+                Msg::ValBlock {
                     mtx,
                     attempt,
                     stage,
-                    exit,
                     block,
                 },
             )?;
-            flush_port(&self.ctrl, &mut self.epoch, &mut self.cu_out)?;
-        } else {
-            // Legacy unpacked encoding: one message per record. Ships
-            // exactly what the pre-side accounting counted.
-            self.valplane.records_post += pre_items;
-            self.valplane.bytes_post += pre_items * ITEM_BYTES;
-
-            // Validation streams (ordered loads + stores), split across
-            // the try-commit shards by page: every shard gets the framing
-            // so its replay cursor advances, each record goes only to the
-            // shard owning its page. At one shard this is the original
-            // single stream verbatim.
-            for port in &mut self.val_out {
-                send(
-                    port,
-                    Msg::SubTxBegin {
-                        mtx,
-                        attempt,
-                        stage,
-                    },
-                )?;
-            }
-            for r in &records {
-                let msg = match r.kind {
-                    AccessKind::Load => Msg::Load {
-                        addr: r.addr.raw(),
-                        value: r.value,
-                    },
-                    AccessKind::Store => Msg::Store {
-                        addr: r.addr.raw(),
-                        value: r.value,
-                    },
-                };
-                let s = route(self.shard_map.as_ref(), r.addr.page(), n_shards);
-                send(&mut self.val_out[s], msg)?;
-            }
-            for port in &mut self.val_out {
-                send(port, Msg::SubTxEnd { mtx, stage })?;
-            }
-            for port in &mut self.val_out {
-                flush_port(&self.ctrl, &mut self.epoch, port)?;
-            }
-
-            // Store stream to the commit unit (group transaction commit
-            // input).
-            send(
-                &mut self.cu_out,
-                Msg::SubTxBegin {
-                    mtx,
-                    attempt,
-                    stage,
-                },
-            )?;
-            for (addr, value) in SpecMem::stores_of(&records) {
-                send(
-                    &mut self.cu_out,
-                    Msg::Store {
-                        addr: addr.raw(),
-                        value,
-                    },
-                )?;
-            }
-            send(
-                &mut self.cu_out,
-                Msg::SubTxDone {
-                    mtx,
-                    attempt,
-                    stage,
-                    exit,
-                },
-            )?;
-            flush_port(&self.ctrl, &mut self.epoch, &mut self.cu_out)?;
         }
+        for port in &mut self.val_out {
+            flush_port(&self.ctrl, &mut self.epoch, port)?;
+        }
+
+        // Commit plane: the coalesced store set and the loop-exit decision
+        // in one frame.
+        let block = Box::new(std::mem::take(&mut self.commit_block));
+        self.valplane.records_post += 1;
+        self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
+        self.valplane.blocks += 1;
+        self.valplane.block_records += u64::from(block.len());
+        send(
+            &mut self.cu_out,
+            Msg::CommitBlock {
+                mtx,
+                attempt,
+                stage,
+                exit,
+                block,
+            },
+        )?;
+        flush_port(&self.ctrl, &mut self.epoch, &mut self.cu_out)?;
 
         // Data frames to the executor of this iteration in each later
         // stage: forwarded stores + user values.
@@ -1085,8 +943,7 @@ impl WorkerCtx {
         // from committed memory instead of waiting for a frame.
         self.ring_skip = Some(boundary.next());
         barrier.wait(); // B3: the commit unit re-executed; recommence.
-                        // Force the next poll to re-read the status word.
-        self.epoch = u64::MAX;
+        self.epoch = EPOCH_UNSEEN;
     }
 
     /// COA installs performed by this worker so far.
@@ -1160,10 +1017,10 @@ fn port_to(ports: &mut [(WorkerId, SendPort<Msg>)], dst: WorkerId) -> &mut SendP
 /// and wait for the reply (at most one outstanding request per worker, so
 /// replies arrive in request order).
 ///
-/// With compaction on, the epoch-tagged page cache short-circuits the
-/// trip entirely when the cached copy carries the newest epoch this
-/// worker has seen, and otherwise advertises the cached tag so the commit
-/// unit can answer with a payload-free [`Msg::CoaFresh`] revalidation.
+/// The epoch-tagged page cache short-circuits the trip entirely when the
+/// cached copy carries the newest epoch this worker has seen, and
+/// otherwise advertises the cached tag so the commit unit can answer with
+/// a payload-free [`Msg::CoaFresh`] revalidation.
 /// Either way the worker's speculative memory receives a copy of the
 /// committed page — the cache retains its own pristine clone.
 #[allow(clippy::too_many_arguments)]
@@ -1175,23 +1032,18 @@ fn coa_fetch(
     timeout: Option<Duration>,
     cache: &mut PageCache,
     coa_epoch: &mut u64,
-    use_cache: bool,
     page: PageId,
 ) -> Result<Page, Interrupt> {
-    let have = if use_cache {
-        let have = cache.epoch_of(page);
-        if have.is_some() && have == Some(*coa_epoch) && *coa_epoch != EPOCH_NONE {
-            // The copy was (re)validated at the newest epoch this worker
-            // has observed: serve it locally. It can lag the commit
-            // unit's current image, but only within the freshness window
-            // every COA fetch already has — value validation catches any
-            // resulting misspeculation.
-            return Ok(cache.serve(page));
-        }
-        have.unwrap_or(EPOCH_NONE)
-    } else {
-        EPOCH_NONE
-    };
+    let have = cache.epoch_of(page);
+    if have.is_some() && have == Some(*coa_epoch) && *coa_epoch != EPOCH_NONE {
+        // The copy was (re)validated at the newest epoch this worker has
+        // observed: serve it locally. It can lag the commit unit's current
+        // image, but only within the freshness window every COA fetch
+        // already has — value validation catches any resulting
+        // misspeculation.
+        return Ok(cache.serve(page));
+    }
+    let have = have.unwrap_or(EPOCH_NONE);
     cu_out
         .produce(Msg::CoaRequest { page: page.0, have })
         .map_err(classify)?;
@@ -1206,15 +1058,12 @@ fn coa_fetch(
             data,
         } => {
             assert_eq!(p, page.0, "out-of-order COA reply");
-            if use_cache {
-                *coa_epoch = e;
-                cache.install(page, e, (*data).clone());
-            }
+            *coa_epoch = e;
+            cache.install(page, e, (*data).clone());
             Ok(*data)
         }
         Msg::CoaFresh { page: p, epoch: e } => {
             assert_eq!(p, page.0, "out-of-order COA reply");
-            assert!(use_cache, "CoaFresh for a request that advertised no copy");
             *coa_epoch = e;
             Ok(cache.revalidate(page, e))
         }

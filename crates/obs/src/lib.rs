@@ -136,8 +136,9 @@ pub mod schema {
     /// Validation-plane compaction counters (worker-side access filtering
     /// and packed `AccessBlock` frames).
     ///
-    /// Records the unpacked encoding would have shipped across the
-    /// validation plane (accesses plus per-shard framing messages).
+    /// Records one message per access would have shipped across the
+    /// validation and commit planes (accesses plus per-shard framing
+    /// messages) — an analytic baseline counted by the workers.
     pub const VALPLANE_RECORDS_PRE: &str = "valplane.records_pre";
     /// Fabric items actually shipped (block frames; each carries many
     /// records).
@@ -145,7 +146,7 @@ pub mod schema {
     /// Access records suppressed by the worker-side store buffer
     /// (coalesced stores and duplicate loads).
     pub const VALPLANE_RECORDS_FILTERED: &str = "valplane.records_filtered";
-    /// Bytes the unpacked encoding would have put on the wire.
+    /// Bytes one message per access would have put on the wire.
     pub const VALPLANE_BYTES_PRE: &str = "valplane.bytes_pre";
     /// Bytes actually on the wire (frames plus packed payloads).
     pub const VALPLANE_BYTES_POST: &str = "valplane.bytes_post";

@@ -167,7 +167,7 @@ pub struct RunSummary {
     /// Full committed memory at loop exit, sorted by page id.
     pub memory: Vec<(PageId, Page)>,
     /// Validation-plane compaction counters (filtering, packed frames,
-    /// COA cache) — used by the differential harness's non-vacuity guards.
+    /// COA cache) — used by the packed-frame non-vacuity guard.
     pub valplane: ValPlaneStats,
 }
 
@@ -231,24 +231,10 @@ pub fn run_workload_sharded(
     fault: Option<FaultConfig>,
     shards: usize,
 ) -> RunSummary {
-    run_workload_full(workload, n, fault, shards, true)
-}
-
-/// [`run_workload_sharded`] with an explicit validation-plane compaction
-/// flag — the valplane differential harness runs the same workload packed
-/// (`true`, the default protocol) and unpacked (`false`, the legacy
-/// per-record protocol) and asserts bit-identical results.
-pub fn run_workload_full(
-    workload: Workload,
-    n: u64,
-    fault: Option<FaultConfig>,
-    shards: usize,
-    compaction: bool,
-) -> RunSummary {
     match workload {
-        Workload::DoallSum => doall_sum(n, fault, shards, compaction),
-        Workload::PipelineFold => pipeline_fold(n, fault, shards, compaction),
-        Workload::RingScan => ring_scan(n, fault, shards, compaction),
+        Workload::DoallSum => doall_sum(n, fault, shards),
+        Workload::PipelineFold => pipeline_fold(n, fault, shards),
+        Workload::RingScan => ring_scan(n, fault, shards),
     }
 }
 
@@ -260,14 +246,8 @@ fn mix(i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn system(
-    cfg: &mut SystemConfig,
-    fault: Option<FaultConfig>,
-    shards: usize,
-    compaction: bool,
-) -> MtxSystem {
+fn system(cfg: &mut SystemConfig, fault: Option<FaultConfig>, shards: usize) -> MtxSystem {
     cfg.unit_shards(shards);
-    cfg.compaction(compaction);
     if let Some(f) = fault {
         cfg.faults(f);
     }
@@ -307,7 +287,7 @@ fn summarize(
     }
 }
 
-fn doall_sum(n: u64, fault: Option<FaultConfig>, shards: usize, compaction: bool) -> RunSummary {
+fn doall_sum(n: u64, fault: Option<FaultConfig>, shards: usize) -> RunSummary {
     let step = |x: u64, i: u64| x.wrapping_mul(31).wrapping_add(i ^ 7);
     let mut heap = RegionAllocator::new(OwnerId(0));
     let input = heap.alloc_words(n).unwrap();
@@ -323,7 +303,7 @@ fn doall_sum(n: u64, fault: Option<FaultConfig>, shards: usize, compaction: bool
     });
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 3 });
-    let result = system(&mut cfg, fault, shards, compaction)
+    let result = system(&mut cfg, fault, shards)
         .run(Program {
             master,
             stages: vec![body],
@@ -343,12 +323,7 @@ fn doall_sum(n: u64, fault: Option<FaultConfig>, shards: usize, compaction: bool
     summarize(outputs, expected, &result.master, &result.report)
 }
 
-fn pipeline_fold(
-    n: u64,
-    fault: Option<FaultConfig>,
-    shards: usize,
-    compaction: bool,
-) -> RunSummary {
+fn pipeline_fold(n: u64, fault: Option<FaultConfig>, shards: usize) -> RunSummary {
     const K: u64 = 1_099_511_628_211;
     let mut heap = RegionAllocator::new(OwnerId(0));
     let input = heap.alloc_words(n).unwrap();
@@ -374,7 +349,7 @@ fn pipeline_fold(
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 2 })
         .stage(StageKind::Sequential);
-    let result = system(&mut cfg, fault, shards, compaction)
+    let result = system(&mut cfg, fault, shards)
         .run(Program {
             master,
             stages: vec![first, last],
@@ -404,7 +379,7 @@ fn pipeline_fold(
     summarize(outputs, expected, &result.master, &result.report)
 }
 
-fn ring_scan(n: u64, fault: Option<FaultConfig>, shards: usize, compaction: bool) -> RunSummary {
+fn ring_scan(n: u64, fault: Option<FaultConfig>, shards: usize) -> RunSummary {
     let mut heap = RegionAllocator::new(OwnerId(0));
     let input = heap.alloc_words(n).unwrap();
     let acc_cell = heap.alloc_words(1).unwrap();
@@ -428,7 +403,7 @@ fn ring_scan(n: u64, fault: Option<FaultConfig>, shards: usize, compaction: bool
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 3 })
         .ring(StageId(0));
-    let result = system(&mut cfg, fault, shards, compaction)
+    let result = system(&mut cfg, fault, shards)
         .run(Program {
             master,
             stages: vec![body],

@@ -399,6 +399,73 @@ fn backpressure_with_recovery() {
     assert_eq!(result.report.recoveries, 1);
 }
 
+/// One short Spec-DOALL loop of `n` iterations over two replicas; when
+/// `misspec_at_zero`, MTX 0 misspeculates and is re-executed by recovery.
+fn short_loop(n: u64, misspec_at_zero: bool, shards: usize) {
+    let mut heap = heap0();
+    let out = heap.alloc_words(n.max(1)).unwrap();
+    let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+        if misspec_at_zero && mtx.0 == 0 {
+            return ctx.misspec();
+        }
+        ctx.write_no_forward(out.add_words(mtx.0), mtx.0 + 1)?;
+        Ok(IterOutcome::Continue)
+    });
+    let mut cfg = SystemConfig::new();
+    cfg.stage(StageKind::Parallel { replicas: 2 })
+        .unit_shards(shards);
+    let result = MtxSystem::new(&cfg)
+        .unwrap()
+        .run(Program {
+            master: MasterMem::new(),
+            stages: vec![body],
+            recovery: Box::new(move |mtx, m| {
+                m.write(out.add_words(mtx.0), mtx.0 + 1);
+                IterOutcome::Continue
+            }),
+            on_commit: None,
+            iteration_limit: Some(n),
+        })
+        .unwrap();
+    assert_eq!(result.report.total_iterations(), n);
+    assert_eq!(result.report.recoveries, u64::from(misspec_at_zero));
+    for i in 0..n {
+        assert_eq!(result.master.read(out.add_words(i)), i + 1);
+    }
+}
+
+/// The start-up window: the commit unit can publish a status before some
+/// role's thread has taken its first control-plane poll — a
+/// zero-iteration loop terminates at once, a one-iteration loop right
+/// after its only commit, a misspeculation at MTX 0 starts recovery
+/// before the idle replica has run. Every role must still see that
+/// status. Many short rounds under the harness watchdog turn a lost
+/// wakeup into a failure instead of a hung suite.
+#[test]
+fn start_up_window_never_hangs() {
+    use dsmtx_integration_tests::WATCHDOG;
+    use std::time::{Duration, Instant};
+
+    let rounds = std::thread::spawn(|| {
+        for round in 0..200 {
+            let shards = 1 + round % 2;
+            short_loop(0, false, shards);
+            short_loop(1, false, shards);
+            short_loop(4, true, shards);
+        }
+    });
+    let deadline = Instant::now() + WATCHDOG;
+    while !rounds.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "WATCHDOG: start-up rounds still not finished after {WATCHDOG:?} \
+             (lost control-plane wakeup?)"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    rounds.join().expect("a start-up round panicked");
+}
+
 /// The fault matrix: every injectable fault class crossed with every
 /// link group — {drop, delay, duplicate, reorder, crash(stall)} ×
 /// {worker, try-commit, commit} — each cell asserting the faulted run
