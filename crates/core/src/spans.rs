@@ -193,10 +193,11 @@ pub fn build_spans(events: &[TraceEvent], conflicts: &[ConflictRecord]) -> Vec<M
     for span in &mut out {
         span.stages.sort_by_key(|s| (s.stage, s.begin_us));
         // Cross-thread timestamp skew: each role stamps its own events,
-        // and the worker records SubTxEnd only after flushing the
-        // frames, so a fast shard's Validated (and the commit unit's
-        // Committed) can carry a timestamp a hair earlier than the event
-        // it causally follows. Reconcile to causal order.
+        // and the worker records SubTxEnd only after handing its frames
+        // to the fabric (a frame that fills its batch ships at once), so
+        // a fast shard's Validated (and the commit unit's Committed) can
+        // carry a timestamp a hair earlier than the event it causally
+        // follows. Reconcile to causal order.
         if let (Some(v), Some(end)) = (
             span.validated_us,
             span.stages.iter().map(|s| s.end_us).max(),

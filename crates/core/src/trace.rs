@@ -41,8 +41,10 @@ pub enum TraceKind {
     /// All upstream frames arrived; user code starts. The SubTxBegin →
     /// ExecBegin gap is the subTX's queue wait.
     ExecBegin,
-    /// User code finished; the validation/commit flush starts. The
-    /// FlushBegin → SubTxEnd gap is the flush cost.
+    /// User code finished; packing the subTX's frames starts. The
+    /// FlushBegin → SubTxEnd gap is the packing cost plus the ship of the
+    /// data-plane frames; validation and commit frames ship later, with
+    /// their batch.
     FlushBegin,
     /// A worker exited a subTX (`mtx_end`).
     SubTxEnd,

@@ -266,8 +266,18 @@ impl TryCommitUnit {
         progress
     }
 
-    /// Replays every stream whose program-order turn has come.
+    /// Replays every stream whose program-order turn has come, then ships
+    /// the turn's verdicts in one flush. (A COA fetch mid-turn ships the
+    /// verdicts queued before it, since they share the port.)
     fn replay_ready(&mut self) -> Result<bool, Interrupt> {
+        let progress = self.replay_turn()?;
+        flush_port(&self.ctrl, &mut self.epoch, &mut self.to_commit)?;
+        Ok(progress)
+    }
+
+    /// Replays the ready streams in program order, queueing a verdict per
+    /// finished MTX; stops at the first conflict.
+    fn replay_turn(&mut self) -> Result<bool, Interrupt> {
         let mut progress = false;
         while let Some((block, attempt, arrived)) =
             self.done.remove(&(self.cursor_mtx.0, self.cursor_stage.0))
@@ -298,9 +308,11 @@ impl TryCommitUnit {
                     Some(self.cursor_stage),
                     TraceKind::Conflict,
                 );
-                self.send_to_commit(Msg::VerdictBad {
-                    mtx: self.cursor_mtx,
-                })?;
+                self.to_commit
+                    .produce(Msg::VerdictBad {
+                        mtx: self.cursor_mtx,
+                    })
+                    .map_err(classify)?;
                 self.poisoned = true;
                 return Ok(true);
             }
@@ -312,9 +324,11 @@ impl TryCommitUnit {
                     None,
                     TraceKind::Validated,
                 );
-                self.send_to_commit(Msg::VerdictOk {
-                    mtx: self.cursor_mtx,
-                })?;
+                self.to_commit
+                    .produce(Msg::VerdictOk {
+                        mtx: self.cursor_mtx,
+                    })
+                    .map_err(classify)?;
                 self.counters.validated += 1;
                 self.counters
                     .verdict_latency
@@ -371,17 +385,6 @@ impl TryCommitUnit {
             }
         }
         Ok(None)
-    }
-
-    fn send_to_commit(&mut self, msg: Msg) -> Result<(), Interrupt> {
-        self.to_commit.produce(msg).map_err(classify)?;
-        let Self {
-            to_commit,
-            ctrl,
-            epoch,
-            ..
-        } = self;
-        flush_port(ctrl, epoch, to_commit)
     }
 
     /// §4.3 recovery: rendezvous, flush, re-protect, resume validating at

@@ -15,8 +15,12 @@
 //!    (forwards + produces) to the executor of this iteration in every
 //!    later stage (`mtx_writeAll` semantics).
 //!
-//! Every blocking point polls the control plane so the worker can unwind
-//! into the §4.3 recovery rendezvous or terminate.
+//! Data frames ship at once, because a later stage is waiting for them.
+//! Validation and commit frames ride the queue's batch threshold instead
+//! (§4.2's batching), and [`UnitLink::wait`] — the one blocking primitive
+//! of a worker — ships whatever of them is still buffered before the
+//! worker blocks. Every blocking point also polls the control plane so
+//! the worker can unwind into the §4.3 recovery rendezvous or terminate.
 
 use std::collections::VecDeque;
 
@@ -201,10 +205,8 @@ pub struct WorkerCtx {
     pub(crate) worker: WorkerId,
     pub(crate) stage: StageId,
     pub(crate) shape: PipelineShape,
-    pub(crate) ctrl: ControlPlane,
     pub(crate) trace: TraceSink,
     role: Role,
-    epoch: u64,
     /// Receive deadline under fault injection (`None` = wait forever).
     /// Converts a peer silenced by faults into [`Interrupt::FabricTimeout`].
     data_timeout: Option<Duration>,
@@ -218,17 +220,13 @@ pub struct WorkerCtx {
     /// Incoming data queues from earlier-stage workers (plus the ring
     /// predecessor).
     inn: Vec<(WorkerId, RecvPort<Msg>)>,
-    /// Validation streams, one per try-commit shard: each access record
-    /// goes to the shard owning its page ([`route`]); every shard gets a
-    /// frame per subTX (possibly empty) so all replay cursors advance in
-    /// lockstep.
-    val_out: Vec<SendPort<Msg>>,
+    /// The validation and commit planes plus the control plane: the
+    /// streams that must ship before this worker blocks.
+    link: UnitLink,
     /// Profile-guided page→shard overrides from the shared shape; pages
     /// outside the map route by the hash partition. Identical on every
     /// worker, so the partition stays agreed-upon without communication.
     shard_map: Option<ShardMap>,
-    /// Store stream, events, and COA requests to the commit unit.
-    cu_out: SendPort<Msg>,
     /// COA replies from the commit unit.
     coa_in: RecvPort<Msg>,
 
@@ -278,6 +276,67 @@ pub struct WorkerCtx {
     ring_skip: Option<MtxId>,
 }
 
+/// A worker's link to the speculation units — one validation stream per
+/// try-commit shard and the commit stream — with its view of the control
+/// plane.
+///
+/// Validation and commit frames are produced without a flush: they ship
+/// when a batch fills. A worker must not block while it still holds
+/// some, because what it waits for can depend on the units reaching
+/// those frames' MTX. For example, stage 0 waits for room on the full
+/// queue to a stage-1 replica; that replica misspeculated and waits for
+/// the recovery; and the commit unit reaches the squashed MTX only
+/// through frames stage 0 still holds. So every blocking wait of a
+/// worker goes through [`UnitLink::wait`], which ships them first.
+struct UnitLink {
+    ctrl: ControlPlane,
+    /// The control epoch this worker last saw ([`ControlPlane::poll`]).
+    epoch: u64,
+    /// Validation streams, one per try-commit shard: each access record
+    /// goes to the shard owning its page ([`route`]); every shard gets a
+    /// frame per subTX (possibly empty) so all replay cursors advance in
+    /// lockstep.
+    val: Vec<SendPort<Msg>>,
+    /// Store frames, events, and COA requests to the commit unit.
+    commit: SendPort<Msg>,
+}
+
+impl UnitLink {
+    /// Ships every buffered validation and commit frame, waiting while a
+    /// transport is full. The try-commit shards and the commit unit drain
+    /// their inputs on every turn, so this wait ends.
+    fn ship(&mut self) -> Result<(), Interrupt> {
+        let Self {
+            ctrl,
+            epoch,
+            val,
+            commit,
+        } = self;
+        wait_for(ctrl, epoch, || {
+            let mut all = true;
+            for port in val.iter_mut().chain(std::iter::once(&mut *commit)) {
+                all &= shipped(port)?.is_some();
+            }
+            Ok(all.then_some(()))
+        })
+    }
+
+    /// The worker's one blocking primitive: [`wait_for_deadline`] on
+    /// `step`, except that the buffered validation and commit frames ship
+    /// before the first poll that finds nothing.
+    fn wait<T>(
+        &mut self,
+        timeout: Option<Duration>,
+        mut step: impl FnMut() -> Result<Option<T>, Interrupt>,
+    ) -> Result<T, Interrupt> {
+        if let Some(v) = step()? {
+            return Ok(v);
+        }
+        self.ship()?;
+        wait_for_deadline(&self.ctrl, &mut self.epoch, timeout, step)
+    }
+}
+
 /// Everything needed to construct a [`WorkerCtx`]; assembled by the system
 /// builder.
 pub(crate) struct WorkerWiring {
@@ -305,17 +364,19 @@ impl WorkerCtx {
             worker: w.worker,
             stage,
             shape: w.shape,
-            ctrl: w.ctrl,
             trace: w.trace,
-            epoch: EPOCH_UNSEEN,
             data_timeout,
             spec: SpecMem::new(),
             heap: w.heap,
             out: w.out,
             inn: w.inn,
-            val_out: w.val_out,
+            link: UnitLink {
+                ctrl: w.ctrl,
+                epoch: EPOCH_UNSEEN,
+                val: w.val_out,
+                commit: w.cu_out,
+            },
             shard_map,
-            cu_out: w.cu_out,
             coa_in: w.coa_in,
             filter: AccessFilter::new(),
             filtered: Vec::new(),
@@ -377,21 +438,15 @@ impl WorkerCtx {
     ) {
         let Self {
             spec,
-            cu_out,
+            link,
             coa_in,
-            ctrl,
-            epoch,
             data_timeout,
             coa_cache,
             coa_epoch,
             ..
         } = self;
         let timeout = *data_timeout;
-        let fetch = move |page| {
-            coa_fetch(
-                cu_out, coa_in, ctrl, epoch, timeout, coa_cache, coa_epoch, page,
-            )
-        };
+        let fetch = move |page| coa_fetch(link, coa_in, timeout, coa_cache, coa_epoch, page);
         (spec, fetch)
     }
 
@@ -579,15 +634,17 @@ impl WorkerCtx {
         self.targeted_forwards.clear();
         self.produces.clear();
         self.ring_produces.clear();
-        self.cu_out
+        self.link
+            .commit
             .produce(Msg::WorkerMisspec {
                 mtx,
                 attempt: self.attempt,
             })
             .map_err(classify)?;
-        flush_port(&self.ctrl, &mut self.epoch, &mut self.cu_out)?;
-        // Block until the commit unit orchestrates recovery.
-        wait_for(&self.ctrl, &mut self.epoch, || Ok(None::<T>))
+        // Block until the commit unit orchestrates recovery; the wait
+        // ships the notice together with every frame the commit unit
+        // needs to reach this MTX.
+        self.link.wait(None, || Ok(None::<T>))
     }
 
     // ------------------------------------------------------------------
@@ -607,7 +664,7 @@ impl WorkerCtx {
         // re-dispatched after recovery *r* is attempt *r*, so its events
         // (and every downstream unit's, via the wire frames) land on a
         // fresh span chained to the original.
-        self.attempt = self.ctrl.recoveries() as u32;
+        self.attempt = self.link.ctrl.recoveries() as u32;
         self.trace.record(
             self.role,
             Some(mtx),
@@ -646,9 +703,10 @@ impl WorkerCtx {
         Ok(())
     }
 
-    /// Exits the subTX of `mtx` (`mtx_end`): ships the access stream to
-    /// try-commit, the store set to commit, data frames to later stages,
-    /// and the ring frame to the successor iteration.
+    /// Exits the subTX of `mtx` (`mtx_end`): queues the access stream for
+    /// try-commit and the store set for commit (they ship when their batch
+    /// fills, or before this worker next blocks), and ships data frames to
+    /// later stages and the ring frame to the successor iteration.
     ///
     /// # Errors
     ///
@@ -656,8 +714,8 @@ impl WorkerCtx {
     pub fn end(&mut self, mtx: MtxId, outcome: IterOutcome) -> Result<(), Interrupt> {
         debug_assert_eq!(self.cur, Some(mtx), "end without matching begin");
         let attempt = self.attempt;
-        // User code is done; everything from here to SubTxEnd is the
-        // validation/commit-plane flush.
+        // User code is done; everything from here to SubTxEnd is packing
+        // the frames and shipping the data-plane ones.
         self.trace.record(
             self.role,
             Some(mtx),
@@ -668,7 +726,7 @@ impl WorkerCtx {
         let records = self.spec.drain_log();
         let stage = self.stage;
         let exit = outcome == IterOutcome::Exit;
-        let n_shards = self.val_out.len();
+        let n_shards = self.link.val.len();
 
         // What one message per record would have shipped (the
         // `records_pre`/`bytes_pre` baseline): one item per access plus
@@ -719,7 +777,7 @@ impl WorkerCtx {
             self.valplane.blocks += 1;
             self.valplane.block_records += u64::from(block.len());
             send(
-                &mut self.val_out[s],
+                &mut self.link.val[s],
                 Msg::ValBlock {
                     mtx,
                     attempt,
@@ -727,9 +785,6 @@ impl WorkerCtx {
                     block,
                 },
             )?;
-        }
-        for port in &mut self.val_out {
-            flush_port(&self.ctrl, &mut self.epoch, port)?;
         }
 
         // Commit plane: the coalesced store set and the loop-exit decision
@@ -740,7 +795,7 @@ impl WorkerCtx {
         self.valplane.blocks += 1;
         self.valplane.block_records += u64::from(block.len());
         send(
-            &mut self.cu_out,
+            &mut self.link.commit,
             Msg::CommitBlock {
                 mtx,
                 attempt,
@@ -749,7 +804,11 @@ impl WorkerCtx {
                 block,
             },
         )?;
-        flush_port(&self.ctrl, &mut self.epoch, &mut self.cu_out)?;
+        if exit {
+            // The loop ends once this MTX commits; ship now rather than
+            // after the batch fills with iterations past the exit.
+            self.link.ship()?;
+        }
 
         // Data frames to the executor of this iteration in each later
         // stage: forwarded stores + user values.
@@ -759,9 +818,7 @@ impl WorkerCtx {
         for t in (stage.0 + 1)..self.shape.n_stages() {
             let t = StageId(t);
             let dst = self.shape.executor(t, mtx);
-            let Self {
-                out, ctrl, epoch, ..
-            } = self;
+            let Self { out, link, .. } = self;
             let port = port_to(out, dst);
             send(port, Msg::FrameBegin { mtx })?;
             for &(addr, value) in &forwards {
@@ -788,7 +845,7 @@ impl WorkerCtx {
                 send(port, Msg::User { value })?;
             }
             send(port, Msg::FrameEnd { mtx })?;
-            flush_port(ctrl, epoch, port)?;
+            link.wait(None, || shipped(port))?;
         }
 
         // Ring frame for the successor iteration.
@@ -798,16 +855,14 @@ impl WorkerCtx {
                 None => self.ring_loopback = ring_values.into(),
                 Some(dst) => {
                     let next_mtx = MtxId(mtx.0 + 1);
-                    let Self {
-                        out, ctrl, epoch, ..
-                    } = self;
+                    let Self { out, link, .. } = self;
                     let port = port_to(out, dst);
                     send(port, Msg::FrameBegin { mtx: next_mtx })?;
                     for value in ring_values {
                         send(port, Msg::User { value })?;
                     }
                     send(port, Msg::FrameEnd { mtx: next_mtx })?;
-                    flush_port(ctrl, epoch, port)?;
+                    link.wait(None, || shipped(port))?;
                 }
             }
         }
@@ -835,8 +890,7 @@ impl WorkerCtx {
             spec,
             users,
             ring_in_vals,
-            ctrl,
-            epoch,
+            link,
             data_timeout,
             ..
         } = self;
@@ -847,9 +901,7 @@ impl WorkerCtx {
             .map(|(_, p)| p)
             .unwrap_or_else(|| panic!("no data queue from {src}"));
 
-        let first = wait_for_deadline(ctrl, epoch, timeout, || {
-            port.try_consume().map_err(classify)
-        })?;
+        let first = link.wait(timeout, || port.try_consume().map_err(classify))?;
         match first {
             Msg::FrameBegin { mtx: m } => {
                 assert_eq!(m, mtx, "frame out of order from {src}: got {m}, want {mtx}")
@@ -857,9 +909,7 @@ impl WorkerCtx {
             other => panic!("expected FrameBegin from {src}, got {other:?}"),
         }
         loop {
-            let msg = wait_for_deadline(ctrl, epoch, timeout, || {
-                port.try_consume().map_err(classify)
-            })?;
+            let msg = link.wait(timeout, || port.try_consume().map_err(classify))?;
             match msg {
                 Msg::Forward { addr, value } => spec.apply_forwarded(VAddr::from_raw(addr), value),
                 Msg::User { value } => {
@@ -881,7 +931,7 @@ impl WorkerCtx {
     /// Blocks until an interrupt arrives (used when this worker has no
     /// iterations left under an iteration limit).
     pub(crate) fn idle_until_interrupt(&mut self) -> Result<(), Interrupt> {
-        wait_for(&self.ctrl, &mut self.epoch, || Ok(None::<()>)).map(|_: ()| ())
+        self.link.wait(None, || Ok(None::<()>))
     }
 
     /// Raises a timeout-driven recovery request on the control plane and
@@ -890,10 +940,15 @@ impl WorkerCtx {
     /// recovers at its next commit so no committed-but-unapplied MTX is
     /// lost.
     pub(crate) fn request_fault_recovery(&mut self) -> Interrupt {
-        self.ctrl.raise_fabric_fault();
-        match wait_for(&self.ctrl, &mut self.epoch, || Ok(None::<()>)) {
-            Ok(()) => unreachable!("step never yields"),
-            Err(intr) => intr,
+        self.link.ctrl.raise_fabric_fault();
+        loop {
+            match self.link.wait(None, || Ok(None::<()>)) {
+                Ok(()) => unreachable!("step never yields"),
+                // Shipping the held frames ran out of retries again; the
+                // request raised above already covers it.
+                Err(Interrupt::FabricTimeout) => {}
+                Err(intr) => return intr,
+            }
         }
     }
 
@@ -903,15 +958,15 @@ impl WorkerCtx {
     /// `boundary` is the squashed MTX being re-executed by the commit
     /// unit; its successor iteration will have no ring frame.
     pub(crate) fn do_recovery(&mut self, boundary: MtxId) {
-        let barrier = self.ctrl.barrier().clone();
+        let barrier = self.link.ctrl.barrier().clone();
         barrier.wait(); // B1: everyone is in recovery mode.
         for (_, port) in &mut self.out {
             port.clear();
         }
-        for port in &mut self.val_out {
+        for port in &mut self.link.val {
             port.clear();
         }
-        self.cu_out.clear();
+        self.link.commit.clear();
         for (_, port) in &mut self.inn {
             port.drain();
         }
@@ -943,7 +998,7 @@ impl WorkerCtx {
         // from committed memory instead of waiting for a frame.
         self.ring_skip = Some(boundary.next());
         barrier.wait(); // B3: the commit unit re-executed; recommence.
-        self.epoch = EPOCH_UNSEEN;
+        self.link.epoch = EPOCH_UNSEEN;
     }
 
     /// COA installs performed by this worker so far.
@@ -989,6 +1044,18 @@ fn send(port: &mut SendPort<Msg>, msg: Msg) -> Result<(), Interrupt> {
     port.produce(msg).map_err(classify)
 }
 
+/// One non-blocking attempt to ship `port`'s buffered values, as a wait
+/// step: `Some(())` once nothing is pending. A full transport or an
+/// injected fault with budget left reads as "not yet"; a dead peer or an
+/// exhausted retry budget is an interrupt.
+fn shipped(port: &mut SendPort<Msg>) -> Result<Option<()>, Interrupt> {
+    match port.try_flush() {
+        Ok(done) => Ok(done.then_some(())),
+        Err(FabricError::Retriable) => Ok(None),
+        Err(e) => Err(classify(e)),
+    }
+}
+
 /// Interruptible flush: retries while the transport is full or an injected
 /// fault consumed the attempt, unwinding on control-plane interrupts, a
 /// dead peer, or retry-budget exhaustion.
@@ -997,12 +1064,7 @@ pub(crate) fn flush_port(
     epoch: &mut u64,
     port: &mut SendPort<Msg>,
 ) -> Result<(), Interrupt> {
-    wait_for(ctrl, epoch, || match port.try_flush() {
-        Ok(true) => Ok(Some(())),
-        Ok(false) => Ok(None),
-        Err(FabricError::Retriable) => Ok(None),
-        Err(e) => Err(classify(e)),
-    })
+    wait_for(ctrl, epoch, || shipped(port))
 }
 
 fn port_to(ports: &mut [(WorkerId, SendPort<Msg>)], dst: WorkerId) -> &mut SendPort<Msg> {
@@ -1023,12 +1085,9 @@ fn port_to(ports: &mut [(WorkerId, SendPort<Msg>)], dst: WorkerId) -> &mut SendP
 /// a payload-free [`Msg::CoaFresh`] revalidation.
 /// Either way the worker's speculative memory receives a copy of the
 /// committed page — the cache retains its own pristine clone.
-#[allow(clippy::too_many_arguments)]
 fn coa_fetch(
-    cu_out: &mut SendPort<Msg>,
+    link: &mut UnitLink,
     coa_in: &mut RecvPort<Msg>,
-    ctrl: &ControlPlane,
-    epoch: &mut u64,
     timeout: Option<Duration>,
     cache: &mut PageCache,
     coa_epoch: &mut u64,
@@ -1044,13 +1103,10 @@ fn coa_fetch(
         return Ok(cache.serve(page));
     }
     let have = have.unwrap_or(EPOCH_NONE);
-    cu_out
+    link.commit
         .produce(Msg::CoaRequest { page: page.0, have })
         .map_err(classify)?;
-    flush_port(ctrl, epoch, cu_out)?;
-    let reply = wait_for_deadline(ctrl, epoch, timeout, || {
-        coa_in.try_consume().map_err(classify)
-    })?;
+    let reply = link.wait(timeout, || coa_in.try_consume().map_err(classify))?;
     match reply {
         Msg::CoaReply {
             page: p,
@@ -1092,7 +1148,7 @@ pub(crate) fn worker_main(mut ctx: WorkerCtx, stage_fn: StageFn, limit: Option<u
             Err(Interrupt::ChannelDown) => {
                 // A peer thread is gone; convert into a typed shutdown so
                 // every other thread unwinds instead of hanging.
-                ctx.ctrl.report_channel_down();
+                ctx.link.ctrl.report_channel_down();
                 break;
             }
             Err(Interrupt::FabricTimeout) => {
@@ -1106,11 +1162,11 @@ pub(crate) fn worker_main(mut ctx: WorkerCtx, stage_fn: StageFn, limit: Option<u
                     }
                     Interrupt::Terminate => break,
                     Interrupt::ChannelDown => {
-                        ctx.ctrl.report_channel_down();
+                        ctx.link.ctrl.report_channel_down();
                         break;
                     }
                     Interrupt::FabricTimeout => {
-                        unreachable!("deadline-free wait cannot time out")
+                        unreachable!("request_fault_recovery absorbs timeouts")
                     }
                 }
             }

@@ -71,8 +71,6 @@ struct Counters {
     retries: AtomicU64,
     /// Sends that exhausted the retry budget.
     send_timeouts: AtomicU64,
-    /// Receives that missed their deadline.
-    recv_timeouts: AtomicU64,
     /// Items arriving in duplicate packets and discarded by seq dedup.
     dup_items_discarded: AtomicU64,
     /// Packets that arrived ahead of sequence and were stashed.
@@ -145,11 +143,6 @@ impl FabricStats {
     /// Records a send that exhausted its retry budget.
     pub fn record_send_timeout(&self) {
         self.inner.send_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a receive that missed its deadline.
-    pub fn record_recv_timeout(&self) {
-        self.inner.recv_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records `items` discarded by receiver-side duplicate rejection.
@@ -263,11 +256,6 @@ impl FabricStats {
         self.inner.send_timeouts.load(Ordering::Relaxed)
     }
 
-    /// Receives that missed their deadline.
-    pub fn recv_timeouts(&self) -> u64 {
-        self.inner.recv_timeouts.load(Ordering::Relaxed)
-    }
-
     /// Items discarded by receiver-side duplicate rejection.
     pub fn dup_items_discarded(&self) -> u64 {
         self.inner.dup_items_discarded.load(Ordering::Relaxed)
@@ -344,7 +332,6 @@ impl FabricStats {
             (&self.inner.fault_stalls, &other.inner.fault_stalls),
             (&self.inner.retries, &other.inner.retries),
             (&self.inner.send_timeouts, &other.inner.send_timeouts),
-            (&self.inner.recv_timeouts, &other.inner.recv_timeouts),
             (
                 &self.inner.dup_items_discarded,
                 &other.inner.dup_items_discarded,
@@ -411,8 +398,6 @@ impl FabricStats {
         reg.counter(schema::FABRIC_RETRIES, &[]).add(self.retries());
         reg.counter(schema::FABRIC_SEND_TIMEOUTS, &[])
             .add(self.send_timeouts());
-        reg.counter(schema::FABRIC_RECV_TIMEOUTS, &[])
-            .add(self.recv_timeouts());
         reg.counter(schema::FABRIC_DUP_ITEMS_DISCARDED, &[])
             .add(self.dup_items_discarded());
         reg.counter(schema::FABRIC_OOO_PACKETS, &[])
@@ -521,14 +506,12 @@ mod tests {
         a.record_retry();
         a.record_retry();
         a.record_send_timeout();
-        a.record_recv_timeout();
         a.record_dup_discarded(5);
         a.record_ooo_stashed();
         a.record_freelist_drop();
         assert_eq!(a.faults_total(), 5);
         assert_eq!(a.retries(), 2);
         assert_eq!(a.send_timeouts(), 1);
-        assert_eq!(a.recv_timeouts(), 1);
         assert_eq!(a.dup_items_discarded(), 5);
         assert_eq!(a.ooo_packets(), 1);
         assert_eq!(a.freelist_drops(), 1);
@@ -558,7 +541,6 @@ mod tests {
             schema::FABRIC_FAULT_STALLS,
             schema::FABRIC_RETRIES,
             schema::FABRIC_SEND_TIMEOUTS,
-            schema::FABRIC_RECV_TIMEOUTS,
             schema::FABRIC_DUP_ITEMS_DISCARDED,
             schema::FABRIC_OOO_PACKETS,
             schema::FABRIC_FREELIST_DROPS,

@@ -126,7 +126,6 @@ pub mod schema {
     pub const FABRIC_FAULT_STALLS: &str = "fabric.fault.stalls";
     pub const FABRIC_RETRIES: &str = "fabric.retries";
     pub const FABRIC_SEND_TIMEOUTS: &str = "fabric.send_timeouts";
-    pub const FABRIC_RECV_TIMEOUTS: &str = "fabric.recv_timeouts";
     pub const FABRIC_DUP_ITEMS_DISCARDED: &str = "fabric.dup_items_discarded";
     pub const FABRIC_OOO_PACKETS: &str = "fabric.ooo_packets";
     /// Batch buffers dropped at recycle because the bounded freelist was

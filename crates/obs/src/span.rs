@@ -96,9 +96,9 @@ pub struct StageSpan {
     pub begin_us: u64,
     /// All upstream frames received; user code starts.
     pub exec_begin_us: u64,
-    /// User code done; validation/commit flush starts.
+    /// User code done; packing the subTX's frames starts.
     pub flush_begin_us: u64,
-    /// SubTX exit (`mtx_end`): flush shipped.
+    /// SubTX exit (`mtx_end`): frames packed, data-plane frames shipped.
     pub end_us: u64,
 }
 
@@ -113,7 +113,9 @@ impl StageSpan {
         self.flush_begin_us.saturating_sub(self.exec_begin_us)
     }
 
-    /// Time shipping validation/commit streams to the shards.
+    /// Time packing the subTX's frames and shipping its data-plane ones.
+    /// Validation and commit frames ship with their batch, so the time
+    /// they wait in the worker's buffer counts as validation lag.
     pub fn flush_us(&self) -> u64 {
         self.end_us.saturating_sub(self.flush_begin_us)
     }
@@ -239,7 +241,7 @@ impl MtxSpan {
         self.stages.iter().map(StageSpan::exec_us).sum()
     }
 
-    /// Summed time flushing validation/commit streams across stages.
+    /// Summed flush (packing) time across stages.
     pub fn flush_us(&self) -> u64 {
         self.stages.iter().map(StageSpan::flush_us).sum()
     }

@@ -33,6 +33,22 @@ use dsmtx_uva::{OwnerId, PageId, RegionAllocator};
 /// plus the retry budget, both a few tens of milliseconds here.
 pub const WATCHDOG: Duration = Duration::from_secs(30);
 
+/// Runs `f` on a thread of its own under [`WATCHDOG`]: when it is still
+/// running after that long, the caller fails with `what` in the message
+/// instead of hanging the suite. A panic in `f` fails the caller too.
+pub fn under_watchdog<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let handle = std::thread::spawn(f);
+    let deadline = Instant::now() + WATCHDOG;
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "WATCHDOG: not finished after {WATCHDOG:?}: {what}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().unwrap_or_else(|_| panic!("panicked: {what}"))
+}
+
 /// The workloads the harness can replay. Each has an exact sequential
 /// model and exercises a different slice of the runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,21 +199,10 @@ pub fn check_case(case: &FaultCase) -> RunSummary {
     );
 
     let c = *case;
-    let handle = std::thread::spawn(move || run_workload(c.workload, c.n, Some(c.fault_config())));
-    let deadline = Instant::now() + WATCHDOG;
-    while !handle.is_finished() {
-        assert!(
-            Instant::now() < deadline,
-            "WATCHDOG: faulted run still not finished after {WATCHDOG:?} \
-             (deadlocked recovery?)\n{}",
-            case.reproducer()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let faulted = match handle.join() {
-        Ok(s) => s,
-        Err(_) => panic!("faulted run panicked\n{}", case.reproducer()),
-    };
+    let faulted = under_watchdog(
+        &format!("faulted run (deadlocked recovery?)\n{}", case.reproducer()),
+        move || run_workload(c.workload, c.n, Some(c.fault_config())),
+    );
 
     assert_eq!(
         faulted.outputs,

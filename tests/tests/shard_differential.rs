@@ -19,8 +19,8 @@
 //!
 //! Every run ships the packed validation plane (filtered access streams
 //! in `AccessBlock` frames), so the comparisons against the sequential
-//! model double as its end-to-end check; the last two tests guard that
-//! the packing and filtering are actually exercised.
+//! model double as its end-to-end check; the last three tests guard that
+//! the packing, the batching and the filtering are actually exercised.
 
 use dsmtx::FaultTarget;
 use dsmtx_fabric::FaultRates;
@@ -162,6 +162,78 @@ fn packed_frames_are_shipped_and_shrink_the_plane() {
             vp.bytes_pre
         );
     }
+}
+
+#[test]
+fn validation_and_commit_frames_ship_in_batches() {
+    // The validation and commit planes ride the queue's batch threshold
+    // instead of a flush at every subTX end, so a store-heavy DOALL moves
+    // many frames per packet. Batching moves packets, not frames or
+    // bytes: one block per (subTX, shard) plus one commit block per
+    // subTX, and exactly the bytes of the per-subTX-flush protocol.
+    use dsmtx::{IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, WorkerCtx};
+    use dsmtx_mem::MasterMem;
+    use dsmtx_uva::{OwnerId, RegionAllocator};
+    use std::sync::Arc;
+
+    const N: u64 = 1024;
+    const STORES: u64 = 32;
+    let value = |i: u64, k: u64| (i * 7 + 1) ^ (k << 40);
+    let mut heap = RegionAllocator::new(OwnerId(0));
+    let input = heap.alloc_words(N).unwrap();
+    let data = heap.alloc_words(N * STORES).unwrap();
+    let mut master = MasterMem::new();
+    for i in 0..N {
+        master.write(input.add_words(i), i * 7 + 1);
+    }
+    // Column-major: store k of every MTX lands in column k, so each MTX
+    // scatters its stores over 32 pages and both shards.
+    let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+        let x = ctx.read(input.add_words(mtx.0))?;
+        for k in 0..STORES {
+            ctx.write_no_forward(data.add_words(k * N + mtx.0), x ^ (k << 40))?;
+        }
+        Ok(IterOutcome::Continue)
+    });
+    let mut cfg = SystemConfig::new();
+    cfg.stage(StageKind::Parallel { replicas: 2 })
+        .unit_shards(2);
+    let result = MtxSystem::new(&cfg)
+        .unwrap()
+        .run(Program {
+            master,
+            stages: vec![body],
+            recovery: Box::new(move |mtx, m| {
+                let x = m.read(input.add_words(mtx.0));
+                for k in 0..STORES {
+                    m.write(data.add_words(k * N + mtx.0), x ^ (k << 40));
+                }
+                IterOutcome::Continue
+            }),
+            on_commit: None,
+            iteration_limit: Some(N),
+        })
+        .unwrap();
+    let report = &result.report;
+    assert_eq!(report.recoveries, 0);
+    for i in 0..N {
+        for k in 0..STORES {
+            assert_eq!(
+                result.master.read(data.add_words(k * N + i)),
+                value(i, k),
+                "mtx {i} store {k}"
+            );
+        }
+    }
+    // A flush per subTX end shipped every item as its own packet here.
+    let (items, packets) = (report.stats.items(), report.stats.packets());
+    assert!(
+        items / packets >= 8,
+        "{items} items in {packets} packets: frames are not batched"
+    );
+    assert_eq!(report.valplane.records_post, 3 * N);
+    // What the same loop shipped when every frame was flushed on its own.
+    assert_eq!(report.valplane.bytes_post, 859_130);
 }
 
 #[test]
