@@ -3,7 +3,8 @@
 //! * `mtx_iteration` — begin/end cycle of an empty iteration through the
 //!   full system (workers + try-commit + commit) per pipeline shape;
 //! * `coa_page_fetch` — first-touch Copy-On-Access page transfers;
-//! * `spec_mem_ops` — speculative load/store against a resident page;
+//! * `spec_mem_ops` — speculative load/store against resident pages, in
+//!   runs on one page and hopping to a different page on every access;
 //! * `uva_alloc` — region allocator throughput;
 //! * `recovery` — a full run whose every 8th iteration misspeculates;
 //! * `hot_path_hasher` — std SipHash vs the vendored Fx hasher on the
@@ -124,6 +125,25 @@ fn bench_spec_mem_ops(c: &mut Criterion) {
                 let addr = base.add_words(i % (8 * 512));
                 mem.write(addr, i, fetch).unwrap();
                 assert_eq!(mem.read(addr, fetch).unwrap(), i);
+            }
+            mem.drain_log().len()
+        });
+    });
+    // Each access lands on a different page than the one before, like
+    // scatter_validate's column-major stores, so the page table's
+    // remembered page misses on every access.
+    group.bench_function("write_read_page_hopping", |b| {
+        b.iter(|| {
+            let mut mem = SpecMem::new();
+            let fetch =
+                |_: PageId| -> Result<Page, std::convert::Infallible> { Ok(Page::zeroed()) };
+            for i in 0..OPS {
+                let word = (i / 8) % 512;
+                mem.write(base.add_words((i % 8) * 512 + word), i, fetch)
+                    .unwrap();
+                let _ = mem
+                    .read(base.add_words(((i + 4) % 8) * 512 + word), fetch)
+                    .unwrap();
             }
             mem.drain_log().len()
         });

@@ -6,17 +6,23 @@
 //!
 //! * [`page::Page`] — a 4 KiB page of 512 words, the Copy-On-Access
 //!   transfer unit.
-//! * [`table::PageTable`] — a worker's page table. Pages start
-//!   [`table::PageState::Unmapped`] (the paper's access-protected state);
-//!   the first touch raises a [`PageFault`] which the runtime services by
-//!   fetching the committed page from the commit unit. Rollback re-protects
-//!   everything by dropping resident pages.
-//! * [`spec::SpecMem`] — a page table plus read/write logs: speculative
-//!   stores are recorded for uncommitted-value forwarding and commit,
-//!   speculative loads are recorded for value-based validation by the
+//! * [`table::PageTable`] — a worker's page table. No page is resident at
+//!   first (the paper's access-protected heap); the first touch raises a
+//!   [`PageFault`] which the runtime services by fetching the committed
+//!   page from the commit unit. Rollback re-protects everything by
+//!   dropping resident pages.
+//! * [`spec::SpecMem`] — a page table plus one program-ordered access log:
+//!   speculative stores are recorded for uncommitted-value forwarding and
+//!   commit, speculative loads for value-based validation by the
 //!   try-commit unit.
 //! * [`master::MasterMem`] — the commit unit's committed image. Fresh pages
 //!   are zero-filled, mirroring demand-zero allocation.
+//!
+//! The layer works per page wherever a caller hands it a run of words or
+//! keeps hitting one page: [`MasterMem::write_words`] and
+//! [`MasterMem::read_words`] probe the page map once per page, and a
+//! [`PageTable`] lookup is one probe, or none when the access lands on the
+//! page the previous one resolved.
 //!
 //! Memory versioning falls out of this structure: each worker's private
 //! pages are an independent version of the data, so false (anti/output)
@@ -47,7 +53,6 @@
 //! ```
 
 pub mod cache;
-pub mod log;
 pub mod master;
 pub mod page;
 pub mod shard;
@@ -55,9 +60,8 @@ pub mod spec;
 pub mod table;
 
 pub use cache::PageCache;
-pub use log::{ReadLog, WriteLog};
 pub use master::MasterMem;
 pub use page::{Page, PageDiff};
 pub use shard::{partition_stream, route, shard_of, store_shard_load, ShardMap};
 pub use spec::{AccessKind, AccessRecord, SpecMem};
-pub use table::{PageFault, PageState, PageTable};
+pub use table::{PageFault, PageTable};

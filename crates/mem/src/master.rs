@@ -5,6 +5,11 @@
 //! truth (§3.1). Pages are created zero-filled on first write (demand
 //! zero); [`MasterMem::page`] serves Copy-On-Access requests.
 //!
+//! Runs of consecutive words go through [`MasterMem::write_words`] and
+//! [`MasterMem::read_words`], which pay one map probe and one dirty-set
+//! insert per page instead of per word: that is how the pre-loop code
+//! fills its inputs and reads its outputs back at memory speed.
+//!
 //! The page map is internally partitioned by [`shard_of`] into a fixed
 //! number of sub-maps so that group commit can apply a large write-set in
 //! parallel ([`MasterMem::commit_writes_parallel`]): each helper thread
@@ -13,10 +18,11 @@
 //! partition count is an interior detail — reads and sequential commits
 //! behave exactly as a single flat map would.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use dsmtx_uva::{PageId, VAddr};
+use dsmtx_uva::{PageId, VAddr, PAGE_WORDS};
 use fxhash::{FxHashMap, FxHashSet};
 
 use crate::page::Page;
@@ -101,6 +107,54 @@ impl MasterMem {
             .entry(id)
             .or_default()
             .set_word(addr.word_in_page(), value);
+    }
+
+    /// Writes `data` to the consecutive words starting at `base`, creating
+    /// pages on demand: one map probe and one dirty-set insert per page,
+    /// with a slice copy in between. Equivalent to calling
+    /// [`MasterMem::write`] on each word in order.
+    ///
+    /// While recording, it takes that per-word path, so the access log
+    /// holds one record per word exactly as a per-word loop logs it.
+    pub fn write_words(&mut self, base: VAddr, data: &[u64]) {
+        if self.is_recording() {
+            for (i, &w) in (0u64..).zip(data) {
+                self.write(base.add_words(i), w);
+            }
+            return;
+        }
+        let mut rest = data;
+        for (id, words) in page_runs(base, data.len()) {
+            let (chunk, tail) = rest.split_at(words.len());
+            self.dirty.insert(id);
+            self.shards[shard_of(id, INTERNAL_SHARDS)]
+                .entry(id)
+                .or_default()
+                .words_mut()[words]
+                .copy_from_slice(chunk);
+            rest = tail;
+        }
+    }
+
+    /// Reads `len` consecutive words starting at `base`: one map probe per
+    /// page; words on pages never written read as zero. Equivalent to
+    /// calling [`MasterMem::read`] on each word in order, and takes that
+    /// path while recording (see [`MasterMem::write_words`]).
+    pub fn read_words(&self, base: VAddr, len: usize) -> Vec<u64> {
+        if self.is_recording() {
+            return (0u64..)
+                .take(len)
+                .map(|i| self.read(base.add_words(i)))
+                .collect();
+        }
+        let mut out = Vec::with_capacity(len);
+        for (id, words) in page_runs(base, len) {
+            match self.map_of(id).get(&id) {
+                Some(page) => out.extend_from_slice(&page.words()[words]),
+                None => out.resize(out.len() + words.len(), 0),
+            }
+        }
+        out
     }
 
     #[cold]
@@ -217,6 +271,27 @@ impl MasterMem {
     }
 }
 
+/// Splits the `len` consecutive words starting at `base` at page
+/// boundaries: each touched page, in address order, with the range of its
+/// words the run covers.
+fn page_runs(base: VAddr, len: usize) -> impl Iterator<Item = (PageId, Range<usize>)> {
+    let mut addr = base;
+    let mut left = len;
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let start = addr.word_in_page();
+        let n = left.min(PAGE_WORDS as usize - start);
+        let run = (addr.page(), start..start + n);
+        left -= n;
+        if left > 0 {
+            addr = addr.add_words(n as u64);
+        }
+        Some(run)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,6 +396,28 @@ mod tests {
     }
 
     #[test]
+    fn recorded_bulk_io_logs_what_a_per_word_loop_logs() {
+        // An unaligned run straddling a page boundary, read back in part.
+        let base = a(8 * 500);
+        let data: Vec<u64> = (1..=700).collect();
+        let mut bulk = MasterMem::new();
+        bulk.set_recording(true);
+        bulk.write_words(base, &data);
+        assert_eq!(bulk.read_words(base.add_words(3), 600), data[3..603]);
+        let mut word = MasterMem::new();
+        word.set_recording(true);
+        for (i, &w) in (0u64..).zip(&data) {
+            word.write(base.add_words(i), w);
+        }
+        for i in 3..603 {
+            word.read(base.add_words(i));
+        }
+        let log = bulk.drain_recorded();
+        assert_eq!(log.len(), 700 + 600);
+        assert_eq!(log, word.drain_recorded());
+    }
+
+    #[test]
     fn snapshot_is_sorted_and_complete() {
         let mut m = MasterMem::new();
         for p in [9u64, 3, 7, 1] {
@@ -332,5 +429,54 @@ mod tests {
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         assert_eq!(ids, sorted);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use dsmtx_uva::OwnerId;
+    use proptest::prelude::*;
+
+    const PAGE: u64 = PAGE_WORDS;
+
+    fn at(word: u64) -> VAddr {
+        VAddr::new(OwnerId(1), word * 8)
+    }
+
+    proptest! {
+        /// Bulk writes and reads agree with the per-word path word for
+        /// word, and each bulk write dirties exactly the pages it touches.
+        /// Runs start anywhere in four pages and span 0 to three pages, so
+        /// they are unaligned, straddle page boundaries and overlap; reads
+        /// cover eight pages, so some were never written.
+        #[test]
+        fn bulk_io_matches_per_word_io(
+            writes in proptest::collection::vec(
+                (0..4 * PAGE, 0..3 * PAGE as usize + 1, any::<u64>()),
+                1..6,
+            ),
+            reads in proptest::collection::vec((0..8 * PAGE, 0..3 * PAGE as usize + 1), 1..6),
+        ) {
+            let mut bulk = MasterMem::new();
+            let mut word = MasterMem::new();
+            for (start, len, seed) in writes {
+                let data: Vec<u64> = (0..len as u64).map(|i| seed.wrapping_add(i)).collect();
+                bulk.write_words(at(start), &data);
+                for (i, &w) in (0u64..).zip(&data) {
+                    word.write(at(start + i), w);
+                }
+                let touched: FxHashSet<PageId> =
+                    (start..start + len as u64).map(|w| at(w).page()).collect();
+                let dirty = bulk.take_dirty();
+                prop_assert_eq!(&dirty, &touched);
+                prop_assert_eq!(dirty, word.take_dirty());
+            }
+            prop_assert_eq!(bulk.snapshot(), word.snapshot());
+            for (start, len) in reads {
+                let want: Vec<u64> = (0..len as u64).map(|i| word.read(at(start + i))).collect();
+                prop_assert_eq!(bulk.read_words(at(start), len), want);
+            }
+        }
     }
 }

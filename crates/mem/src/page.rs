@@ -41,6 +41,18 @@ impl Page {
         self.words[index] = value;
     }
 
+    /// All 512 words, for page-granular bulk copies.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words[..]
+    }
+
+    /// All 512 words, mutably; see [`Page::words`].
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words[..]
+    }
+
     /// Iterates over `(index, word)` pairs of non-zero words.
     pub fn nonzero_words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.words

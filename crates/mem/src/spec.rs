@@ -20,7 +20,7 @@ use dsmtx_uva::{PageId, VAddr};
 use fxhash::FxHashMap;
 
 use crate::page::Page;
-use crate::table::PageTable;
+use crate::table::{PageFault, PageTable};
 
 /// Whether an access was a load or a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +73,7 @@ impl SpecMem {
         addr: VAddr,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<u64, E> {
-        self.ensure_resident(addr.page(), fetch)?;
-        let value = self.table.read(addr).expect("page just ensured resident");
+        let value = self.read_unlogged(addr, fetch)?;
         self.log.push(AccessRecord {
             kind: AccessKind::Load,
             addr,
@@ -92,13 +91,19 @@ impl SpecMem {
     /// # Errors
     ///
     /// Propagates any error from `fetch`.
+    #[inline]
     pub fn read_unlogged<E>(
         &mut self,
         addr: VAddr,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<u64, E> {
-        self.ensure_resident(addr.page(), fetch)?;
-        Ok(self.table.read(addr).expect("page just ensured resident"))
+        match self.table.read(addr) {
+            Ok(value) => Ok(value),
+            Err(PageFault(page_id)) => {
+                self.fault_in(page_id, fetch)?;
+                Ok(self.table.read(addr).expect("page just installed"))
+            }
+        }
     }
 
     /// Speculatively stores `value` at `addr`, logging the store.
@@ -113,10 +118,7 @@ impl SpecMem {
         value: u64,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<(), E> {
-        self.ensure_resident(addr.page(), fetch)?;
-        self.table
-            .write(addr, value)
-            .expect("page just ensured resident");
+        self.write_unlogged(addr, value, fetch)?;
         self.log.push(AccessRecord {
             kind: AccessKind::Store,
             addr,
@@ -133,16 +135,17 @@ impl SpecMem {
     /// # Errors
     ///
     /// Propagates any error from `fetch`.
+    #[inline]
     pub fn write_unlogged<E>(
         &mut self,
         addr: VAddr,
         value: u64,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<(), E> {
-        self.ensure_resident(addr.page(), fetch)?;
-        self.table
-            .write(addr, value)
-            .expect("page just ensured resident");
+        if let Err(PageFault(page_id)) = self.table.write(addr, value) {
+            self.fault_in(page_id, fetch)?;
+            self.table.write(addr, value).expect("page just installed");
+        }
         Ok(())
     }
 
@@ -152,10 +155,7 @@ impl SpecMem {
     /// page is not resident the word is kept pending and applied after the
     /// eventual COA install.
     pub fn apply_forwarded(&mut self, addr: VAddr, value: u64) {
-        let page_id = addr.page();
-        if self.table.is_resident(page_id) {
-            self.table.write(addr, value).expect("resident");
-        } else {
+        if let Err(PageFault(page_id)) = self.table.write(addr, value) {
             self.pending
                 .entry(page_id)
                 .or_default()
@@ -163,14 +163,14 @@ impl SpecMem {
         }
     }
 
-    fn ensure_resident<E>(
+    /// Services a fault on `page_id`: fetches the committed page, lays
+    /// any pending forwarded words over it and installs it.
+    #[cold]
+    fn fault_in<E>(
         &mut self,
         page_id: PageId,
         fetch: impl FnOnce(PageId) -> Result<Page, E>,
     ) -> Result<(), E> {
-        if self.table.is_resident(page_id) {
-            return Ok(());
-        }
         let mut page = fetch(page_id)?;
         // Newer forwarded words override the committed image.
         if let Some(pending) = self.pending.remove(&page_id) {
@@ -328,6 +328,21 @@ mod tests {
         // After rollback the next access refetches committed state and the
         // pending forward is gone.
         assert_eq!(m.read(a(4096 * 3), committed_fetch(7)).unwrap(), 7);
+    }
+
+    #[test]
+    fn rollback_between_accesses_to_one_page_refetches() {
+        let mut m = SpecMem::new();
+        m.write(a(8), 5, zero_fetch).unwrap();
+        assert_eq!(m.read(a(16), zero_fetch).unwrap(), 0);
+        m.rollback();
+        // Same page as the accesses before the rollback: it must fault
+        // again and see the committed page, not the rolled-back store.
+        assert_eq!(m.read(a(8), committed_fetch(7)).unwrap(), 7);
+        assert_eq!(m.faults_served(), 2);
+        m.write(a(16), 6, zero_fetch).unwrap();
+        assert_eq!(m.read(a(16), zero_fetch).unwrap(), 6);
+        assert_eq!(m.resident_pages(), 1);
     }
 
     #[test]

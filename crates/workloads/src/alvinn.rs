@@ -29,8 +29,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    f2w, load_words, master_heap, profiled_shard_map, store_words, w2f, Kernel, KernelError, Mode,
-    Scale, Stream, Table2Entry,
+    f2w, load_words, master_heap, profiled_shard_map, shard_map_for, store_words, w2f, Kernel,
+    KernelError, Mode, Scale, Stream, Table2Entry,
 };
 
 /// Input neurons.
@@ -341,13 +341,15 @@ impl Kernel for Alvinn {
         let body = body_fn(&lay, n);
         let recovery = recovery_fn(&lay);
         // The plan ships a profile-guided shard map (the store stream is
-        // heavily page-skewed); install it so the certified run routes
+        // heavily page-skewed); install it so a sharded run routes
         // validation traffic the way the analyzer weighed it.
-        let shard_map = profiled_shard_map(initial_master(&lay, scale), &mut recovery_fn(&lay), n);
+        let shard_map = shard_map_for(unit_shards, || {
+            profiled_shard_map(initial_master(&lay, scale), &mut recovery_fn(&lay), n)
+        });
         Ok(Pipeline::new()
             .par(workers.max(1), body)
             .tuning(Tuning::with_unit_shards(unit_shards))
-            .shard_map(Some(shard_map))
+            .shard_map(shard_map)
             .run(master, recovery, Some(n))?)
     }
 

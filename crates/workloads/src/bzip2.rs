@@ -28,8 +28,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    load_words, master_heap, profiled_shard_map, store_words, Kernel, KernelError, Mode, Scale,
-    Stream, Table2Entry,
+    load_words, master_heap, profiled_shard_map, shard_map_for, store_words, Kernel, KernelError,
+    Mode, Scale, Stream, Table2Entry,
 };
 
 /// Rare error marker (speculated untaken).
@@ -255,20 +255,22 @@ impl Bzip2 {
                     ctx.write(cursor, cur + 1 + len)?;
                     Ok(IterOutcome::Continue)
                 });
-                // Install the plan's profile-guided shard map so the
-                // certified run routes its skewed store stream the way
-                // the analyzer weighed it.
-                let shard_map = profiled_shard_map(
-                    initial_master(&input, &lay),
-                    &mut recovery_fn(&lay, scale),
-                    n,
-                );
+                // Install the plan's profile-guided shard map so a
+                // sharded run routes its skewed store stream the way the
+                // analyzer weighed it.
+                let shard_map = shard_map_for(shards, || {
+                    profiled_shard_map(
+                        initial_master(&input, &lay),
+                        &mut recovery_fn(&lay, scale),
+                        n,
+                    )
+                });
                 Pipeline::new()
                     .seq(read)
                     .par(workers.max(1), compress)
                     .seq(emit)
                     .tuning(Tuning::with_unit_shards(shards))
-                    .shard_map(Some(shard_map))
+                    .shard_map(shard_map)
                     .run(master, recovery, Some(n))?
             }
             Mode::Tls { workers } => {

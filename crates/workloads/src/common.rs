@@ -177,16 +177,29 @@ pub fn master_heap() -> RegionAllocator {
     RegionAllocator::new(OwnerId(0))
 }
 
-/// Writes `data` into `master` starting at `base`.
+/// Writes `data` into `master` starting at `base`, page by page.
 pub fn store_words(master: &mut MasterMem, base: VAddr, data: &[u64]) {
-    for (i, &w) in data.iter().enumerate() {
-        master.write(base.add_words(i as u64), w);
-    }
+    master.write_words(base, data);
 }
 
-/// Reads `len` words from `master` starting at `base`.
+/// Reads `len` words from `master` starting at `base`, page by page.
 pub fn load_words(master: &MasterMem, base: VAddr, len: u64) -> Vec<u64> {
-    (0..len).map(|i| master.read(base.add_words(i))).collect()
+    master.read_words(
+        base,
+        usize::try_from(len).expect("word count fits in usize"),
+    )
+}
+
+/// The shard map a pipeline with `unit_shards` try-commit shards installs:
+/// `build()`'s map when there is more than one shard, else none, since
+/// one shard owns every page and [`dsmtx_mem::route`] never reads a map.
+/// Keeps a one-shard run from paying a sequential profiling pass (see
+/// [`profiled_shard_map`]) whose map it would ignore.
+pub fn shard_map_for(
+    unit_shards: usize,
+    build: impl FnOnce() -> dsmtx_mem::ShardMap,
+) -> Option<dsmtx_mem::ShardMap> {
+    (unit_shards > 1).then(build)
 }
 
 /// Profiles a kernel's sequential body and builds a balanced page→shard
@@ -198,9 +211,12 @@ pub fn load_words(master: &MasterMem, base: VAddr, len: u64) -> Vec<u64> {
 /// nominal shards ([`dsmtx_mem::ShardMap::balance`] — the map re-wraps
 /// `% n` so it stays valid at any shard count).
 ///
-/// Kernels with a skewed store profile call this from `plan()` and ship
-/// the result in [`AnalysisPlan::shard_map`]; `run_reported` installs it
-/// on the pipeline.
+/// The kernels with a skewed store profile (alvinn, bzip2) build it in
+/// two places. `plan()` builds it on every call and ships it in
+/// [`AnalysisPlan::shard_map`] for the analyzer and the planner. Their
+/// parallel runs build it through [`shard_map_for`], so only a pipeline
+/// with more than one try-commit shard pays for the profiling pass and
+/// installs the map; `Kernel::run` uses one shard and never builds it.
 pub fn profiled_shard_map(
     mut master: MasterMem,
     recovery: &mut dsmtx::RecoveryFn,
