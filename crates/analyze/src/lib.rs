@@ -5,7 +5,7 @@
 //! recovers when speculation fails; this crate is the missing analysis
 //! half that *predicts* when it will fail:
 //!
-//! 1. [`record`] — instrumented sequential execution: run a plan's
+//! 1. [`record`](mod@record) — instrumented sequential execution: run a plan's
 //!    recovery body (the §4.3 re-execution path) for every iteration
 //!    against [`dsmtx_mem::MasterMem`] with recording on, capturing the
 //!    program-order load/store stream per iteration;
@@ -13,7 +13,7 @@
 //!    dependence as flow/anti/output, intra-iteration or loop-carried
 //!    (with distance), and tag silent stores that value-based validation
 //!    can never observe;
-//! 3. [`lint`] — partition validation: check the graph and raw stream
+//! 3. [`lint`](mod@lint) — partition validation: check the graph and raw stream
 //!    against the plan's declared [`dsmtx::StageSpec`]s, emitting typed
 //!    findings with a predicted misspeculation rate per 1000 iterations;
 //! 4. [`cert`] — certification: assert that conflicts the real runtime

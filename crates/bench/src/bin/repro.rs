@@ -44,9 +44,12 @@
 //! artifact.
 //!
 //! The `trace` section runs a real traced pipeline and prints a
-//! stage-occupancy report; `--trace-out` additionally writes a Chrome
-//! `trace_event` JSON (open in `chrome://tracing` or Perfetto) and
-//! `--metrics-out` a JSONL metrics dump in the shared schema.
+//! stage-occupancy report; `--trace-out` additionally writes the run's
+//! lifecycle spans as Chrome `trace_event` JSON (open in
+//! `chrome://tracing` or Perfetto; the format `why --trace-out` writes,
+//! plus a box per recovery round) and `--metrics-out` a JSONL metrics
+//! dump in the shared schema. Both, and the report, derive from the same
+//! spans (`dsmtx::build_spans`).
 //!
 //! `--fault-seed S` runs the traced pipeline under the deterministic
 //! fault injector: rate `R` (default 0.1, `--fault-rate`) is split
@@ -312,7 +315,7 @@ fn main() {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(1);
             }
-            println!("wrote Chrome trace ({} bytes) to {path}", json.len());
+            println!("wrote span trace ({} bytes) to {path}", json.len());
         }
         if let Some(path) = &metrics_out {
             let jsonl = dsmtx_bench::metrics_jsonl(&result);

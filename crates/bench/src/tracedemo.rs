@@ -2,21 +2,22 @@
 //!
 //! The `repro` binary's `trace` section runs a three-stage Spec-DSWP
 //! pipeline with tracing on, then renders three artifacts from the same
-//! [`dsmtx::RunReport`]:
+//! [`dsmtx::RunReport`], all from its lifecycle spans
+//! ([`dsmtx::RunReport::spans`]):
 //!
 //! * a Chrome `trace_event` JSON (`--trace-out`), loadable in
-//!   `chrome://tracing` or Perfetto, with one track per worker plus the
-//!   try-commit and commit units;
+//!   `chrome://tracing` or Perfetto: [`dsmtx::chrome_spans`], the format
+//!   `repro why` writes, with one track per worker and an
+//!   `mtx-lifecycle` track of milestones and recovery rounds;
 //! * a JSONL metrics dump (`--metrics-out`) under the shared
-//!   [`dsmtx_obs::schema`] names — the same vocabulary the simulator
-//!   emits;
+//!   [`dsmtx_obs::schema`] names;
 //! * a stage-occupancy text report (always printed).
 
 use std::sync::Arc;
 
 use dsmtx::{
-    FaultConfig, IterOutcome, MtxId, MtxSystem, Program, RunResult, StageKind, SystemConfig,
-    TraceAnalysis, WorkerCtx,
+    chrome_spans, FaultConfig, IterOutcome, MtxId, MtxSystem, Program, Role, RunResult,
+    SpanMetrics, StageKind, SystemConfig, WorkerCtx,
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_obs::Registry;
@@ -106,7 +107,7 @@ pub fn run_traced_pipeline_faulted(iters: u64, fault: Option<FaultConfig>) -> Ru
 
 /// Chrome `trace_event` JSON for a run.
 pub fn chrome_trace_json(result: &RunResult) -> String {
-    TraceAnalysis::chrome_trace(&result.report.trace).render()
+    chrome_spans(&result.report.spans()).render()
 }
 
 /// JSONL metrics dump for a run (shared schema with the simulator).
@@ -116,17 +117,16 @@ pub fn metrics_jsonl(result: &RunResult) -> String {
     reg.to_jsonl()
 }
 
-/// The stage-occupancy report: per-stage latency quantiles, per-role
+/// The stage-occupancy report: per-stage latency quantiles, per-worker
 /// busy fractions, and the mean critical-path breakdown per MTX.
 pub fn occupancy_text(result: &RunResult) -> String {
-    let a = result.report.analysis();
+    let m = SpanMetrics::new(&result.report.spans().spans);
     let mut out = String::from("Pipeline telemetry (traced run)\n\n");
 
     let mut t = Table::new(vec!["stage", "subTXs", "p50 us", "p99 us", "mean us"]);
-    for stage in a.stages() {
-        let h = a.stage_exec(stage).expect("listed stage");
+    for (stage, h) in &m.stage_exec {
         t.row(vec![
-            stage.to_string(),
+            format!("stage{stage}"),
             h.count().to_string(),
             h.p50().to_string(),
             h.p99().to_string(),
@@ -137,23 +137,30 @@ pub fn occupancy_text(result: &RunResult) -> String {
     out.push_str(&t.render());
 
     let mut t = Table::new(vec!["role", "busy %"]);
-    for (role, frac) in a.occupancy() {
-        t.row(vec![role.to_string(), format!("{:.1}", 100.0 * frac)]);
+    for (w, frac) in m.occupancy() {
+        t.row(vec![
+            Role::Worker(w).to_string(),
+            format!("{:.1}", 100.0 * frac),
+        ]);
     }
     out.push_str("\nWorker occupancy (busy / traced span):\n");
     out.push_str(&t.render());
 
-    let cp = a.critical_path();
+    // Summed subTX time per committed MTX, across its stages.
+    let subtx_us: u64 = m.stage_exec.values().map(|h| h.sum()).sum();
+    let exec_us = subtx_us as f64 / m.total_latency.count().max(1) as f64;
     out.push_str(&format!(
-        "\nMean per-MTX critical path: exec {:.1} us, validation wait {:.1} us, \
+        "\nMean per-MTX critical path: exec {exec_us:.1} us, validation wait {:.1} us, \
          commit wait {:.1} us, total {:.1} us\n",
-        cp.exec_us, cp.validation_wait_us, cp.commit_wait_us, cp.total_us
+        m.validation_wait.mean(),
+        m.commit_wait.mean(),
+        m.total_latency.mean()
     ));
     out.push_str(&format!(
         "Committed {} MTXs over {} us; fabric moved {} bytes ({} sent / {} \
          received packets); trace dropped {} events\n",
         result.report.committed,
-        a.span_us(),
+        m.window_us,
         result.report.stats.bytes(),
         result.report.stats.packets(),
         result.report.stats.recv_packets(),
@@ -185,11 +192,12 @@ mod tests {
         let trace = chrome_trace_json(&result);
         dsmtx_obs::json::validate(&trace).expect("valid chrome trace JSON");
         assert!(trace.contains("\"traceEvents\""));
-        // All three tracks are present and MTX-labeled spans exist.
+        // Worker and lifecycle tracks are present, with MTX-labeled
+        // spans and validated/committed milestones.
         assert!(trace.contains("worker0"));
-        assert!(trace.contains("try-commit"));
-        assert!(trace.contains("commit"));
-        assert!(trace.contains("mtx"));
+        assert!(trace.contains("mtx-lifecycle"));
+        assert!(trace.contains("validated mtx"));
+        assert!(trace.contains("committed mtx"));
 
         let metrics = metrics_jsonl(&result);
         for line in metrics.lines() {
@@ -242,15 +250,10 @@ mod tests {
     #[test]
     fn run_is_invariant_clean_and_correct() {
         let result = run_traced_pipeline(16);
-        result
-            .report
-            .analysis()
-            .check_invariants()
-            .expect("no invariant violations");
-        // Stage latency accessors are live on the same report.
-        assert!(
-            result.report.stage_p99_us(dsmtx::StageId(1))
-                >= result.report.stage_p50_us(dsmtx::StageId(1))
-        );
+        let run = result.report.spans();
+        run.check().expect("no invariant violations");
+        // Stage latency quantiles are live on the same report.
+        let stage1 = &SpanMetrics::new(&run.spans).stage_exec[&1];
+        assert!(stage1.p99() >= stage1.p50());
     }
 }

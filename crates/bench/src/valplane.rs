@@ -20,8 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dsmtx::{
-    IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, TraceKind, ValPlaneStats,
-    WorkerCtx,
+    IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, ValPlaneStats, WorkerCtx,
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_sim::unit_shard_sweep_with;
@@ -155,13 +154,7 @@ fn run_valplane_once(iters: u64, writes_per_iter: u64) -> ValRun {
             "page {id_a:?} diverged from the sequential run"
         );
     }
-    let commit_order: Vec<u64> = result
-        .report
-        .trace
-        .iter()
-        .filter(|e| e.kind == TraceKind::Committed)
-        .map(|e| e.mtx.unwrap().0)
-        .collect();
+    let commit_order = result.report.spans().commit_order;
     assert!(
         commit_order.iter().copied().eq(0..iters),
         "MTXs did not commit in iteration order"

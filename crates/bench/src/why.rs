@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use dsmtx::RunSpans;
 use dsmtx_analyze::{analyze, attribute, cause_counts, export_why_metrics};
 use dsmtx_obs::{json, AbortCause, MtxSpan, Registry, SpanOutcome};
 use dsmtx_paradigms::set_trace_default;
@@ -129,27 +130,31 @@ pub fn run_why(opts: &WhyOptions) -> Result<WhyOutcome, String> {
     // Planted conflicts are schedule-dependent: rerun until one
     // manifests (or give up and report the clean run).
     let prev = set_trace_default(true);
-    let mut spans = Vec::new();
+    let mut traced = RunSpans::default();
     let runs = if planted { MAX_RUNS } else { 1 };
     let mut run_result = Err("no run attempted".to_string());
     for _ in 0..runs {
         run_result = run(opts.shards);
         let Ok(result) = &run_result else { break };
-        spans = result.report.spans();
-        if spans.iter().any(|s| s.outcome() == SpanOutcome::Aborted) {
+        traced = result.report.spans();
+        if traced
+            .spans
+            .iter()
+            .any(|s| s.outcome() == SpanOutcome::Aborted)
+        {
             break;
         }
     }
     set_trace_default(prev);
     run_result?;
 
-    attribute(&mut spans, &analysis.report);
+    attribute(&mut traced.spans, &analysis.report);
     let workload_label = if planted {
         format!("{name}+planted")
     } else {
         name.to_string()
     };
-    Ok(render(&workload_label, opts, &spans))
+    Ok(render(&workload_label, opts, &traced))
 }
 
 /// Groups spans into per-MTX chains and picks the ones to report:
@@ -185,7 +190,8 @@ fn outcome_name(s: &MtxSpan) -> &'static str {
     }
 }
 
-fn render(workload: &str, opts: &WhyOptions, spans: &[MtxSpan]) -> WhyOutcome {
+fn render(workload: &str, opts: &WhyOptions, traced: &RunSpans) -> WhyOutcome {
+    let spans = &traced.spans;
     let chains = select_chains(spans, opts);
     let counts = cause_counts(spans);
     let committed = spans
@@ -318,7 +324,7 @@ fn render(workload: &str, opts: &WhyOptions, spans: &[MtxSpan]) -> WhyOutcome {
 
     WhyOutcome {
         output,
-        chrome_trace: dsmtx::chrome_spans(spans).render(),
+        chrome_trace: dsmtx::chrome_spans(traced).render(),
         unpredicted,
     }
 }
@@ -382,7 +388,7 @@ pub fn run_mtx_lifecycle(shard_counts: &[usize]) -> Result<Vec<LifecycleRow>, St
                     return Err(e);
                 }
             };
-            spans = result.report.spans();
+            spans = result.report.spans().spans;
             if spans.iter().any(|s| s.outcome() == SpanOutcome::Aborted) {
                 break;
             }

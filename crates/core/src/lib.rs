@@ -70,7 +70,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod analysis;
 pub mod commit;
 pub mod config;
 pub mod control;
@@ -86,14 +85,13 @@ pub mod trycommit;
 pub mod wire;
 pub mod worker;
 
-pub use analysis::{CriticalPath, TraceAnalysis};
 pub use config::{ConfigError, FaultConfig, FaultTarget, PipelineShape, StageKind, SystemConfig};
 pub use control::{ControlPlane, Interrupt, Status};
 pub use footprint::{AccessMode, FootprintFn, Region, StageRole, StageSpec};
 pub use ids::{MtxId, StageId, WorkerId};
 pub use program::{CommitHook, IterOutcome, Program, RecoveryFn, StageFn};
 pub use report::{RunReport, RunResult, ShardStats, ValPlaneStats};
-pub use spans::{build_spans, chrome_spans};
+pub use spans::{build_spans, chrome_spans, RecoveryRound, RunSpans, SpanMetrics};
 pub use system::{worker_owner, MtxSystem, RunError};
 pub use trace::{Role, TraceEvent, TraceKind, TraceSink, DEFAULT_TRACE_CAPACITY};
 pub use trycommit::ConflictRecord;

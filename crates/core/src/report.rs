@@ -6,8 +6,8 @@ use dsmtx_fabric::FabricStats;
 use dsmtx_mem::MasterMem;
 use dsmtx_obs::{schema, Histogram, Registry};
 
-use crate::analysis::TraceAnalysis;
-use crate::ids::{MtxId, StageId};
+use crate::ids::MtxId;
+use crate::spans::{build_spans, RunSpans, SpanMetrics};
 use crate::trace::TraceEvent;
 use crate::trycommit::ConflictRecord;
 
@@ -175,37 +175,19 @@ impl RunReport {
         pages
     }
 
-    /// Derives per-stage latency histograms, occupancy, commit-queue
-    /// waits, and invariant checks from the trace. Empty (but valid)
-    /// when the run was not traced.
-    pub fn analysis(&self) -> TraceAnalysis {
-        TraceAnalysis::from_events(&self.trace)
-    }
-
-    /// Builds one lifecycle span per `(mtx, attempt)` from the trace,
-    /// joined with the shards' conflict records. Empty when the run was
+    /// Reads the trace once ([`build_spans`]): one lifecycle span per
+    /// `(mtx, attempt)`, joined with the shards' conflict records, plus
+    /// the commit order and the recovery rounds. Empty when the run was
     /// not traced. Causes are unset here — attribution lives in
     /// `dsmtx-analyze`, which joins spans against the PDG.
-    pub fn spans(&self) -> Vec<dsmtx_obs::MtxSpan> {
-        crate::spans::build_spans(&self.trace, &self.conflict_events)
+    pub fn spans(&self) -> RunSpans {
+        build_spans(&self.trace, &self.conflict_events)
     }
 
-    /// Median subTX execution time for one stage, in microseconds
-    /// (0 when untraced or the stage never ran).
-    pub fn stage_p50_us(&self, stage: StageId) -> u64 {
-        self.analysis().stage_exec(stage).map_or(0, |h| h.p50())
-    }
-
-    /// 99th-percentile subTX execution time for one stage, in
-    /// microseconds.
-    pub fn stage_p99_us(&self, stage: StageId) -> u64 {
-        self.analysis().stage_exec(stage).map_or(0, |h| h.p99())
-    }
-
-    /// Exports run totals, fabric stats, and trace-derived histograms
-    /// into `reg` under the shared [`dsmtx_obs::schema`] names — the
-    /// same schema the simulator emits, so real and simulated runs
-    /// produce comparable JSONL dumps.
+    /// Exports run totals, fabric stats, and the span-derived latency
+    /// and occupancy metrics ([`SpanMetrics`]) into `reg` under the
+    /// shared [`dsmtx_obs::schema`] names; the simulator emits the same
+    /// `run.*` names.
     pub fn to_registry(&self, reg: &Registry) {
         reg.counter(schema::RUN_COMMITTED, &[]).add(self.committed);
         reg.counter(schema::RUN_RECOVERIES, &[])
@@ -266,7 +248,7 @@ impl RunReport {
             .add(v.cache_misses);
         reg.counter(schema::COA_CACHE_STALE, &[]).add(v.cache_stale);
         self.stats.to_registry(reg);
-        self.analysis().to_registry(reg);
+        SpanMetrics::new(&self.spans().spans).to_registry(reg);
     }
 }
 
@@ -282,6 +264,7 @@ pub struct RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::StageId;
     use crate::trace::{Role, TraceKind};
 
     fn empty_report() -> RunReport {
@@ -335,31 +318,30 @@ mod tests {
         let w = Role::Worker(0);
         let mut r = empty_report();
         for (i, (begin, end)) in [(0u64, 80u64), (100, 220), (300, 390)].iter().enumerate() {
-            r.trace.push(TraceEvent {
-                role: w,
+            let event = |role, stage, kind, at_us| TraceEvent {
+                role,
                 mtx: Some(MtxId(i as u64)),
                 attempt: 0,
-                stage: Some(StageId(0)),
-                kind: TraceKind::SubTxBegin,
-                at_us: *begin,
-            });
-            r.trace.push(TraceEvent {
-                role: w,
-                mtx: Some(MtxId(i as u64)),
-                attempt: 0,
-                stage: Some(StageId(0)),
-                kind: TraceKind::SubTxEnd,
-                at_us: *end,
-            });
+                stage,
+                kind,
+                at_us,
+            };
+            r.trace.extend([
+                event(w, Some(StageId(0)), TraceKind::SubTxBegin, *begin),
+                event(w, Some(StageId(0)), TraceKind::SubTxEnd, *end),
+                event(Role::TryCommit(0), None, TraceKind::Validated, *end),
+                event(Role::Commit, None, TraceKind::Committed, *end),
+            ]);
         }
+        let m = SpanMetrics::new(&r.spans().spans);
         // Durations 80, 120, 90 -> p50 is the middle one, within the
         // histogram's 12.5% bucket resolution.
-        let p50 = r.stage_p50_us(StageId(0)) as f64;
+        let p50 = m.stage_exec[&0].p50() as f64;
         assert!((p50 - 90.0).abs() / 90.0 < 0.13, "p50 {p50}");
-        let p99 = r.stage_p99_us(StageId(0)) as f64;
+        let p99 = m.stage_exec[&0].p99() as f64;
         assert!((p99 - 120.0).abs() / 120.0 < 0.13, "p99 {p99}");
-        // Untraced stage reads as zero.
-        assert_eq!(r.stage_p50_us(StageId(7)), 0);
+        // An untraced stage has no histogram.
+        assert!(!m.stage_exec.contains_key(&7));
     }
 
     #[test]

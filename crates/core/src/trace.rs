@@ -1,7 +1,8 @@
 //! Execution tracing for the Figure-3 execution-model reproduction, for
 //! test assertions about runtime invariants (e.g. commit order equals
-//! iteration order), and as the raw feed for `TraceAnalysis` and the
-//! Chrome-trace exporter.
+//! iteration order), and as the raw feed of the span builder
+//! ([`crate::spans::build_spans`]), the one reader that the trace
+//! metrics, the Chrome export and the invariant checks work from.
 
 use parking_lot::Mutex;
 use std::sync::Arc;

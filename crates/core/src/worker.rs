@@ -17,7 +17,7 @@
 //!
 //! Data frames ship at once, because a later stage is waiting for them.
 //! Validation and commit frames ride the queue's batch threshold instead
-//! (§4.2's batching), and [`UnitLink::wait`] — the one blocking primitive
+//! (§4.2's batching), and `UnitLink::wait` — the one blocking primitive
 //! of a worker — ships whatever of them is still buffered before the
 //! worker blocks. Every blocking point also polls the control plane so
 //! the worker can unwind into the §4.3 recovery rendezvous or terminate.

@@ -5,9 +5,11 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use dsmtx::{
-    IterOutcome, MtxId, MtxSystem, Program, StageId, StageKind, SystemConfig, TraceKind, WorkerCtx,
+    IterOutcome, MtxId, MtxSystem, Program, SpanMetrics, StageId, StageKind, SystemConfig,
+    TraceKind, WorkerCtx,
 };
 use dsmtx_mem::MasterMem;
+use dsmtx_obs::{schema, Registry};
 use dsmtx_uva::{OwnerId, RegionAllocator};
 
 fn heap0() -> RegionAllocator {
@@ -800,7 +802,8 @@ fn two_parallel_stages_route_correctly() {
 
 /// Runtime invariants hold on a clean traced pipeline run: commit order
 /// equals iteration order, every Committed MTX was Validated first, and
-/// every SubTxBegin has a matching SubTxEnd.
+/// every SubTxBegin has a matching SubTxEnd. The report's registry
+/// export carries every span-derived metric, one sample per MTX.
 #[test]
 fn trace_analysis_invariants_hold_on_clean_run() {
     under_deadline(|| {
@@ -827,28 +830,52 @@ fn trace_analysis_invariants_hold_on_clean_run() {
             })
             .unwrap();
 
-        let analysis = result.report.analysis();
-        analysis
-            .check_invariants()
-            .expect("clean run has no violations");
+        let run = result.report.spans();
+        run.check().expect("clean run has no violations");
         // Commit order is exactly iteration order.
-        assert_eq!(
-            analysis.commit_order(),
-            (0..N).map(MtxId).collect::<Vec<_>>().as_slice()
-        );
+        assert_eq!(run.commit_order, (0..N).collect::<Vec<_>>());
         // The latency pipeline saw every MTX.
-        assert_eq!(analysis.total_latency().count(), N);
-        assert_eq!(analysis.validation_wait().count(), N);
-        assert_eq!(analysis.commit_wait().count(), N);
+        let metrics = SpanMetrics::new(&run.spans);
+        assert_eq!(metrics.total_latency.count(), N);
+        assert_eq!(metrics.validation_wait.count(), N);
+        assert_eq!(metrics.commit_wait.count(), N);
         // Both stages ran and produced exec histograms.
-        assert_eq!(analysis.stages().len(), 2);
+        assert_eq!(metrics.stage_exec.len(), 2);
         assert_eq!(result.report.trace_dropped, 0);
+
+        let reg = Registry::new();
+        result.report.to_registry(&reg);
+        for stage in ["0", "1"] {
+            let exec = reg.histogram(schema::STAGE_EXEC_US, &[("stage", stage)]);
+            assert_eq!(exec.count(), N, "stage {stage}");
+        }
+        for name in [
+            schema::MTX_VALIDATION_WAIT_US,
+            schema::MTX_COMMIT_WAIT_US,
+            schema::MTX_TOTAL_LATENCY_US,
+        ] {
+            assert_eq!(reg.histogram(name, &[]).count(), N, "{name}");
+        }
+        let period = reg.histogram(schema::MTX_COMMIT_PERIOD_US, &[]);
+        assert_eq!(period.count(), N - 1);
+        // One gauge per worker: the sequential stage's and two replicas.
+        let busy_gauges = reg
+            .to_jsonl()
+            .lines()
+            .filter(|l| l.contains(&format!("\"name\":\"{}\"", schema::ROLE_BUSY_PPM)))
+            .count();
+        assert_eq!(busy_gauges, 3);
+        for w in 0..3 {
+            let role = format!("worker{w}");
+            let ppm = reg.gauge(schema::ROLE_BUSY_PPM, &[("role", &role)]).value();
+            assert!(ppm > 0 && ppm <= 1_000_000, "{role} busy {ppm} ppm");
+        }
     });
 }
 
 /// The invariants still hold through misspeculation recovery (recovery
 /// legitimately interrupts subTXs and skips the boundary iteration, which
-/// the analysis must not flag).
+/// the span checks must not flag).
 #[test]
 fn trace_analysis_invariants_hold_through_recovery() {
     under_deadline(|| {
@@ -882,14 +909,11 @@ fn trace_analysis_invariants_hold_through_recovery() {
             })
             .unwrap();
         assert!(result.report.recoveries >= 1, "dependence must manifest");
-        let analysis = result.report.analysis();
-        analysis
-            .check_invariants()
-            .expect("recovery is not an invariant violation");
-        assert_eq!(analysis.recoveries(), result.report.recoveries);
+        let run = result.report.spans();
+        run.check().expect("recovery is not an invariant violation");
+        assert_eq!(run.rounds.len() as u64, result.report.recoveries);
         // Committed MTX ids still strictly increase.
-        let order = analysis.commit_order();
-        assert!(order.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(run.commit_order.windows(2).all(|w| w[0] < w[1]));
     });
 }
 

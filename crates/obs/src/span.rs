@@ -179,6 +179,11 @@ pub struct MtxSpan {
     pub squashed_us: Option<u64>,
     /// True when the squashing recovery was fault-induced.
     pub fault_squashed: bool,
+    /// SubTX brackets the trace left unmatched on this attempt: begins
+    /// whose end never came (the span builder closes such an interval at
+    /// its last phase mark) plus ends with no open begin. A recovery or
+    /// termination that unwinds a subTX leaves one.
+    pub unmatched_subtx: u32,
     /// Attributed abort cause (None until attribution runs, and for
     /// committed attempts).
     pub cause: Option<AbortCause>,
@@ -196,6 +201,7 @@ impl MtxSpan {
             conflict: None,
             squashed_us: None,
             fault_squashed: false,
+            unmatched_subtx: 0,
             cause: None,
         }
     }

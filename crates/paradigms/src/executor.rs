@@ -490,7 +490,7 @@ mod tests {
         let r = ex
             .run(MasterMem::new(), body, no_recovery(), Some(6))
             .unwrap();
-        let spans = r.report.spans();
+        let spans = r.report.spans().spans;
         assert_eq!(spans.len(), 6);
         assert!(spans.iter().all(|s| s.committed_us.is_some()));
     }

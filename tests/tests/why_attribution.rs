@@ -114,7 +114,7 @@ proptest! {
             on_commit: None,
             iteration_limit: Some(n),
         }).unwrap();
-        let spans = result.report.spans();
+        let spans = result.report.spans().spans;
         if let Err(errs) = check_spans(&spans) {
             prop_assert!(false, "malformed spans: {errs:?}");
         }
@@ -160,7 +160,7 @@ proptest! {
             n * (n + 1) / 2,
             "recovery preserves the sequential fold"
         );
-        let spans = result.report.spans();
+        let spans = result.report.spans().spans;
         if let Err(errs) = check_spans(&spans) {
             prop_assert!(false, "malformed spans: {errs:?}");
         }
@@ -187,7 +187,7 @@ fn parser_planted_abort_attributes_as_predicted() {
         for _attempt in 0..8 {
             for shards in SHARD_COUNTS {
                 let result = k.run_reported_planted_unknown(2, shards, scale).unwrap();
-                let mut spans = result.report.spans();
+                let mut spans = result.report.spans().spans;
                 attribute(&mut spans, &analysis.report);
                 assert_all_aborts_explained("197.parser(planted)", &spans);
                 let counts = cause_counts(&spans);
@@ -221,7 +221,7 @@ fn every_registry_abort_is_attributed() {
             let analysis = analyze(&mut plan);
             for shards in SHARD_COUNTS {
                 let result = k.run_reported(2, shards, Scale::test()).unwrap();
-                let mut spans = result.report.spans();
+                let mut spans = result.report.spans().spans;
                 if let Err(errs) = check_spans(&spans) {
                     panic!("{name} at {shards} shard(s): malformed spans: {errs:?}");
                 }
@@ -239,7 +239,7 @@ fn every_registry_abort_is_attributed() {
             let result = parser
                 .run_reported_planted_unknown(2, shards, scale)
                 .unwrap();
-            let mut spans = result.report.spans();
+            let mut spans = result.report.spans().spans;
             attribute(&mut spans, &parser_lint.report);
             assert_all_aborts_explained(&format!("parser(planted)@{shards}"), &spans);
         }
@@ -253,7 +253,7 @@ fn every_registry_abort_is_attributed() {
         let li_lint = analyze(&mut plan);
         for shards in SHARD_COUNTS {
             let result = li.run_corpus_reported(2, shards, scale, corpus).unwrap();
-            let mut spans = result.report.spans();
+            let mut spans = result.report.spans().spans;
             attribute(&mut spans, &li_lint.report);
             assert_all_aborts_explained(&format!("li(setenv)@{shards}"), &spans);
         }
@@ -325,7 +325,7 @@ fn fault_squashes_attribute_as_fault_induced_retry() {
     let mut saw_fault_round = false;
     for seed in FAULT_SEEDS {
         let report = faulted_doall_report(seed_from_env(seed));
-        let mut spans = report.spans();
+        let mut spans = report.spans().spans;
         if let Err(errs) = check_spans(&spans) {
             panic!("seed {seed:#x}: malformed spans: {errs:?}");
         }
