@@ -55,7 +55,10 @@
 //! fault injector: rate `R` (default 0.1, `--fault-rate`) is split
 //! evenly over drop/delay/duplicate/reorder/stall on every link, and the
 //! fault/retry/recovery counters flow through the same occupancy report
-//! and JSONL schema. The same seed replays the same fault schedule.
+//! and JSONL schema. The same seed gives every link the same decision
+//! stream (its *k*-th ship attempt always draws the same decision), but
+//! the fault counts vary from run to run: packet boundaries, and so the
+//! number of ship attempts, depend on timing.
 //!
 //! The `why` section runs a workload's shipped plan with lifecycle
 //! tracing on and prints causal misspeculation chains: per-attempt
@@ -110,6 +113,10 @@ fn main() {
                     eprintln!("bad --iters value `{v}`");
                     std::process::exit(2);
                 });
+                if iters == 0 {
+                    eprintln!("--iters must be at least 1");
+                    std::process::exit(2);
+                }
             }
             "--fault-seed" => {
                 let v = take_value(&mut i);

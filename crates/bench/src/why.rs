@@ -81,7 +81,7 @@ type Chain<'a> = (u64, Vec<&'a MtxSpan>);
 /// # Errors
 ///
 /// Unknown workload, `--planted` on a workload without a planted
-/// variant, or kernel failures.
+/// variant, an `mtx` the run never reached, or kernel failures.
 pub fn run_why(opts: &WhyOptions) -> Result<WhyOutcome, String> {
     let scale = Scale::test();
     // Bare `repro why` reports the planted parser: the one registry run
@@ -147,6 +147,17 @@ pub fn run_why(opts: &WhyOptions) -> Result<WhyOutcome, String> {
     }
     set_trace_default(prev);
     run_result?;
+    if let Some(m) = opts.mtx {
+        let mtxs = || traced.spans.iter().map(|s| s.mtx);
+        if !mtxs().any(|mtx| mtx == m) {
+            return Err(match (mtxs().min(), mtxs().max()) {
+                (Some(first), Some(last)) => {
+                    format!("--mtx {m} is not in the run (MTXs {first}..={last})")
+                }
+                _ => format!("--mtx {m} is not in the run (it traced no MTX)"),
+            });
+        }
+    }
 
     attribute(&mut traced.spans, &analysis.report);
     let workload_label = if planted {

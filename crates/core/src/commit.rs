@@ -22,7 +22,7 @@ use fxhash::FxHashMap;
 
 use crate::config::PipelineShape;
 use crate::control::{ControlPlane, Interrupt, Status, EPOCH_UNSEEN};
-use crate::ids::{MtxId, WorkerId};
+use crate::ids::MtxId;
 use crate::poll::Backoff;
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
 use crate::trace::{Role, TraceKind, TraceSink};
@@ -71,10 +71,12 @@ pub(crate) struct CommitUnit {
     ctrl: ControlPlane,
     trace: TraceSink,
     master: MasterMem,
-    from_workers: Vec<(WorkerId, RecvPort<Msg>)>,
+    /// Store-frame/event/COA streams, one per worker, in worker order.
+    from_workers: Vec<RecvPort<Msg>>,
     /// Verdict/COA streams, one per try-commit shard.
     from_trycommit: Vec<RecvPort<Msg>>,
-    coa_out: Vec<(WorkerId, SendPort<Msg>)>,
+    /// COA reply queues, one per worker, in worker order.
+    coa_out: Vec<SendPort<Msg>>,
     /// COA reply queues, one per try-commit shard.
     coa_tc_out: Vec<SendPort<Msg>>,
     /// Received store blocks per (mtx, stage), decoded at group commit.
@@ -101,9 +103,9 @@ pub(crate) struct CommitWiring {
     pub ctrl: ControlPlane,
     pub trace: TraceSink,
     pub master: MasterMem,
-    pub from_workers: Vec<(WorkerId, RecvPort<Msg>)>,
+    pub from_workers: Vec<RecvPort<Msg>>,
     pub from_trycommit: Vec<RecvPort<Msg>>,
-    pub coa_out: Vec<(WorkerId, SendPort<Msg>)>,
+    pub coa_out: Vec<SendPort<Msg>>,
     pub coa_tc_out: Vec<SendPort<Msg>>,
     pub recovery: RecoveryFn,
     pub on_commit: Option<CommitHook>,
@@ -199,9 +201,9 @@ impl CommitUnit {
     fn ingest(&mut self) -> bool {
         let mut progress = false;
         // Worker streams: store frames, events, COA requests.
-        for idx in 0..self.from_workers.len() {
+        for worker in 0..self.from_workers.len() {
             loop {
-                let msg = match self.from_workers[idx].1.try_consume() {
+                let msg = match self.from_workers[worker].try_consume() {
                     Ok(Some(m)) => m,
                     Ok(None) => break,
                     Err(_) => {
@@ -213,7 +215,7 @@ impl CommitUnit {
                 };
                 progress = true;
                 match msg {
-                    Msg::CoaRequest { page, have } => self.serve_coa_worker(idx, page, have),
+                    Msg::CoaRequest { page, have } => self.serve_coa_worker(worker, page, have),
                     Msg::CommitBlock {
                         mtx,
                         attempt,
@@ -294,15 +296,9 @@ impl CommitUnit {
         }
     }
 
-    fn serve_coa_worker(&mut self, idx: usize, page: u64, have: u64) {
+    fn serve_coa_worker(&mut self, worker: usize, page: u64, have: u64) {
         let reply = self.coa_reply(page, have);
-        let worker = self.from_workers[idx].0;
-        let port = self
-            .coa_out
-            .iter_mut()
-            .find(|(id, _)| *id == worker)
-            .map(|(_, p)| p)
-            .expect("COA reply queue");
+        let port = &mut self.coa_out[worker];
         // Replies are batch=1 queues with ample capacity: at most one
         // outstanding request per worker, so fault-free this cannot block.
         let sent = port.produce(reply).and_then(|()| {
@@ -415,13 +411,13 @@ impl CommitUnit {
 
         // Flush: everything buffered is speculative state at or after the
         // boundary (all earlier MTXs already committed in order).
-        for (_, port) in &mut self.from_workers {
+        for port in &mut self.from_workers {
             port.drain();
         }
         for port in &mut self.from_trycommit {
             port.drain();
         }
-        for (_, port) in &mut self.coa_out {
+        for port in &mut self.coa_out {
             port.clear();
         }
         for port in &mut self.coa_tc_out {

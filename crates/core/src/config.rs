@@ -13,11 +13,11 @@ use dsmtx_mem::ShardMap;
 
 use crate::ids::{MtxId, StageId, WorkerId};
 
-/// Which mesh links a fault plan injects into, selected by the link's
-/// *source* endpoint (the injector lives on the send side).
+/// Which links a fault plan injects into, selected by the role at the
+/// link's *source* (the injector lives on the send side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
-    /// Every link in the mesh.
+    /// Every link of the run.
     All,
     /// Links originating at worker threads (stage-to-stage data, ring
     /// forwarding, validation traffic, commit notifications, COA

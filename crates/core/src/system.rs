@@ -15,11 +15,13 @@
 //! Only the topology the MTX protocol needs is wired — a worker connects
 //! to the workers of later stages, the units, and (for ring stages) its
 //! successor replica — so the channel count never grows quadratically in
-//! the total thread count (§3.1).
+//! the total thread count (§3.1). [`MtxSystem::run`] opens each link once,
+//! in a fixed order, and hands its two ends straight to the roles it
+//! joins.
 
 use std::time::Instant;
 
-use dsmtx_fabric::{EndpointId, FaultPlan, MeshBuilder};
+use dsmtx_fabric::{channel_faulted, CostModel, FabricStats, FaultPlan, RetryPolicy};
 use dsmtx_uva::{OwnerId, RegionAllocator};
 
 use crate::commit::{CommitUnit, CommitWiring};
@@ -136,119 +138,71 @@ impl MtxSystem {
         };
         let ctrl = ControlPlane::new(n_workers + n_shards + 1);
 
-        // ---- topology -------------------------------------------------
-        let mut builder = MeshBuilder::new();
-        let worker_eps: Vec<EndpointId> = (0..n_workers)
-            .map(|w| builder.endpoint(format!("worker{w}")))
-            .collect();
-        let tc_eps: Vec<EndpointId> = (0..n_shards)
-            .map(|s| builder.endpoint(format!("try-commit{s}")))
-            .collect();
-        let cu_ep = builder.endpoint("commit");
-
-        // Fault injection: derive every faulted link's decision stream
-        // from one plan, selected by the link's *source* endpoint. The
-        // schedule is then a pure function of (seed, wiring order) — the
-        // same seed replays the same faults.
-        let fault_target = shape.fault().map(|fc| {
-            builder.fault_plan(FaultPlan::new(fc.seed, fc.rates));
-            builder.retry_policy(fc.retry);
-            fc.target
-        });
-        let hits =
-            |t: FaultTarget| fault_target == Some(FaultTarget::All) || fault_target == Some(t);
-        let worker_links = hits(FaultTarget::WorkerLinks);
-        let tc_links = hits(FaultTarget::TryCommitLinks);
-        let cu_links = hits(FaultTarget::CommitLinks);
-
+        // ---- links ----------------------------------------------------
+        // Every link opens here, in one fixed order, and its two ends go
+        // straight to the roles it joins. Link `i` draws its fault
+        // decisions from `plan.injector(i)`, so a fault schedule is a pure
+        // function of (seed, link order). A plan injects only into links
+        // whose source role its target names: the injector lives on the
+        // send side.
+        let stats = FabricStats::new();
+        let fault = shape
+            .fault()
+            .map(|fc| (fc.target, FaultPlan::new(fc.seed, fc.rates), fc.retry));
+        let mut link = 0u64;
+        let mut open = |class: FaultTarget, batch: usize, capacity: usize| {
+            let (injector, retry) = match fault {
+                Some((target, plan, retry)) if target == FaultTarget::All || target == class => {
+                    (Some(plan.injector(link)), retry)
+                }
+                _ => (None, RetryPolicy::DEFAULT),
+            };
+            link += 1;
+            channel_faulted::<Msg>(
+                batch,
+                capacity,
+                CostModel::FREE,
+                stats.clone(),
+                injector,
+                retry,
+            )
+        };
         let batch = shape.batch();
         let cap = shape.capacity();
-        let link = |b: &mut MeshBuilder,
-                    from: EndpointId,
-                    to: EndpointId,
-                    batch: usize,
-                    cap: usize,
-                    faulted: bool| {
-            if faulted {
-                b.connect_faulted(from, to, batch, cap).map(|_| ())
-            } else {
-                b.connect(from, to, batch, cap).map(|_| ())
-            }
-        };
-        for a in 0..n_workers {
-            let sa = shape.stage_of(WorkerId(a as u16));
-            for b in 0..n_workers {
-                let sb = shape.stage_of(WorkerId(b as u16));
-                if sa < sb {
-                    link(
-                        &mut builder,
-                        worker_eps[a],
-                        worker_eps[b],
-                        batch,
-                        cap,
-                        worker_links,
-                    )
-                    .expect("data link");
-                }
-            }
-            if let Some(next) = shape.ring_next(WorkerId(a as u16)) {
-                link(
-                    &mut builder,
-                    worker_eps[a],
-                    worker_eps[usize::from(next.0)],
-                    batch,
-                    cap,
-                    worker_links,
-                )
-                .expect("ring link");
+        let workers = || (0..n_workers).map(|w| WorkerId(w as u16));
+
+        // Data links: each worker to every later-stage worker, then to its
+        // ring successor.
+        let mut out: Vec<Vec<_>> = workers().map(|_| Vec::new()).collect();
+        let mut inn: Vec<Vec<_>> = workers().map(|_| Vec::new()).collect();
+        for a in workers() {
+            let later = workers().filter(|&b| shape.stage_of(a) < shape.stage_of(b));
+            for b in later.chain(shape.ring_next(a)) {
+                let (tx, rx) = open(FaultTarget::WorkerLinks, batch, cap);
+                out[usize::from(a.0)].push((b, tx));
+                inn[usize::from(b.0)].push((a, rx));
             }
         }
-        for &ep in &worker_eps {
-            for &tc in &tc_eps {
-                link(&mut builder, ep, tc, batch, cap, worker_links).expect("validation link");
-            }
-            link(&mut builder, ep, cu_ep, batch, cap, worker_links).expect("commit link");
-            link(&mut builder, cu_ep, ep, 1, 8, cu_links).expect("coa reply link");
-        }
-        for &tc in &tc_eps {
-            link(&mut builder, tc, cu_ep, batch, cap, tc_links).expect("verdict link");
-            link(&mut builder, cu_ep, tc, 1, 8, cu_links).expect("coa reply link");
-        }
 
-        let mut mesh = builder.build::<Msg>();
-
-        // ---- port bundles ---------------------------------------------
-        // Workers were declared first, so their endpoint ids are dense in
-        // 0..n_workers; shard index = position in `tc_eps`.
-        let is_worker = |ep: EndpointId| ep.0 < n_workers;
-        let as_worker = |ep: EndpointId| WorkerId(ep.0 as u16);
-        let shard_of_ep = |ep: EndpointId| tc_eps.iter().position(|&t| t == ep);
-
+        // Unit links: each worker to every try-commit shard and to the
+        // commit unit, and the commit unit's COA replies back to it.
+        let mut val_in: Vec<Vec<_>> = (0..n_shards).map(|_| Vec::new()).collect();
+        let mut from_workers = Vec::with_capacity(n_workers);
+        let mut coa_out = Vec::with_capacity(n_workers);
         let mut worker_wirings = Vec::with_capacity(n_workers);
-        for (w, &ep) in worker_eps.iter().enumerate() {
-            let ports = mesh.take_ports(ep).expect("worker ports");
-            let mut out = Vec::new();
-            let mut inn = Vec::new();
-            let mut val_out: Vec<Option<_>> = (0..n_shards).map(|_| None).collect();
-            let mut cu_out = None;
-            let mut coa_in = None;
-            for (dst, port) in ports.sends {
-                if let Some(s) = shard_of_ep(dst) {
-                    val_out[s] = Some(port);
-                } else if dst == cu_ep {
-                    cu_out = Some(port);
-                } else {
-                    out.push((as_worker(dst), port));
-                }
-            }
-            for (src, port) in ports.recvs {
-                if src == cu_ep {
-                    coa_in = Some(port);
-                } else {
-                    inn.push((as_worker(src), port));
-                }
-            }
-            let worker = WorkerId(w as u16);
+        for ((worker, out), inn) in workers().zip(out).zip(inn) {
+            let val_out = val_in
+                .iter_mut()
+                .map(|val_in| {
+                    let (tx, rx) = open(FaultTarget::WorkerLinks, batch, cap);
+                    val_in.push(rx);
+                    tx
+                })
+                .collect();
+            let (cu_out, from_worker) = open(FaultTarget::WorkerLinks, batch, cap);
+            let (to_worker, coa_in) = open(FaultTarget::CommitLinks, 1, 8);
+            from_workers.push(from_worker);
+            coa_out.push(to_worker);
             worker_wirings.push(WorkerWiring {
                 worker,
                 shape: shape.clone(),
@@ -257,85 +211,45 @@ impl MtxSystem {
                 heap: RegionAllocator::new(worker_owner(worker)),
                 out,
                 inn,
-                val_out: val_out
-                    .into_iter()
-                    .map(|p| p.expect("validation port"))
-                    .collect(),
-                cu_out: cu_out.expect("commit port"),
-                coa_in: coa_in.expect("coa reply port"),
+                val_out,
+                cu_out,
+                coa_in,
             });
         }
 
-        let tc_wirings: Vec<TryCommitWiring> = tc_eps
-            .iter()
-            .enumerate()
-            .map(|(shard, &tc)| {
-                let ports = mesh.take_ports(tc).expect("try-commit ports");
-                let mut val_in = Vec::new();
-                let mut coa_in = None;
-                for (src, port) in ports.recvs {
-                    if src == cu_ep {
-                        coa_in = Some(port);
-                    } else {
-                        val_in.push(port);
-                    }
-                }
-                let mut to_commit = None;
-                for (dst, port) in ports.sends {
-                    debug_assert_eq!(dst, cu_ep);
-                    to_commit = Some(port);
-                }
-                TryCommitWiring {
-                    shape: shape.clone(),
-                    ctrl: ctrl.clone(),
-                    trace: trace.clone(),
-                    shard: shard as u16,
-                    val_in,
-                    to_commit: to_commit.expect("verdict port"),
-                    coa_in: coa_in.expect("coa reply port"),
-                }
-            })
-            .collect();
-
-        let cu_wiring = {
-            let ports = mesh.take_ports(cu_ep).expect("commit ports");
-            let mut from_workers = Vec::new();
-            let mut from_trycommit: Vec<Option<_>> = (0..n_shards).map(|_| None).collect();
-            for (src, port) in ports.recvs {
-                if let Some(s) = shard_of_ep(src) {
-                    from_trycommit[s] = Some(port);
-                } else {
-                    from_workers.push((as_worker(src), port));
-                }
-            }
-            let mut coa_out = Vec::new();
-            let mut coa_tc_out: Vec<Option<_>> = (0..n_shards).map(|_| None).collect();
-            for (dst, port) in ports.sends {
-                if let Some(s) = shard_of_ep(dst) {
-                    coa_tc_out[s] = Some(port);
-                } else if is_worker(dst) {
-                    coa_out.push((as_worker(dst), port));
-                }
-            }
-            CommitWiring {
+        // Shard links: each try-commit shard's verdicts to the commit unit,
+        // and the commit unit's COA replies back to it.
+        let mut from_trycommit = Vec::with_capacity(n_shards);
+        let mut coa_tc_out = Vec::with_capacity(n_shards);
+        let mut tc_wirings = Vec::with_capacity(n_shards);
+        for (shard, val_in) in val_in.into_iter().enumerate() {
+            let (to_commit, from_shard) = open(FaultTarget::TryCommitLinks, batch, cap);
+            let (to_shard, coa_in) = open(FaultTarget::CommitLinks, 1, 8);
+            from_trycommit.push(from_shard);
+            coa_tc_out.push(to_shard);
+            tc_wirings.push(TryCommitWiring {
                 shape: shape.clone(),
                 ctrl: ctrl.clone(),
                 trace: trace.clone(),
-                master: program.master,
-                from_workers,
-                from_trycommit: from_trycommit
-                    .into_iter()
-                    .map(|p| p.expect("verdict port"))
-                    .collect(),
-                coa_out,
-                coa_tc_out: coa_tc_out
-                    .into_iter()
-                    .map(|p| p.expect("coa reply port"))
-                    .collect(),
-                recovery: program.recovery,
-                on_commit: program.on_commit,
-                limit: program.iteration_limit,
-            }
+                shard: shard as u16,
+                val_in,
+                to_commit,
+                coa_in,
+            });
+        }
+
+        let cu_wiring = CommitWiring {
+            shape: shape.clone(),
+            ctrl: ctrl.clone(),
+            trace: trace.clone(),
+            master: program.master,
+            from_workers,
+            from_trycommit,
+            coa_out,
+            coa_tc_out,
+            recovery: program.recovery,
+            on_commit: program.on_commit,
+            limit: program.iteration_limit,
         };
 
         // ---- execution ------------------------------------------------
@@ -404,7 +318,7 @@ impl MtxSystem {
             shard_stats,
             conflict_events,
             valplane,
-            stats: mesh.stats(),
+            stats,
             elapsed,
             trace: trace.events(),
             trace_dropped: trace.dropped_events(),

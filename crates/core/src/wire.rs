@@ -1,7 +1,8 @@
 //! The wire protocol: every message that crosses a thread boundary.
 //!
-//! Four logical planes share one message type so the whole system runs on a
-//! single [`dsmtx_fabric::Mesh`]:
+//! Four logical planes share one message type, so every link
+//! [`crate::MtxSystem::run`] opens is a [`dsmtx_fabric::channel_faulted`]
+//! queue of [`Msg`]:
 //!
 //! * **data plane** (worker → later-stage worker, or TLS ring neighbour):
 //!   per-iteration frames carrying forwarded uncommitted stores and

@@ -71,11 +71,6 @@ impl Barrier {
             gen
         }
     }
-
-    /// Number of participants.
-    pub fn parties(&self) -> usize {
-        self.inner.parties
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@ use std::fmt;
 /// Convenience alias for fabric results.
 pub type Result<T> = std::result::Result<T, FabricError>;
 
-/// Errors produced by queue and mesh operations.
+/// Errors produced by queue operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricError {
     /// The peer end of a queue has been dropped; no further transfer is
@@ -13,11 +13,6 @@ pub enum FabricError {
     Disconnected,
     /// A receive was attempted after the sender signalled end-of-stream.
     EndOfStream,
-    /// A mesh endpoint or queue name did not resolve.
-    UnknownEndpoint(String),
-    /// A queue between the named endpoints was requested twice or never
-    /// declared.
-    BadTopology(String),
     /// A transfer attempt was consumed by an injected fault or a full
     /// transport while a fault plan is active; retry budget remains.
     Retriable,
@@ -31,8 +26,6 @@ impl fmt::Display for FabricError {
         match self {
             FabricError::Disconnected => write!(f, "peer endpoint disconnected"),
             FabricError::EndOfStream => write!(f, "end of stream"),
-            FabricError::UnknownEndpoint(name) => write!(f, "unknown endpoint `{name}`"),
-            FabricError::BadTopology(msg) => write!(f, "bad topology: {msg}"),
             FabricError::Retriable => write!(f, "transfer attempt faulted; retry"),
             FabricError::Timeout => write!(f, "transfer timed out after retries"),
         }
@@ -50,8 +43,6 @@ mod tests {
         for e in [
             FabricError::Disconnected,
             FabricError::EndOfStream,
-            FabricError::UnknownEndpoint("w0".into()),
-            FabricError::BadTopology("dup".into()),
             FabricError::Retriable,
             FabricError::Timeout,
         ] {

@@ -10,10 +10,24 @@
 //! that a single `MPI_Send`/`MPI_Recv` pair costs 500–2,295 instructions to
 //! move 8 bytes, and that buffering produced values until a batch fills
 //! raises sustained queue bandwidth from ~13 MB/s to ~480 MB/s (§4.2, §5.3).
-//! [`queue::SendPort`] buffers items and ships a whole packet when the batch
-//! threshold fills; an optional [`cost::CostModel`] charges the modelled
-//! per-message overhead so the unbatched/batched contrast of Figure 5(b) can
-//! be reproduced on real threads.
+//! [`channel`] opens one single-producer, single-consumer link;
+//! [`SendPort`] buffers items and ships a whole packet when the batch
+//! threshold fills, and [`RecvPort`] unpacks them in order. An optional
+//! [`CostModel`] charges the modelled per-message overhead so the
+//! unbatched/batched contrast of Figure 5(b) can be reproduced on real
+//! threads.
+//!
+//! The rest supports that queue:
+//!
+//! * [`channel_faulted`] opens a link whose send path runs under a
+//!   [`FaultInjector`] drawn from a seeded [`FaultPlan`], with a bounded
+//!   [`RetryPolicy`];
+//! * [`FabricStats`] is one shared set of traffic and fault counters that
+//!   every link of a run records into;
+//! * [`Barrier`] is the reusable barrier of the recovery protocol (§4.3).
+//!
+//! The crate has no topology type: the runtime (`dsmtx::MtxSystem::run`)
+//! opens each link itself and hands its two ends to the roles it joins.
 //!
 //! # Example
 //!
@@ -34,7 +48,6 @@ pub mod barrier;
 pub mod cost;
 pub mod error;
 pub mod fault;
-pub mod mesh;
 pub mod queue;
 pub mod stats;
 
@@ -42,6 +55,5 @@ pub use barrier::Barrier;
 pub use cost::CostModel;
 pub use error::{FabricError, Result};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultRates, RetryPolicy};
-pub use mesh::{EndpointId, Mesh, MeshBuilder};
 pub use queue::{channel, channel_faulted, RecvPort, SendPort, FREELIST_DEPTH};
 pub use stats::FabricStats;

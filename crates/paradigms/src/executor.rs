@@ -25,13 +25,10 @@ pub fn set_trace_default(on: bool) -> bool {
     TRACE_DEFAULT.swap(on, Ordering::Relaxed)
 }
 
-/// Shared tuning knobs for all executors.
+/// Shared tuning knobs for all executors. Queue batch and capacity keep
+/// [`SystemConfig`]'s defaults.
 #[derive(Debug, Clone, Copy)]
 pub struct Tuning {
-    /// Queue batch threshold (items per packet) — the §4.2 optimization.
-    pub batch: usize,
-    /// Queue capacity in packets (bounds worker run-ahead).
-    pub capacity: usize,
     /// Try-commit shard count (§3.2 parallel speculation units); 1 is
     /// the single-unit topology.
     pub unit_shards: usize,
@@ -43,8 +40,6 @@ pub struct Tuning {
 impl Default for Tuning {
     fn default() -> Self {
         Tuning {
-            batch: 64,
-            capacity: 256,
             unit_shards: 1,
             trace: TRACE_DEFAULT.load(Ordering::Relaxed),
         }
@@ -64,9 +59,7 @@ impl Tuning {
 }
 
 fn build(cfg: &mut SystemConfig, tuning: Tuning) -> &mut SystemConfig {
-    cfg.batch(tuning.batch)
-        .capacity(tuning.capacity)
-        .unit_shards(tuning.unit_shards)
+    cfg.unit_shards(tuning.unit_shards)
 }
 
 fn build_system(cfg: &SystemConfig, tuning: Tuning) -> Result<MtxSystem, ConfigError> {
@@ -79,7 +72,7 @@ fn build_system(cfg: &SystemConfig, tuning: Tuning) -> Result<MtxSystem, ConfigE
 pub struct SpecDoall {
     /// Worker replicas.
     pub replicas: u16,
-    /// Queue tuning.
+    /// Executor tuning.
     pub tuning: Tuning,
 }
 
@@ -128,7 +121,7 @@ impl SpecDoall {
 pub struct Tls {
     /// Worker replicas.
     pub replicas: u16,
-    /// Queue tuning.
+    /// Executor tuning.
     pub tuning: Tuning,
 }
 
@@ -170,47 +163,6 @@ impl Tls {
     }
 }
 
-/// DOACROSS: like [`Tls`] but intended for plans that synchronize *every*
-/// cross-iteration dependence, so no misspeculation can occur. The
-/// executor is identical; the type documents intent and is used by the
-/// Figure 1 comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct Doacross {
-    /// Worker replicas.
-    pub replicas: u16,
-    /// Queue tuning.
-    pub tuning: Tuning,
-}
-
-impl Doacross {
-    /// An executor with default tuning.
-    pub fn new(replicas: u16) -> Self {
-        Doacross {
-            replicas,
-            tuning: Tuning::default(),
-        }
-    }
-
-    /// Runs `body` over `limit` iterations.
-    ///
-    /// # Errors
-    ///
-    /// Configuration or runtime errors from the core system.
-    pub fn run(
-        &self,
-        master: MasterMem,
-        body: StageFn,
-        recovery: RecoveryFn,
-        limit: Option<u64>,
-    ) -> Result<RunResult, ExecError> {
-        Tls {
-            replicas: self.replicas,
-            tuning: self.tuning,
-        }
-        .run(master, body, recovery, limit)
-    }
-}
-
 /// DSWP / Spec-DSWP pipeline builder: `Pipeline::new().seq(a).par(4, b).seq(c)`.
 pub struct Pipeline {
     stages: Vec<(StageKind, StageFn)>,
@@ -242,7 +194,7 @@ impl Pipeline {
         self
     }
 
-    /// Overrides queue tuning.
+    /// Overrides the executor tuning.
     pub fn tuning(mut self, tuning: Tuning) -> Self {
         self.tuning = tuning;
         self
@@ -461,15 +413,6 @@ mod tests {
             assert_eq!(mapped.master.read(a), w + 7);
         }
         assert_eq!(mapped.report.committed, 16);
-    }
-
-    #[test]
-    fn doacross_equals_tls_shape() {
-        let body = Arc::new(|_: &mut WorkerCtx, _: MtxId| Ok(IterOutcome::Continue));
-        let r = Doacross::new(2)
-            .run(MasterMem::new(), body, no_recovery(), Some(4))
-            .unwrap();
-        assert_eq!(r.report.committed, 4);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //!   on a replica ring, synchronized dependences forwarded
 //!   replica-to-replica, putting communication latency on the critical
 //!   path (the cyclic pattern of Figure 1).
-//! * [`executor::Doacross`] — DOACROSS without speculation, for the
-//!   Figure 1 comparison.
 //!
 //! [`paradigm::Paradigm`] carries the paper's naming (e.g.
 //! `Spec-DSWP+[S,DOALL,S]`) and [`paradigm::taxonomy`] reproduces the
@@ -43,7 +41,5 @@
 pub mod executor;
 pub mod paradigm;
 
-pub use executor::{
-    no_recovery, set_trace_default, Doacross, ExecError, Pipeline, SpecDoall, Tls, Tuning,
-};
+pub use executor::{no_recovery, set_trace_default, ExecError, Pipeline, SpecDoall, Tls, Tuning};
 pub use paradigm::{taxonomy, Paradigm, SpecKind, TaxonomyRow};

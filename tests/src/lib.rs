@@ -72,8 +72,8 @@ pub const ALL_WORKLOADS: [Workload; 3] = [
     Workload::RingScan,
 ];
 
-/// One fully specified fault scenario: replaying the same case always
-/// injects the same fault schedule.
+/// One fully specified fault scenario: replaying the same case gives
+/// every link the same fault decision stream.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultCase {
     /// Seed of the per-link decision streams.

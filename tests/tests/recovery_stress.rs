@@ -635,6 +635,121 @@ mod fault_matrix {
         );
     }
 
+    /// What one link-targeting run shipped and duplicated.
+    struct LinkTraffic {
+        packets: u64,
+        dups: u64,
+        coa_pages: u64,
+    }
+
+    /// A Spec-DOALL loop over 2 try-commit shards in which every MTX
+    /// reads and writes a page of its own. Every COA fetch therefore
+    /// misses the worker's page cache, so every COA reply carries a full
+    /// page and `coa_pages_served` counts the replies exactly.
+    fn link_traffic(target: Option<FaultTarget>) -> LinkTraffic {
+        use std::sync::Arc;
+
+        use dsmtx::{
+            FaultConfig, IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, WorkerCtx,
+        };
+        use dsmtx_mem::MasterMem;
+        use dsmtx_uva::{OwnerId, RegionAllocator, PAGE_WORDS};
+
+        const N: u64 = 48;
+        let mut heap = RegionAllocator::new(OwnerId(0));
+        let base = heap.alloc_words(N * PAGE_WORDS).unwrap();
+        let slot = move |i: u64| base.add_words(i * PAGE_WORDS);
+        let mut master = MasterMem::new();
+        for i in 0..N {
+            master.write(slot(i), i * 3 + 1);
+        }
+        let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+            let x = ctx.read(slot(mtx.0))?;
+            ctx.write_no_forward(slot(mtx.0).add_words(1), x * 5)?;
+            Ok(IterOutcome::Continue)
+        });
+        let mut cfg = SystemConfig::new();
+        cfg.stage(StageKind::Parallel { replicas: 3 })
+            .unit_shards(2);
+        if let Some(target) = target {
+            // Duplicates lose no data and draw no retry budget, and the
+            // long deadline keeps a slow host from turning silence into
+            // a recovery round.
+            cfg.faults(
+                FaultConfig::new(seed_from_env(DEFAULT_SEED), FaultRates::only_duplicate(1.0))
+                    .target(target)
+                    .recv_timeout_us(10_000_000),
+            );
+        }
+        let result = MtxSystem::new(&cfg)
+            .unwrap()
+            .run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    let x = m.read(slot(mtx.0));
+                    m.write(slot(mtx.0).add_words(1), x * 5);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap();
+        for i in 0..N {
+            assert_eq!(result.master.read(slot(i).add_words(1)), (i * 3 + 1) * 5);
+        }
+        let report = result.report;
+        assert_eq!(report.committed, N);
+        assert_eq!(
+            report.recoveries, 0,
+            "{target:?}: a duplicate caused a recovery"
+        );
+        assert_eq!(
+            report.valplane.cache_hits, 0,
+            "{target:?}: a COA fetch hit the cache"
+        );
+        LinkTraffic {
+            packets: report.stats.packets(),
+            dups: report.stats.fault_dups(),
+            coa_pages: report.coa_pages_served,
+        }
+    }
+
+    /// A fault plan injects into exactly the links its target names.
+    /// Every ship attempt on a faulted link duplicates, so each packet a
+    /// faulted link ships records exactly one `fault_dups`; the COA
+    /// replies are the only traffic the commit unit sends.
+    #[test]
+    fn fault_target_hits_exactly_its_links() {
+        use dsmtx_integration_tests::under_watchdog;
+
+        under_watchdog("link-targeting runs", || {
+            let plain = link_traffic(None);
+            assert!(plain.packets > 0 && plain.coa_pages > 0);
+            assert_eq!(plain.dups, 0, "no plan, yet a duplicate");
+
+            let all = link_traffic(Some(FaultTarget::All));
+            assert_eq!(all.dups, all.packets, "All misses a link");
+
+            let commit = link_traffic(Some(FaultTarget::CommitLinks));
+            assert_eq!(
+                commit.dups, commit.coa_pages,
+                "CommitLinks must duplicate exactly the COA replies ({} packets)",
+                commit.packets
+            );
+
+            for target in [FaultTarget::WorkerLinks, FaultTarget::TryCommitLinks] {
+                let t = link_traffic(Some(target));
+                assert!(
+                    0 < t.dups && t.dups < t.packets,
+                    "{target}: {} duplicates of {} packets",
+                    t.dups,
+                    t.packets
+                );
+            }
+        });
+    }
+
     /// The headline acceptance check: three fixed seeds × three
     /// workloads under a uniform mix of every fault class, injected on
     /// every link — each run must commit byte-identical results to its
