@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use dsmtx_fabric::{RecvPort, SendPort};
+use dsmtx_fabric::{FabricError, RecvPort, SendPort};
 use dsmtx_mem::MasterMem;
 use dsmtx_uva::PageId;
 use fxhash::FxHashMap;
@@ -23,7 +23,7 @@ use fxhash::FxHashMap;
 use crate::config::PipelineShape;
 use crate::control::{ControlPlane, Interrupt, Status, EPOCH_UNSEEN};
 use crate::ids::MtxId;
-use crate::poll::Backoff;
+use crate::poll;
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
 use crate::trace::{Role, TraceKind, TraceSink};
 use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
@@ -151,50 +151,59 @@ impl CommitUnit {
     }
 
     /// The unit's thread body; returns the final committed memory and the
-    /// run counters.
+    /// run counters. It loops on [`poll::wait`] with one unit turn as the
+    /// step.
     pub(crate) fn run(mut self) -> (MasterMem, CommitCounters) {
         if self.limit == Some(0) {
             self.terminate(None);
             return (self.master, self.counters);
         }
-        let mut backoff = Backoff::new();
-        let mut epoch = EPOCH_UNSEEN;
+        let ctrl = self.ctrl.clone();
+        let mut seen = EPOCH_UNSEEN;
         loop {
-            // The commit unit is normally the only status writer, but a
-            // thread that found its channel dead publishes the typed
-            // `Terminating` shutdown directly — honor it instead of
-            // spinning forever on queues that will never fill.
-            if let Some(Interrupt::Terminate) = self.ctrl.poll(&mut epoch) {
-                self.trace
-                    .record(Role::Commit, None, 0, None, TraceKind::Terminated);
-                break;
-            }
-            let mut progress = self.ingest();
-            // A fabric timeout anywhere converts into a recovery round at
-            // the next commit boundary — never later, or uncommitted
-            // intermediate MTXs would be silently lost.
-            if self.ctrl.take_fabric_fault() {
-                self.counters.fault_recoveries += 1;
-                match self.recover(self.next_commit, true) {
-                    StepResult::Terminated => break,
-                    _ => {
-                        backoff.reset();
-                        continue;
-                    }
+            let turn = poll::wait(&ctrl, &mut seen, None, || {
+                Ok(match self.turn() {
+                    StepResult::Idle => None,
+                    done => Some(done),
+                })
+            });
+            match turn {
+                Ok(StepResult::Terminated) => break,
+                Ok(_) => {}
+                // The commit unit is normally the only status writer, but
+                // a thread that found its channel dead publishes the typed
+                // `Terminating` shutdown directly — honor it instead of
+                // spinning forever on queues that will never fill.
+                Err(Interrupt::Terminate) => {
+                    self.trace
+                        .record(Role::Commit, None, 0, None, TraceKind::Terminated);
+                    break;
                 }
-            }
-            match self.step() {
-                StepResult::Progress => progress = true,
-                StepResult::Idle => {}
-                StepResult::Terminated => break,
-            }
-            if progress {
-                backoff.reset();
-            } else {
-                backoff.wait();
+                // Only this unit publishes `Recovering`, and it runs each
+                // recovery round to its end inside one turn.
+                Err(intr) => unreachable!("commit unit interrupted by {intr}"),
             }
         }
         (self.master, self.counters)
+    }
+
+    /// One unit turn: drain the inputs, reship the COA replies an injected
+    /// fault held back, answer a fabric-fault request with a recovery
+    /// round, and otherwise try to commit the next MTX.
+    fn turn(&mut self) -> StepResult {
+        let mut progress = self.ingest();
+        progress |= self.reship_replies();
+        // A fabric timeout anywhere converts into a recovery round at the
+        // next commit boundary — never later, or uncommitted intermediate
+        // MTXs would be silently lost.
+        if self.ctrl.take_fabric_fault() {
+            self.counters.fault_recoveries += 1;
+            return self.recover(self.next_commit, true);
+        }
+        match self.step() {
+            StepResult::Idle if progress => StepResult::Progress,
+            done => done,
+        }
     }
 
     /// Drains available input and services COA requests. Never blocks.
@@ -296,37 +305,38 @@ impl CommitUnit {
         }
     }
 
+    /// Sends a COA reply with `produce` alone. Reply queues have a batch
+    /// of one, so the reply ships at once unless an injected fault eats
+    /// the attempt; then it stays buffered and the next turn's
+    /// [`CommitUnit::reship_replies`] retries it. No turn waits on a send.
     fn serve_coa_worker(&mut self, worker: usize, page: u64, have: u64) {
         let reply = self.coa_reply(page, have);
-        let port = &mut self.coa_out[worker];
-        // Replies are batch=1 queues with ample capacity: at most one
-        // outstanding request per worker, so fault-free this cannot block.
-        let sent = port.produce(reply).and_then(|()| {
-            // Under fault injection the flush is a bounded retry loop.
-            port.flush()
-        });
-        self.note_send_failure(sent);
+        let sent = self.coa_out[worker].produce(reply);
+        note_send_failure(&self.ctrl, sent);
     }
 
     fn serve_coa_trycommit(&mut self, shard: usize, page: u64) {
         // The shards advertise no cache; always ship the full page.
         let reply = self.coa_reply(page, EPOCH_NONE);
-        let port = &mut self.coa_tc_out[shard];
-        let sent = port.produce(reply).and_then(|()| port.flush());
-        self.note_send_failure(sent);
+        let sent = self.coa_tc_out[shard].produce(reply);
+        note_send_failure(&self.ctrl, sent);
     }
 
-    /// Converts a failed COA-reply send into the appropriate control-plane
-    /// action: an exhausted retry budget self-requests a recovery round
-    /// (consumed at this unit's next loop turn); a dead peer becomes the
-    /// typed shutdown. The starved requester's own receive deadline backs
-    /// this up.
-    fn note_send_failure(&mut self, sent: dsmtx_fabric::Result<()>) {
-        match sent {
-            Ok(()) => {}
-            Err(dsmtx_fabric::FabricError::Timeout) => self.ctrl.raise_fabric_fault(),
-            Err(_) => self.ctrl.report_channel_down(),
+    /// Makes one more ship attempt for every COA reply still buffered.
+    /// Returns whether one shipped.
+    fn reship_replies(&mut self) -> bool {
+        let mut progress = false;
+        for port in self.coa_out.iter_mut().chain(&mut self.coa_tc_out) {
+            if port.buffered() == 0 {
+                continue;
+            }
+            match port.try_flush() {
+                Ok(shipped) => progress |= shipped,
+                Err(FabricError::Retriable) => {}
+                Err(e) => note_send_failure(&self.ctrl, Err(e)),
+            }
         }
+        progress
     }
 
     /// Tries to advance the commit cursor by one MTX.
@@ -490,4 +500,17 @@ enum StepResult {
     Progress,
     Idle,
     Terminated,
+}
+
+/// Converts a failed COA-reply send into the appropriate control-plane
+/// action: an exhausted retry budget self-requests a recovery round
+/// (consumed at the commit unit's next turn); a dead peer becomes the
+/// typed shutdown. The starved requester's own receive deadline backs
+/// this up.
+fn note_send_failure(ctrl: &ControlPlane, sent: dsmtx_fabric::Result<()>) {
+    match sent {
+        Ok(()) => {}
+        Err(FabricError::Timeout) => ctrl.raise_fabric_fault(),
+        Err(_) => ctrl.report_channel_down(),
+    }
 }

@@ -1,10 +1,15 @@
-//! Cooperative polling helpers.
+//! The runtime's one wait primitive.
 //!
-//! Every blocking point in the runtime is a poll loop: make progress if a
-//! message is available, otherwise check the control plane for interrupts
-//! and back off. This keeps all threads interruptible for the recovery
-//! protocol (a thread stuck in a blocking receive could never reach the
-//! recovery barriers) and plays fairly on machines with few cores.
+//! Every place a runtime thread waits for something is a call to [`wait`]:
+//! poll the control plane, try to make progress, back off. So every
+//! thread notices a recovery or a termination wherever it waits (a thread
+//! stuck in a blocking receive could never reach the recovery barriers,
+//! §4.3), and the backoff plays fairly on machines with few cores. The
+//! only role waits outside it are the recovery barriers, which a role
+//! enters only once it has seen the `Recovering` status: the commit unit
+//! publishes it, and [`wait`] hands it to every other role.
+
+use std::time::{Duration, Instant};
 
 use crate::control::{ControlPlane, Interrupt};
 
@@ -25,90 +30,61 @@ fn single_core() -> bool {
     n == 1
 }
 
-/// Exponential-ish backoff: spin briefly, then yield, then sleep.
-#[derive(Debug, Default)]
-pub struct Backoff {
-    rounds: u32,
-}
-
-impl Backoff {
-    /// A fresh backoff.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Waits an amount appropriate to how long we have been waiting.
-    pub fn wait(&mut self) {
-        self.rounds = self.rounds.saturating_add(1);
-        if self.rounds < 16 && !single_core() {
-            std::hint::spin_loop();
-        } else if self.rounds < 256 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-    }
-
-    /// Resets after progress was made.
-    pub fn reset(&mut self) {
-        self.rounds = 0;
+/// Backs off after the `round`-th unproductive attempt (1-based): spin
+/// briefly, then yield, then sleep.
+fn back_off(round: u32) {
+    if round < 16 && !single_core() {
+        std::hint::spin_loop();
+    } else if round < 256 {
+        std::thread::yield_now();
+    } else {
+        std::thread::sleep(Duration::from_micros(50));
     }
 }
 
-/// Polls `step` until it yields a value, backing off between attempts and
-/// aborting with an [`Interrupt`] when the control plane changes state.
+/// Runs `step` until it yields a value. Each attempt first polls the
+/// control plane, then runs `step`, then backs off; the backoff restarts
+/// with every call.
 ///
-/// `seen_epoch` is the caller's cached control epoch (see
-/// [`ControlPlane::poll`]).
+/// * `seen_epoch` is the caller's cached control epoch (see
+///   [`ControlPlane::poll`]). An interrupt wins over ready work: while the
+///   control plane has news the caller has not seen, `wait` returns it
+///   without running `step`.
+/// * `deadline` bounds an unproductive wait (when `Some`). A peer silenced
+///   by injected faults (or a real hang) must not pin this thread forever:
+///   expiry converts the silence into a recovery request. The clock starts
+///   at the first unproductive attempt, so a ready value never pays for an
+///   `Instant::now`.
 ///
 /// # Errors
 ///
-/// Returns the interrupt published on the control plane.
-pub fn wait_for<T>(
+/// Returns the interrupt published on the control plane, the error `step`
+/// returned, or [`Interrupt::FabricTimeout`] once `deadline` expires.
+pub fn wait<T>(
     ctrl: &ControlPlane,
     seen_epoch: &mut u64,
-    step: impl FnMut() -> Result<Option<T>, Interrupt>,
-) -> Result<T, Interrupt> {
-    wait_for_deadline(ctrl, seen_epoch, None, step)
-}
-
-/// Like [`wait_for`], but gives up with [`Interrupt::FabricTimeout`] once
-/// `timeout` elapses with no progress (when `Some`). This is the
-/// receive-side half of the fault model: a peer silenced by injected
-/// faults (or a real hang) must not pin this thread forever — the timeout
-/// converts the silence into a recovery request.
-///
-/// The deadline clock starts at the first unproductive attempt, so a
-/// ready value never pays for an `Instant::now`.
-///
-/// # Errors
-///
-/// Returns the interrupt published on the control plane, or
-/// [`Interrupt::FabricTimeout`] on deadline expiry.
-pub fn wait_for_deadline<T>(
-    ctrl: &ControlPlane,
-    seen_epoch: &mut u64,
-    timeout: Option<std::time::Duration>,
+    deadline: Option<Duration>,
     mut step: impl FnMut() -> Result<Option<T>, Interrupt>,
 ) -> Result<T, Interrupt> {
-    let mut backoff = Backoff::new();
-    let mut deadline: Option<std::time::Instant> = None;
+    let mut round = 0u32;
+    let mut expiry: Option<Instant> = None;
     loop {
-        if let Some(v) = step()? {
-            return Ok(v);
-        }
         if let Some(intr) = ctrl.poll(seen_epoch) {
             return Err(intr);
         }
-        if let Some(limit) = timeout {
-            let now = std::time::Instant::now();
-            match deadline {
-                None => deadline = Some(now + limit),
-                Some(d) if now >= d => return Err(Interrupt::FabricTimeout),
+        if let Some(v) = step()? {
+            return Ok(v);
+        }
+        if let Some(limit) = deadline {
+            let now = Instant::now();
+            match expiry {
+                None => expiry = Some(now + limit),
+                Some(at) if now >= at => return Err(Interrupt::FabricTimeout),
                 Some(_) => {}
             }
         }
-        backoff.wait();
+        round = round.saturating_add(1);
+        back_off(round);
     }
 }
 
@@ -119,11 +95,11 @@ mod tests {
     use crate::ids::MtxId;
 
     #[test]
-    fn wait_for_returns_value_when_ready() {
+    fn wait_returns_value_when_ready() {
         let ctrl = ControlPlane::new(1);
         let mut seen = ctrl.epoch();
         let mut tries = 0;
-        let v = wait_for(&ctrl, &mut seen, || {
+        let v = wait(&ctrl, &mut seen, None, || {
             tries += 1;
             Ok(if tries >= 3 { Some(42) } else { None })
         })
@@ -133,68 +109,66 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_aborts_on_interrupt() {
+    fn wait_aborts_on_interrupt() {
         let ctrl = ControlPlane::new(1);
         let mut seen = ctrl.epoch();
         ctrl.publish(Status::Recovering { boundary: MtxId(2) });
-        let r: Result<(), _> = wait_for(&ctrl, &mut seen, || Ok(None));
+        let r: Result<(), _> = wait(&ctrl, &mut seen, None, || Ok(None));
         assert_eq!(r.unwrap_err(), Interrupt::Recovery { boundary: MtxId(2) });
     }
 
     #[test]
-    fn wait_for_propagates_step_errors() {
+    fn wait_propagates_step_errors() {
         let ctrl = ControlPlane::new(1);
         let mut seen = ctrl.epoch();
-        let r: Result<(), _> = wait_for(&ctrl, &mut seen, || Err(Interrupt::ChannelDown));
+        let r: Result<(), _> = wait(&ctrl, &mut seen, None, || Err(Interrupt::ChannelDown));
         assert_eq!(r.unwrap_err(), Interrupt::ChannelDown);
     }
 
     #[test]
-    fn wait_for_deadline_times_out_on_silence() {
+    fn wait_times_out_on_silence() {
         let ctrl = ControlPlane::new(1);
         let mut seen = ctrl.epoch();
-        let started = std::time::Instant::now();
-        let r: Result<(), _> = wait_for_deadline(
-            &ctrl,
-            &mut seen,
-            Some(std::time::Duration::from_millis(10)),
-            || Ok(None),
-        );
+        let started = Instant::now();
+        let r: Result<(), _> = wait(&ctrl, &mut seen, Some(Duration::from_millis(10)), || {
+            Ok(None)
+        });
         assert_eq!(r.unwrap_err(), Interrupt::FabricTimeout);
-        assert!(started.elapsed() >= std::time::Duration::from_millis(10));
+        assert!(started.elapsed() >= Duration::from_millis(10));
     }
 
     #[test]
-    fn wait_for_deadline_prefers_data_and_interrupts() {
+    fn wait_with_deadline_prefers_data_and_interrupts() {
         let ctrl = ControlPlane::new(1);
         let mut seen = ctrl.epoch();
-        let v = wait_for_deadline(
-            &ctrl,
-            &mut seen,
-            Some(std::time::Duration::from_secs(10)),
-            || Ok(Some(7)),
-        )
+        let v = wait(&ctrl, &mut seen, Some(Duration::from_secs(10)), || {
+            Ok(Some(7))
+        })
         .unwrap();
         assert_eq!(v, 7);
         ctrl.publish(Status::Terminating { last: None });
-        let r: Result<(), _> = wait_for_deadline(
-            &ctrl,
-            &mut seen,
-            Some(std::time::Duration::from_secs(10)),
-            || Ok(None),
-        );
+        let r: Result<(), _> = wait(&ctrl, &mut seen, Some(Duration::from_secs(10)), || Ok(None));
         assert_eq!(r.unwrap_err(), Interrupt::Terminate);
     }
 
     #[test]
-    fn backoff_rounds_accumulate() {
-        let mut b = Backoff::new();
-        for _ in 0..20 {
-            b.wait();
-        }
-        b.reset();
-        // After reset the next waits are cheap spins again (no panic, no
-        // sleep): just exercise the path.
-        b.wait();
+    fn interrupt_wins_over_ready_work() {
+        let ctrl = ControlPlane::new(1);
+        let mut seen = ctrl.epoch();
+        ctrl.publish(Status::Recovering { boundary: MtxId(4) });
+        let mut steps = 0;
+        let r = wait(&ctrl, &mut seen, None, || {
+            steps += 1;
+            Ok(Some(9))
+        });
+        assert_eq!(r, Err(Interrupt::Recovery { boundary: MtxId(4) }));
+        assert_eq!(steps, 0, "step ran before the interrupt was seen");
+        // The interrupt is consumed: the next wait hands out the value.
+        let r = wait(&ctrl, &mut seen, None, || {
+            steps += 1;
+            Ok(Some(9))
+        });
+        assert_eq!(r, Ok(9));
+        assert_eq!(steps, 1);
     }
 }

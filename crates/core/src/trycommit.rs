@@ -38,7 +38,7 @@ use fxhash::FxHashMap;
 use crate::config::PipelineShape;
 use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId};
-use crate::poll::{wait_for, wait_for_deadline, Backoff};
+use crate::poll;
 use crate::trace::{Role, TraceKind, TraceSink};
 use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
 use crate::worker::{classify, flush_port};
@@ -97,6 +97,8 @@ pub(crate) struct TryCommitUnit {
     trace: TraceSink,
     /// This shard's index (0 at `unit_shards = 1`).
     shard: u16,
+    /// The control epoch the turn's inner waits last saw; the run loop
+    /// keeps its own.
     epoch: u64,
     /// Receive deadline under fault injection (`None` = wait forever).
     data_timeout: Option<std::time::Duration>,
@@ -122,7 +124,8 @@ pub(crate) struct TryCommitUnit {
     /// `page -> (mtx, attempt)` of the earliest replayed store. Reset at
     /// recovery together with the image.
     first_writers: FxHashMap<u64, (u64, u32)>,
-    /// Set after reporting a conflict: stop replaying, wait for recovery.
+    /// Set after reporting a conflict or raising a fabric fault: stop
+    /// replaying, wait for recovery.
     poisoned: bool,
     counters: TryCommitCounters,
 }
@@ -161,59 +164,45 @@ impl TryCommitUnit {
         }
     }
 
-    /// The unit's thread body; returns this shard's statistics.
+    /// The unit's thread body; returns this shard's statistics. It loops
+    /// on [`poll::wait`] with one unit turn as the step.
     pub(crate) fn run(mut self) -> TryCommitCounters {
         let started = Instant::now();
         let mut busy = std::time::Duration::ZERO;
-        let mut backoff = Backoff::new();
+        let ctrl = self.ctrl.clone();
+        // The loop's own seen epoch: the step borrows `self`, so the
+        // turn's inner waits (the verdict flush, a COA fetch) cannot share
+        // `self.epoch` with it.
+        let mut seen = EPOCH_UNSEEN;
         loop {
-            if let Some(intr) = self.ctrl.poll(&mut self.epoch) {
-                match intr {
-                    Interrupt::Recovery { boundary } => {
-                        self.do_recovery(boundary);
-                        continue;
-                    }
-                    Interrupt::Terminate | Interrupt::ChannelDown => break,
-                    // The status word never reads as a timeout.
-                    Interrupt::FabricTimeout => unreachable!(),
+            let turn = poll::wait(&ctrl, &mut seen, None, || {
+                let at = Instant::now();
+                let progress = self.turn()?;
+                if progress {
+                    busy += at.elapsed();
                 }
-            }
-            let turn = Instant::now();
-            let mut progress = self.ingest();
-            if !self.poisoned {
-                match self.replay_ready() {
-                    Ok(p) => progress |= p,
-                    Err(Interrupt::Recovery { boundary }) => {
-                        self.do_recovery(boundary);
-                        continue;
-                    }
-                    Err(Interrupt::Terminate) => break,
-                    Err(Interrupt::ChannelDown) => {
-                        // A peer thread is gone: typed shutdown instead of
-                        // a silent exit that leaves everyone else hanging.
-                        self.ctrl.report_channel_down();
-                        break;
-                    }
-                    Err(Interrupt::FabricTimeout) => {
-                        // A transfer to/from the commit unit exhausted its
-                        // retry budget: request a recovery round and wait
-                        // for the commit unit to orchestrate it.
-                        self.ctrl.raise_fabric_fault();
-                        match self.await_status_change() {
-                            Interrupt::Recovery { boundary } => {
-                                self.do_recovery(boundary);
-                                continue;
-                            }
-                            _ => break,
-                        }
-                    }
+                Ok(progress.then_some(()))
+            });
+            match turn {
+                Ok(()) => {}
+                Err(Interrupt::Recovery { boundary }) => {
+                    self.do_recovery(boundary);
+                    seen = EPOCH_UNSEEN;
                 }
-            }
-            if progress {
-                busy += turn.elapsed();
-                backoff.reset();
-            } else {
-                backoff.wait();
+                Err(Interrupt::Terminate) => break,
+                Err(Interrupt::ChannelDown) => {
+                    // A peer thread is gone: typed shutdown instead of a
+                    // silent exit that leaves everyone else hanging.
+                    self.ctrl.report_channel_down();
+                    break;
+                }
+                Err(Interrupt::FabricTimeout) => {
+                    // A transfer to/from the commit unit exhausted its
+                    // retry budget: request a recovery round and stop
+                    // replaying until the commit unit orchestrates it.
+                    self.ctrl.raise_fabric_fault();
+                    self.poisoned = true;
+                }
             }
         }
         let total = started.elapsed().as_nanos().max(1);
@@ -222,13 +211,14 @@ impl TryCommitUnit {
         self.counters
     }
 
-    /// Blocks until the control plane publishes a non-`Running` status.
-    fn await_status_change(&mut self) -> Interrupt {
-        let Self { ctrl, epoch, .. } = self;
-        match wait_for(ctrl, epoch, || Ok(None::<()>)) {
-            Ok(()) => unreachable!("step never yields"),
-            Err(intr) => intr,
+    /// One unit turn: ingest what arrived, then, unless poisoned, replay
+    /// what is ready. Returns whether the turn made progress.
+    fn turn(&mut self) -> Result<bool, Interrupt> {
+        let mut progress = self.ingest();
+        if !self.poisoned {
+            progress |= self.replay_ready()?;
         }
+        Ok(progress)
     }
 
     /// Drains whatever is available on the validation queues into the
@@ -439,7 +429,7 @@ fn coa_fetch(
         })
         .map_err(classify)?;
     flush_port(ctrl, epoch, to_commit)?;
-    let reply = wait_for_deadline(ctrl, epoch, timeout, || {
+    let reply = poll::wait(ctrl, epoch, timeout, || {
         coa_in.try_consume().map_err(classify)
     })?;
     match reply {

@@ -33,7 +33,7 @@ use dsmtx_uva::{PageId, RegionAllocator, VAddr};
 use crate::config::PipelineShape;
 use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId, WorkerId};
-use crate::poll::{wait_for, wait_for_deadline};
+use crate::poll;
 use crate::program::{IterOutcome, StageFn};
 use crate::report::ValPlaneStats;
 use crate::trace::{Role, TraceKind, TraceSink};
@@ -312,7 +312,7 @@ impl UnitLink {
             val,
             commit,
         } = self;
-        wait_for(ctrl, epoch, || {
+        poll::wait(ctrl, epoch, None, || {
             let mut all = true;
             for port in val.iter_mut().chain(std::iter::once(&mut *commit)) {
                 all &= shipped(port)?.is_some();
@@ -321,9 +321,9 @@ impl UnitLink {
         })
     }
 
-    /// The worker's one blocking primitive: [`wait_for_deadline`] on
-    /// `step`, except that the buffered validation and commit frames ship
-    /// before the first poll that finds nothing.
+    /// The worker's one blocking primitive: [`poll::wait`] on `step`,
+    /// except that the buffered validation and commit frames ship before
+    /// the first poll that finds nothing.
     fn wait<T>(
         &mut self,
         timeout: Option<Duration>,
@@ -333,7 +333,7 @@ impl UnitLink {
             return Ok(v);
         }
         self.ship()?;
-        wait_for_deadline(&self.ctrl, &mut self.epoch, timeout, step)
+        poll::wait(&self.ctrl, &mut self.epoch, timeout, step)
     }
 }
 
@@ -1064,7 +1064,7 @@ pub(crate) fn flush_port(
     epoch: &mut u64,
     port: &mut SendPort<Msg>,
 ) -> Result<(), Interrupt> {
-    wait_for(ctrl, epoch, || shipped(port))
+    poll::wait(ctrl, epoch, None, || shipped(port))
 }
 
 fn port_to(ports: &mut [(WorkerId, SendPort<Msg>)], dst: WorkerId) -> &mut SendPort<Msg> {
@@ -1216,11 +1216,7 @@ mod tests {
             CostModel::FREE,
             FabricStats::new(),
             Some(plan.injector(0)),
-            RetryPolicy {
-                max_attempts: 4,
-                base_backoff_us: 1,
-                max_backoff_us: 1,
-            },
+            RetryPolicy { max_attempts: 4 },
         );
         tx.produce(Msg::CoaRequest {
             page: 0,

@@ -161,35 +161,20 @@ pub enum FaultDecision {
     Stall,
 }
 
-/// Bounded exponential-backoff retry budget for faulted sends and timed
-/// receives.
+/// Retry budget for faulted sends.
+///
+/// The budget counts ship attempts, not time: the sender's own wait
+/// paces the attempts (in the runtime, `dsmtx::poll::wait`'s backoff or
+/// the next unit turn).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts before a send gives up with [`crate::FabricError::Timeout`].
     pub max_attempts: u32,
-    /// Backoff before the second attempt, microseconds.
-    pub base_backoff_us: u64,
-    /// Backoff ceiling, microseconds.
-    pub max_backoff_us: u64,
 }
 
 impl RetryPolicy {
-    /// Defaults tuned for in-process queues: 64 attempts, 20 µs doubling
-    /// to a 2 ms ceiling (worst case ≈ 120 ms of cumulative backoff).
-    pub const DEFAULT: RetryPolicy = RetryPolicy {
-        max_attempts: 64,
-        base_backoff_us: 20,
-        max_backoff_us: 2_000,
-    };
-
-    /// Backoff for the given (1-based) attempt number: exponential from
-    /// `base_backoff_us`, capped at `max_backoff_us`.
-    pub fn backoff_us(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(63);
-        self.base_backoff_us
-            .saturating_mul(1u64.checked_shl(shift).unwrap_or(u64::MAX))
-            .min(self.max_backoff_us)
-    }
+    /// The default budget: 64 attempts.
+    pub const DEFAULT: RetryPolicy = RetryPolicy { max_attempts: 64 };
 }
 
 impl Default for RetryPolicy {
@@ -392,21 +377,6 @@ mod tests {
         }
         // With stall rate 1.0 the next draw opens a new window.
         assert_eq!(inj.decide(), FaultDecision::Stall);
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let rp = RetryPolicy {
-            max_attempts: 10,
-            base_backoff_us: 10,
-            max_backoff_us: 100,
-        };
-        assert_eq!(rp.backoff_us(1), 10);
-        assert_eq!(rp.backoff_us(2), 20);
-        assert_eq!(rp.backoff_us(3), 40);
-        assert_eq!(rp.backoff_us(4), 80);
-        assert_eq!(rp.backoff_us(5), 100, "capped");
-        assert_eq!(rp.backoff_us(63), 100, "still capped at high attempts");
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //! The rest supports that queue:
 //!
 //! * [`channel_faulted`] opens a link whose send path runs under a
-//!   [`FaultInjector`] drawn from a seeded [`FaultPlan`], with a bounded
-//!   [`RetryPolicy`];
+//!   [`FaultInjector`] drawn from a seeded [`FaultPlan`].
+//!   [`SendPort::try_flush`] is the queue's one ship path: each call is
+//!   one attempt, a [`RetryPolicy`] bounds how many attempts faults may
+//!   consume, and the caller's own wait paces them ([`SendPort::flush`]
+//!   just retries `try_flush`);
 //! * [`FabricStats`] is one shared set of traffic and fault counters that
 //!   every link of a run records into;
 //! * [`Barrier`] is the reusable barrier of the recovery protocol (§4.3).

@@ -29,7 +29,7 @@
 //! the next packet re-baselines the expected sequence number.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crossbeam::channel;
 
@@ -221,31 +221,20 @@ impl<T> SendPort<T> {
         Ok(())
     }
 
-    /// Ships any buffered values as a packet, blocking while the transport
-    /// is full. Under an active fault plan the blocking wait becomes a
-    /// bounded exponential-backoff retry loop. No-op when nothing is
-    /// pending.
+    /// Ships any buffered values, retrying [`SendPort::try_flush`] until
+    /// nothing is pending. A full transport waits for the consumer to
+    /// drain it; under a fault plan every faulted attempt draws on the
+    /// retry budget. No-op when nothing is pending.
     ///
     /// # Errors
     ///
     /// * [`FabricError::Disconnected`] if the consumer was dropped.
     /// * [`FabricError::Timeout`] if the fault-retry budget exhausted.
     pub fn flush(&mut self) -> Result<()> {
-        if self.buf.is_empty() && self.held.is_none() {
-            return Ok(());
-        }
-        if self.fault.is_none() {
-            return self.flush_plain();
-        }
-        // Faulted path: poll `try_flush`, sleeping the policy's backoff
-        // between attempts, until the packet ships or the budget runs out.
         loop {
             match self.try_flush() {
                 Ok(true) => return Ok(()),
-                Ok(false) | Err(FabricError::Retriable) => {
-                    let us = self.retry.backoff_us(self.attempts.max(1));
-                    std::thread::sleep(Duration::from_micros(us));
-                }
+                Ok(false) | Err(FabricError::Retriable) => std::thread::yield_now(),
                 Err(e) => return Err(e),
             }
         }
@@ -259,56 +248,14 @@ impl<T> SendPort<T> {
             .unwrap_or_else(|_| Vec::with_capacity(self.batch))
     }
 
-    /// Fault-free flush: try once, then block on the transport.
-    fn flush_plain(&mut self) -> Result<()> {
-        // `take` leaves a capacity-zero Vec; a real buffer is pulled from
-        // the freelist only after the packet actually ships, so a full
-        // transport or a disconnect never wastes an allocation.
-        let batch = std::mem::take(&mut self.buf);
-        let items = batch.len() as u64;
-        let seq = self.next_seq;
-        self.cost.charge_send();
-        // Fast path: transport has room. Otherwise time the stall so the
-        // telemetry shows where the pipeline blocks on the fabric.
-        let batch = match self.tx.try_send(Packet::Data {
-            seq,
-            batch,
-            shipped: Instant::now(),
-        }) {
-            Ok(()) => {
-                self.next_seq += 1;
-                self.stats.record_packet(items, items * self.item_bytes);
-                self.buf = self.next_buf();
-                return Ok(());
-            }
-            Err(channel::TrySendError::Full(Packet::Data { batch, .. })) => batch,
-            Err(channel::TrySendError::Full(_)) => unreachable!("data packet returned"),
-            Err(channel::TrySendError::Disconnected(_)) => return Err(FabricError::Disconnected),
-        };
-        let stalled = Instant::now();
-        // Stamp at the blocking send, not before the stall: dwell
-        // measures time in the transport, not time blocked entering it.
-        self.tx
-            .send(Packet::Data {
-                seq,
-                batch,
-                shipped: Instant::now(),
-            })
-            .map_err(|_| FabricError::Disconnected)?;
-        self.next_seq += 1;
-        self.stats
-            .record_send_stall_us(stalled.elapsed().as_micros() as u64);
-        self.stats.record_packet(items, items * self.item_bytes);
-        self.buf = self.next_buf();
-        Ok(())
-    }
-
-    /// Ships buffered values without blocking.
+    /// Ships buffered values without blocking: the one ship path of the
+    /// queue. Each attempt draws one decision from the fault injector
+    /// (none without a fault plan).
     ///
     /// Returns `Ok(true)` when nothing remains pending (sent, or nothing
-    /// to send) and `Ok(false)` when the transport is full — retry later.
-    /// Interruptible senders (the DSMTX recovery protocol) poll this
-    /// instead of [`SendPort::flush`].
+    /// to send) and `Ok(false)` when the transport is full or a reordered
+    /// packet is still held — retry later. Interruptible senders (the
+    /// DSMTX recovery protocol) poll this from their own wait.
     ///
     /// # Errors
     ///
@@ -317,45 +264,12 @@ impl<T> SendPort<T> {
     /// * [`FabricError::Timeout`] — the retry budget exhausted.
     /// * [`FabricError::Disconnected`] if the consumer was dropped.
     pub fn try_flush(&mut self) -> Result<bool> {
-        if self.buf.is_empty() && self.held.is_none() {
-            return Ok(true);
-        }
-        if self.fault.is_none() {
-            return self.try_flush_plain();
-        }
-        self.try_flush_faulted()
-    }
-
-    /// Fault-free non-blocking ship of the buffered batch.
-    fn try_flush_plain(&mut self) -> Result<bool> {
-        if self.buf.is_empty() {
-            return Ok(true);
-        }
-        let batch = std::mem::take(&mut self.buf);
-        let seq = self.next_seq;
-        match self.raw_try_send(seq, batch)? {
-            None => {
-                self.next_seq += 1;
-                self.buf = self.next_buf();
-                Ok(true)
-            }
-            Some(batch) => {
-                // Put the batch back; the next flush retries.
-                self.buf = batch;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Ship path under an active fault injector.
-    fn try_flush_faulted(&mut self) -> Result<bool> {
         if !self.buf.is_empty() {
             // One held packet at a time: while a reordered packet waits,
             // its successor ships untouched (that IS the swap).
-            let decision = if self.held.is_some() {
-                FaultDecision::None
-            } else {
-                self.fault.as_mut().expect("faulted path").decide()
+            let decision = match (&mut self.fault, &self.held) {
+                (Some(fault), None) => fault.decide(),
+                _ => FaultDecision::None,
             };
             match decision {
                 FaultDecision::Drop => {
@@ -386,6 +300,9 @@ impl<T> SendPort<T> {
                     return Ok(false);
                 }
                 FaultDecision::None | FaultDecision::Duplicate => {
+                    // `take` leaves a capacity-zero Vec; a real buffer is
+                    // pulled from the freelist only after the packet
+                    // ships, so a full transport wastes no allocation.
                     let batch = std::mem::take(&mut self.buf);
                     let seq = self.next_seq;
                     match self.raw_try_send(seq, batch)? {
@@ -438,6 +355,10 @@ impl<T> SendPort<T> {
     /// fault plan is active, so a stalled peer converges to
     /// [`FabricError::Timeout`] instead of blocking forever.
     fn consume_attempt(&mut self, faulted: bool) -> Result<bool> {
+        if self.fault.is_none() {
+            // Without a fault plan a full transport is plain backpressure.
+            return Ok(false);
+        }
         self.stats.record_retry();
         self.attempts += 1;
         if self.attempts >= self.retry.max_attempts {
@@ -930,10 +851,10 @@ mod tests {
             }
             got
         });
-        tx.flush().unwrap(); // try_send hits Full, then blocks ~20ms
+        tx.flush().unwrap(); // retries until the consumer drains the slot
         tx.close().unwrap();
         assert_eq!(consumer.join().unwrap(), vec![1, 2]);
-        assert_eq!(stats.send_stall_us().count(), 1, "one send stall");
+        assert_eq!(stats.packets(), 2);
     }
 
     #[test]
@@ -1121,11 +1042,7 @@ mod fault_tests {
 
     #[test]
     fn permanent_fault_times_out_after_budget() {
-        let retry = RetryPolicy {
-            max_attempts: 8,
-            base_backoff_us: 1,
-            max_backoff_us: 10,
-        };
+        let retry = RetryPolicy { max_attempts: 8 };
         let (mut tx, _rx, stats) = faulted_pair::<u32>(FaultRates::only_drop(1.0), 15, retry);
         tx.produce(1).unwrap();
         let mut outcome = None;
@@ -1146,11 +1063,7 @@ mod fault_tests {
 
     #[test]
     fn blocking_flush_times_out_under_permanent_fault() {
-        let retry = RetryPolicy {
-            max_attempts: 4,
-            base_backoff_us: 1,
-            max_backoff_us: 5,
-        };
+        let retry = RetryPolicy { max_attempts: 4 };
         let (mut tx, _rx, _stats) = faulted_pair::<u32>(FaultRates::only_drop(1.0), 16, retry);
         tx.buf.push(1);
         assert_eq!(tx.flush(), Err(FabricError::Timeout));
@@ -1158,11 +1071,7 @@ mod fault_tests {
 
     #[test]
     fn stall_window_consumes_budget_then_recovers() {
-        let retry = RetryPolicy {
-            max_attempts: 32,
-            base_backoff_us: 1,
-            max_backoff_us: 5,
-        };
+        let retry = RetryPolicy { max_attempts: 32 };
         // Stall every draw with short windows: attempts burn during the
         // window, then ships succeed again.
         let (mut tx, mut rx, stats) =
@@ -1191,11 +1100,7 @@ mod fault_tests {
             assert!(!tx.try_flush().unwrap());
         }
         // Faulted: the same situation draws down the budget.
-        let retry = RetryPolicy {
-            max_attempts: 8,
-            base_backoff_us: 1,
-            max_backoff_us: 5,
-        };
+        let retry = RetryPolicy { max_attempts: 8 };
         let stats = FabricStats::new();
         let plan = FaultPlan::new(3, FaultRates::only_drop(0.0));
         let (mut ftx, _frx) = channel_faulted::<u32>(
@@ -1262,8 +1167,6 @@ mod fault_tests {
             // this test is about delivery, not timeout conversion.
             RetryPolicy {
                 max_attempts: 1_000_000,
-                base_backoff_us: 1,
-                max_backoff_us: 50,
             },
         );
         let producer = std::thread::spawn(move || {

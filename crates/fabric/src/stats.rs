@@ -8,9 +8,9 @@
 //! Beyond the send-side totals, the handle now carries the receive side of
 //! the ledger (packets/items/bytes unpacked, items discarded by recovery
 //! drains), a queue-depth gauge with a high-water mark, and log-bucketed
-//! histograms of flush batch sizes and send/recv stalls — enough to see
-//! whether the batching layer of §4.2 is actually amortizing transport
-//! overhead, and where the pipeline blocks on the fabric.
+//! histograms of flush batch sizes, blocking-receive stalls and queue
+//! dwell — enough to see whether the batching layer of §4.2 is actually
+//! amortizing transport overhead, and how long packets wait in it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,9 +30,6 @@ pub struct FabricStats {
     depth: Gauge,
     /// Items per shipped packet.
     batch_items: Histogram,
-    /// Microseconds a `flush` blocked on a full transport (only stalls are
-    /// recorded, so `count()` is the number of stalls).
-    send_stall_us: Histogram,
     /// Microseconds a blocking `consume` waited for data to arrive.
     recv_stall_us: Histogram,
     /// Microseconds a packet dwelled in the transport between its ship
@@ -160,11 +157,6 @@ impl FabricStats {
     /// Records a recycled buffer dropped by a full freelist.
     pub fn record_freelist_drop(&self) {
         self.inner.freelist_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a send-side stall (flush blocked on a full transport).
-    pub fn record_send_stall_us(&self, us: u64) {
-        self.send_stall_us.record(us);
     }
 
     /// Records a recv-side stall (consumer blocked waiting for data).
@@ -298,11 +290,6 @@ impl FabricStats {
         &self.batch_items
     }
 
-    /// Histogram of send-side stall durations (µs).
-    pub fn send_stall_us(&self) -> &Histogram {
-        &self.send_stall_us
-    }
-
     /// Histogram of recv-side stall durations (µs).
     pub fn recv_stall_us(&self) -> &Histogram {
         &self.recv_stall_us
@@ -343,7 +330,6 @@ impl FabricStats {
         }
         self.depth.merge(&other.depth);
         self.batch_items.merge(&other.batch_items);
-        self.send_stall_us.merge(&other.send_stall_us);
         self.recv_stall_us.merge(&other.recv_stall_us);
         self.queue_dwell_us.merge(&other.queue_dwell_us);
     }
@@ -370,11 +356,6 @@ impl FabricStats {
         reg.gauge(schema::FABRIC_DEPTH_HIGH_WATER, &[])
             .set(self.depth_high_water() as i64);
         reg.install_histogram(schema::FABRIC_BATCH_ITEMS, &[], self.batch_items.clone());
-        reg.install_histogram(
-            schema::FABRIC_SEND_STALL_US,
-            &[],
-            self.send_stall_us.clone(),
-        );
         reg.install_histogram(
             schema::FABRIC_RECV_STALL_US,
             &[],
@@ -461,11 +442,9 @@ mod tests {
     #[test]
     fn stall_histograms_record_only_stalls() {
         let s = FabricStats::new();
-        assert!(s.send_stall_us().is_empty());
-        s.record_send_stall_us(120);
+        assert!(s.recv_stall_us().is_empty());
         s.record_recv_stall_us(40);
         s.record_recv_stall_us(60);
-        assert_eq!(s.send_stall_us().count(), 1);
         assert_eq!(s.recv_stall_us().count(), 2);
         assert_eq!(s.recv_stall_us().sum(), 100);
         s.record_queue_dwell_us(25);
@@ -481,7 +460,7 @@ mod tests {
         a.record_recv(4, 32);
         b.record_packet(8, 64);
         b.record_drained(8);
-        b.record_send_stall_us(500);
+        b.record_recv_stall_us(500);
         a.merge(&b);
         assert_eq!(a.packets(), 2);
         assert_eq!(a.items(), 12);
@@ -490,7 +469,7 @@ mod tests {
         assert_eq!(a.drained_items(), 8);
         assert_eq!(a.in_flight_items(), 0);
         assert_eq!(a.batch_items().count(), 2);
-        assert_eq!(a.send_stall_us().count(), 1);
+        assert_eq!(a.recv_stall_us().count(), 1);
         // `b` is untouched.
         assert_eq!(b.packets(), 1);
     }
@@ -557,7 +536,7 @@ mod tests {
         let s = FabricStats::new();
         s.record_packet(4, 32);
         s.record_recv(4, 32);
-        s.record_send_stall_us(10);
+        s.record_recv_stall_us(10);
         let reg = Registry::new();
         s.to_registry(&reg);
         let dump = reg.to_jsonl();
@@ -572,7 +551,6 @@ mod tests {
             schema::FABRIC_IN_FLIGHT_ITEMS,
             schema::FABRIC_DEPTH_HIGH_WATER,
             schema::FABRIC_BATCH_ITEMS,
-            schema::FABRIC_SEND_STALL_US,
             schema::FABRIC_RECV_STALL_US,
             schema::FABRIC_QUEUE_DWELL_US,
         ] {

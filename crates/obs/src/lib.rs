@@ -112,7 +112,6 @@ pub mod schema {
     pub const FABRIC_IN_FLIGHT_ITEMS: &str = "fabric.in_flight_items";
     pub const FABRIC_DEPTH_HIGH_WATER: &str = "fabric.depth_high_water";
     pub const FABRIC_BATCH_ITEMS: &str = "fabric.batch_items";
-    pub const FABRIC_SEND_STALL_US: &str = "fabric.send_stall_us";
     pub const FABRIC_RECV_STALL_US: &str = "fabric.recv_stall_us";
     /// Ship → unpack dwell of a packet in the queue (the fabric-level
     /// component of an MTX's queue wait).

@@ -67,6 +67,6 @@ pub use ablation::{
 };
 pub use cluster::ClusterConfig;
 pub use engine::{RecoveryBreakdown, SimEngine, SimOutcome};
-pub use profile::{FaultProfile, InvocationProfile, StageProfile, TlsPlan, WorkloadProfile};
+pub use profile::{InvocationProfile, StageProfile, TlsPlan, WorkloadProfile};
 pub use report::{bandwidth_series, speedup_curve, SpeedupPoint};
 pub use schedule::{doacross_schedule, dswp_schedule, Schedule};

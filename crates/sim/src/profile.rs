@@ -90,102 +90,6 @@ pub struct WorkloadProfile {
     pub invocation: Option<InvocationProfile>,
 }
 
-/// A cluster fault model for the simulator: the analytic counterpart of
-/// the runtime's seed-driven fault injector.
-///
-/// The runtime's fabric retries a failed ship with bounded exponential
-/// backoff and converts an exhausted budget into a timeout-driven
-/// recovery. This profile predicts what that machinery costs: how many
-/// extra ship attempts a fault rate implies, how often a message burns
-/// its whole retry budget, and how many fault recoveries a run of a
-/// given message volume should therefore expect. The recovery-stress
-/// tests measure the same quantities from real faulted runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultProfile {
-    /// Probability that one ship attempt is disrupted (any fault class
-    /// that forces a resend: drop, stall; delay/duplicate/reorder don't
-    /// consume retry budget).
-    pub resend_rate: f64,
-    /// Ship attempts before the sender gives up and requests recovery.
-    pub max_attempts: u32,
-    /// First retry backoff, in seconds.
-    pub base_backoff: f64,
-    /// Backoff ceiling, in seconds.
-    pub max_backoff: f64,
-}
-
-impl FaultProfile {
-    /// A perfect network: no resends, no recoveries.
-    pub const NONE: FaultProfile = FaultProfile {
-        resend_rate: 0.0,
-        max_attempts: 1,
-        base_backoff: 0.0,
-        max_backoff: 0.0,
-    };
-
-    /// Expected ship attempts per message: the truncated-geometric mean
-    /// `(1 - p^k) / (1 - p)` for fault probability `p` and budget `k`.
-    pub fn expected_attempts(&self) -> f64 {
-        let p = self.resend_rate;
-        if p <= 0.0 {
-            return 1.0;
-        }
-        if p >= 1.0 {
-            return self.max_attempts as f64;
-        }
-        (1.0 - p.powi(self.max_attempts as i32)) / (1.0 - p)
-    }
-
-    /// Probability one message exhausts its whole retry budget and
-    /// converts into a fabric timeout: `p^k`.
-    pub fn exhaust_probability(&self) -> f64 {
-        self.resend_rate
-            .clamp(0.0, 1.0)
-            .powi(self.max_attempts as i32)
-    }
-
-    /// Expected timeout-driven recovery episodes for a run shipping
-    /// `messages` messages.
-    pub fn expected_recoveries(&self, messages: f64) -> f64 {
-        messages * self.exhaust_probability()
-    }
-
-    /// Expected backoff time spent per message, in seconds: each retry
-    /// `i` (0-based) waits `min(base · 2^i, max)`, weighted by the
-    /// probability `p^(i+1)` that the retry happens at all.
-    pub fn expected_backoff(&self) -> f64 {
-        let p = self.resend_rate.clamp(0.0, 1.0);
-        if p == 0.0 || self.max_attempts < 2 {
-            return 0.0;
-        }
-        (0..self.max_attempts - 1)
-            .map(|i| {
-                let wait = (self.base_backoff * 2f64.powi(i as i32)).min(self.max_backoff);
-                wait * p.powi(i as i32 + 1)
-            })
-            .sum()
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent profiles (static data, programming-error
-    /// check, like [`WorkloadProfile::check`]).
-    pub fn check(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.resend_rate),
-            "resend rate {} outside [0, 1]",
-            self.resend_rate
-        );
-        assert!(self.max_attempts >= 1, "zero ship attempts");
-        assert!(
-            self.base_backoff >= 0.0 && self.max_backoff >= self.base_backoff,
-            "backoff window inverted"
-        );
-    }
-}
-
 impl WorkloadProfile {
     /// Number of sequential stages in the Spec-DSWP plan.
     pub fn sequential_stages(&self) -> u32 {
@@ -270,61 +174,6 @@ mod tests {
             chunked: false,
             invocation: None,
         }
-    }
-
-    #[test]
-    fn fault_profile_limits() {
-        FaultProfile::NONE.check();
-        assert_eq!(FaultProfile::NONE.expected_attempts(), 1.0);
-        assert_eq!(FaultProfile::NONE.exhaust_probability(), 0.0);
-        assert_eq!(FaultProfile::NONE.expected_backoff(), 0.0);
-
-        let total = FaultProfile {
-            resend_rate: 1.0,
-            max_attempts: 5,
-            base_backoff: 1e-5,
-            max_backoff: 2e-4,
-        };
-        total.check();
-        // A dead link burns the whole budget on every message...
-        assert_eq!(total.expected_attempts(), 5.0);
-        // ...and every message converts into a recovery.
-        assert_eq!(total.expected_recoveries(100.0), 100.0);
-    }
-
-    #[test]
-    fn fault_profile_geometric_middle() {
-        let f = FaultProfile {
-            resend_rate: 0.5,
-            max_attempts: 4,
-            base_backoff: 1e-5,
-            max_backoff: 2e-5,
-        };
-        f.check();
-        // (1 - 0.5^4) / (1 - 0.5) = 1.875 expected attempts.
-        assert!((f.expected_attempts() - 1.875).abs() < 1e-12);
-        // 0.5^4 of messages exhaust the budget.
-        assert!((f.exhaust_probability() - 0.0625).abs() < 1e-12);
-        // Backoff: 1e-5·0.5 + 2e-5·0.25 + 2e-5·0.125 (capped at max).
-        let expect = 1e-5 * 0.5 + 2e-5 * 0.25 + 2e-5 * 0.125;
-        assert!((f.expected_backoff() - expect).abs() < 1e-18);
-        // More budget -> more expected attempts, fewer recoveries.
-        let deeper = FaultProfile {
-            max_attempts: 8,
-            ..f
-        };
-        assert!(deeper.expected_attempts() > f.expected_attempts());
-        assert!(deeper.exhaust_probability() < f.exhaust_probability());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1]")]
-    fn fault_profile_bad_rate_detected() {
-        FaultProfile {
-            resend_rate: 1.5,
-            ..FaultProfile::NONE
-        }
-        .check();
     }
 
     #[test]

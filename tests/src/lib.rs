@@ -29,8 +29,9 @@ use dsmtx_mem::{MasterMem, Page};
 use dsmtx_uva::{OwnerId, PageId, RegionAllocator};
 
 /// How long a faulted run may take before the watchdog declares a hang.
-/// Generous: a single recovery round is bounded by the receive deadline
-/// plus the retry budget, both a few tens of milliseconds here.
+/// Generous: a single recovery round is bounded by the receive deadline,
+/// a few tens of milliseconds here. The retry budget counts ship
+/// attempts, not time; each sender's own wait paces them.
 pub const WATCHDOG: Duration = Duration::from_secs(30);
 
 /// Runs `f` on a thread of its own under [`WATCHDOG`]: when it is still
@@ -88,7 +89,8 @@ pub struct FaultCase {
     pub n: u64,
     /// Receive deadline (µs) before a starved thread requests recovery.
     pub recv_timeout_us: u64,
-    /// Send retry budget before a flush converts into a timeout.
+    /// Send retry budget: ship attempts before a send converts into a
+    /// fabric timeout.
     pub max_attempts: u32,
 }
 
@@ -116,8 +118,6 @@ impl FaultCase {
             .recv_timeout_us(self.recv_timeout_us)
             .retry(RetryPolicy {
                 max_attempts: self.max_attempts,
-                base_backoff_us: 10,
-                max_backoff_us: 200,
             })
     }
 

@@ -642,25 +642,23 @@ mod fault_matrix {
         coa_pages: u64,
     }
 
-    /// A Spec-DOALL loop over 2 try-commit shards in which every MTX
-    /// reads and writes a page of its own. Every COA fetch therefore
-    /// misses the worker's page cache, so every COA reply carries a full
-    /// page and `coa_pages_served` counts the replies exactly.
-    fn link_traffic(target: Option<FaultTarget>) -> LinkTraffic {
+    /// A Spec-DOALL loop of `n` MTXs over 3 replicas and 2 try-commit
+    /// shards in which every MTX reads and writes a page of its own.
+    /// Every COA fetch therefore misses the worker's page cache, so every
+    /// COA reply carries a full page and `coa_pages_served` counts the
+    /// replies exactly. Checks committed memory and returns the report.
+    fn own_page_loop(n: u64, faults: Option<dsmtx::FaultConfig>) -> dsmtx::RunReport {
         use std::sync::Arc;
 
-        use dsmtx::{
-            FaultConfig, IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, WorkerCtx,
-        };
+        use dsmtx::{IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, WorkerCtx};
         use dsmtx_mem::MasterMem;
         use dsmtx_uva::{OwnerId, RegionAllocator, PAGE_WORDS};
 
-        const N: u64 = 48;
         let mut heap = RegionAllocator::new(OwnerId(0));
-        let base = heap.alloc_words(N * PAGE_WORDS).unwrap();
+        let base = heap.alloc_words(n * PAGE_WORDS).unwrap();
         let slot = move |i: u64| base.add_words(i * PAGE_WORDS);
         let mut master = MasterMem::new();
-        for i in 0..N {
+        for i in 0..n {
             master.write(slot(i), i * 3 + 1);
         }
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
@@ -671,15 +669,8 @@ mod fault_matrix {
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Parallel { replicas: 3 })
             .unit_shards(2);
-        if let Some(target) = target {
-            // Duplicates lose no data and draw no retry budget, and the
-            // long deadline keeps a slow host from turning silence into
-            // a recovery round.
-            cfg.faults(
-                FaultConfig::new(seed_from_env(DEFAULT_SEED), FaultRates::only_duplicate(1.0))
-                    .target(target)
-                    .recv_timeout_us(10_000_000),
-            );
+        if let Some(faults) = faults {
+            cfg.faults(faults);
         }
         let result = MtxSystem::new(&cfg)
             .unwrap()
@@ -692,14 +683,30 @@ mod fault_matrix {
                     IterOutcome::Continue
                 }),
                 on_commit: None,
-                iteration_limit: Some(N),
+                iteration_limit: Some(n),
             })
             .unwrap();
-        for i in 0..N {
+        for i in 0..n {
             assert_eq!(result.master.read(slot(i).add_words(1)), (i * 3 + 1) * 5);
         }
-        let report = result.report;
-        assert_eq!(report.committed, N);
+        result.report
+    }
+
+    /// The own-page loop at 48 MTXs, under a duplicate-only plan on
+    /// `target`'s links when one is given.
+    fn link_traffic(target: Option<FaultTarget>) -> LinkTraffic {
+        use dsmtx::FaultConfig;
+
+        // Duplicates lose no data and draw no retry budget, and the long
+        // deadline keeps a slow host from turning silence into a recovery
+        // round.
+        let faults = target.map(|target| {
+            FaultConfig::new(seed_from_env(DEFAULT_SEED), FaultRates::only_duplicate(1.0))
+                .target(target)
+                .recv_timeout_us(10_000_000)
+        });
+        let report = own_page_loop(48, faults);
+        assert_eq!(report.committed, 48);
         assert_eq!(
             report.recoveries, 0,
             "{target:?}: a duplicate caused a recovery"
@@ -713,6 +720,32 @@ mod fault_matrix {
             dups: report.stats.fault_dups(),
             coa_pages: report.coa_pages_served,
         }
+    }
+
+    /// A dropped COA reply does not stall the commit unit: the reply
+    /// stays buffered and the unit's next turn ships it. So an 80% drop
+    /// rate on the COA replies costs retries, but no fabric timeout and
+    /// no recovery round, with the default retry budget and a 20 ms
+    /// receive deadline.
+    #[test]
+    fn faulted_coa_reply_does_not_stall_the_commit_unit() {
+        use dsmtx::FaultConfig;
+        use dsmtx_integration_tests::under_watchdog;
+
+        let seed = seed_from_env(DEFAULT_SEED);
+        under_watchdog("faulted COA replies", move || {
+            let faults = FaultConfig::new(seed, FaultRates::only_drop(0.8))
+                .target(FaultTarget::CommitLinks)
+                .recv_timeout_us(20_000);
+            let report = own_page_loop(128, Some(faults));
+            assert!(report.stats.fault_drops() > 0, "seed {seed:#x}: no drops");
+            assert_eq!(
+                (report.fabric_timeouts, report.fault_recoveries),
+                (0, 0),
+                "seed {seed:#x}: a dropped COA reply stalled the commit unit \
+                 (fabric timeouts, fault recoveries)"
+            );
+        });
     }
 
     /// A fault plan injects into exactly the links its target names.
