@@ -2,7 +2,7 @@
 //!
 //! * `mtx_iteration` — begin/end cycle of an empty iteration through the
 //!   full system (workers + try-commit + commit) per pipeline shape;
-//! * `coa_page_fetch` — first-touch Copy-On-Access page transfers;
+//! * `coa_page_fetch` — first-touch Copy-On-Access page copies;
 //! * `spec_mem_ops` — speculative load/store against resident pages, in
 //!   runs on one page and hopping to a different page on every access;
 //! * `uva_alloc` — region allocator throughput;
@@ -10,9 +10,7 @@
 //! * `hot_path_hasher` — std SipHash vs the vendored Fx hasher on the
 //!   page-table access pattern the validation/commit paths run;
 //! * `access_stream` — one subTX's validation traffic packed into an
-//!   `AccessBlock`, then replayed record by record;
-//! * `coa_page_cache` — worker-side page cache epoch hits vs full
-//!   page-install misses.
+//!   `AccessBlock`, then replayed record by record.
 
 use std::sync::Arc;
 
@@ -88,7 +86,7 @@ fn bench_coa_page_fetch(c: &mut Criterion) {
                 master.write(base.add_words(p * 512), p + 1);
             }
             let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                // One word per page: each read is a fresh COA round trip.
+                // One word per page: each read is a fresh COA copy.
                 let v = ctx.read(base.add_words(mtx.0 * 512))?;
                 assert_eq!(v, mtx.0 + 1);
                 Ok(IterOutcome::Continue)
@@ -289,47 +287,6 @@ fn bench_access_stream(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_coa_page_cache(c: &mut Criterion) {
-    // The worker-side COA cache's two regimes: an epoch hit serves the
-    // pristine page from the cache (one clone, no wire); a miss installs
-    // a freshly transferred page. The gap is what every avoided re-fetch
-    // buys after a commit epoch advances.
-    use dsmtx_mem::PageCache;
-
-    let mut group = c.benchmark_group("coa_page_cache");
-    group.warm_up_time(std::time::Duration::from_millis(800));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    const PAGES: u64 = 64;
-    group.throughput(Throughput::Bytes(PAGES * 4096));
-
-    group.bench_function("epoch_hits", |b| {
-        let mut cache = PageCache::new();
-        for p in 0..PAGES {
-            cache.install(PageId(p), 1, Page::zeroed());
-        }
-        b.iter(|| {
-            let mut sum = 0u64;
-            for p in 0..PAGES {
-                let page = cache.serve(PageId(p));
-                sum = sum.wrapping_add(page.word(0));
-            }
-            sum
-        });
-    });
-
-    group.bench_function("install_misses", |b| {
-        b.iter(|| {
-            let mut cache = PageCache::new();
-            for p in 0..PAGES {
-                // A miss is a full page transfer landing in the cache.
-                cache.install(PageId(p), 1, Page::zeroed());
-            }
-            cache.misses()
-        });
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_mtx_iteration,
@@ -338,7 +295,6 @@ criterion_group!(
     bench_uva_alloc,
     bench_recovery,
     bench_hot_path_hasher,
-    bench_access_stream,
-    bench_coa_page_cache
+    bench_access_stream
 );
 criterion_main!(benches);

@@ -2,12 +2,11 @@
 //!
 //! Runs a validation-bound Spec-DOALL loop once and reports what crossed
 //! the validation and commit planes — records, bytes, packed frames,
-//! filter suppressions, COA cache traffic, and the try-commit unit's
-//! verdict latency — next to the per-record baseline the workers count
-//! from their unfiltered access logs (`records_pre`/`bytes_pre`: one
-//! message per access plus framing). The gap between the two rows is
-//! what per-subTX access filtering, packed `AccessBlock` frames, and the
-//! worker-side COA page cache buy.
+//! filter suppressions, and the try-commit unit's verdict latency — next
+//! to the per-record baseline the workers count from their unfiltered
+//! access logs (`records_pre`/`bytes_pre`: one message per access plus
+//! framing). The gap between the two rows is what per-subTX access
+//! filtering and packed `AccessBlock` frames buy.
 //!
 //! A wrong run reports nothing: before any number is returned, the
 //! committed memory must equal the loop's recovery body replayed
@@ -52,10 +51,6 @@ pub struct ValPlanePoint {
     pub blocks: u64,
     /// Mean records per packed frame.
     pub block_fill: f64,
-    /// Worker COA cache hits (local serves + payload-free revalidations).
-    pub cache_hits: u64,
-    /// Worker COA cache misses (full page fetches).
-    pub cache_misses: u64,
     /// Try-commit verdict latency, p50 microseconds.
     pub verdict_p50_us: u64,
     /// Try-commit verdict latency, p99 microseconds.
@@ -77,7 +72,7 @@ pub struct ValPlaneSweep {
     pub pre_records: u64,
     /// Bytes one message per access record would have cost.
     pub pre_bytes: u64,
-    /// What the run actually shipped (filter + packed frames + COA cache).
+    /// What the run actually shipped (filter + packed frames).
     pub post: ValPlanePoint,
     /// Per-record messages divided by shipped messages.
     pub records_ratio: f64,
@@ -189,8 +184,6 @@ pub fn run_valplane_sweep(iters: u64, writes_per_iter: u64) -> ValPlaneSweep {
         records_filtered: v.records_filtered,
         blocks: v.blocks,
         block_fill: v.block_fill(),
-        cache_hits: v.cache_hits,
-        cache_misses: v.cache_misses,
         verdict_p50_us: r.verdict_p50_us,
         verdict_p99_us: r.verdict_p99_us,
     };
@@ -275,12 +268,11 @@ pub fn valplane_text(s: &ValPlaneSweep) -> String {
         p.elapsed_us.to_string(),
     ]);
     format!(
-        "Validation-plane compaction (filter + packed frames + COA cache)\n\
+        "Validation-plane compaction (filter + packed frames)\n\
          validation-bound DOALL: {} iters x {} scattered writes, {} core(s)\n\
          committed memory equals the sequential run, commits in iteration order\n\n{}\n\
          records {:.1}x fewer, bytes {:.1}x fewer; simulator predicts \
-         {:.2}x loop speedup at 128 cores from the measured byte ratio\n\
-         packed COA cache: {} hits / {} misses",
+         {:.2}x loop speedup at 128 cores from the measured byte ratio",
         s.iters,
         s.writes_per_iter,
         s.cores,
@@ -288,8 +280,6 @@ pub fn valplane_text(s: &ValPlaneSweep) -> String {
         s.records_ratio,
         s.bytes_ratio,
         s.sim_predicted_speedup,
-        p.cache_hits,
-        p.cache_misses,
     )
 }
 
@@ -302,7 +292,7 @@ pub fn valplane_json(s: &ValPlaneSweep) -> String {
             r#""iters":{},"writes_per_iter":{},"cores":{},"#,
             r#""pre":{{"records":{},"bytes":{}}},"#,
             r#""post":{{"records":{},"bytes":{},"records_filtered":{},"#,
-            r#""blocks":{},"block_fill":{:.2},"cache_hits":{},"cache_misses":{},"#,
+            r#""blocks":{},"block_fill":{:.2},"#,
             r#""verdict_p50_us":{},"verdict_p99_us":{},"elapsed_us":{}}},"#,
             r#""records_ratio":{:.4},"bytes_ratio":{:.4},"#,
             r#""sim_predicted_speedup":{:.4},"identical":true}}"#
@@ -317,8 +307,6 @@ pub fn valplane_json(s: &ValPlaneSweep) -> String {
         p.records_filtered,
         p.blocks,
         p.block_fill,
-        p.cache_hits,
-        p.cache_misses,
         p.verdict_p50_us,
         p.verdict_p99_us,
         p.elapsed_us,

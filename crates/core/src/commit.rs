@@ -1,22 +1,28 @@
-//! The commit unit: group transaction commit, Copy-On-Access service, and
-//! recovery orchestration.
+//! The commit unit: group transaction commit and recovery orchestration.
 //!
-//! The commit unit owns the only committed memory image. It executed the
-//! sequential pre-loop code (in this reproduction: the caller built
-//! [`dsmtx_mem::MasterMem`] before the run), serves COA page requests from
-//! workers and the try-commit unit, buffers the store streams of every
-//! subTX, and — once *every* try-commit shard validates an MTX's slice of
-//! the address space — applies its subTX write-sets in program order
-//! (group transaction commit, §3.1: last update to an address wins). A
-//! conflict verdict from any shard, or an explicit worker
-//! misspeculation, makes it orchestrate the §4.3 recovery protocol and
-//! re-execute the squashed iteration single-threaded; all shards
-//! participate in the recovery barriers.
+//! The commit unit owns the only committed memory image and is its only
+//! writer. It executed the sequential pre-loop code (in this
+//! reproduction: the caller built [`dsmtx_mem::MasterMem`] before the
+//! run), buffers the store streams of every subTX, and — once *every*
+//! try-commit shard validates an MTX's slice of the address space —
+//! applies its subTX write-sets in program order (group transaction
+//! commit, §3.1: last update to an address wins). A conflict verdict from
+//! any shard, or an explicit worker misspeculation, makes it orchestrate
+//! the §4.3 recovery protocol and re-execute the squashed iteration
+//! single-threaded; all shards participate in the recovery barriers.
+//!
+//! Copy-On-Access takes no turn of this unit: workers and try-commit
+//! shards copy committed pages out of the image themselves, through a
+//! read-only `CommittedImage` handle — a one-sided read, like an RDMA
+//! READ on the paper's cluster. The unit takes the image's write lock
+//! only to apply a group commit, to run the recovery body and to run the
+//! `on_commit` hook, and never waits on another role while it holds it.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, PoisonError, RwLock};
 
-use dsmtx_fabric::{FabricError, RecvPort, SendPort};
-use dsmtx_mem::MasterMem;
+use dsmtx_fabric::RecvPort;
+use dsmtx_mem::{MasterMem, Page};
 use dsmtx_uva::PageId;
 use fxhash::FxHashMap;
 
@@ -26,7 +32,31 @@ use crate::ids::MtxId;
 use crate::poll;
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
 use crate::trace::{Role, TraceKind, TraceSink};
-use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
+use crate::wire::{AccessBlock, Msg};
+
+/// Read-only access to the committed image, for workers and try-commit
+/// shards. The commit unit holds the only write handle.
+#[derive(Debug, Clone)]
+pub(crate) struct CommittedImage(Arc<RwLock<MasterMem>>);
+
+impl CommittedImage {
+    pub(crate) fn new(image: &Arc<RwLock<MasterMem>>) -> Self {
+        CommittedImage(Arc::clone(image))
+    }
+
+    /// A copy of committed page `id`, taken under the read lock. Any
+    /// committed version is safe to hand out: value validation catches a
+    /// stale page.
+    pub(crate) fn page(&self, id: PageId) -> Page {
+        // Poisoned only by a commit-unit panic. Every page write leaves
+        // the map sound, the run has failed anyway, and the channels the
+        // dead unit dropped unwind this thread.
+        self.0
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .page(id)
+    }
+}
 
 /// Per-MTX events gathered from workers.
 #[derive(Debug, Default, Clone, Copy)]
@@ -43,7 +73,6 @@ struct Events {
 pub(crate) struct CommitCounters {
     pub committed: u64,
     pub recovered_iterations: u64,
-    pub coa_pages_served: u64,
     pub last_iteration: Option<MtxId>,
     /// Conflicts detected by the try-commit unit's value validation.
     pub validation_conflicts: u64,
@@ -70,15 +99,12 @@ pub(crate) struct CommitUnit {
     shape: PipelineShape,
     ctrl: ControlPlane,
     trace: TraceSink,
-    master: MasterMem,
-    /// Store-frame/event/COA streams, one per worker, in worker order.
+    /// The committed image; this unit is its only writer.
+    master: Arc<RwLock<MasterMem>>,
+    /// Store-frame/event streams, one per worker, in worker order.
     from_workers: Vec<RecvPort<Msg>>,
-    /// Verdict/COA streams, one per try-commit shard.
+    /// Verdict streams, one per try-commit shard.
     from_trycommit: Vec<RecvPort<Msg>>,
-    /// COA reply queues, one per worker, in worker order.
-    coa_out: Vec<SendPort<Msg>>,
-    /// COA reply queues, one per try-commit shard.
-    coa_tc_out: Vec<SendPort<Msg>>,
     /// Received store blocks per (mtx, stage), decoded at group commit.
     store_sets: FxHashMap<(u64, u16), Box<AccessBlock>>,
     events: BTreeMap<u64, Events>,
@@ -88,25 +114,15 @@ pub(crate) struct CommitUnit {
     on_commit: Option<CommitHook>,
     limit: Option<u64>,
     counters: CommitCounters,
-    /// Commit epoch: bumped after every mutation of committed memory
-    /// (group commit, recovery re-execution). COA replies piggyback it so
-    /// requesters can tag their cached copies.
-    commit_epoch: u64,
-    /// Per-page last-modification epochs; a page absent here has not been
-    /// committed to since the pre-loop baseline (epoch 0). Never cleared:
-    /// committed memory survives recovery, so do its modification times.
-    page_epochs: FxHashMap<PageId, u64>,
 }
 
 pub(crate) struct CommitWiring {
     pub shape: PipelineShape,
     pub ctrl: ControlPlane,
     pub trace: TraceSink,
-    pub master: MasterMem,
+    pub master: Arc<RwLock<MasterMem>>,
     pub from_workers: Vec<RecvPort<Msg>>,
     pub from_trycommit: Vec<RecvPort<Msg>>,
-    pub coa_out: Vec<SendPort<Msg>>,
-    pub coa_tc_out: Vec<SendPort<Msg>>,
     pub recovery: RecoveryFn,
     pub on_commit: Option<CommitHook>,
     pub limit: Option<u64>,
@@ -114,20 +130,13 @@ pub(crate) struct CommitWiring {
 
 impl CommitUnit {
     pub(crate) fn new(w: CommitWiring) -> Self {
-        let mut master = w.master;
-        // Pre-loop sequential writes are the epoch-0 baseline: a page
-        // absent from `page_epochs` reads as modified-at-0, so the dirty
-        // set they left behind carries no information — discard it.
-        let _ = master.take_dirty();
         CommitUnit {
             shape: w.shape,
             ctrl: w.ctrl,
             trace: w.trace,
-            master,
+            master: w.master,
             from_workers: w.from_workers,
             from_trycommit: w.from_trycommit,
-            coa_out: w.coa_out,
-            coa_tc_out: w.coa_tc_out,
             store_sets: FxHashMap::default(),
             events: BTreeMap::new(),
             verdicts: BTreeMap::new(),
@@ -136,27 +145,15 @@ impl CommitUnit {
             on_commit: w.on_commit,
             limit: w.limit,
             counters: CommitCounters::default(),
-            commit_epoch: 0,
-            page_epochs: FxHashMap::default(),
         }
     }
 
-    /// Bumps the commit epoch after a mutation of committed memory and
-    /// stamps every page the batch touched.
-    fn advance_epoch(&mut self) {
-        self.commit_epoch += 1;
-        for page in self.master.take_dirty() {
-            self.page_epochs.insert(page, self.commit_epoch);
-        }
-    }
-
-    /// The unit's thread body; returns the final committed memory and the
-    /// run counters. It loops on [`poll::wait`] with one unit turn as the
-    /// step.
-    pub(crate) fn run(mut self) -> (MasterMem, CommitCounters) {
+    /// The unit's thread body; returns the run counters. It loops on
+    /// [`poll::wait`] with one unit turn as the step.
+    pub(crate) fn run(mut self) -> CommitCounters {
         if self.limit == Some(0) {
             self.terminate(None);
-            return (self.master, self.counters);
+            return self.counters;
         }
         let ctrl = self.ctrl.clone();
         let mut seen = EPOCH_UNSEEN;
@@ -184,15 +181,13 @@ impl CommitUnit {
                 Err(intr) => unreachable!("commit unit interrupted by {intr}"),
             }
         }
-        (self.master, self.counters)
+        self.counters
     }
 
-    /// One unit turn: drain the inputs, reship the COA replies an injected
-    /// fault held back, answer a fabric-fault request with a recovery
-    /// round, and otherwise try to commit the next MTX.
+    /// One unit turn: drain the inputs, answer a fabric-fault request with
+    /// a recovery round, and otherwise try to commit the next MTX.
     fn turn(&mut self) -> StepResult {
-        let mut progress = self.ingest();
-        progress |= self.reship_replies();
+        let progress = self.ingest();
         // A fabric timeout anywhere converts into a recovery round at the
         // next commit boundary — never later, or uncommitted intermediate
         // MTXs would be silently lost.
@@ -206,12 +201,18 @@ impl CommitUnit {
         }
     }
 
-    /// Drains available input and services COA requests. Never blocks.
+    /// Drains available input, at most one batch per stream. Never
+    /// blocks.
+    ///
+    /// The bound keeps a worker that produces faster than this unit
+    /// consumes from holding the unit here: the step after it, which
+    /// commits or starts the next recovery, always comes.
     fn ingest(&mut self) -> bool {
+        let budget = self.shape.batch();
         let mut progress = false;
-        // Worker streams: store frames, events, COA requests.
+        // Worker streams: store frames and events.
         for worker in 0..self.from_workers.len() {
-            loop {
+            for _ in 0..budget {
                 let msg = match self.from_workers[worker].try_consume() {
                     Ok(Some(m)) => m,
                     Ok(None) => break,
@@ -224,7 +225,6 @@ impl CommitUnit {
                 };
                 progress = true;
                 match msg {
-                    Msg::CoaRequest { page, have } => self.serve_coa_worker(worker, page, have),
                     Msg::CommitBlock {
                         mtx,
                         attempt,
@@ -249,9 +249,9 @@ impl CommitUnit {
                 }
             }
         }
-        // Try-commit streams: per-shard verdicts and COA requests.
+        // Try-commit streams: per-shard verdicts.
         for shard in 0..self.from_trycommit.len() {
-            loop {
+            for _ in 0..budget {
                 let msg = match self.from_trycommit[shard].try_consume() {
                     Ok(Some(m)) => m,
                     Ok(None) => break,
@@ -262,7 +262,6 @@ impl CommitUnit {
                 };
                 progress = true;
                 match msg {
-                    Msg::CoaRequest { page, .. } => self.serve_coa_trycommit(shard, page),
                     Msg::VerdictOk { mtx } => {
                         self.verdicts.entry(mtx.0).or_default().oks += 1;
                     }
@@ -280,60 +279,6 @@ impl CommitUnit {
                     }
                     other => panic!("unexpected message from try-commit: {other:?}"),
                 }
-            }
-        }
-        progress
-    }
-
-    /// Builds the reply to a COA request: the full committed page, or a
-    /// payload-free [`Msg::CoaFresh`] when the requester's cached copy
-    /// (current as of epoch `have`) has not been committed to since.
-    fn coa_reply(&mut self, page: u64, have: u64) -> Msg {
-        let modified = self.page_epochs.get(&PageId(page)).copied().unwrap_or(0);
-        if have != EPOCH_NONE && modified <= have {
-            Msg::CoaFresh {
-                page,
-                epoch: self.commit_epoch,
-            }
-        } else {
-            self.counters.coa_pages_served += 1;
-            Msg::CoaReply {
-                page,
-                epoch: self.commit_epoch,
-                data: Box::new(self.master.page(PageId(page))),
-            }
-        }
-    }
-
-    /// Sends a COA reply with `produce` alone. Reply queues have a batch
-    /// of one, so the reply ships at once unless an injected fault eats
-    /// the attempt; then it stays buffered and the next turn's
-    /// [`CommitUnit::reship_replies`] retries it. No turn waits on a send.
-    fn serve_coa_worker(&mut self, worker: usize, page: u64, have: u64) {
-        let reply = self.coa_reply(page, have);
-        let sent = self.coa_out[worker].produce(reply);
-        note_send_failure(&self.ctrl, sent);
-    }
-
-    fn serve_coa_trycommit(&mut self, shard: usize, page: u64) {
-        // The shards advertise no cache; always ship the full page.
-        let reply = self.coa_reply(page, EPOCH_NONE);
-        let sent = self.coa_tc_out[shard].produce(reply);
-        note_send_failure(&self.ctrl, sent);
-    }
-
-    /// Makes one more ship attempt for every COA reply still buffered.
-    /// Returns whether one shipped.
-    fn reship_replies(&mut self) -> bool {
-        let mut progress = false;
-        for port in self.coa_out.iter_mut().chain(&mut self.coa_tc_out) {
-            if port.buffered() == 0 {
-                continue;
-            }
-            match port.try_flush() {
-                Ok(shipped) => progress |= shipped,
-                Err(FabricError::Retriable) => {}
-                Err(e) => note_send_failure(&self.ctrl, Err(e)),
             }
         }
         progress
@@ -365,19 +310,21 @@ impl CommitUnit {
             let block = self.store_sets.remove(&(m.0, s)).expect("checked above");
             writes.extend(block.iter().map(|r| (r.addr, r.value)));
         }
-        self.master.commit_writes_parallel(writes);
-        self.advance_epoch();
-        self.counters.committed += 1;
-        self.counters.last_iteration = Some(m);
-        self.trace.record(
-            Role::Commit,
-            Some(m),
-            ev.attempt,
-            None,
-            TraceKind::Committed,
-        );
-        if let Some(hook) = &mut self.on_commit {
-            hook(m, &self.master);
+        {
+            let mut master = self.master.write().expect(ONLY_WRITER);
+            master.commit_writes_parallel(writes);
+            self.counters.committed += 1;
+            self.counters.last_iteration = Some(m);
+            self.trace.record(
+                Role::Commit,
+                Some(m),
+                ev.attempt,
+                None,
+                TraceKind::Committed,
+            );
+            if let Some(hook) = &mut self.on_commit {
+                hook(m, &master);
+            }
         }
         self.verdicts.remove(&m.0);
         let exit_now = self.events.remove(&m.0).is_some_and(|e| e.exit);
@@ -427,27 +374,25 @@ impl CommitUnit {
         for port in &mut self.from_trycommit {
             port.drain();
         }
-        for port in &mut self.coa_out {
-            port.clear();
-        }
-        for port in &mut self.coa_tc_out {
-            port.clear();
-        }
         self.store_sets.clear();
         self.events.clear();
         self.verdicts.clear();
         barrier.wait(); // B2: queues are clean everywhere.
 
         // Re-execute the squashed iteration single-threaded on committed
-        // memory while the workers re-protect their heaps.
-        let outcome = (self.recovery)(boundary, &mut self.master);
-        self.advance_epoch();
-        self.counters.recovered_iterations += 1;
-        self.counters.last_iteration = Some(boundary);
-        self.ctrl.record_recovery();
-        if let Some(hook) = &mut self.on_commit {
-            hook(boundary, &self.master);
-        }
+        // memory while the workers re-protect their heaps. The write lock
+        // is gone before B3: no role waits at a barrier holding it.
+        let outcome = {
+            let mut master = self.master.write().expect(ONLY_WRITER);
+            let outcome = (self.recovery)(boundary, &mut master);
+            self.counters.recovered_iterations += 1;
+            self.counters.last_iteration = Some(boundary);
+            self.ctrl.record_recovery();
+            if let Some(hook) = &mut self.on_commit {
+                hook(boundary, &master);
+            }
+            outcome
+        };
         self.trace.record(
             Role::Commit,
             Some(boundary),
@@ -502,15 +447,6 @@ enum StepResult {
     Terminated,
 }
 
-/// Converts a failed COA-reply send into the appropriate control-plane
-/// action: an exhausted retry budget self-requests a recovery round
-/// (consumed at the commit unit's next turn); a dead peer becomes the
-/// typed shutdown. The starved requester's own receive deadline backs
-/// this up.
-fn note_send_failure(ctrl: &ControlPlane, sent: dsmtx_fabric::Result<()>) {
-    match sent {
-        Ok(()) => {}
-        Err(FabricError::Timeout) => ctrl.raise_fabric_fault(),
-        Err(_) => ctrl.report_channel_down(),
-    }
-}
+/// The image lock is poisoned only by a panic of its one writer, this
+/// unit, which ends the unit's thread.
+const ONLY_WRITER: &str = "the commit unit is the image's only writer";

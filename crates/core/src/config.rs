@@ -20,14 +20,10 @@ pub enum FaultTarget {
     /// Every link of the run.
     All,
     /// Links originating at worker threads (stage-to-stage data, ring
-    /// forwarding, validation traffic, commit notifications, COA
-    /// requests).
+    /// forwarding, validation traffic, commit notifications).
     WorkerLinks,
-    /// Links originating at the try-commit unit (verdicts, its COA
-    /// requests).
+    /// Links originating at the try-commit unit (verdicts).
     TryCommitLinks,
-    /// Links originating at the commit unit (COA replies).
-    CommitLinks,
 }
 
 impl std::fmt::Display for FaultTarget {
@@ -36,7 +32,6 @@ impl std::fmt::Display for FaultTarget {
             FaultTarget::All => write!(f, "all"),
             FaultTarget::WorkerLinks => write!(f, "worker"),
             FaultTarget::TryCommitLinks => write!(f, "try-commit"),
-            FaultTarget::CommitLinks => write!(f, "commit"),
         }
     }
 }

@@ -14,8 +14,9 @@
 //! memories (no sharing); uncommitted stores are explicitly forwarded to
 //! later subTXs; a **try-commit unit** validates every speculative load
 //! against the value the program order actually produces; a **commit
-//! unit** owns committed memory, serves Copy-On-Access page transfers, and
-//! applies validated MTX write-sets atomically in iteration order. On
+//! unit** owns committed memory, which the other threads copy pages out of
+//! on first touch (Copy-On-Access), and applies validated MTX write-sets
+//! atomically in iteration order. On
 //! misspeculation, a barrier/flush/re-execute protocol (§4.3) rolls the
 //! system back.
 //!

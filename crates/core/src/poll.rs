@@ -4,10 +4,15 @@
 //! poll the control plane, try to make progress, back off. So every
 //! thread notices a recovery or a termination wherever it waits (a thread
 //! stuck in a blocking receive could never reach the recovery barriers,
-//! §4.3), and the backoff plays fairly on machines with few cores. The
-//! only role waits outside it are the recovery barriers, which a role
-//! enters only once it has seen the `Recovering` status: the commit unit
-//! publishes it, and [`wait`] hands it to every other role.
+//! §4.3), and the backoff plays fairly on machines with few cores. Two
+//! waits stay outside it:
+//!
+//! * the recovery barriers, which a role enters only once it has seen the
+//!   `Recovering` status: the commit unit publishes it, and [`wait`] (or
+//!   a worker's `begin`) hands it to every other role;
+//! * the committed image's lock: a Copy-On-Access copy can wait out a
+//!   group commit, and a commit the copies in flight. No role waits on
+//!   anything while it holds that lock, so both waits are short.
 
 use std::time::{Duration, Instant};
 

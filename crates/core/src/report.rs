@@ -26,7 +26,7 @@ pub struct ShardStats {
     /// certification pass asserts this set is a subset of the conflict
     /// sites predicted from the sequential dependence graph.
     pub conflict_pages: Vec<u64>,
-    /// COA pages fetched into this shard's replay image.
+    /// COA pages copied into this shard's replay image.
     pub coa_fetches: u64,
     /// SubTX stream arrival to replay start, microseconds.
     pub replay_lag: Histogram,
@@ -59,13 +59,6 @@ pub struct ValPlaneStats {
     pub blocks: u64,
     /// Access records carried inside those blocks (post-filter).
     pub block_records: u64,
-    /// COA fetches served from the worker page cache (local serves plus
-    /// wire revalidations — no page payload crossed the fabric).
-    pub cache_hits: u64,
-    /// Full-page COA fetches of uncached pages.
-    pub cache_misses: u64,
-    /// Full-page COA refetches replacing an outdated cached copy.
-    pub cache_stale: u64,
 }
 
 impl ValPlaneStats {
@@ -78,9 +71,6 @@ impl ValPlaneStats {
         self.records_filtered += other.records_filtered;
         self.blocks += other.blocks;
         self.block_records += other.block_records;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_stale += other.cache_stale;
     }
 
     /// Mean records per shipped block (0 when no blocks shipped).
@@ -105,7 +95,8 @@ pub struct RunReport {
     pub recovered_iterations: u64,
     /// The last iteration of the loop, if the loop ran at all.
     pub last_iteration: Option<MtxId>,
-    /// Copy-On-Access pages served by the commit unit.
+    /// Copy-On-Access pages copied out of the committed image: every
+    /// worker's first touches plus every try-commit shard's fetches.
     pub coa_pages_served: u64,
     /// Conflicts the try-commit unit detected by value validation
     /// (speculated dependences that manifested).
@@ -129,8 +120,8 @@ pub struct RunReport {
     /// sorted by `(mtx, attempt, shard, page)`. Joined to lifecycle
     /// spans by `(mtx, attempt)` when `repro why` explains an abort.
     pub conflict_events: Vec<ConflictRecord>,
-    /// Validation-plane compaction and COA-cache counters, aggregated
-    /// over all workers.
+    /// Validation-plane compaction counters, aggregated over all
+    /// workers.
     pub valplane: ValPlaneStats,
     /// Aggregate fabric traffic (all queues).
     pub stats: FabricStats,
@@ -243,10 +234,6 @@ impl RunReport {
         reg.counter(schema::VALPLANE_BLOCKS, &[]).add(v.blocks);
         reg.counter(schema::VALPLANE_BLOCK_RECORDS, &[])
             .add(v.block_records);
-        reg.counter(schema::COA_CACHE_HITS, &[]).add(v.cache_hits);
-        reg.counter(schema::COA_CACHE_MISSES, &[])
-            .add(v.cache_misses);
-        reg.counter(schema::COA_CACHE_STALE, &[]).add(v.cache_stale);
         self.stats.to_registry(reg);
         SpanMetrics::new(&self.spans().spans).to_registry(reg);
     }
@@ -359,7 +346,6 @@ mod tests {
         assert!(dump.contains(schema::RUN_CHANNEL_DOWNS));
         assert!(dump.contains(schema::FABRIC_SENT_BYTES));
         assert!(dump.contains(schema::VALPLANE_BYTES_POST));
-        assert!(dump.contains(schema::COA_CACHE_HITS));
     }
 
     #[test]
@@ -372,9 +358,6 @@ mod tests {
             records_filtered: 20,
             blocks: 4,
             block_records: 80,
-            cache_hits: 3,
-            cache_misses: 2,
-            cache_stale: 1,
         };
         let b = ValPlaneStats {
             records_pre: 50,

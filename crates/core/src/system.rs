@@ -3,28 +3,31 @@
 //! [`MtxSystem`] is `mtx_newDSMTXsystem` of Table 1: it takes a pipeline
 //! configuration, wires the communication topology (workers of earlier
 //! stages to the executors of later stages, every worker to every
-//! try-commit shard and to the commit unit, COA reply channels back), and
-//! spawns one thread per worker plus `unit_shards` try-commit threads and
-//! the commit unit — the paper's `mtx_spawn`, `mtx_tryCommitUnit`, and
-//! `mtx_commitUnit`, with `DSMTX_Init`/`DSMTX_Finalize` folded into
-//! [`MtxSystem::run`]'s setup and teardown. With `unit_shards > 1` the
-//! speculation units are address-partitioned (§3.2): each shard owns a
-//! disjoint hash-partition of the page space and validates only its
-//! slice of every MTX's access stream.
+//! try-commit shard and to the commit unit, every shard to the commit
+//! unit), shares the committed image, and spawns one thread per worker
+//! plus `unit_shards` try-commit threads and the commit unit — the
+//! paper's `mtx_spawn`, `mtx_tryCommitUnit`, and `mtx_commitUnit`, with
+//! `DSMTX_Init`/`DSMTX_Finalize` folded into [`MtxSystem::run`]'s setup
+//! and teardown. With `unit_shards > 1` the speculation units are
+//! address-partitioned (§3.2): each shard owns a disjoint hash-partition
+//! of the page space and validates only its slice of every MTX's access
+//! stream.
 //!
 //! Only the topology the MTX protocol needs is wired — a worker connects
 //! to the workers of later stages, the units, and (for ring stages) its
 //! successor replica — so the channel count never grows quadratically in
 //! the total thread count (§3.1). [`MtxSystem::run`] opens each link once,
 //! in a fixed order, and hands its two ends straight to the roles it
-//! joins.
+//! joins. The commit unit sends on no link: workers and try-commit shards
+//! copy committed pages out of the shared image themselves.
 
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use dsmtx_fabric::{channel_faulted, CostModel, FabricStats, FaultPlan, RetryPolicy};
 use dsmtx_uva::{OwnerId, RegionAllocator};
 
-use crate::commit::{CommitUnit, CommitWiring};
+use crate::commit::{CommitUnit, CommitWiring, CommittedImage};
 use crate::config::{ConfigError, FaultTarget, PipelineShape, SystemConfig};
 use crate::control::ControlPlane;
 use crate::ids::WorkerId;
@@ -137,6 +140,9 @@ impl MtxSystem {
             TraceSink::disabled()
         };
         let ctrl = ControlPlane::new(n_workers + n_shards + 1);
+        // The committed image: the commit unit writes it, every other
+        // role only copies pages out of it (one-sided Copy-On-Access).
+        let image = Arc::new(RwLock::new(program.master));
 
         // ---- links ----------------------------------------------------
         // Every link opens here, in one fixed order, and its two ends go
@@ -150,7 +156,7 @@ impl MtxSystem {
             .fault()
             .map(|fc| (fc.target, FaultPlan::new(fc.seed, fc.rates), fc.retry));
         let mut link = 0u64;
-        let mut open = |class: FaultTarget, batch: usize, capacity: usize| {
+        let mut open = |class: FaultTarget| {
             let (injector, retry) = match fault {
                 Some((target, plan, retry)) if target == FaultTarget::All || target == class => {
                     (Some(plan.injector(link)), retry)
@@ -159,16 +165,14 @@ impl MtxSystem {
             };
             link += 1;
             channel_faulted::<Msg>(
-                batch,
-                capacity,
+                shape.batch(),
+                shape.capacity(),
                 CostModel::FREE,
                 stats.clone(),
                 injector,
                 retry,
             )
         };
-        let batch = shape.batch();
-        let cap = shape.capacity();
         let workers = || (0..n_workers).map(|w| WorkerId(w as u16));
 
         // Data links: each worker to every later-stage worker, then to its
@@ -178,31 +182,28 @@ impl MtxSystem {
         for a in workers() {
             let later = workers().filter(|&b| shape.stage_of(a) < shape.stage_of(b));
             for b in later.chain(shape.ring_next(a)) {
-                let (tx, rx) = open(FaultTarget::WorkerLinks, batch, cap);
+                let (tx, rx) = open(FaultTarget::WorkerLinks);
                 out[usize::from(a.0)].push((b, tx));
                 inn[usize::from(b.0)].push((a, rx));
             }
         }
 
         // Unit links: each worker to every try-commit shard and to the
-        // commit unit, and the commit unit's COA replies back to it.
+        // commit unit.
         let mut val_in: Vec<Vec<_>> = (0..n_shards).map(|_| Vec::new()).collect();
         let mut from_workers = Vec::with_capacity(n_workers);
-        let mut coa_out = Vec::with_capacity(n_workers);
         let mut worker_wirings = Vec::with_capacity(n_workers);
         for ((worker, out), inn) in workers().zip(out).zip(inn) {
             let val_out = val_in
                 .iter_mut()
                 .map(|val_in| {
-                    let (tx, rx) = open(FaultTarget::WorkerLinks, batch, cap);
+                    let (tx, rx) = open(FaultTarget::WorkerLinks);
                     val_in.push(rx);
                     tx
                 })
                 .collect();
-            let (cu_out, from_worker) = open(FaultTarget::WorkerLinks, batch, cap);
-            let (to_worker, coa_in) = open(FaultTarget::CommitLinks, 1, 8);
+            let (cu_out, from_worker) = open(FaultTarget::WorkerLinks);
             from_workers.push(from_worker);
-            coa_out.push(to_worker);
             worker_wirings.push(WorkerWiring {
                 worker,
                 shape: shape.clone(),
@@ -213,20 +214,16 @@ impl MtxSystem {
                 inn,
                 val_out,
                 cu_out,
-                coa_in,
+                committed: CommittedImage::new(&image),
             });
         }
 
-        // Shard links: each try-commit shard's verdicts to the commit unit,
-        // and the commit unit's COA replies back to it.
+        // Shard links: each try-commit shard's verdicts to the commit unit.
         let mut from_trycommit = Vec::with_capacity(n_shards);
-        let mut coa_tc_out = Vec::with_capacity(n_shards);
         let mut tc_wirings = Vec::with_capacity(n_shards);
         for (shard, val_in) in val_in.into_iter().enumerate() {
-            let (to_commit, from_shard) = open(FaultTarget::TryCommitLinks, batch, cap);
-            let (to_shard, coa_in) = open(FaultTarget::CommitLinks, 1, 8);
+            let (to_commit, from_shard) = open(FaultTarget::TryCommitLinks);
             from_trycommit.push(from_shard);
-            coa_tc_out.push(to_shard);
             tc_wirings.push(TryCommitWiring {
                 shape: shape.clone(),
                 ctrl: ctrl.clone(),
@@ -234,7 +231,7 @@ impl MtxSystem {
                 shard: shard as u16,
                 val_in,
                 to_commit,
-                coa_in,
+                committed: CommittedImage::new(&image),
             });
         }
 
@@ -242,11 +239,9 @@ impl MtxSystem {
             shape: shape.clone(),
             ctrl: ctrl.clone(),
             trace: trace.clone(),
-            master: program.master,
+            master: Arc::clone(&image),
             from_workers,
             from_trycommit,
-            coa_out,
-            coa_tc_out,
             recovery: program.recovery,
             on_commit: program.on_commit,
             limit: program.iteration_limit,
@@ -280,11 +275,17 @@ impl MtxSystem {
         let elapsed = start.elapsed();
 
         let (commit_result, tc_results, worker_results) = outcome;
-        let (master, counters) = commit_result.map_err(|_| RunError::ThreadPanic("commit"))?;
+        // First, because a commit-unit panic is also what poisons the
+        // image lock.
+        let counters = commit_result.map_err(|_| RunError::ThreadPanic("commit"))?;
+        // Every page copied out of the committed image, by shards and
+        // workers alike.
+        let mut coa_pages_served = 0;
         let mut shard_stats = Vec::with_capacity(n_shards);
         let mut conflict_events = Vec::new();
         for r in tc_results {
             let c = r.map_err(|_| RunError::ThreadPanic("try-commit"))?;
+            coa_pages_served += c.coa_fetches;
             conflict_events.extend(c.conflict_events);
             shard_stats.push(crate::report::ShardStats {
                 validated: c.validated,
@@ -301,15 +302,20 @@ impl MtxSystem {
         let mut valplane = crate::report::ValPlaneStats::default();
         for r in worker_results {
             let ctx = r.map_err(|_| RunError::ThreadPanic("worker"))?;
+            coa_pages_served += ctx.coa_faults();
             valplane.merge(&ctx.valplane());
         }
+        let master = Arc::try_unwrap(image)
+            .expect("every role has returned its image handle")
+            .into_inner()
+            .expect("the commit unit returned, so the image lock is sound");
 
         let report = RunReport {
             committed: counters.committed,
             recoveries: ctrl.recoveries(),
             recovered_iterations: counters.recovered_iterations,
             last_iteration: counters.last_iteration,
-            coa_pages_served: counters.coa_pages_served,
+            coa_pages_served,
             validation_conflicts: counters.validation_conflicts,
             worker_misspecs: counters.worker_misspecs,
             fabric_timeouts: ctrl.fabric_faults(),

@@ -20,7 +20,7 @@ pub enum Role {
     /// A try-commit speculation-unit shard (program-order validation),
     /// by shard index. At `unit_shards = 1` the single shard is 0.
     TryCommit(u16),
-    /// The commit unit (group transaction commit, COA service, recovery).
+    /// The commit unit (group transaction commit, recovery).
     Commit,
 }
 

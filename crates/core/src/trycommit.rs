@@ -1,8 +1,8 @@
 //! The try-commit unit: MTX validation off the critical path (§3.2).
 //!
-//! The unit maintains its own memory image — committed pages fetched on
-//! demand from the commit unit (Copy-On-Access), overlaid with every
-//! speculative store it has replayed. It consumes the per-subTX access
+//! The unit maintains its own memory image — committed pages copied on
+//! demand out of the commit unit's image (Copy-On-Access), overlaid with
+//! every speculative store it has replayed. It consumes the per-subTX access
 //! streams of all workers and replays them in global program order: MTX 0
 //! stage 0, MTX 0 stage 1, …, MTX 1 stage 0, … Each replayed store updates
 //! the image; each replayed load is a *value prediction* — if the image's
@@ -27,20 +27,22 @@
 //! block. Each shard reports an independent per-MTX verdict; the commit
 //! unit aggregates them (all-OK commits, any-bad recovers).
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use dsmtx_fabric::{RecvPort, SendPort};
-use dsmtx_mem::{AccessKind, AccessRecord, Page, SpecMem};
+use dsmtx_mem::{AccessKind, AccessRecord, SpecMem};
 use dsmtx_obs::Histogram;
-use dsmtx_uva::{PageId, VAddr};
+use dsmtx_uva::VAddr;
 use fxhash::FxHashMap;
 
+use crate::commit::CommittedImage;
 use crate::config::PipelineShape;
 use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId};
 use crate::poll;
 use crate::trace::{Role, TraceKind, TraceSink};
-use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
+use crate::wire::{AccessBlock, Msg};
 use crate::worker::{classify, flush_port};
 
 /// One detected conflict with its attribution context: which page
@@ -81,7 +83,7 @@ pub(crate) struct TryCommitCounters {
     /// Full attribution context for every conflict this shard detected,
     /// in detection order (the "why" behind each `conflict_pages` entry).
     pub conflict_events: Vec<ConflictRecord>,
-    /// COA pages fetched into the replay image.
+    /// COA pages copied into the replay image.
     pub coa_fetches: u64,
     /// Stream arrival → program-order replay start, per subTX stream.
     pub replay_lag: Histogram,
@@ -97,20 +99,18 @@ pub(crate) struct TryCommitUnit {
     trace: TraceSink,
     /// This shard's index (0 at `unit_shards = 1`).
     shard: u16,
-    /// The control epoch the turn's inner waits last saw; the run loop
+    /// The control epoch the turn's verdict flush last saw; the run loop
     /// keeps its own.
     epoch: u64,
-    /// Receive deadline under fault injection (`None` = wait forever).
-    data_timeout: Option<std::time::Duration>,
     /// The replay image: committed pages + speculative stores in order.
     /// Covers only this shard's page partition.
     image: SpecMem,
+    /// Where the replay image copies committed pages from.
+    committed: CommittedImage,
     /// Validation streams, one per worker (this shard's partition only).
     val_in: Vec<RecvPort<Msg>>,
-    /// Verdicts and COA requests to the commit unit.
+    /// Verdicts to the commit unit.
     to_commit: SendPort<Msg>,
-    /// COA replies from the commit unit.
-    coa_in: RecvPort<Msg>,
     /// Received subTX blocks awaiting their replay turn, with their
     /// attempt number and arrival time (for replay-lag / verdict-latency
     /// histograms).
@@ -137,23 +137,21 @@ pub(crate) struct TryCommitWiring {
     pub shard: u16,
     pub val_in: Vec<RecvPort<Msg>>,
     pub to_commit: SendPort<Msg>,
-    pub coa_in: RecvPort<Msg>,
+    pub committed: CommittedImage,
 }
 
 impl TryCommitUnit {
     pub(crate) fn new(w: TryCommitWiring) -> Self {
-        let data_timeout = w.shape.recv_deadline();
         TryCommitUnit {
             shape: w.shape,
             ctrl: w.ctrl,
             trace: w.trace,
             shard: w.shard,
             epoch: EPOCH_UNSEEN,
-            data_timeout,
             image: SpecMem::new(),
+            committed: w.committed,
             val_in: w.val_in,
             to_commit: w.to_commit,
-            coa_in: w.coa_in,
             done: FxHashMap::default(),
             cursor_mtx: MtxId(0),
             cursor_stage: StageId(0),
@@ -171,8 +169,8 @@ impl TryCommitUnit {
         let mut busy = std::time::Duration::ZERO;
         let ctrl = self.ctrl.clone();
         // The loop's own seen epoch: the step borrows `self`, so the
-        // turn's inner waits (the verdict flush, a COA fetch) cannot share
-        // `self.epoch` with it.
+        // turn's inner wait (the verdict flush) cannot share `self.epoch`
+        // with it.
         let mut seen = EPOCH_UNSEEN;
         loop {
             let turn = poll::wait(&ctrl, &mut seen, None, || {
@@ -197,7 +195,7 @@ impl TryCommitUnit {
                     break;
                 }
                 Err(Interrupt::FabricTimeout) => {
-                    // A transfer to/from the commit unit exhausted its
+                    // A verdict transfer to the commit unit exhausted its
                     // retry budget: request a recovery round and stop
                     // replaying until the commit unit orchestrates it.
                     self.ctrl.raise_fabric_fault();
@@ -221,12 +219,14 @@ impl TryCommitUnit {
         Ok(progress)
     }
 
-    /// Drains whatever is available on the validation queues into the
-    /// replay buffer. Never blocks.
+    /// Drains what is available on the validation queues into the replay
+    /// buffer, at most one batch per queue, so a worker that outpaces
+    /// this shard cannot keep it from replaying. Never blocks.
     fn ingest(&mut self) -> bool {
+        let budget = self.shape.batch();
         let mut progress = false;
         for port in &mut self.val_in {
-            loop {
+            for _ in 0..budget {
                 let msg = match port.try_consume() {
                     Ok(Some(m)) => m,
                     Ok(None) => break,
@@ -257,8 +257,7 @@ impl TryCommitUnit {
     }
 
     /// Replays every stream whose program-order turn has come, then ships
-    /// the turn's verdicts in one flush. (A COA fetch mid-turn ships the
-    /// verdicts queued before it, since they share the port.)
+    /// the turn's verdicts in one flush.
     fn replay_ready(&mut self) -> Result<bool, Interrupt> {
         let progress = self.replay_turn()?;
         flush_port(&self.ctrl, &mut self.epoch, &mut self.to_commit)?;
@@ -277,7 +276,7 @@ impl TryCommitUnit {
             self.counters
                 .replay_lag
                 .record(arrived.elapsed().as_micros() as u64);
-            if let Some(conflict_addr) = self.replay(&block)? {
+            if let Some(conflict_addr) = self.replay(&block) {
                 // Conflict: tell the commit unit and freeze until it
                 // orchestrates recovery.
                 let page = conflict_addr.page().0;
@@ -336,16 +335,11 @@ impl TryCommitUnit {
     /// the first mismatching load (`None` when the block validates). The
     /// block decodes by cursor as it replays — no intermediate record
     /// vector is materialized.
-    fn replay(&mut self, block: &AccessBlock) -> Result<Option<VAddr>, Interrupt> {
-        for r in block.iter() {
-            if let Some(addr) = self.replay_record(r)? {
-                return Ok(Some(addr));
-            }
-        }
-        Ok(None)
+    fn replay(&mut self, block: &AccessBlock) -> Option<VAddr> {
+        block.iter().find_map(|r| self.replay_record(r))
     }
 
-    fn replay_record(&mut self, r: AccessRecord) -> Result<Option<VAddr>, Interrupt> {
+    fn replay_record(&mut self, r: AccessRecord) -> Option<VAddr> {
         match r.kind {
             AccessKind::Store => {
                 // Remember the earliest speculative writer of each page:
@@ -357,24 +351,15 @@ impl TryCommitUnit {
                 self.image.apply_forwarded(r.addr, r.value);
             }
             AccessKind::Load => {
-                let Self {
-                    image,
-                    to_commit,
-                    coa_in,
-                    ctrl,
-                    epoch,
-                    data_timeout,
-                    ..
-                } = self;
-                let actual = image.read_unlogged(r.addr, |page| {
-                    coa_fetch(to_commit, coa_in, ctrl, epoch, *data_timeout, page)
-                })?;
+                let Ok(actual) = self.image.read_unlogged(r.addr, |page| {
+                    Ok::<_, Infallible>(self.committed.page(page))
+                });
                 if actual != r.value {
-                    return Ok(Some(r.addr));
+                    return Some(r.addr);
                 }
             }
         }
-        Ok(None)
+        None
     }
 
     /// §4.3 recovery: rendezvous, flush, re-protect, resume validating at
@@ -386,7 +371,6 @@ impl TryCommitUnit {
         for port in &mut self.val_in {
             port.drain();
         }
-        self.coa_in.drain();
         barrier.wait(); // B2
         self.image.rollback();
         self.done.clear();
@@ -406,37 +390,5 @@ impl std::fmt::Debug for TryCommitUnit {
             .field("cursor_stage", &self.cursor_stage)
             .field("poisoned", &self.poisoned)
             .finish_non_exhaustive()
-    }
-}
-
-/// COA round trip to the commit unit (the try-commit image is initialized
-/// lazily from committed pages, exactly like a worker's memory). The
-/// shards keep no page cache — their image already retains replayed pages
-/// until recovery — so every request advertises [`EPOCH_NONE`] and always
-/// draws the full page.
-fn coa_fetch(
-    to_commit: &mut SendPort<Msg>,
-    coa_in: &mut RecvPort<Msg>,
-    ctrl: &ControlPlane,
-    epoch: &mut u64,
-    timeout: Option<std::time::Duration>,
-    page: PageId,
-) -> Result<Page, Interrupt> {
-    to_commit
-        .produce(Msg::CoaRequest {
-            page: page.0,
-            have: EPOCH_NONE,
-        })
-        .map_err(classify)?;
-    flush_port(ctrl, epoch, to_commit)?;
-    let reply = poll::wait(ctrl, epoch, timeout, || {
-        coa_in.try_consume().map_err(classify)
-    })?;
-    match reply {
-        Msg::CoaReply { page: p, data, .. } => {
-            assert_eq!(p, page.0, "out-of-order COA reply");
-            Ok(*data)
-        }
-        other => panic!("expected CoaReply, got {other:?}"),
     }
 }

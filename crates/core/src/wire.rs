@@ -1,6 +1,6 @@
 //! The wire protocol: every message that crosses a thread boundary.
 //!
-//! Four logical planes share one message type, so every link
+//! Three logical planes share one message type, so every link
 //! [`crate::MtxSystem::run`] opens is a [`dsmtx_fabric::channel_faulted`]
 //! queue of [`Msg`]:
 //!
@@ -17,22 +17,15 @@
 //! * **commit plane** (worker → commit: the coalesced store set and the
 //!   loop-exit decision as one [`Msg::CommitBlock`]; each try-commit
 //!   shard → commit: per-shard verdicts, aggregated into the group-commit
-//!   decision; worker → commit: explicit misspeculation events);
-//! * **COA plane** (worker/try-commit shards ↔ commit): page requests and
-//!   replies. Requests carry the epoch tag of the requester's cached copy
-//!   (if any); the commit unit answers with the full page
-//!   ([`Msg::CoaReply`]) or a payload-free revalidation
-//!   ([`Msg::CoaFresh`]) when the cached copy is still current. Both
-//!   replies piggyback the commit unit's current commit epoch.
+//!   decision; worker → commit: explicit misspeculation events).
+//!
+//! Copy-On-Access sends no message: a worker or try-commit shard copies
+//! the committed page out of the commit unit's image itself.
 
-use dsmtx_mem::{AccessKind, AccessRecord, Page};
+use dsmtx_mem::{AccessKind, AccessRecord};
 use dsmtx_uva::VAddr;
 
 use crate::ids::{MtxId, StageId};
-
-/// Epoch tag meaning "no cached copy" on a [`Msg::CoaRequest`]: the commit
-/// unit must ship the full page.
-pub const EPOCH_NONE: u64 = u64::MAX;
 
 /// A packed subTX access stream: struct-of-arrays with delta-encoded
 /// addresses, raw values, and a 2-bit kind stream.
@@ -274,37 +267,6 @@ pub enum Msg {
         /// The coalesced stores (kind stream is all-store).
         block: Box<AccessBlock>,
     },
-
-    // ------------------------------------------------------- COA plane --
-    /// Copy-On-Access request: the sender faulted on `page`.
-    CoaRequest {
-        /// Raw [`dsmtx_uva::PageId`] bits.
-        page: u64,
-        /// Commit-epoch tag of the sender's cached copy of this page, or
-        /// [`EPOCH_NONE`] when it holds none: the commit unit answers with
-        /// [`Msg::CoaFresh`] instead of the full page when the cached copy
-        /// is still current.
-        have: u64,
-    },
-    /// Copy-On-Access reply carrying the committed page.
-    CoaReply {
-        /// Raw page id bits.
-        page: u64,
-        /// The commit unit's current commit epoch; tags the receiver's
-        /// cached copy.
-        epoch: u64,
-        /// The committed page image.
-        data: Box<Page>,
-    },
-    /// Payload-free Copy-On-Access reply: the requester's cached copy
-    /// (tagged `have`) is still the current committed image, so only the
-    /// refreshed epoch crosses the wire instead of 4 KiB of page data.
-    CoaFresh {
-        /// Raw page id bits.
-        page: u64,
-        /// The commit unit's current commit epoch; re-tags the cached copy.
-        epoch: u64,
-    },
 }
 
 #[cfg(test)]
@@ -313,30 +275,13 @@ mod tests {
 
     #[test]
     fn message_is_small_enough_to_queue_cheaply() {
-        // The boxes keep page and block payloads out of line so a queue
-        // slot stays cache-line sized.
+        // The boxes keep block payloads out of line so a queue slot stays
+        // three words.
         assert!(
-            std::mem::size_of::<Msg>() <= 32,
+            std::mem::size_of::<Msg>() <= 24,
             "{}",
             std::mem::size_of::<Msg>()
         );
-    }
-
-    #[test]
-    fn coa_reply_carries_page_by_box() {
-        let msg = Msg::CoaReply {
-            page: 7,
-            epoch: 3,
-            data: Box::new(Page::zeroed()),
-        };
-        match msg {
-            Msg::CoaReply { page, epoch, data } => {
-                assert_eq!(page, 7);
-                assert_eq!(epoch, 3);
-                assert_eq!(data.word(0), 0);
-            }
-            _ => unreachable!(),
-        }
     }
 
     fn roundtrip(records: &[(AccessKind, u64, u64)]) {
@@ -394,9 +339,9 @@ mod tests {
             block.push(AccessKind::Store, 0x1000 + 8 * i, i);
         }
         // 64 values (8 B) + 16 kind bytes + ~65 addr bytes + 4 B header:
-        // well under half of 64 one-record messages at 32 B each.
+        // well under half of 64 one-record messages at 24 B each.
         assert!(
-            block.wire_bytes() < 64 * 32 / 2,
+            block.wire_bytes() < 64 * 24 / 2,
             "wire_bytes = {}",
             block.wire_bytes()
         );

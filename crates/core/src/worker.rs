@@ -8,8 +8,9 @@
 //!    the ring frame from its predecessor replica when the stage is a
 //!    synchronization ring (TLS / DOACROSS).
 //! 2. Runs the stage body, which speculatively reads/writes DSMTX memory
-//!    through this context. First touches of protected pages trigger
-//!    Copy-On-Access round trips to the commit unit.
+//!    through this context. The first touch of a protected page copies it
+//!    out of the committed image (Copy-On-Access, one-sided: the commit
+//!    unit takes no part).
 //! 3. **`end`** (`mtx_end`): sends the subTX's ordered access stream to the
 //!    try-commit unit, its store set to the commit unit, and a data frame
 //!    (forwards + produces) to the executor of this iteration in every
@@ -19,17 +20,19 @@
 //! Validation and commit frames ride the queue's batch threshold instead
 //! (§4.2's batching), and `UnitLink::wait` — the one blocking primitive
 //! of a worker — ships whatever of them is still buffered before the
-//! worker blocks. Every blocking point also polls the control plane so
-//! the worker can unwind into the §4.3 recovery rendezvous or terminate.
+//! worker blocks. Every blocking point, and every `begin`, also polls the
+//! control plane so the worker can unwind into the §4.3 recovery
+//! rendezvous or terminate.
 
 use std::collections::VecDeque;
 
 use std::time::Duration;
 
 use dsmtx_fabric::{FabricError, RecvPort, SendPort};
-use dsmtx_mem::{route, AccessKind, AccessRecord, Page, PageCache, ShardMap, SpecMem};
-use dsmtx_uva::{PageId, RegionAllocator, VAddr};
+use dsmtx_mem::{route, AccessKind, AccessRecord, ShardMap, SpecMem};
+use dsmtx_uva::{RegionAllocator, VAddr};
 
+use crate::commit::CommittedImage;
 use crate::config::PipelineShape;
 use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
 use crate::ids::{MtxId, StageId, WorkerId};
@@ -37,7 +40,7 @@ use crate::poll;
 use crate::program::{IterOutcome, StageFn};
 use crate::report::ValPlaneStats;
 use crate::trace::{Role, TraceKind, TraceSink};
-use crate::wire::{AccessBlock, Msg, EPOCH_NONE};
+use crate::wire::{AccessBlock, Msg};
 
 /// Fabric accounting charges one enum slot per queued item; used to count
 /// what one message per access record would cost on the wire (the
@@ -212,6 +215,8 @@ pub struct WorkerCtx {
     data_timeout: Option<Duration>,
 
     spec: SpecMem,
+    /// Where first touches copy committed pages from.
+    committed: CommittedImage,
     heap: RegionAllocator,
 
     /// Outgoing data queues to later-stage workers (plus the ring
@@ -227,8 +232,6 @@ pub struct WorkerCtx {
     /// outside the map route by the hash partition. Identical on every
     /// worker, so the partition stays agreed-upon without communication.
     shard_map: Option<ShardMap>,
-    /// COA replies from the commit unit.
-    coa_in: RecvPort<Msg>,
 
     /// Write-combining store buffer filtering each subTX's access log.
     filter: AccessFilter,
@@ -240,12 +243,6 @@ pub struct WorkerCtx {
     commit_block: AccessBlock,
     /// Validation-plane compaction counters (merged into the run report).
     valplane: ValPlaneStats,
-    /// Epoch-tagged committed pages retained across rollbacks.
-    coa_cache: PageCache,
-    /// Newest commit epoch observed on a COA reply; [`EPOCH_NONE`] until
-    /// the first reply and right after a recovery (which forces the next
-    /// fault on every page back over the wire for revalidation).
-    coa_epoch: u64,
 
     // ---- per-iteration state ----
     cur: Option<MtxId>,
@@ -297,7 +294,7 @@ struct UnitLink {
     /// frame per subTX (possibly empty) so all replay cursors advance in
     /// lockstep.
     val: Vec<SendPort<Msg>>,
-    /// Store frames, events, and COA requests to the commit unit.
+    /// Store frames and events to the commit unit.
     commit: SendPort<Msg>,
 }
 
@@ -349,7 +346,7 @@ pub(crate) struct WorkerWiring {
     pub inn: Vec<(WorkerId, RecvPort<Msg>)>,
     pub val_out: Vec<SendPort<Msg>>,
     pub cu_out: SendPort<Msg>,
-    pub coa_in: RecvPort<Msg>,
+    pub committed: CommittedImage,
 }
 
 impl WorkerCtx {
@@ -367,6 +364,7 @@ impl WorkerCtx {
             trace: w.trace,
             data_timeout,
             spec: SpecMem::new(),
+            committed: w.committed,
             heap: w.heap,
             out: w.out,
             inn: w.inn,
@@ -377,14 +375,11 @@ impl WorkerCtx {
                 commit: w.cu_out,
             },
             shard_map,
-            coa_in: w.coa_in,
             filter: AccessFilter::new(),
             filtered: Vec::new(),
             val_blocks: vec![AccessBlock::new(); n_shards],
             commit_block: AccessBlock::new(),
             valplane: ValPlaneStats::default(),
-            coa_cache: PageCache::new(),
-            coa_epoch: EPOCH_NONE,
             cur: None,
             attempt: 0,
             users: vec![VecDeque::new(); n_stages],
@@ -428,36 +423,15 @@ impl WorkerCtx {
     // Memory operations
     // ------------------------------------------------------------------
 
-    /// Splits off the speculative memory and the Copy-On-Access fetch
-    /// that fills it on a first touch.
-    fn mem(
-        &mut self,
-    ) -> (
-        &mut SpecMem,
-        impl FnOnce(PageId) -> Result<Page, Interrupt> + '_,
-    ) {
-        let Self {
-            spec,
-            link,
-            coa_in,
-            data_timeout,
-            coa_cache,
-            coa_epoch,
-            ..
-        } = self;
-        let timeout = *data_timeout;
-        let fetch = move |page| coa_fetch(link, coa_in, timeout, coa_cache, coa_epoch, page);
-        (spec, fetch)
-    }
-
     /// Speculative load (validated by the try-commit unit).
     ///
     /// # Errors
     ///
-    /// Interrupted by recovery or termination.
+    /// None at present: a first touch copies the committed page without
+    /// waiting. The `Result` lets stage bodies use `?` on memory
+    /// operations and waiting calls alike.
     pub fn read(&mut self, addr: VAddr) -> Result<u64, Interrupt> {
-        let (spec, fetch) = self.mem();
-        spec.read(addr, fetch)
+        self.spec.read(addr, |page| Ok(self.committed.page(page)))
     }
 
     /// Unvalidated load, for data the plan knows cannot conflict (e.g.
@@ -467,10 +441,10 @@ impl WorkerCtx {
     ///
     /// # Errors
     ///
-    /// Interrupted by recovery or termination.
+    /// None at present, as for [`WorkerCtx::read`].
     pub fn read_private(&mut self, addr: VAddr) -> Result<u64, Interrupt> {
-        let (spec, fetch) = self.mem();
-        spec.read_unlogged(addr, fetch)
+        self.spec
+            .read_unlogged(addr, |page| Ok(self.committed.page(page)))
     }
 
     /// Speculative store with `mtx_writeAll` semantics: validated,
@@ -478,7 +452,7 @@ impl WorkerCtx {
     ///
     /// # Errors
     ///
-    /// Interrupted by recovery or termination.
+    /// None at present, as for [`WorkerCtx::read`].
     pub fn write(&mut self, addr: VAddr, value: u64) -> Result<(), Interrupt> {
         self.write_no_forward(addr, value)?;
         self.forwards.push((addr, value));
@@ -492,7 +466,7 @@ impl WorkerCtx {
     ///
     /// # Errors
     ///
-    /// Interrupted by recovery or termination.
+    /// None at present, as for [`WorkerCtx::read`].
     ///
     /// # Panics
     ///
@@ -519,10 +493,10 @@ impl WorkerCtx {
     ///
     /// # Errors
     ///
-    /// Interrupted by recovery or termination.
+    /// None at present, as for [`WorkerCtx::read`].
     pub fn write_no_forward(&mut self, addr: VAddr, value: u64) -> Result<(), Interrupt> {
-        let (spec, fetch) = self.mem();
-        spec.write(addr, value, fetch)
+        self.spec
+            .write(addr, value, |page| Ok(self.committed.page(page)))
     }
 
     /// Private store: stays in this worker's memory version only. Used for
@@ -531,10 +505,10 @@ impl WorkerCtx {
     ///
     /// # Errors
     ///
-    /// Interrupted by recovery or termination.
+    /// None at present, as for [`WorkerCtx::read`].
     pub fn write_private(&mut self, addr: VAddr, value: u64) -> Result<(), Interrupt> {
-        let (spec, fetch) = self.mem();
-        spec.write_unlogged(addr, value, fetch)
+        self.spec
+            .write_unlogged(addr, value, |page| Ok(self.committed.page(page)))
     }
 
     // ------------------------------------------------------------------
@@ -652,13 +626,20 @@ impl WorkerCtx {
     // custom executors)
     // ------------------------------------------------------------------
 
-    /// Enters the subTX of `mtx` (`mtx_begin`): refreshes memory with the
-    /// uncommitted stores of earlier subTXs and buffers their produces.
+    /// Enters the subTX of `mtx` (`mtx_begin`): checks the control plane,
+    /// then refreshes memory with the uncommitted stores of earlier subTXs
+    /// and buffers their produces.
     ///
     /// # Errors
     ///
     /// Interrupted by recovery or termination.
     pub fn begin(&mut self, mtx: MtxId) -> Result<(), Interrupt> {
+        // A subTX that never waits never polls inside a wait. Polling here
+        // keeps such a worker from running ahead past a recovery it would
+        // never join (§4.3: every thread must reach the barriers).
+        if let Some(intr) = self.link.ctrl.poll(&mut self.link.epoch) {
+            return Err(intr);
+        }
         self.cur = Some(mtx);
         // The recovery count at entry is the attempt number: a subTX
         // re-dispatched after recovery *r* is attempt *r*, so its events
@@ -970,7 +951,6 @@ impl WorkerCtx {
         for (_, port) in &mut self.inn {
             port.drain();
         }
-        self.coa_in.drain();
         barrier.wait(); // B2: all speculative queue state is gone.
         self.spec.rollback(); // Reinstate heap access protection.
         for q in &mut self.users {
@@ -988,11 +968,6 @@ impl WorkerCtx {
             block.clear();
         }
         self.commit_block.clear();
-        // The COA cache keeps its (pristine, committed) pages — that is
-        // its whole value across rollbacks — but the epoch view resets so
-        // the next fault on every page revalidates over the wire before
-        // any local serve.
-        self.coa_epoch = EPOCH_NONE;
         // Iteration boundary+1's ring producer was re-executed by the
         // commit unit: its executor must re-derive synchronized state
         // from committed memory instead of waiting for a frame.
@@ -1001,20 +976,15 @@ impl WorkerCtx {
         self.link.epoch = EPOCH_UNSEEN;
     }
 
-    /// COA installs performed by this worker so far.
+    /// Committed pages this worker copied in on a first touch so far.
     pub fn coa_faults(&self) -> u64 {
         self.spec.faults_served()
     }
 
-    /// This worker's validation-plane compaction and COA-cache counters
-    /// (merged across workers into [`crate::RunReport::valplane`]).
+    /// This worker's validation-plane compaction counters (merged across
+    /// workers into [`crate::RunReport::valplane`]).
     pub fn valplane(&self) -> ValPlaneStats {
-        ValPlaneStats {
-            cache_hits: self.coa_cache.hits(),
-            cache_misses: self.coa_cache.misses(),
-            cache_stale: self.coa_cache.stale(),
-            ..self.valplane.clone()
-        }
+        self.valplane.clone()
     }
 }
 
@@ -1073,58 +1043,6 @@ fn port_to(ports: &mut [(WorkerId, SendPort<Msg>)], dst: WorkerId) -> &mut SendP
         .find(|(id, _)| *id == dst)
         .map(|(_, p)| p)
         .unwrap_or_else(|| panic!("no data queue to {dst}"))
-}
-
-/// One Copy-On-Access round trip: request the page from the commit unit
-/// and wait for the reply (at most one outstanding request per worker, so
-/// replies arrive in request order).
-///
-/// The epoch-tagged page cache short-circuits the trip entirely when the
-/// cached copy carries the newest epoch this worker has seen, and
-/// otherwise advertises the cached tag so the commit unit can answer with
-/// a payload-free [`Msg::CoaFresh`] revalidation.
-/// Either way the worker's speculative memory receives a copy of the
-/// committed page — the cache retains its own pristine clone.
-fn coa_fetch(
-    link: &mut UnitLink,
-    coa_in: &mut RecvPort<Msg>,
-    timeout: Option<Duration>,
-    cache: &mut PageCache,
-    coa_epoch: &mut u64,
-    page: PageId,
-) -> Result<Page, Interrupt> {
-    let have = cache.epoch_of(page);
-    if have.is_some() && have == Some(*coa_epoch) && *coa_epoch != EPOCH_NONE {
-        // The copy was (re)validated at the newest epoch this worker has
-        // observed: serve it locally. It can lag the commit unit's current
-        // image, but only within the freshness window every COA fetch
-        // already has — value validation catches any resulting
-        // misspeculation.
-        return Ok(cache.serve(page));
-    }
-    let have = have.unwrap_or(EPOCH_NONE);
-    link.commit
-        .produce(Msg::CoaRequest { page: page.0, have })
-        .map_err(classify)?;
-    let reply = link.wait(timeout, || coa_in.try_consume().map_err(classify))?;
-    match reply {
-        Msg::CoaReply {
-            page: p,
-            epoch: e,
-            data,
-        } => {
-            assert_eq!(p, page.0, "out-of-order COA reply");
-            *coa_epoch = e;
-            cache.install(page, e, (*data).clone());
-            Ok(*data)
-        }
-        Msg::CoaFresh { page: p, epoch: e } => {
-            assert_eq!(p, page.0, "out-of-order COA reply");
-            *coa_epoch = e;
-            Ok(cache.revalidate(page, e))
-        }
-        other => panic!("expected CoaReply, got {other:?}"),
-    }
 }
 
 /// The worker thread body: iterate over assigned MTXs, handling recovery
@@ -1196,11 +1114,7 @@ mod tests {
         // flush discovers the dropped consumer.
         let (mut tx, rx) = channel::<Msg>(8, 4);
         drop(rx);
-        tx.produce(Msg::CoaRequest {
-            page: 0,
-            have: EPOCH_NONE,
-        })
-        .unwrap();
+        tx.produce(Msg::User { value: 0 }).unwrap();
         let r = flush_port(&ctrl, &mut epoch, &mut tx);
         assert_eq!(r.unwrap_err(), Interrupt::ChannelDown);
     }
@@ -1218,11 +1132,7 @@ mod tests {
             Some(plan.injector(0)),
             RetryPolicy { max_attempts: 4 },
         );
-        tx.produce(Msg::CoaRequest {
-            page: 0,
-            have: EPOCH_NONE,
-        })
-        .unwrap();
+        tx.produce(Msg::User { value: 0 }).unwrap();
         let r = flush_port(&ctrl, &mut epoch, &mut tx);
         assert_eq!(r.unwrap_err(), Interrupt::FabricTimeout);
     }

@@ -1,4 +1,9 @@
-//! Worker-side Copy-On-Access page cache.
+//! An epoch-tagged Copy-On-Access page cache.
+//!
+//! The runtime no longer uses it: a worker's COA fault copies the page
+//! straight out of the commit unit's image, so there is no round trip
+//! left for a cache to save. The benchmark's `probe.mem.cache_serve_ns`
+//! still times a serve. What follows is the design it was built for.
 //!
 //! COA fetches pull committed pages at page granularity — the paper's
 //! "page granularity doubles as prefetching". This cache turns that into

@@ -8,9 +8,9 @@
 //!   transfer unit.
 //! * [`table::PageTable`] — a worker's page table. No page is resident at
 //!   first (the paper's access-protected heap); the first touch raises a
-//!   [`PageFault`] which the runtime services by fetching the committed
-//!   page from the commit unit. Rollback re-protects everything by
-//!   dropping resident pages.
+//!   [`PageFault`] which the runtime services by copying the committed
+//!   page out of the commit unit's image. Rollback re-protects everything
+//!   by dropping resident pages.
 //! * [`spec::SpecMem`] — a page table plus one program-ordered access log:
 //!   speculative stores are recorded for uncommitted-value forwarding and
 //!   commit, speculative loads for value-based validation by the

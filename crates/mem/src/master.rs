@@ -3,7 +3,7 @@
 //! Only the commit unit executes the sequential, non-transactional portions
 //! of the program, so its memory is always the single source of committed
 //! truth (§3.1). Pages are created zero-filled on first write (demand
-//! zero); [`MasterMem::page`] serves Copy-On-Access requests.
+//! zero); [`MasterMem::page`] is the copy a Copy-On-Access fault takes.
 //!
 //! Runs of consecutive words go through [`MasterMem::write_words`] and
 //! [`MasterMem::read_words`], which pay one map probe and one dirty-set
@@ -42,9 +42,7 @@ pub struct MasterMem {
     /// `PageId` space hash-partitioned by `shard_of(page, INTERNAL_SHARDS)`.
     shards: Vec<FxHashMap<PageId, Page>>,
     commits_applied: u64,
-    /// Pages written since the last [`MasterMem::take_dirty`] drain. The
-    /// commit unit turns these into per-page COA epoch stamps so worker
-    /// page caches can be revalidated without shipping page payloads.
+    /// Pages written since the last [`MasterMem::take_dirty`] drain.
     dirty: FxHashSet<PageId>,
     /// When set, every `read`/`write` appends an [`AccessRecord`] to
     /// `recorded`. Off by default and off on every hot path: the flag is a
@@ -185,7 +183,7 @@ impl MasterMem {
         std::mem::take(&mut *self.recorded.lock().expect("access log poisoned"))
     }
 
-    /// Returns a copy of the committed page for COA transfer.
+    /// Returns a copy of the committed page, for Copy-On-Access.
     ///
     /// Unwritten pages read as zero pages, like fresh anonymous memory.
     pub fn page(&self, id: PageId) -> Page {
@@ -245,10 +243,7 @@ impl MasterMem {
         self.commits_applied
     }
 
-    /// Drains the set of pages written since the previous drain. The
-    /// commit unit calls this after every mutation batch (group commit,
-    /// recovery re-execution) to stamp the pages with the current commit
-    /// epoch for COA cache revalidation.
+    /// Drains the set of pages written since the previous drain.
     pub fn take_dirty(&mut self) -> FxHashSet<PageId> {
         std::mem::take(&mut self.dirty)
     }

@@ -9,7 +9,7 @@
 //! memory image as of that point in the program, not after later stores.
 //!
 //! Faults are surfaced to the caller through a `fetch` closure so the
-//! runtime can perform the Copy-On-Access round trip to the commit unit.
+//! runtime can copy the committed page in (Copy-On-Access).
 //!
 //! Uncommitted values forwarded from earlier subTXs may land on pages that
 //! are not yet locally resident; they are kept in a pending overlay and
@@ -63,7 +63,7 @@ impl SpecMem {
     /// Speculatively loads the word at `addr`, logging the observation.
     ///
     /// `fetch` services a Copy-On-Access fault by producing the committed
-    /// page (typically via a round trip to the commit unit).
+    /// page (in the runtime, a copy out of the commit unit's image).
     ///
     /// # Errors
     ///

@@ -3,8 +3,8 @@
 //! At the start of parallel execution each worker's heap is fully
 //! access-protected (§4.2): no page is resident. The first touch of a
 //! word on a non-resident page raises a [`PageFault`]; the runtime
-//! services it by asking the commit unit for the committed page
-//! (Copy-On-Access) and installing it. Rollback calls
+//! services it by copying the committed page out of the commit unit's
+//! image (Copy-On-Access) and installing it. Rollback calls
 //! [`PageTable::protect_all`], dropping all resident pages so that COA
 //! refetches committed state.
 //!

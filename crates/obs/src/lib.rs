@@ -153,16 +153,6 @@ pub mod schema {
     /// Access records carried inside those blocks (post-filter).
     pub const VALPLANE_BLOCK_RECORDS: &str = "valplane.block_records";
 
-    /// Worker-side COA page cache (epoch-tagged committed copies).
-    ///
-    /// Fetches served without a page payload on the wire (local serves
-    /// plus `CoaFresh` revalidations).
-    pub const COA_CACHE_HITS: &str = "coa_cache.hits";
-    /// Full-page fetches of pages the cache did not hold.
-    pub const COA_CACHE_MISSES: &str = "coa_cache.misses";
-    /// Full-page refetches replacing an outdated cached copy.
-    pub const COA_CACHE_STALE: &str = "coa_cache.stale";
-
     /// Dependence-analyzer counters (the `dsmtx-analyze` static side),
     /// labeled `workload`.
     ///

@@ -120,9 +120,10 @@ fn trace_invariants_under_recovery() {
     assert_eq!(result.report.total_iterations(), N);
 }
 
-/// COA accounting: the pages served by the commit unit cover at least the
-/// distinct committed pages the workers touched, and private worker pages
-/// are served as zero pages without polluting committed memory.
+/// COA accounting: the pages copied out of the committed image are
+/// exactly the distinct pages each worker and the try-commit shard
+/// touched, and private worker pages come in as zero pages without
+/// polluting committed memory.
 #[test]
 fn coa_serves_committed_and_private_pages() {
     const N: u64 = 8;
@@ -156,8 +157,11 @@ fn coa_serves_committed_and_private_pages() {
             iteration_limit: Some(N),
         })
         .unwrap();
-    // Each worker faults the input pages it touches plus its scratch page.
-    assert!(result.report.coa_pages_served >= 4);
+    // Each worker faults the two input pages it reads plus its scratch
+    // page (6 in all), and the try-commit shard the 4 input pages it
+    // validates.
+    assert_eq!(result.report.shard_stats[0].coa_fetches, 4);
+    assert_eq!(result.report.coa_pages_served, 10);
     // The scratch writes never reached committed memory (worker-owned
     // regions stay zero in the master image).
     let w0_region = dsmtx::worker_owner(dsmtx::WorkerId(0));

@@ -136,6 +136,51 @@ fn recovery_exit_decision_terminates() {
     assert_eq!(result.master.read(out.add_words(EXIT + 1)), 0, "squashed");
 }
 
+/// `recovery_exit_decision_terminates` with workers that never wait:
+/// every MTX stores to one of 16 words on one page, so after its first
+/// Copy-On-Access fault a replica has nothing left to wait for. It must
+/// still see the recovery (at its next `begin`) and join the barriers,
+/// or the loop never ends.
+#[test]
+fn uncounted_runahead_reaches_recovery() {
+    use dsmtx_integration_tests::under_watchdog;
+
+    under_watchdog(
+        "uncounted run-ahead (a worker never saw the recovery?)",
+        || {
+            const EXIT: u64 = 3;
+            let mut heap = heap0();
+            let out = heap.alloc_words(16).unwrap();
+            let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+                if mtx.0 == EXIT {
+                    return ctx.misspec();
+                }
+                ctx.write_no_forward(out.add_words(mtx.0 % 16), 1)?;
+                Ok(IterOutcome::Continue)
+            });
+            let result = doall(2)
+                .run(Program {
+                    master: MasterMem::new(),
+                    stages: vec![body],
+                    recovery: Box::new(move |mtx, m| {
+                        m.write(out.add_words(mtx.0 % 16), 1);
+                        if mtx.0 == EXIT {
+                            IterOutcome::Exit
+                        } else {
+                            IterOutcome::Continue
+                        }
+                    }),
+                    on_commit: None,
+                    iteration_limit: None,
+                })
+                .unwrap();
+            assert_eq!(result.report.last_iteration, Some(MtxId(EXIT)));
+            assert_eq!(result.report.total_iterations(), EXIT + 1);
+            assert_eq!(result.master.read(out.add_words(EXIT + 1)), 0, "squashed");
+        },
+    );
+}
+
 #[test]
 fn pipeline_recovery_with_forwarding_and_consumes() {
     // Misspeculation in the middle stage of a 3-stage pipeline: frames
@@ -481,8 +526,9 @@ fn start_up_window_never_hangs() {
 
 /// The fault matrix: every injectable fault class crossed with every
 /// link group — {drop, delay, duplicate, reorder, crash(stall)} ×
-/// {worker, try-commit, commit} — each cell asserting the faulted run
-/// commits byte-identical memory to the fault-free run.
+/// {worker, try-commit} — each cell asserting the faulted run commits
+/// byte-identical memory to the fault-free run. The commit unit sends on
+/// no link, so it has no group.
 ///
 /// Seeds come from [`seed_from_env`], so a failing cell replays with
 /// `DSMTX_FAULT_SEED=<seed> cargo test -q -p dsmtx-integration-tests`.
@@ -524,11 +570,6 @@ mod fault_matrix {
         FaultRates::only_drop(0.08),
         FaultTarget::TryCommitLinks
     );
-    matrix_cell!(
-        drop_commit_links,
-        FaultRates::only_drop(0.08),
-        FaultTarget::CommitLinks
-    );
 
     matrix_cell!(
         delay_worker_links,
@@ -539,11 +580,6 @@ mod fault_matrix {
         delay_trycommit_links,
         FaultRates::only_delay(0.08),
         FaultTarget::TryCommitLinks
-    );
-    matrix_cell!(
-        delay_commit_links,
-        FaultRates::only_delay(0.08),
-        FaultTarget::CommitLinks
     );
 
     matrix_cell!(
@@ -556,11 +592,6 @@ mod fault_matrix {
         FaultRates::only_duplicate(0.08),
         FaultTarget::TryCommitLinks
     );
-    matrix_cell!(
-        duplicate_commit_links,
-        FaultRates::only_duplicate(0.08),
-        FaultTarget::CommitLinks
-    );
 
     matrix_cell!(
         reorder_worker_links,
@@ -572,11 +603,6 @@ mod fault_matrix {
         FaultRates::only_reorder(0.08),
         FaultTarget::TryCommitLinks
     );
-    matrix_cell!(
-        reorder_commit_links,
-        FaultRates::only_reorder(0.08),
-        FaultTarget::CommitLinks
-    );
 
     matrix_cell!(
         crash_worker_links,
@@ -587,11 +613,6 @@ mod fault_matrix {
         crash_trycommit_links,
         FaultRates::only_stall(0.04, 6),
         FaultTarget::TryCommitLinks
-    );
-    matrix_cell!(
-        crash_commit_links,
-        FaultRates::only_stall(0.04, 6),
-        FaultTarget::CommitLinks
     );
 
     /// A harsh cell that exhausts the retry budget: at a 40% drop rate
@@ -643,10 +664,9 @@ mod fault_matrix {
     }
 
     /// A Spec-DOALL loop of `n` MTXs over 3 replicas and 2 try-commit
-    /// shards in which every MTX reads and writes a page of its own.
-    /// Every COA fetch therefore misses the worker's page cache, so every
-    /// COA reply carries a full page and `coa_pages_served` counts the
-    /// replies exactly. Checks committed memory and returns the report.
+    /// shards in which every MTX reads and writes a page of its own, so
+    /// every first touch copies a fresh committed page. Checks committed
+    /// memory and returns the report.
     fn own_page_loop(n: u64, faults: Option<dsmtx::FaultConfig>) -> dsmtx::RunReport {
         use std::sync::Arc;
 
@@ -711,10 +731,6 @@ mod fault_matrix {
             report.recoveries, 0,
             "{target:?}: a duplicate caused a recovery"
         );
-        assert_eq!(
-            report.valplane.cache_hits, 0,
-            "{target:?}: a COA fetch hit the cache"
-        );
         LinkTraffic {
             packets: report.stats.packets(),
             dups: report.stats.fault_dups(),
@@ -722,36 +738,9 @@ mod fault_matrix {
         }
     }
 
-    /// A dropped COA reply does not stall the commit unit: the reply
-    /// stays buffered and the unit's next turn ships it. So an 80% drop
-    /// rate on the COA replies costs retries, but no fabric timeout and
-    /// no recovery round, with the default retry budget and a 20 ms
-    /// receive deadline.
-    #[test]
-    fn faulted_coa_reply_does_not_stall_the_commit_unit() {
-        use dsmtx::FaultConfig;
-        use dsmtx_integration_tests::under_watchdog;
-
-        let seed = seed_from_env(DEFAULT_SEED);
-        under_watchdog("faulted COA replies", move || {
-            let faults = FaultConfig::new(seed, FaultRates::only_drop(0.8))
-                .target(FaultTarget::CommitLinks)
-                .recv_timeout_us(20_000);
-            let report = own_page_loop(128, Some(faults));
-            assert!(report.stats.fault_drops() > 0, "seed {seed:#x}: no drops");
-            assert_eq!(
-                (report.fabric_timeouts, report.fault_recoveries),
-                (0, 0),
-                "seed {seed:#x}: a dropped COA reply stalled the commit unit \
-                 (fabric timeouts, fault recoveries)"
-            );
-        });
-    }
-
     /// A fault plan injects into exactly the links its target names.
     /// Every ship attempt on a faulted link duplicates, so each packet a
-    /// faulted link ships records exactly one `fault_dups`; the COA
-    /// replies are the only traffic the commit unit sends.
+    /// faulted link ships records exactly one `fault_dups`.
     #[test]
     fn fault_target_hits_exactly_its_links() {
         use dsmtx_integration_tests::under_watchdog;
@@ -763,13 +752,6 @@ mod fault_matrix {
 
             let all = link_traffic(Some(FaultTarget::All));
             assert_eq!(all.dups, all.packets, "All misses a link");
-
-            let commit = link_traffic(Some(FaultTarget::CommitLinks));
-            assert_eq!(
-                commit.dups, commit.coa_pages,
-                "CommitLinks must duplicate exactly the COA replies ({} packets)",
-                commit.packets
-            );
 
             for target in [FaultTarget::WorkerLinks, FaultTarget::TryCommitLinks] {
                 let t = link_traffic(Some(target));

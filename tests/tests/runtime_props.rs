@@ -249,7 +249,7 @@ proptest! {
     fn arbitrary_fault_plans_preserve_commits(
         seed in any::<u64>(),
         p in 0.0f64..0.35,
-        target_idx in 0usize..4,
+        target_idx in 0usize..3,
         workload_idx in 0usize..3,
     ) {
         use dsmtx::FaultTarget;
@@ -260,7 +260,6 @@ proptest! {
             FaultTarget::All,
             FaultTarget::WorkerLinks,
             FaultTarget::TryCommitLinks,
-            FaultTarget::CommitLinks,
         ][target_idx];
         let mut case = FaultCase::quick(
             seed,

@@ -232,8 +232,10 @@ fn validation_and_commit_frames_ship_in_batches() {
         "{items} items in {packets} packets: frames are not batched"
     );
     assert_eq!(report.valplane.records_post, 3 * N);
-    // What the same loop shipped when every frame was flushed on its own.
-    assert_eq!(report.valplane.bytes_post, 859_130);
+    // What the same loop shipped when every frame was flushed on its own:
+    // 859,130 B at 32-byte queue slots, less 8 B for each of the
+    // 3 × 1,024 frames now that a slot is 24 bytes (859,130 − 24,576).
+    assert_eq!(report.valplane.bytes_post, 834_554);
 }
 
 #[test]
