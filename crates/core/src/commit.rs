@@ -4,11 +4,11 @@
 //! writer. It executed the sequential pre-loop code (in this
 //! reproduction: the caller built [`dsmtx_mem::MasterMem`] before the
 //! run), buffers the store streams of every subTX, and — once *every*
-//! try-commit shard validates an MTX's slice of the address space —
-//! applies its subTX write-sets in program order (group transaction
-//! commit, §3.1: last update to an address wins). A conflict verdict from
-//! any shard, or an explicit worker misspeculation, makes it orchestrate
-//! the §4.3 recovery protocol and re-execute the squashed iteration
+//! try-commit shard's verdict word has passed an MTX — applies its subTX
+//! write-sets in program order (group transaction commit, §3.1: last
+//! update to an address wins). A conflict in any shard's word, or an
+//! explicit worker misspeculation, makes it orchestrate the §4.3
+//! recovery protocol and re-execute the squashed iteration
 //! single-threaded; all shards participate in the recovery barriers.
 //!
 //! Copy-On-Access takes no turn of this unit: workers and try-commit
@@ -18,7 +18,9 @@
 //! only to apply a group commit, to run the recovery body and to run the
 //! `on_commit` hook, and never waits on another role while it holds it.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use dsmtx_fabric::RecvPort;
@@ -32,6 +34,7 @@ use crate::ids::MtxId;
 use crate::poll;
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
 use crate::trace::{Role, TraceKind, TraceSink};
+use crate::trycommit::VerdictBoard;
 use crate::wire::{AccessBlock, Msg};
 
 /// Read-only access to the committed image, for workers and try-commit
@@ -48,9 +51,10 @@ impl CommittedImage {
     /// committed version is safe to hand out: value validation catches a
     /// stale page.
     pub(crate) fn page(&self, id: PageId) -> Page {
-        // Poisoned only by a commit-unit panic. Every page write leaves
-        // the map sound, the run has failed anyway, and the channels the
-        // dead unit dropped unwind this thread.
+        // Poisoned only by a commit-unit panic outside the user hooks
+        // (a panicking hook releases the lock first). Every page write
+        // leaves the map sound, the run has failed anyway, and the
+        // channels the dead unit dropped unwind this thread.
         self.0
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -74,25 +78,14 @@ pub(crate) struct CommitCounters {
     pub committed: u64,
     pub recovered_iterations: u64,
     pub last_iteration: Option<MtxId>,
-    /// Conflicts detected by the try-commit unit's value validation.
+    /// MTXs squashed because a try-commit shard's value validation
+    /// conflicted in them.
     pub validation_conflicts: u64,
     /// Misspeculations declared explicitly by workers (`mtx_misspec`).
     pub worker_misspecs: u64,
     /// Recovery rounds run in answer to fabric-timeout requests (as
     /// opposed to misspeculation verdicts).
     pub fault_recoveries: u64,
-}
-
-/// Aggregated per-shard verdicts for one MTX: the group-commit decision
-/// needs `VerdictOk` from *every* try-commit shard (each owns a disjoint
-/// page partition), while a single `VerdictBad` from any shard squashes
-/// the MTX.
-#[derive(Debug, Default, Clone, Copy)]
-struct VerdictState {
-    /// Shards that reported `VerdictOk` so far.
-    oks: u16,
-    /// True once any shard reported a conflict.
-    bad: bool,
 }
 
 pub(crate) struct CommitUnit {
@@ -103,12 +96,11 @@ pub(crate) struct CommitUnit {
     master: Arc<RwLock<MasterMem>>,
     /// Store-frame/event streams, one per worker, in worker order.
     from_workers: Vec<RecvPort<Msg>>,
-    /// Verdict streams, one per try-commit shard.
-    from_trycommit: Vec<RecvPort<Msg>>,
+    /// The try-commit shards' verdict words.
+    board: VerdictBoard,
     /// Received store blocks per (mtx, stage), decoded at group commit.
     store_sets: FxHashMap<(u64, u16), Box<AccessBlock>>,
     events: BTreeMap<u64, Events>,
-    verdicts: BTreeMap<u64, VerdictState>,
     next_commit: MtxId,
     recovery: RecoveryFn,
     on_commit: Option<CommitHook>,
@@ -122,7 +114,7 @@ pub(crate) struct CommitWiring {
     pub trace: TraceSink,
     pub master: Arc<RwLock<MasterMem>>,
     pub from_workers: Vec<RecvPort<Msg>>,
-    pub from_trycommit: Vec<RecvPort<Msg>>,
+    pub board: VerdictBoard,
     pub recovery: RecoveryFn,
     pub on_commit: Option<CommitHook>,
     pub limit: Option<u64>,
@@ -136,10 +128,9 @@ impl CommitUnit {
             trace: w.trace,
             master: w.master,
             from_workers: w.from_workers,
-            from_trycommit: w.from_trycommit,
+            board: w.board,
             store_sets: FxHashMap::default(),
             events: BTreeMap::new(),
-            verdicts: BTreeMap::new(),
             next_commit: MtxId(0),
             recovery: w.recovery,
             on_commit: w.on_commit,
@@ -201,8 +192,8 @@ impl CommitUnit {
         }
     }
 
-    /// Drains available input, at most one batch per stream. Never
-    /// blocks.
+    /// Drains available worker input, at most one batch per stream.
+    /// Never blocks.
     ///
     /// The bound keeps a worker that produces faster than this unit
     /// consumes from holding the unit here: the step after it, which
@@ -210,7 +201,6 @@ impl CommitUnit {
     fn ingest(&mut self) -> bool {
         let budget = self.shape.batch();
         let mut progress = false;
-        // Worker streams: store frames and events.
         for worker in 0..self.from_workers.len() {
             for _ in 0..budget {
                 let msg = match self.from_workers[worker].try_consume() {
@@ -249,38 +239,6 @@ impl CommitUnit {
                 }
             }
         }
-        // Try-commit streams: per-shard verdicts.
-        for shard in 0..self.from_trycommit.len() {
-            for _ in 0..budget {
-                let msg = match self.from_trycommit[shard].try_consume() {
-                    Ok(Some(m)) => m,
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.ctrl.report_channel_down();
-                        break;
-                    }
-                };
-                progress = true;
-                match msg {
-                    Msg::VerdictOk { mtx } => {
-                        self.verdicts.entry(mtx.0).or_default().oks += 1;
-                    }
-                    Msg::VerdictBad { mtx } => {
-                        let v = self.verdicts.entry(mtx.0).or_default();
-                        // Count conflicts per MTX, not per shard: several
-                        // shards can each detect a mismatch in the same
-                        // MTX, but it is one squash (and at one shard, one
-                        // `VerdictBad` per recovery round — so this count
-                        // is identical across shard configurations).
-                        if !v.bad {
-                            self.counters.validation_conflicts += 1;
-                        }
-                        v.bad = true;
-                    }
-                    other => panic!("unexpected message from try-commit: {other:?}"),
-                }
-            }
-        }
         progress
     }
 
@@ -288,13 +246,19 @@ impl CommitUnit {
     fn step(&mut self) -> StepResult {
         let m = self.next_commit;
         let ev = self.events.get(&m.0).copied().unwrap_or_default();
-        let verdict = self.verdicts.get(&m.0).copied().unwrap_or_default();
-        if ev.misspec || verdict.bad {
+        let conflicted = self.board.conflicted(m);
+        if conflicted {
+            // Counted here, once per MTX a verdict squashes, however many
+            // shards conflicted in it; a conflict that an earlier
+            // misspeculation or a fault round preempts is not counted.
+            self.counters.validation_conflicts += 1;
+        }
+        if ev.misspec || conflicted {
             return self.recover(m, false);
         }
         // Group-commit decision: every shard must have validated its
         // partition of the MTX.
-        if (verdict.oks as usize) < self.from_trycommit.len() {
+        if !self.board.validated(m) {
             return StepResult::Idle;
         }
         // All stage write-sets must have arrived (they were sent at the
@@ -310,23 +274,25 @@ impl CommitUnit {
             let block = self.store_sets.remove(&(m.0, s)).expect("checked above");
             writes.extend(block.iter().map(|r| (r.addr, r.value)));
         }
-        {
-            let mut master = self.master.write().expect(ONLY_WRITER);
-            master.commit_writes_parallel(writes);
-            self.counters.committed += 1;
-            self.counters.last_iteration = Some(m);
-            self.trace.record(
-                Role::Commit,
-                Some(m),
-                ev.attempt,
-                None,
-                TraceKind::Committed,
-            );
-            if let Some(hook) = &mut self.on_commit {
-                hook(m, &master);
-            }
+        let mut master = self.master.write().expect(ONLY_WRITER);
+        master.commit_writes_parallel(writes);
+        self.counters.committed += 1;
+        self.counters.last_iteration = Some(m);
+        self.trace.record(
+            Role::Commit,
+            Some(m),
+            ev.attempt,
+            None,
+            TraceKind::Committed,
+        );
+        let hooked = match &mut self.on_commit {
+            Some(hook) => catch_unwind(AssertUnwindSafe(|| hook(m, &master))),
+            None => Ok(()),
+        };
+        drop(master);
+        if let Err(panic) = hooked {
+            self.abandon(panic, false);
         }
-        self.verdicts.remove(&m.0);
         let exit_now = self.events.remove(&m.0).is_some_and(|e| e.exit);
         if exit_now || self.limit == Some(m.0 + 1) {
             self.terminate(Some(m));
@@ -371,28 +337,28 @@ impl CommitUnit {
         for port in &mut self.from_workers {
             port.drain();
         }
-        for port in &mut self.from_trycommit {
-            port.drain();
-        }
         self.store_sets.clear();
         self.events.clear();
-        self.verdicts.clear();
         barrier.wait(); // B2: queues are clean everywhere.
 
         // Re-execute the squashed iteration single-threaded on committed
-        // memory while the workers re-protect their heaps. The write lock
-        // is gone before B3: no role waits at a barrier holding it.
-        let outcome = {
-            let mut master = self.master.write().expect(ONLY_WRITER);
+        // memory while the workers re-protect their heaps and the shards
+        // reset their verdict words (this unit reads none until B3). The
+        // write lock is gone before B3: no role waits at a barrier
+        // holding it.
+        let mut master = self.master.write().expect(ONLY_WRITER);
+        let hooked = catch_unwind(AssertUnwindSafe(|| {
             let outcome = (self.recovery)(boundary, &mut master);
-            self.counters.recovered_iterations += 1;
-            self.counters.last_iteration = Some(boundary);
-            self.ctrl.record_recovery();
             if let Some(hook) = &mut self.on_commit {
                 hook(boundary, &master);
             }
             outcome
-        };
+        }));
+        drop(master);
+        let outcome = hooked.unwrap_or_else(|panic| self.abandon(panic, true));
+        self.counters.recovered_iterations += 1;
+        self.counters.last_iteration = Some(boundary);
+        self.ctrl.record_recovery();
         self.trace.record(
             Role::Commit,
             Some(boundary),
@@ -423,6 +389,22 @@ impl CommitUnit {
             self.next_commit = boundary.next();
             StepResult::Progress
         }
+    }
+
+    /// Ends this thread after a user hook (`on_commit` or the recovery
+    /// body) panicked, without stranding the other roles: publish
+    /// `Terminating` — inside a recovery round, also arrive at B3, where
+    /// every other role waits — then resume the panic, which `run`
+    /// reports as `RunError::ThreadPanic("commit")`. The caller has
+    /// released the image.
+    fn abandon(&self, panic: Box<dyn Any + Send>, in_recovery: bool) -> ! {
+        self.ctrl.publish(Status::Terminating {
+            last: self.counters.last_iteration,
+        });
+        if in_recovery {
+            self.ctrl.barrier().wait(); // B3
+        }
+        resume_unwind(panic)
     }
 
     fn terminate(&mut self, last: Option<MtxId>) {

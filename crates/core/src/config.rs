@@ -13,39 +13,15 @@ use dsmtx_mem::ShardMap;
 
 use crate::ids::{MtxId, StageId, WorkerId};
 
-/// Which links a fault plan injects into, selected by the role at the
-/// link's *source* (the injector lives on the send side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTarget {
-    /// Every link of the run.
-    All,
-    /// Links originating at worker threads (stage-to-stage data, ring
-    /// forwarding, validation traffic, commit notifications).
-    WorkerLinks,
-    /// Links originating at the try-commit unit (verdicts).
-    TryCommitLinks,
-}
-
-impl std::fmt::Display for FaultTarget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultTarget::All => write!(f, "all"),
-            FaultTarget::WorkerLinks => write!(f, "worker"),
-            FaultTarget::TryCommitLinks => write!(f, "try-commit"),
-        }
-    }
-}
-
-/// Fault-injection configuration for a run: seed, rates, targeted links,
-/// and the timing knobs that convert injected faults into recoveries.
+/// Fault-injection configuration for a run: seed, rates, and the timing
+/// knobs that convert injected faults into recoveries. The plan injects
+/// into every link of the run; every link starts at a worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed the per-link decision streams derive from.
     pub seed: u64,
     /// Per-class fault probabilities.
     pub rates: FaultRates,
-    /// Which links the plan injects into.
-    pub target: FaultTarget,
     /// Deadline on blocking data receives, microseconds; silence past it
     /// raises a fabric-timeout recovery request.
     pub recv_timeout_us: u64,
@@ -60,16 +36,9 @@ impl FaultConfig {
         FaultConfig {
             seed,
             rates,
-            target: FaultTarget::All,
             recv_timeout_us: 50_000,
             retry: RetryPolicy::DEFAULT,
         }
-    }
-
-    /// Restricts injection to `target` links.
-    pub fn target(mut self, target: FaultTarget) -> Self {
-        self.target = target;
-        self
     }
 
     /// Sets the blocking-receive deadline in microseconds.
@@ -548,15 +517,11 @@ mod tests {
     #[test]
     fn fault_config_flows_into_the_shape() {
         let mut cfg = SystemConfig::new();
-        cfg.stage(StageKind::Sequential).faults(
-            FaultConfig::new(0xABCD, FaultRates::only_drop(0.1))
-                .target(FaultTarget::WorkerLinks)
-                .recv_timeout_us(10_000),
-        );
+        cfg.stage(StageKind::Sequential)
+            .faults(FaultConfig::new(0xABCD, FaultRates::only_drop(0.1)).recv_timeout_us(10_000));
         let p = cfg.build().unwrap();
         let f = p.fault().expect("plan installed");
         assert_eq!(f.seed, 0xABCD);
-        assert_eq!(f.target, FaultTarget::WorkerLinks);
         assert_eq!(
             p.recv_deadline(),
             Some(std::time::Duration::from_millis(10))

@@ -86,7 +86,7 @@ pub mod trycommit;
 pub mod wire;
 pub mod worker;
 
-pub use config::{ConfigError, FaultConfig, FaultTarget, PipelineShape, StageKind, SystemConfig};
+pub use config::{ConfigError, FaultConfig, PipelineShape, StageKind, SystemConfig};
 pub use control::{ControlPlane, Interrupt, Status};
 pub use footprint::{AccessMode, FootprintFn, Region, StageRole, StageSpec};
 pub use ids::{MtxId, StageId, WorkerId};

@@ -17,7 +17,8 @@ use crate::trycommit::ConflictRecord;
 /// `unit_shards = 1` the single entry covers the whole validation plane.
 #[derive(Debug, Default)]
 pub struct ShardStats {
-    /// MTXs this shard sent `VerdictOk` for.
+    /// MTXs this shard validated in its page partition (published on
+    /// its verdict word).
     pub validated: u64,
     /// Value-validation conflicts detected in this shard's partition.
     pub conflicts: u64,
@@ -30,7 +31,7 @@ pub struct ShardStats {
     pub coa_fetches: u64,
     /// SubTX stream arrival to replay start, microseconds.
     pub replay_lag: Histogram,
-    /// MTX final-stage arrival to verdict send, microseconds.
+    /// MTX final-stage arrival to verdict publish, microseconds.
     pub verdict_latency: Histogram,
     /// Busy fraction of the shard thread, parts per million.
     pub busy_ppm: u64,
@@ -98,8 +99,12 @@ pub struct RunReport {
     /// Copy-On-Access pages copied out of the committed image: every
     /// worker's first touches plus every try-commit shard's fetches.
     pub coa_pages_served: u64,
-    /// Conflicts the try-commit unit detected by value validation
-    /// (speculated dependences that manifested).
+    /// MTXs squashed because value validation conflicted in them
+    /// (speculated dependences that manifested): one per MTX, however
+    /// many shards conflicted in it, so the count does not depend on
+    /// `unit_shards`. A conflict that a misspeculation or fault round at
+    /// an earlier MTX preempted is not counted; the shards' own
+    /// `ShardStats::conflicts` still count it.
     pub validation_conflicts: u64,
     /// Misspeculations workers declared explicitly (`mtx_misspec`,
     /// failed control-flow speculation).

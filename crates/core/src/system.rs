@@ -3,8 +3,8 @@
 //! [`MtxSystem`] is `mtx_newDSMTXsystem` of Table 1: it takes a pipeline
 //! configuration, wires the communication topology (workers of earlier
 //! stages to the executors of later stages, every worker to every
-//! try-commit shard and to the commit unit, every shard to the commit
-//! unit), shares the committed image, and spawns one thread per worker
+//! try-commit shard and to the commit unit), shares the committed image
+//! and the shards' verdict words, and spawns one thread per worker
 //! plus `unit_shards` try-commit threads and the commit unit — the
 //! paper's `mtx_spawn`, `mtx_tryCommitUnit`, and `mtx_commitUnit`, with
 //! `DSMTX_Init`/`DSMTX_Finalize` folded into [`MtxSystem::run`]'s setup
@@ -18,8 +18,10 @@
 //! successor replica — so the channel count never grows quadratically in
 //! the total thread count (§3.1). [`MtxSystem::run`] opens each link once,
 //! in a fixed order, and hands its two ends straight to the roles it
-//! joins. The commit unit sends on no link: workers and try-commit shards
-//! copy committed pages out of the shared image themselves.
+//! joins. Every link starts at a worker: the speculation units send on
+//! none. Workers and try-commit shards copy committed pages out of the
+//! shared image themselves, and each shard publishes its verdicts on its
+//! own word of a board the commit unit reads.
 
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -28,13 +30,13 @@ use dsmtx_fabric::{channel_faulted, CostModel, FabricStats, FaultPlan, RetryPoli
 use dsmtx_uva::{OwnerId, RegionAllocator};
 
 use crate::commit::{CommitUnit, CommitWiring, CommittedImage};
-use crate::config::{ConfigError, FaultTarget, PipelineShape, SystemConfig};
+use crate::config::{ConfigError, PipelineShape, SystemConfig};
 use crate::control::ControlPlane;
 use crate::ids::WorkerId;
 use crate::program::Program;
 use crate::report::{RunReport, RunResult};
 use crate::trace::TraceSink;
-use crate::trycommit::{TryCommitUnit, TryCommitWiring};
+use crate::trycommit::{TryCommitUnit, TryCommitWiring, VerdictBoard};
 use crate::wire::Msg;
 use crate::worker::{worker_main, WorkerCtx, WorkerWiring};
 
@@ -143,25 +145,23 @@ impl MtxSystem {
         // The committed image: the commit unit writes it, every other
         // role only copies pages out of it (one-sided Copy-On-Access).
         let image = Arc::new(RwLock::new(program.master));
+        // One verdict word per shard, which only the commit unit reads.
+        let board = VerdictBoard::new(n_shards);
 
         // ---- links ----------------------------------------------------
         // Every link opens here, in one fixed order, and its two ends go
         // straight to the roles it joins. Link `i` draws its fault
         // decisions from `plan.injector(i)`, so a fault schedule is a pure
-        // function of (seed, link order). A plan injects only into links
-        // whose source role its target names: the injector lives on the
-        // send side.
+        // function of (seed, link order).
         let stats = FabricStats::new();
         let fault = shape
             .fault()
-            .map(|fc| (fc.target, FaultPlan::new(fc.seed, fc.rates), fc.retry));
+            .map(|fc| (FaultPlan::new(fc.seed, fc.rates), fc.retry));
         let mut link = 0u64;
-        let mut open = |class: FaultTarget| {
+        let mut open = || {
             let (injector, retry) = match fault {
-                Some((target, plan, retry)) if target == FaultTarget::All || target == class => {
-                    (Some(plan.injector(link)), retry)
-                }
-                _ => (None, RetryPolicy::DEFAULT),
+                Some((plan, retry)) => (Some(plan.injector(link)), retry),
+                None => (None, RetryPolicy::DEFAULT),
             };
             link += 1;
             channel_faulted::<Msg>(
@@ -182,7 +182,7 @@ impl MtxSystem {
         for a in workers() {
             let later = workers().filter(|&b| shape.stage_of(a) < shape.stage_of(b));
             for b in later.chain(shape.ring_next(a)) {
-                let (tx, rx) = open(FaultTarget::WorkerLinks);
+                let (tx, rx) = open();
                 out[usize::from(a.0)].push((b, tx));
                 inn[usize::from(b.0)].push((a, rx));
             }
@@ -197,12 +197,12 @@ impl MtxSystem {
             let val_out = val_in
                 .iter_mut()
                 .map(|val_in| {
-                    let (tx, rx) = open(FaultTarget::WorkerLinks);
+                    let (tx, rx) = open();
                     val_in.push(rx);
                     tx
                 })
                 .collect();
-            let (cu_out, from_worker) = open(FaultTarget::WorkerLinks);
+            let (cu_out, from_worker) = open();
             from_workers.push(from_worker);
             worker_wirings.push(WorkerWiring {
                 worker,
@@ -218,22 +218,19 @@ impl MtxSystem {
             });
         }
 
-        // Shard links: each try-commit shard's verdicts to the commit unit.
-        let mut from_trycommit = Vec::with_capacity(n_shards);
-        let mut tc_wirings = Vec::with_capacity(n_shards);
-        for (shard, val_in) in val_in.into_iter().enumerate() {
-            let (to_commit, from_shard) = open(FaultTarget::TryCommitLinks);
-            from_trycommit.push(from_shard);
-            tc_wirings.push(TryCommitWiring {
+        let tc_wirings: Vec<_> = val_in
+            .into_iter()
+            .enumerate()
+            .map(|(shard, val_in)| TryCommitWiring {
                 shape: shape.clone(),
                 ctrl: ctrl.clone(),
                 trace: trace.clone(),
                 shard: shard as u16,
                 val_in,
-                to_commit,
+                board: board.clone(),
                 committed: CommittedImage::new(&image),
-            });
-        }
+            })
+            .collect();
 
         let cu_wiring = CommitWiring {
             shape: shape.clone(),
@@ -241,7 +238,7 @@ impl MtxSystem {
             trace: trace.clone(),
             master: Arc::clone(&image),
             from_workers,
-            from_trycommit,
+            board,
             recovery: program.recovery,
             on_commit: program.on_commit,
             limit: program.iteration_limit,

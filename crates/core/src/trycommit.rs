@@ -11,6 +11,12 @@
 //! reports the conflict to the commit unit (§3.1's unified value
 //! prediction and checking mechanism).
 //!
+//! The unit reports on one word of a `VerdictBoard` rather than a link:
+//! replay runs in program order and stops at the first conflict, so its
+//! whole verdict stream is one monotone validated-through cursor plus a
+//! conflict bit — what the paper's cluster could publish with a
+//! one-sided RDMA WRITE.
+//!
 //! False (anti/output) dependences never reach this unit: memory
 //! versioning in the workers' private memories already broke them.
 //!
@@ -24,13 +30,16 @@
 //! responsible shard's `ValBlock` and send a frame to *every* shard, so
 //! each shard's program-order cursor advances through every (MTX, stage)
 //! — a shard whose partition a subTX never touched replays an empty
-//! block. Each shard reports an independent per-MTX verdict; the commit
-//! unit aggregates them (all-OK commits, any-bad recovers).
+//! block. Each shard publishes its own verdict word; the commit unit
+//! reads them all (every cursor past an MTX commits it, any conflict in
+//! it recovers).
 
 use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
-use dsmtx_fabric::{RecvPort, SendPort};
+use dsmtx_fabric::RecvPort;
 use dsmtx_mem::{AccessKind, AccessRecord, SpecMem};
 use dsmtx_obs::Histogram;
 use dsmtx_uva::VAddr;
@@ -43,7 +52,49 @@ use crate::ids::{MtxId, StageId};
 use crate::poll;
 use crate::trace::{Role, TraceKind, TraceSink};
 use crate::wire::{AccessBlock, Msg};
-use crate::worker::{classify, flush_port};
+
+/// Top bit of a verdict word: the MTX at the word's cursor conflicted.
+const CONFLICT: u64 = 1 << 63;
+
+/// The try-commit shards' verdicts: one word per shard, holding its
+/// validated-through cursor (every MTX below it validated in the shard's
+/// partition) and, in [`CONFLICT`], whether the cursor's MTX conflicted.
+///
+/// Only its shard writes a word: as each MTX validates, at a conflict,
+/// and between recovery barriers B2 and B3, when it resets to
+/// `boundary + 1`. It stores with `Release` after recording the trace
+/// event, and the commit unit loads with `Acquire`, so a `Validated`
+/// event always precedes its `Committed`. The commit unit reads only
+/// about its next MTX `m`, and no cursor lags `m`: it commits only MTXs
+/// every cursor passed, and recovery resets every word to the new `m`.
+#[derive(Debug, Clone)]
+pub(crate) struct VerdictBoard(Arc<[AtomicU64]>);
+
+impl VerdictBoard {
+    pub(crate) fn new(shards: usize) -> Self {
+        VerdictBoard((0..shards).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// Shard `shard` only: every MTX below `cursor` validated, and the
+    /// one at `cursor` conflicted when `conflict` is set.
+    fn publish(&self, shard: u16, cursor: MtxId, conflict: bool) {
+        let word = cursor.0 | if conflict { CONFLICT } else { 0 };
+        self.0[usize::from(shard)].store(word, Ordering::Release);
+    }
+
+    /// Whether some shard conflicted in `m`.
+    pub(crate) fn conflicted(&self, m: MtxId) -> bool {
+        let bad = m.0 | CONFLICT;
+        self.0.iter().any(|w| w.load(Ordering::Acquire) == bad)
+    }
+
+    /// Whether every shard validated `m`.
+    pub(crate) fn validated(&self, m: MtxId) -> bool {
+        self.0
+            .iter()
+            .all(|w| w.load(Ordering::Acquire) & !CONFLICT > m.0)
+    }
+}
 
 /// One detected conflict with its attribution context: which page
 /// mismatched, which shard caught it, and which MTX wrote the page first
@@ -71,7 +122,7 @@ pub struct ConflictRecord {
 /// Per-shard statistics returned by [`TryCommitUnit::run`].
 #[derive(Debug, Default)]
 pub(crate) struct TryCommitCounters {
-    /// MTXs this shard sent `VerdictOk` for.
+    /// MTXs this shard validated in its page partition.
     pub validated: u64,
     /// Conflicts this shard detected in its page partition.
     pub conflicts: u64,
@@ -87,7 +138,7 @@ pub(crate) struct TryCommitCounters {
     pub coa_fetches: u64,
     /// Stream arrival → program-order replay start, per subTX stream.
     pub replay_lag: Histogram,
-    /// Final-stage stream arrival → verdict send, per MTX.
+    /// Final-stage stream arrival → verdict publish, per MTX.
     pub verdict_latency: Histogram,
     /// Busy fraction of the shard thread, parts per million.
     pub busy_ppm: u64,
@@ -99,9 +150,6 @@ pub(crate) struct TryCommitUnit {
     trace: TraceSink,
     /// This shard's index (0 at `unit_shards = 1`).
     shard: u16,
-    /// The control epoch the turn's verdict flush last saw; the run loop
-    /// keeps its own.
-    epoch: u64,
     /// The replay image: committed pages + speculative stores in order.
     /// Covers only this shard's page partition.
     image: SpecMem,
@@ -109,8 +157,8 @@ pub(crate) struct TryCommitUnit {
     committed: CommittedImage,
     /// Validation streams, one per worker (this shard's partition only).
     val_in: Vec<RecvPort<Msg>>,
-    /// Verdicts to the commit unit.
-    to_commit: SendPort<Msg>,
+    /// Where this shard publishes its verdict word.
+    board: VerdictBoard,
     /// Received subTX blocks awaiting their replay turn, with their
     /// attempt number and arrival time (for replay-lag / verdict-latency
     /// histograms).
@@ -124,8 +172,8 @@ pub(crate) struct TryCommitUnit {
     /// `page -> (mtx, attempt)` of the earliest replayed store. Reset at
     /// recovery together with the image.
     first_writers: FxHashMap<u64, (u64, u32)>,
-    /// Set after reporting a conflict or raising a fabric fault: stop
-    /// replaying, wait for recovery.
+    /// Set after publishing a conflict: stop replaying, wait for
+    /// recovery.
     poisoned: bool,
     counters: TryCommitCounters,
 }
@@ -136,7 +184,7 @@ pub(crate) struct TryCommitWiring {
     pub trace: TraceSink,
     pub shard: u16,
     pub val_in: Vec<RecvPort<Msg>>,
-    pub to_commit: SendPort<Msg>,
+    pub board: VerdictBoard,
     pub committed: CommittedImage,
 }
 
@@ -147,11 +195,10 @@ impl TryCommitUnit {
             ctrl: w.ctrl,
             trace: w.trace,
             shard: w.shard,
-            epoch: EPOCH_UNSEEN,
             image: SpecMem::new(),
             committed: w.committed,
             val_in: w.val_in,
-            to_commit: w.to_commit,
+            board: w.board,
             done: FxHashMap::default(),
             cursor_mtx: MtxId(0),
             cursor_stage: StageId(0),
@@ -168,14 +215,11 @@ impl TryCommitUnit {
         let started = Instant::now();
         let mut busy = std::time::Duration::ZERO;
         let ctrl = self.ctrl.clone();
-        // The loop's own seen epoch: the step borrows `self`, so the
-        // turn's inner wait (the verdict flush) cannot share `self.epoch`
-        // with it.
         let mut seen = EPOCH_UNSEEN;
         loop {
             let turn = poll::wait(&ctrl, &mut seen, None, || {
                 let at = Instant::now();
-                let progress = self.turn()?;
+                let progress = self.turn();
                 if progress {
                     busy += at.elapsed();
                 }
@@ -188,19 +232,9 @@ impl TryCommitUnit {
                     seen = EPOCH_UNSEEN;
                 }
                 Err(Interrupt::Terminate) => break,
-                Err(Interrupt::ChannelDown) => {
-                    // A peer thread is gone: typed shutdown instead of a
-                    // silent exit that leaves everyone else hanging.
-                    self.ctrl.report_channel_down();
-                    break;
-                }
-                Err(Interrupt::FabricTimeout) => {
-                    // A verdict transfer to the commit unit exhausted its
-                    // retry budget: request a recovery round and stop
-                    // replaying until the commit unit orchestrates it.
-                    self.ctrl.raise_fabric_fault();
-                    self.poisoned = true;
-                }
+                // The turn never fails and the wait has no deadline: only
+                // the control plane's statuses reach here.
+                Err(intr) => unreachable!("try-commit shard interrupted by {intr}"),
             }
         }
         let total = started.elapsed().as_nanos().max(1);
@@ -211,12 +245,12 @@ impl TryCommitUnit {
 
     /// One unit turn: ingest what arrived, then, unless poisoned, replay
     /// what is ready. Returns whether the turn made progress.
-    fn turn(&mut self) -> Result<bool, Interrupt> {
+    fn turn(&mut self) -> bool {
         let mut progress = self.ingest();
         if !self.poisoned {
-            progress |= self.replay_ready()?;
+            progress |= self.replay_turn();
         }
-        Ok(progress)
+        progress
     }
 
     /// Drains what is available on the validation queues into the replay
@@ -256,17 +290,9 @@ impl TryCommitUnit {
         progress
     }
 
-    /// Replays every stream whose program-order turn has come, then ships
-    /// the turn's verdicts in one flush.
-    fn replay_ready(&mut self) -> Result<bool, Interrupt> {
-        let progress = self.replay_turn()?;
-        flush_port(&self.ctrl, &mut self.epoch, &mut self.to_commit)?;
-        Ok(progress)
-    }
-
-    /// Replays the ready streams in program order, queueing a verdict per
-    /// finished MTX; stops at the first conflict.
-    fn replay_turn(&mut self) -> Result<bool, Interrupt> {
+    /// Replays the ready streams in program order, publishing the
+    /// verdict word as each MTX validates; stops at the first conflict.
+    fn replay_turn(&mut self) -> bool {
         let mut progress = false;
         while let Some((block, attempt, arrived)) =
             self.done.remove(&(self.cursor_mtx.0, self.cursor_stage.0))
@@ -278,7 +304,7 @@ impl TryCommitUnit {
                 .record(arrived.elapsed().as_micros() as u64);
             if let Some(conflict_addr) = self.replay(&block) {
                 // Conflict: tell the commit unit and freeze until it
-                // orchestrates recovery.
+                // orchestrates recovery. The word stays at this MTX.
                 let page = conflict_addr.page().0;
                 self.counters.conflicts += 1;
                 self.counters.conflict_pages.push(page);
@@ -297,13 +323,9 @@ impl TryCommitUnit {
                     Some(self.cursor_stage),
                     TraceKind::Conflict,
                 );
-                self.to_commit
-                    .produce(Msg::VerdictBad {
-                        mtx: self.cursor_mtx,
-                    })
-                    .map_err(classify)?;
+                self.board.publish(self.shard, self.cursor_mtx, true);
                 self.poisoned = true;
-                return Ok(true);
+                return true;
             }
             if self.cursor_stage.0 + 1 == self.shape.n_stages() {
                 self.trace.record(
@@ -313,22 +335,18 @@ impl TryCommitUnit {
                     None,
                     TraceKind::Validated,
                 );
-                self.to_commit
-                    .produce(Msg::VerdictOk {
-                        mtx: self.cursor_mtx,
-                    })
-                    .map_err(classify)?;
+                self.cursor_mtx = self.cursor_mtx.next();
+                self.cursor_stage = StageId(0);
+                self.board.publish(self.shard, self.cursor_mtx, false);
                 self.counters.validated += 1;
                 self.counters
                     .verdict_latency
                     .record(arrived.elapsed().as_micros() as u64);
-                self.cursor_mtx = self.cursor_mtx.next();
-                self.cursor_stage = StageId(0);
             } else {
                 self.cursor_stage = StageId(self.cursor_stage.0 + 1);
             }
         }
-        Ok(progress)
+        progress
     }
 
     /// Replays one subTX block against the image. Returns the address of
@@ -363,11 +381,11 @@ impl TryCommitUnit {
     }
 
     /// §4.3 recovery: rendezvous, flush, re-protect, resume validating at
-    /// the iteration after the re-executed one.
+    /// the iteration after the re-executed one. The verdict word resets
+    /// between B2 and B3, while the commit unit reads no word.
     fn do_recovery(&mut self, boundary: MtxId) {
         let barrier = self.ctrl.barrier().clone();
         barrier.wait(); // B1
-        self.to_commit.clear();
         for port in &mut self.val_in {
             port.drain();
         }
@@ -378,8 +396,8 @@ impl TryCommitUnit {
         self.cursor_mtx = boundary.next();
         self.cursor_stage = StageId(0);
         self.poisoned = false;
+        self.board.publish(self.shard, self.cursor_mtx, false);
         barrier.wait(); // B3
-        self.epoch = EPOCH_UNSEEN;
     }
 }
 

@@ -15,12 +15,13 @@
 //!   partition — a frame (possibly empty) goes to every shard so replay
 //!   cursors advance in lockstep, records only to the owning shard;
 //! * **commit plane** (worker → commit: the coalesced store set and the
-//!   loop-exit decision as one [`Msg::CommitBlock`]; each try-commit
-//!   shard → commit: per-shard verdicts, aggregated into the group-commit
-//!   decision; worker → commit: explicit misspeculation events).
+//!   loop-exit decision as one [`Msg::CommitBlock`], and explicit
+//!   misspeculation events, in one stream per worker).
 //!
-//! Copy-On-Access sends no message: a worker or try-commit shard copies
-//! the committed page out of the commit unit's image itself.
+//! Every link starts at a worker. Copy-On-Access sends no message: a
+//! worker or try-commit shard copies the committed page out of the
+//! commit unit's image itself. Neither do verdicts: each try-commit shard
+//! publishes a validated-through word that the commit unit reads.
 
 use dsmtx_mem::{AccessKind, AccessRecord};
 use dsmtx_uva::VAddr;
@@ -230,17 +231,6 @@ pub enum Msg {
     },
 
     // ---------------------------------------------------- commit plane --
-    /// Try-commit verdict: the MTX is conflict-free.
-    VerdictOk {
-        /// The validated MTX.
-        mtx: MtxId,
-    },
-    /// Try-commit verdict: a speculative load mismatched the committed
-    /// value; the MTX (and everything later) must roll back.
-    VerdictBad {
-        /// The conflicting MTX.
-        mtx: MtxId,
-    },
     /// A worker detected misspeculation itself (`mtx_misspec`), e.g. failed
     /// control-flow speculation.
     WorkerMisspec {

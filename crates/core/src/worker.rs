@@ -1001,7 +1001,7 @@ impl std::fmt::Debug for WorkerCtx {
 /// Maps a fabric failure to the interrupt the runtime handles it with: an
 /// exhausted retry budget asks for recovery, anything else means the peer
 /// is gone.
-pub(crate) fn classify(e: FabricError) -> Interrupt {
+fn classify(e: FabricError) -> Interrupt {
     match e {
         FabricError::Timeout => Interrupt::FabricTimeout,
         _ => Interrupt::ChannelDown,
@@ -1024,17 +1024,6 @@ fn shipped(port: &mut SendPort<Msg>) -> Result<Option<()>, Interrupt> {
         Err(FabricError::Retriable) => Ok(None),
         Err(e) => Err(classify(e)),
     }
-}
-
-/// Interruptible flush: retries while the transport is full or an injected
-/// fault consumed the attempt, unwinding on control-plane interrupts, a
-/// dead peer, or retry-budget exhaustion.
-pub(crate) fn flush_port(
-    ctrl: &ControlPlane,
-    epoch: &mut u64,
-    port: &mut SendPort<Msg>,
-) -> Result<(), Interrupt> {
-    poll::wait(ctrl, epoch, None, || shipped(port))
 }
 
 fn port_to(ports: &mut [(WorkerId, SendPort<Msg>)], dst: WorkerId) -> &mut SendPort<Msg> {
@@ -1107,7 +1096,7 @@ mod tests {
     };
 
     #[test]
-    fn flush_port_reports_dead_peer_as_channel_down() {
+    fn shipping_wait_reports_dead_peer_as_channel_down() {
         let ctrl = ControlPlane::new(1);
         let mut epoch = ctrl.epoch();
         // Batch larger than what we enqueue: produce only buffers, the
@@ -1115,12 +1104,12 @@ mod tests {
         let (mut tx, rx) = channel::<Msg>(8, 4);
         drop(rx);
         tx.produce(Msg::User { value: 0 }).unwrap();
-        let r = flush_port(&ctrl, &mut epoch, &mut tx);
+        let r = poll::wait(&ctrl, &mut epoch, None, || shipped(&mut tx));
         assert_eq!(r.unwrap_err(), Interrupt::ChannelDown);
     }
 
     #[test]
-    fn flush_port_converts_exhausted_retries_into_fabric_timeout() {
+    fn shipping_wait_converts_exhausted_retries_into_fabric_timeout() {
         let ctrl = ControlPlane::new(1);
         let mut epoch = ctrl.epoch();
         let plan = FaultPlan::new(7, FaultRates::only_drop(1.0));
@@ -1133,7 +1122,7 @@ mod tests {
             RetryPolicy { max_attempts: 4 },
         );
         tx.produce(Msg::User { value: 0 }).unwrap();
-        let r = flush_port(&ctrl, &mut epoch, &mut tx);
+        let r = poll::wait(&ctrl, &mut epoch, None, || shipped(&mut tx));
         assert_eq!(r.unwrap_err(), Interrupt::FabricTimeout);
     }
 

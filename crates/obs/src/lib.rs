@@ -90,11 +90,11 @@ pub mod schema {
     /// Arrival of a subTX's validation stream to the start of its
     /// program-order replay (how far the shard's image lags the workers).
     pub const SHARD_REPLAY_LAG_US: &str = "shard.replay_lag_us";
-    /// Arrival of an MTX's final-stage stream to its verdict send.
+    /// Arrival of an MTX's final-stage stream to its verdict publish.
     pub const SHARD_VERDICT_LATENCY_US: &str = "shard.verdict_latency_us";
     /// Busy fraction of the shard's thread, parts per million.
     pub const SHARD_OCCUPANCY_PPM: &str = "shard.occupancy_ppm";
-    /// MTXs this shard validated (sent `VerdictOk` for).
+    /// MTXs this shard validated (published on its verdict word).
     pub const SHARD_VALIDATED: &str = "shard.validated";
     /// Conflicts this shard detected in its page partition.
     pub const SHARD_CONFLICTS: &str = "shard.conflicts";

@@ -5,9 +5,8 @@
 //! workload twice — fault-free and under a deterministic fault plan — and
 //! asserts the committed memories are byte-identical and equal to the
 //! sequential model. On any divergence, hang (wall-clock watchdog), or
-//! panic, the failure message prints the full `(seed, rates, target,
-//! workload)` tuple and a one-liner that replays exactly the failing
-//! schedule:
+//! panic, the failure message prints the full `(seed, rates, workload)`
+//! tuple and a one-liner that replays exactly the failing schedule:
 //!
 //! ```text
 //! DSMTX_FAULT_SEED=0x1badf00d cargo test -q -p dsmtx-integration-tests <test>
@@ -21,8 +20,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dsmtx::{
-    FaultConfig, FaultTarget, IterOutcome, MtxId, MtxSystem, Program, RunReport, StageId,
-    StageKind, SystemConfig, TraceKind, ValPlaneStats, WorkerCtx,
+    FaultConfig, IterOutcome, MtxId, MtxSystem, Program, RunReport, StageId, StageKind,
+    SystemConfig, TraceKind, ValPlaneStats, WorkerCtx,
 };
 use dsmtx_fabric::{FaultRates, RetryPolicy};
 use dsmtx_mem::{MasterMem, Page};
@@ -81,8 +80,6 @@ pub struct FaultCase {
     pub seed: u64,
     /// Per-class fault probabilities.
     pub rates: FaultRates,
-    /// Which links the plan injects into.
-    pub target: FaultTarget,
     /// The workload under test.
     pub workload: Workload,
     /// Iteration count.
@@ -99,11 +96,10 @@ impl FaultCase {
     /// deadlines and a small retry budget, so injected faults convert
     /// into recoveries in milliseconds instead of the production-scale
     /// defaults.
-    pub fn quick(seed: u64, rates: FaultRates, target: FaultTarget, workload: Workload) -> Self {
+    pub fn quick(seed: u64, rates: FaultRates, workload: Workload) -> Self {
         FaultCase {
             seed,
             rates,
-            target,
             workload,
             n: 40,
             recv_timeout_us: 15_000,
@@ -114,7 +110,6 @@ impl FaultCase {
     /// The runtime fault configuration this case expands to.
     pub fn fault_config(&self) -> FaultConfig {
         FaultConfig::new(self.seed, self.rates)
-            .target(self.target)
             .recv_timeout_us(self.recv_timeout_us)
             .retry(RetryPolicy {
                 max_attempts: self.max_attempts,
@@ -125,12 +120,11 @@ impl FaultCase {
     /// this schedule; printed by every harness failure.
     pub fn reproducer(&self) -> String {
         format!(
-            "fault case: seed={:#x} rates=[{}] target={} workload={:?} n={} \
+            "fault case: seed={:#x} rates=[{}] workload={:?} n={} \
              recv_timeout_us={} max_attempts={}\n\
              replay: DSMTX_FAULT_SEED={:#x} cargo test -q -p dsmtx-integration-tests",
             self.seed,
             self.rates,
-            self.target,
             self.workload,
             self.n,
             self.recv_timeout_us,
@@ -462,12 +456,10 @@ mod harness_tests {
         let case = FaultCase::quick(
             0x1BAD_F00D,
             FaultRates::uniform(0.2),
-            FaultTarget::WorkerLinks,
             Workload::PipelineFold,
         );
         let line = case.reproducer();
         assert!(line.contains("seed=0x1badf00d"), "{line}");
-        assert!(line.contains("target=worker"), "{line}");
         assert!(line.contains("PipelineFold"), "{line}");
         assert!(line.contains("DSMTX_FAULT_SEED=0x1badf00d"), "{line}");
     }

@@ -181,6 +181,67 @@ fn uncounted_runahead_reaches_recovery() {
     );
 }
 
+/// A 2-replica DOALL of 16 MTXs that misspeculates at `misspec_at` and
+/// whose recovery body and `on_commit` hook panic at `panic_at`. Every
+/// worker has shipped all it holds when the panic comes, so nothing but
+/// the control plane can tell the other roles that the commit unit is
+/// gone.
+fn panicking_hook_run(misspec_at: Option<u64>, panic_at: u64) -> Result<(), dsmtx::RunError> {
+    const N: u64 = 16;
+    let mut heap = heap0();
+    let out = heap.alloc_words(N).unwrap();
+    let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+        if Some(mtx.0) == misspec_at {
+            return ctx.misspec();
+        }
+        ctx.write_no_forward(out.add_words(mtx.0), 1)?;
+        Ok(IterOutcome::Continue)
+    });
+    doall(2)
+        .run(Program {
+            master: MasterMem::new(),
+            stages: vec![body],
+            recovery: Box::new(move |mtx, m| {
+                assert_ne!(mtx.0, panic_at, "planted recovery-body panic");
+                m.write(out.add_words(mtx.0), 1);
+                IterOutcome::Continue
+            }),
+            on_commit: Some(Box::new(move |mtx, _| {
+                assert_ne!(mtx.0, panic_at, "planted on_commit panic");
+            })),
+            iteration_limit: Some(N),
+        })
+        .map(drop)
+}
+
+#[test]
+fn panicking_commit_hook_ends_the_run() {
+    use dsmtx_integration_tests::under_watchdog;
+
+    under_watchdog("panicking on_commit hook (roles never told?)", || {
+        for panic_at in [2, 15] {
+            let r = panicking_hook_run(None, panic_at);
+            assert!(
+                matches!(r, Err(dsmtx::RunError::ThreadPanic("commit"))),
+                "hook panic at MTX {panic_at}: {r:?}"
+            );
+        }
+    });
+}
+
+#[test]
+fn panicking_recovery_body_ends_the_run() {
+    use dsmtx_integration_tests::under_watchdog;
+
+    under_watchdog("panicking recovery body (roles left at B3?)", || {
+        let r = panicking_hook_run(Some(3), 3);
+        assert!(
+            matches!(r, Err(dsmtx::RunError::ThreadPanic("commit"))),
+            "{r:?}"
+        );
+    });
+}
+
 #[test]
 fn pipeline_recovery_with_forwarding_and_consumes() {
     // Misspeculation in the middle stage of a 3-stage pipeline: frames
@@ -524,16 +585,15 @@ fn start_up_window_never_hangs() {
     });
 }
 
-/// The fault matrix: every injectable fault class crossed with every
-/// link group — {drop, delay, duplicate, reorder, crash(stall)} ×
-/// {worker, try-commit} — each cell asserting the faulted run commits
-/// byte-identical memory to the fault-free run. The commit unit sends on
-/// no link, so it has no group.
+/// The fault matrix: every injectable fault class — drop, delay,
+/// duplicate, reorder, crash(stall) — injected on every link, each cell
+/// asserting the faulted run commits byte-identical memory to the
+/// fault-free run. Every link starts at a worker: the speculation units
+/// send on none.
 ///
 /// Seeds come from [`seed_from_env`], so a failing cell replays with
 /// `DSMTX_FAULT_SEED=<seed> cargo test -q -p dsmtx-integration-tests`.
 mod fault_matrix {
-    use dsmtx::FaultTarget;
     use dsmtx_fabric::FaultRates;
     use dsmtx_integration_tests::{check_case, seed_from_env, FaultCase, Workload, ALL_WORKLOADS};
 
@@ -541,79 +601,25 @@ mod fault_matrix {
     /// any fixed value works, CI varies it via `DSMTX_FAULT_SEED`.
     const DEFAULT_SEED: u64 = 20_260_806;
 
-    fn cell(rates: FaultRates, target: FaultTarget) {
-        let case = FaultCase::quick(
-            seed_from_env(DEFAULT_SEED),
-            rates,
-            target,
-            Workload::PipelineFold,
-        );
+    fn cell(rates: FaultRates) {
+        let case = FaultCase::quick(seed_from_env(DEFAULT_SEED), rates, Workload::PipelineFold);
         check_case(&case);
     }
 
     macro_rules! matrix_cell {
-        ($name:ident, $rates:expr, $target:expr) => {
+        ($name:ident, $rates:expr) => {
             #[test]
             fn $name() {
-                cell($rates, $target);
+                cell($rates);
             }
         };
     }
 
-    matrix_cell!(
-        drop_worker_links,
-        FaultRates::only_drop(0.08),
-        FaultTarget::WorkerLinks
-    );
-    matrix_cell!(
-        drop_trycommit_links,
-        FaultRates::only_drop(0.08),
-        FaultTarget::TryCommitLinks
-    );
-
-    matrix_cell!(
-        delay_worker_links,
-        FaultRates::only_delay(0.08),
-        FaultTarget::WorkerLinks
-    );
-    matrix_cell!(
-        delay_trycommit_links,
-        FaultRates::only_delay(0.08),
-        FaultTarget::TryCommitLinks
-    );
-
-    matrix_cell!(
-        duplicate_worker_links,
-        FaultRates::only_duplicate(0.08),
-        FaultTarget::WorkerLinks
-    );
-    matrix_cell!(
-        duplicate_trycommit_links,
-        FaultRates::only_duplicate(0.08),
-        FaultTarget::TryCommitLinks
-    );
-
-    matrix_cell!(
-        reorder_worker_links,
-        FaultRates::only_reorder(0.08),
-        FaultTarget::WorkerLinks
-    );
-    matrix_cell!(
-        reorder_trycommit_links,
-        FaultRates::only_reorder(0.08),
-        FaultTarget::TryCommitLinks
-    );
-
-    matrix_cell!(
-        crash_worker_links,
-        FaultRates::only_stall(0.04, 6),
-        FaultTarget::WorkerLinks
-    );
-    matrix_cell!(
-        crash_trycommit_links,
-        FaultRates::only_stall(0.04, 6),
-        FaultTarget::TryCommitLinks
-    );
+    matrix_cell!(drop_worker_links, FaultRates::only_drop(0.08));
+    matrix_cell!(delay_worker_links, FaultRates::only_delay(0.08));
+    matrix_cell!(duplicate_worker_links, FaultRates::only_duplicate(0.08));
+    matrix_cell!(reorder_worker_links, FaultRates::only_reorder(0.08));
+    matrix_cell!(crash_worker_links, FaultRates::only_stall(0.04, 6));
 
     /// A harsh cell that exhausts the retry budget: at a 40% drop rate
     /// with only 2 ship attempts, ~16% of messages convert into fabric
@@ -625,7 +631,6 @@ mod fault_matrix {
         let mut case = FaultCase::quick(
             seed_from_env(9),
             FaultRates::only_drop(0.4),
-            FaultTarget::WorkerLinks,
             Workload::PipelineFold,
         );
         case.max_attempts = 2;
@@ -644,7 +649,6 @@ mod fault_matrix {
         let mut case = FaultCase::quick(
             seed_from_env(9),
             FaultRates::only_stall(0.3, 9),
-            FaultTarget::All,
             Workload::PipelineFold,
         );
         case.max_attempts = 3;
@@ -654,13 +658,6 @@ mod fault_matrix {
             "stall windows never exhausted the budget\n{}",
             case.reproducer()
         );
-    }
-
-    /// What one link-targeting run shipped and duplicated.
-    struct LinkTraffic {
-        packets: u64,
-        dups: u64,
-        coa_pages: u64,
     }
 
     /// A Spec-DOALL loop of `n` MTXs over 3 replicas and 2 try-commit
@@ -712,56 +709,32 @@ mod fault_matrix {
         result.report
     }
 
-    /// The own-page loop at 48 MTXs, under a duplicate-only plan on
-    /// `target`'s links when one is given.
-    fn link_traffic(target: Option<FaultTarget>) -> LinkTraffic {
-        use dsmtx::FaultConfig;
-
-        // Duplicates lose no data and draw no retry budget, and the long
-        // deadline keeps a slow host from turning silence into a recovery
-        // round.
-        let faults = target.map(|target| {
-            FaultConfig::new(seed_from_env(DEFAULT_SEED), FaultRates::only_duplicate(1.0))
-                .target(target)
-                .recv_timeout_us(10_000_000)
-        });
-        let report = own_page_loop(48, faults);
-        assert_eq!(report.committed, 48);
-        assert_eq!(
-            report.recoveries, 0,
-            "{target:?}: a duplicate caused a recovery"
-        );
-        LinkTraffic {
-            packets: report.stats.packets(),
-            dups: report.stats.fault_dups(),
-            coa_pages: report.coa_pages_served,
-        }
-    }
-
-    /// A fault plan injects into exactly the links its target names.
-    /// Every ship attempt on a faulted link duplicates, so each packet a
-    /// faulted link ships records exactly one `fault_dups`.
+    /// A fault plan reaches every link: every link starts at a worker,
+    /// and every ship attempt on a faulted link duplicates, so each packet
+    /// the run ships records exactly one `fault_dups`.
     #[test]
-    fn fault_target_hits_exactly_its_links() {
+    fn fault_plan_reaches_every_link() {
+        use dsmtx::FaultConfig;
         use dsmtx_integration_tests::under_watchdog;
 
-        under_watchdog("link-targeting runs", || {
-            let plain = link_traffic(None);
-            assert!(plain.packets > 0 && plain.coa_pages > 0);
-            assert_eq!(plain.dups, 0, "no plan, yet a duplicate");
+        under_watchdog("duplicate-only runs", || {
+            let plain = own_page_loop(48, None);
+            assert!(plain.stats.packets() > 0 && plain.coa_pages_served > 0);
+            assert_eq!(plain.stats.fault_dups(), 0, "no plan, yet a duplicate");
 
-            let all = link_traffic(Some(FaultTarget::All));
-            assert_eq!(all.dups, all.packets, "All misses a link");
-
-            for target in [FaultTarget::WorkerLinks, FaultTarget::TryCommitLinks] {
-                let t = link_traffic(Some(target));
-                assert!(
-                    0 < t.dups && t.dups < t.packets,
-                    "{target}: {} duplicates of {} packets",
-                    t.dups,
-                    t.packets
-                );
-            }
+            // Duplicates lose no data and draw no retry budget, and the
+            // long deadline keeps a slow host from turning silence into a
+            // recovery round.
+            let plan =
+                FaultConfig::new(seed_from_env(DEFAULT_SEED), FaultRates::only_duplicate(1.0))
+                    .recv_timeout_us(10_000_000);
+            let faulted = own_page_loop(48, Some(plan));
+            assert_eq!(faulted.recoveries, 0, "a duplicate caused a recovery");
+            assert_eq!(
+                faulted.stats.fault_dups(),
+                faulted.stats.packets(),
+                "the plan misses a link"
+            );
         });
     }
 
@@ -774,8 +747,7 @@ mod fault_matrix {
         let mut faults_injected = 0;
         for seed in [1u64, DEFAULT_SEED, 0xDEAD_BEEF] {
             for workload in ALL_WORKLOADS {
-                let mut case =
-                    FaultCase::quick(seed, FaultRates::uniform(0.10), FaultTarget::All, workload);
+                let mut case = FaultCase::quick(seed, FaultRates::uniform(0.10), workload);
                 case.n = 32;
                 faults_injected += check_case(&case).faults_injected;
             }

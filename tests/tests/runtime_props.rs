@@ -249,24 +249,12 @@ proptest! {
     fn arbitrary_fault_plans_preserve_commits(
         seed in any::<u64>(),
         p in 0.0f64..0.35,
-        target_idx in 0usize..3,
         workload_idx in 0usize..3,
     ) {
-        use dsmtx::FaultTarget;
         use dsmtx_fabric::FaultRates;
         use dsmtx_integration_tests::{check_case, FaultCase, ALL_WORKLOADS};
 
-        let target = [
-            FaultTarget::All,
-            FaultTarget::WorkerLinks,
-            FaultTarget::TryCommitLinks,
-        ][target_idx];
-        let mut case = FaultCase::quick(
-            seed,
-            FaultRates::uniform(p),
-            target,
-            ALL_WORKLOADS[workload_idx],
-        );
+        let mut case = FaultCase::quick(seed, FaultRates::uniform(p), ALL_WORKLOADS[workload_idx]);
         case.n = 24;
         check_case(&case);
     }

@@ -22,7 +22,6 @@
 //! model double as its end-to-end check; the last three tests guard that
 //! the packing, the batching and the filtering are actually exercised.
 
-use dsmtx::FaultTarget;
 use dsmtx_fabric::FaultRates;
 use dsmtx_integration_tests::{
     run_workload_sharded, seed_from_env, FaultCase, RunSummary, Workload, ALL_WORKLOADS,
@@ -92,7 +91,7 @@ fn shard_counts_preserve_memory_under_pinned_fault_seeds() {
         for w in ALL_WORKLOADS {
             let case = FaultCase {
                 n: N,
-                ..FaultCase::quick(seed, rates, FaultTarget::All, w)
+                ..FaultCase::quick(seed, rates, w)
             };
             let base = run_workload_sharded(w, N, Some(case.fault_config()), 1);
             assert_eq!(

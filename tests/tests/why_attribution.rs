@@ -20,8 +20,7 @@
 use std::sync::{Arc, Mutex};
 
 use dsmtx::{
-    FaultTarget, IterOutcome, MtxId, MtxSystem, Program, RunReport, StageKind, SystemConfig,
-    WorkerCtx,
+    IterOutcome, MtxId, MtxSystem, Program, RunReport, StageKind, SystemConfig, WorkerCtx,
 };
 use dsmtx_analyze::{analyze, attribute, cause_counts};
 use dsmtx_fabric::FaultRates;
@@ -268,12 +267,7 @@ fn faulted_doall_report(seed: u64) -> RunReport {
     // take timeout-driven recovery rounds instead of absorbing every
     // fault in retries (the `exhausted_retries_force_fault_recovery`
     // recipe).
-    let mut case = FaultCase::quick(
-        seed,
-        FaultRates::only_drop(0.4),
-        FaultTarget::WorkerLinks,
-        Workload::DoallSum,
-    );
+    let mut case = FaultCase::quick(seed, FaultRates::only_drop(0.4), Workload::DoallSum);
     case.max_attempts = 2;
     let n = 24u64;
     let mut heap = heap0();
