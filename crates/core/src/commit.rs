@@ -4,19 +4,27 @@
 //! writer. It executed the sequential pre-loop code (in this
 //! reproduction: the caller built [`dsmtx_mem::MasterMem`] before the
 //! run), buffers the store streams of every subTX, and — once *every*
-//! try-commit shard's verdict word has passed an MTX — applies its subTX
+//! try-commit shard's cursor has passed an MTX — applies its subTX
 //! write-sets in program order (group transaction commit, §3.1: last
-//! update to an address wins). A conflict in any shard's word, or an
-//! explicit worker misspeculation, makes it orchestrate the §4.3
-//! recovery protocol and re-execute the squashed iteration
-//! single-threaded; all shards participate in the recovery barriers.
+//! update to an address wins). A conflict in any shard, or an explicit
+//! worker misspeculation, makes it orchestrate the §4.3 recovery
+//! protocol and re-execute the squashed iteration single-threaded.
+//!
+//! The unit owns the try-commit shards and is their only driver: the
+//! thread that calls `MtxSystem::run` runs the unit's loop, and each turn
+//! runs every shard's turn before its own. So a shard's verdict is read
+//! in place, on the thread that wrote it, and a recovery round stays
+//! straight-line inside one turn: the workers and this thread meet at
+//! the barriers, and the unit drains and resets the shards itself.
 //!
 //! Copy-On-Access takes no turn of this unit: workers and try-commit
 //! shards copy committed pages out of the image themselves, through a
 //! read-only `CommittedImage` handle — a one-sided read, like an RDMA
 //! READ on the paper's cluster. The unit takes the image's write lock
 //! only to apply a group commit, to run the recovery body and to run the
-//! `on_commit` hook, and never waits on another role while it holds it.
+//! `on_commit` hook, never waits on another role while it holds it, and
+//! drops it before any shard turn: a shard's page copy on the thread
+//! that holds the write lock would never return.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -34,7 +42,7 @@ use crate::ids::MtxId;
 use crate::poll;
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
 use crate::trace::{Role, TraceKind, TraceSink};
-use crate::trycommit::VerdictBoard;
+use crate::trycommit::{TryCommitCounters, TryCommitUnit};
 use crate::wire::{AccessBlock, Msg};
 
 /// Read-only access to the committed image, for workers and try-commit
@@ -54,7 +62,7 @@ impl CommittedImage {
         // Poisoned only by a commit-unit panic outside the user hooks
         // (a panicking hook releases the lock first). Every page write
         // leaves the map sound, the run has failed anyway, and the
-        // channels the dead unit dropped unwind this thread.
+        // `Terminating` status `run` publishes unwinds this thread.
         self.0
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -96,8 +104,8 @@ pub(crate) struct CommitUnit {
     master: Arc<RwLock<MasterMem>>,
     /// Store-frame/event streams, one per worker, in worker order.
     from_workers: Vec<RecvPort<Msg>>,
-    /// The try-commit shards' verdict words.
-    board: VerdictBoard,
+    /// The try-commit shards, whose turns only this unit runs.
+    shards: Vec<TryCommitUnit>,
     /// Received store blocks per (mtx, stage), decoded at group commit.
     store_sets: FxHashMap<(u64, u16), Box<AccessBlock>>,
     events: BTreeMap<u64, Events>,
@@ -114,7 +122,7 @@ pub(crate) struct CommitWiring {
     pub trace: TraceSink,
     pub master: Arc<RwLock<MasterMem>>,
     pub from_workers: Vec<RecvPort<Msg>>,
-    pub board: VerdictBoard,
+    pub shards: Vec<TryCommitUnit>,
     pub recovery: RecoveryFn,
     pub on_commit: Option<CommitHook>,
     pub limit: Option<u64>,
@@ -128,7 +136,7 @@ impl CommitUnit {
             trace: w.trace,
             master: w.master,
             from_workers: w.from_workers,
-            board: w.board,
+            shards: w.shards,
             store_sets: FxHashMap::default(),
             events: BTreeMap::new(),
             next_commit: MtxId(0),
@@ -139,13 +147,20 @@ impl CommitUnit {
         }
     }
 
-    /// The unit's thread body; returns the run counters. It loops on
-    /// [`poll::wait`] with one unit turn as the step.
-    pub(crate) fn run(mut self) -> CommitCounters {
+    /// The units' loop, run by the caller of `MtxSystem::run`; returns
+    /// the run counters and each shard's. It loops on [`poll::wait`] with
+    /// one unit turn as the step.
+    pub(crate) fn run(mut self) -> (CommitCounters, Vec<TryCommitCounters>) {
         if self.limit == Some(0) {
             self.terminate(None);
-            return self.counters;
+        } else {
+            self.run_turns();
         }
+        let shards = self.shards.into_iter().map(TryCommitUnit::finish).collect();
+        (self.counters, shards)
+    }
+
+    fn run_turns(&mut self) {
         let ctrl = self.ctrl.clone();
         let mut seen = EPOCH_UNSEEN;
         loop {
@@ -172,13 +187,17 @@ impl CommitUnit {
                 Err(intr) => unreachable!("commit unit interrupted by {intr}"),
             }
         }
-        self.counters
     }
 
-    /// One unit turn: drain the inputs, answer a fabric-fault request with
-    /// a recovery round, and otherwise try to commit the next MTX.
+    /// One unit turn: run every shard's turn, drain the inputs, answer a
+    /// fabric-fault request with a recovery round, and otherwise try to
+    /// commit the next MTX.
     fn turn(&mut self) -> StepResult {
-        let progress = self.ingest();
+        let mut progress = false;
+        for shard in &mut self.shards {
+            progress |= shard.turn();
+        }
+        progress |= self.ingest();
         // A fabric timeout anywhere converts into a recovery round at the
         // next commit boundary — never later, or uncommitted intermediate
         // MTXs would be silently lost.
@@ -246,7 +265,7 @@ impl CommitUnit {
     fn step(&mut self) -> StepResult {
         let m = self.next_commit;
         let ev = self.events.get(&m.0).copied().unwrap_or_default();
-        let conflicted = self.board.conflicted(m);
+        let conflicted = self.shards.iter().any(|s| s.conflicted(m));
         if conflicted {
             // Counted here, once per MTX a verdict squashes, however many
             // shards conflicted in it; a conflict that an earlier
@@ -258,7 +277,7 @@ impl CommitUnit {
         }
         // Group-commit decision: every shard must have validated its
         // partition of the MTX.
-        if !self.board.validated(m) {
+        if !self.shards.iter().all(|s| s.validated(m)) {
             return StepResult::Idle;
         }
         // All stage write-sets must have arrived (they were sent at the
@@ -275,7 +294,7 @@ impl CommitUnit {
             writes.extend(block.iter().map(|r| (r.addr, r.value)));
         }
         let mut master = self.master.write().expect(ONLY_WRITER);
-        master.commit_writes_parallel(writes);
+        master.commit_writes(writes);
         self.counters.committed += 1;
         self.counters.last_iteration = Some(m);
         self.trace.record(
@@ -339,13 +358,15 @@ impl CommitUnit {
         }
         self.store_sets.clear();
         self.events.clear();
+        for shard in &mut self.shards {
+            shard.drain();
+        }
         barrier.wait(); // B2: queues are clean everywhere.
 
         // Re-execute the squashed iteration single-threaded on committed
-        // memory while the workers re-protect their heaps and the shards
-        // reset their verdict words (this unit reads none until B3). The
-        // write lock is gone before B3: no role waits at a barrier
-        // holding it.
+        // memory while the workers re-protect their heaps. The write lock
+        // is gone before the shards reset and before B3: no role waits at
+        // a barrier holding it.
         let mut master = self.master.write().expect(ONLY_WRITER);
         let hooked = catch_unwind(AssertUnwindSafe(|| {
             let outcome = (self.recovery)(boundary, &mut master);
@@ -356,6 +377,9 @@ impl CommitUnit {
         }));
         drop(master);
         let outcome = hooked.unwrap_or_else(|panic| self.abandon(panic, true));
+        for shard in &mut self.shards {
+            shard.reset(boundary);
+        }
         self.counters.recovered_iterations += 1;
         self.counters.last_iteration = Some(boundary);
         self.ctrl.record_recovery();
@@ -391,12 +415,12 @@ impl CommitUnit {
         }
     }
 
-    /// Ends this thread after a user hook (`on_commit` or the recovery
-    /// body) panicked, without stranding the other roles: publish
+    /// Ends the units' loop after a user hook (`on_commit` or the
+    /// recovery body) panicked, without stranding the workers: publish
     /// `Terminating` — inside a recovery round, also arrive at B3, where
-    /// every other role waits — then resume the panic, which `run`
-    /// reports as `RunError::ThreadPanic("commit")`. The caller has
-    /// released the image.
+    /// every worker waits — then resume the panic, which `run` reports
+    /// as `RunError::ThreadPanic("commit")`. The caller has released the
+    /// image.
     fn abandon(&self, panic: Box<dyn Any + Send>, in_recovery: bool) -> ! {
         self.ctrl.publish(Status::Terminating {
             last: self.counters.last_iteration,
@@ -430,5 +454,5 @@ enum StepResult {
 }
 
 /// The image lock is poisoned only by a panic of its one writer, this
-/// unit, which ends the unit's thread.
+/// unit, which ends the units' loop.
 const ONLY_WRITER: &str = "the commit unit is the image's only writer";

@@ -6,7 +6,11 @@
 //! is the only writer of the status word; every thread polls it at its
 //! blocking points so that a thread stuck waiting for data can notice a
 //! rollback or termination and unwind (§4.3 requires all threads to enter
-//! recovery mode together).
+//! recovery mode together). The recovery barrier's parties are the
+//! workers and the one thread that runs the speculation units, the caller
+//! of `MtxSystem::run`: the try-commit shards take no seat of their own,
+//! because the commit unit flushes and resets them inside its recovery
+//! round.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -75,8 +79,8 @@ struct Shared {
     /// take the lock when it moved.
     epoch: AtomicU64,
     status: Mutex<Status>,
-    /// Rendezvous for the recovery protocol; spans workers + every
-    /// try-commit shard + commit.
+    /// Rendezvous for the recovery protocol; spans the workers and the
+    /// units' thread.
     barrier: Barrier,
     /// Count of completed recoveries (observable for reports/tests).
     recoveries: AtomicU64,
@@ -105,7 +109,7 @@ pub struct ControlPlane {
 
 impl ControlPlane {
     /// Creates a control plane whose recovery barrier spans `parties`
-    /// threads (all workers + all try-commit shards + commit).
+    /// threads (all workers + the units' thread).
     pub fn new(parties: usize) -> Self {
         ControlPlane {
             shared: Arc::new(Shared {

@@ -17,8 +17,8 @@ use crate::trycommit::ConflictRecord;
 /// `unit_shards = 1` the single entry covers the whole validation plane.
 #[derive(Debug, Default)]
 pub struct ShardStats {
-    /// MTXs this shard validated in its page partition (published on
-    /// its verdict word).
+    /// MTXs this shard validated in its page partition (its cursor
+    /// advanced past them).
     pub validated: u64,
     /// Value-validation conflicts detected in this shard's partition.
     pub conflicts: u64,
@@ -31,9 +31,14 @@ pub struct ShardStats {
     pub coa_fetches: u64,
     /// SubTX stream arrival to replay start, microseconds.
     pub replay_lag: Histogram,
-    /// MTX final-stage arrival to verdict publish, microseconds.
+    /// MTX final-stage arrival to verdict (its cursor advance),
+    /// microseconds.
     pub verdict_latency: Histogram,
-    /// Busy fraction of the shard thread, parts per million.
+    /// Share of the run's wall time that the units' thread (the caller
+    /// of `MtxSystem::run`) spent in this shard's productive turns, parts
+    /// per million. The shards' turns run one after another on that
+    /// thread, so the shares of all shards and the commit unit's own
+    /// work sum to at most one million.
     pub busy_ppm: u64,
 }
 

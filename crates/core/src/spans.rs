@@ -258,9 +258,10 @@ pub fn build_spans(events: &[TraceEvent], conflicts: &[ConflictRecord]) -> RunSp
         // a fast shard's Validated (and the commit unit's Committed) can
         // carry a timestamp a hair earlier than the event it causally
         // follows. Reconcile to causal order. A shard stamps Validated
-        // before it publishes its verdict word, so a Committed stamped
-        // before the raw Validated is a real violation: it stays as
-        // recorded, for `MtxSpan::well_formed` to report.
+        // in its turn, before the commit unit's step on the same thread
+        // reads its cursor, so a Committed stamped before the raw
+        // Validated is a real violation: it stays as recorded, for
+        // `MtxSpan::well_formed` to report.
         if let (Some(v), Some(end)) = (
             span.validated_us,
             span.stages.iter().map(|s| s.end_us).max(),

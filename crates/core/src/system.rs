@@ -3,15 +3,16 @@
 //! [`MtxSystem`] is `mtx_newDSMTXsystem` of Table 1: it takes a pipeline
 //! configuration, wires the communication topology (workers of earlier
 //! stages to the executors of later stages, every worker to every
-//! try-commit shard and to the commit unit), shares the committed image
-//! and the shards' verdict words, and spawns one thread per worker
-//! plus `unit_shards` try-commit threads and the commit unit — the
-//! paper's `mtx_spawn`, `mtx_tryCommitUnit`, and `mtx_commitUnit`, with
-//! `DSMTX_Init`/`DSMTX_Finalize` folded into [`MtxSystem::run`]'s setup
-//! and teardown. With `unit_shards > 1` the speculation units are
-//! address-partitioned (§3.2): each shard owns a disjoint hash-partition
-//! of the page space and validates only its slice of every MTX's access
-//! stream.
+//! try-commit shard and to the commit unit), shares the committed image,
+//! spawns one thread per worker, and runs the speculation units itself —
+//! the paper's `mtx_spawn`, `mtx_tryCommitUnit`, and `mtx_commitUnit`,
+//! with `DSMTX_Init`/`DSMTX_Finalize` folded into [`MtxSystem::run`]'s
+//! setup and teardown. The thread that calls [`MtxSystem::run`] is the
+//! units' only thread: it runs the commit unit's loop, whose every turn
+//! also runs each try-commit shard's turn, and then joins the workers.
+//! With `unit_shards > 1` the speculation units are address-partitioned
+//! (§3.2): each shard owns a disjoint hash-partition of the page space
+//! and validates only its slice of every MTX's access stream.
 //!
 //! Only the topology the MTX protocol needs is wired — a worker connects
 //! to the workers of later stages, the units, and (for ring stages) its
@@ -20,9 +21,10 @@
 //! in a fixed order, and hands its two ends straight to the roles it
 //! joins. Every link starts at a worker: the speculation units send on
 //! none. Workers and try-commit shards copy committed pages out of the
-//! shared image themselves, and each shard publishes its verdicts on its
-//! own word of a board the commit unit reads.
+//! shared image themselves, and the commit unit reads each shard's
+//! verdicts in place.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -31,12 +33,12 @@ use dsmtx_uva::{OwnerId, RegionAllocator};
 
 use crate::commit::{CommitUnit, CommitWiring, CommittedImage};
 use crate::config::{ConfigError, PipelineShape, SystemConfig};
-use crate::control::ControlPlane;
+use crate::control::{ControlPlane, Status};
 use crate::ids::WorkerId;
 use crate::program::Program;
 use crate::report::{RunReport, RunResult};
 use crate::trace::TraceSink;
-use crate::trycommit::{TryCommitUnit, TryCommitWiring, VerdictBoard};
+use crate::trycommit::{TryCommitUnit, TryCommitWiring};
 use crate::wire::Msg;
 use crate::worker::{worker_main, WorkerCtx, WorkerWiring};
 
@@ -50,8 +52,11 @@ pub enum RunError {
         /// Stage bodies supplied by the program.
         actual: usize,
     },
-    /// A runtime thread panicked (protocol violation or panicking stage
-    /// body).
+    /// A runtime role panicked: `"worker"` for a worker thread (a
+    /// panicking stage body or a protocol violation), `"commit"` for the
+    /// speculation units on the calling thread (a panicking `on_commit`
+    /// hook or recovery body, or a protocol violation in the commit unit
+    /// or a try-commit shard).
     ThreadPanic(&'static str),
 }
 
@@ -124,8 +129,8 @@ impl MtxSystem {
     /// # Errors
     ///
     /// [`RunError::StageCountMismatch`] if the program does not fit the
-    /// pipeline; [`RunError::ThreadPanic`] if a stage body or the runtime
-    /// itself panicked.
+    /// pipeline; [`RunError::ThreadPanic`] if a stage body, a hook, or the
+    /// runtime itself panicked. No panic escapes this call.
     pub fn run(&self, program: Program) -> Result<RunResult, RunError> {
         let shape = &self.shape;
         if program.stages.len() != shape.n_stages() as usize {
@@ -141,12 +146,11 @@ impl MtxSystem {
         } else {
             TraceSink::disabled()
         };
-        let ctrl = ControlPlane::new(n_workers + n_shards + 1);
+        // The recovery barriers' parties: the workers and this thread.
+        let ctrl = ControlPlane::new(n_workers + 1);
         // The committed image: the commit unit writes it, every other
         // role only copies pages out of it (one-sided Copy-On-Access).
         let image = Arc::new(RwLock::new(program.master));
-        // One verdict word per shard, which only the commit unit reads.
-        let board = VerdictBoard::new(n_shards);
 
         // ---- links ----------------------------------------------------
         // Every link opens here, in one fixed order, and its two ends go
@@ -218,17 +222,18 @@ impl MtxSystem {
             });
         }
 
-        let tc_wirings: Vec<_> = val_in
+        let shards = val_in
             .into_iter()
             .enumerate()
-            .map(|(shard, val_in)| TryCommitWiring {
-                shape: shape.clone(),
-                ctrl: ctrl.clone(),
-                trace: trace.clone(),
-                shard: shard as u16,
-                val_in,
-                board: board.clone(),
-                committed: CommittedImage::new(&image),
+            .map(|(shard, val_in)| {
+                TryCommitUnit::new(TryCommitWiring {
+                    shape: shape.clone(),
+                    ctrl: ctrl.clone(),
+                    trace: trace.clone(),
+                    shard: shard as u16,
+                    val_in,
+                    committed: CommittedImage::new(&image),
+                })
             })
             .collect();
 
@@ -238,7 +243,7 @@ impl MtxSystem {
             trace: trace.clone(),
             master: Arc::clone(&image),
             from_workers,
-            board,
+            shards,
             recovery: program.recovery,
             on_commit: program.on_commit,
             limit: program.iteration_limit,
@@ -248,40 +253,34 @@ impl MtxSystem {
         let start = Instant::now();
         let stages = program.stages;
         let limit = program.iteration_limit;
-        let outcome = std::thread::scope(|scope| {
-            let mut worker_handles = Vec::with_capacity(n_workers);
-            for wiring in worker_wirings {
-                let stage = shape.stage_of(wiring.worker);
-                let stage_fn = stages[stage.0 as usize].clone();
-                worker_handles.push(scope.spawn(move || {
-                    let ctx = WorkerCtx::new(wiring);
-                    worker_main(ctx, stage_fn, limit)
-                }));
-            }
-            let tc_handles: Vec<_> = tc_wirings
+        let (units, worker_results) = std::thread::scope(|scope| {
+            let workers: Vec<_> = worker_wirings
                 .into_iter()
-                .map(|w| scope.spawn(move || TryCommitUnit::new(w).run()))
+                .map(|wiring| {
+                    let stage_fn = stages[shape.stage_of(wiring.worker).0 as usize].clone();
+                    scope.spawn(move || worker_main(WorkerCtx::new(wiring), stage_fn, limit))
+                })
                 .collect();
-            let cu_handle = scope.spawn(move || CommitUnit::new(cu_wiring).run());
-
-            let commit_result = cu_handle.join();
-            let tc_results: Vec<_> = tc_handles.into_iter().map(|h| h.join()).collect();
-            let worker_results: Vec<_> = worker_handles.into_iter().map(|h| h.join()).collect();
-            (commit_result, tc_results, worker_results)
+            let units = catch_unwind(AssertUnwindSafe(|| CommitUnit::new(cu_wiring).run()));
+            if units.is_err() {
+                // A hook panic has published this already; any other
+                // unit panic has not, and the workers wait on the status.
+                ctrl.publish(Status::Terminating { last: None });
+            }
+            let workers: Vec<_> = workers.into_iter().map(|h| h.join()).collect();
+            (units, workers)
         });
         let elapsed = start.elapsed();
 
-        let (commit_result, tc_results, worker_results) = outcome;
-        // First, because a commit-unit panic is also what poisons the
-        // image lock.
-        let counters = commit_result.map_err(|_| RunError::ThreadPanic("commit"))?;
+        // First, because a unit panic is also what poisons the image lock.
+        let (counters, shard_counters) = units.map_err(|_| RunError::ThreadPanic("commit"))?;
         // Every page copied out of the committed image, by shards and
         // workers alike.
         let mut coa_pages_served = 0;
         let mut shard_stats = Vec::with_capacity(n_shards);
         let mut conflict_events = Vec::new();
-        for r in tc_results {
-            let c = r.map_err(|_| RunError::ThreadPanic("try-commit"))?;
+        let wall = elapsed.as_nanos().max(1);
+        for c in shard_counters {
             coa_pages_served += c.coa_fetches;
             conflict_events.extend(c.conflict_events);
             shard_stats.push(crate::report::ShardStats {
@@ -291,10 +290,10 @@ impl MtxSystem {
                 coa_fetches: c.coa_fetches,
                 replay_lag: c.replay_lag,
                 verdict_latency: c.verdict_latency,
-                busy_ppm: c.busy_ppm,
+                busy_ppm: (c.busy.as_nanos().min(wall) * 1_000_000 / wall) as u64,
             });
         }
-        // Deterministic order regardless of shard join order.
+        // Deterministic order across shards.
         conflict_events.sort_by_key(|e| (e.mtx, e.attempt, e.shard, e.page));
         let mut valplane = crate::report::ValPlaneStats::default();
         for r in worker_results {
@@ -305,7 +304,7 @@ impl MtxSystem {
         let master = Arc::try_unwrap(image)
             .expect("every role has returned its image handle")
             .into_inner()
-            .expect("the commit unit returned, so the image lock is sound");
+            .expect("the units returned, so the image lock is sound");
 
         let report = RunReport {
             committed: counters.committed,

@@ -11,11 +11,11 @@
 //! reports the conflict to the commit unit (§3.1's unified value
 //! prediction and checking mechanism).
 //!
-//! The unit reports on one word of a `VerdictBoard` rather than a link:
-//! replay runs in program order and stops at the first conflict, so its
-//! whole verdict stream is one monotone validated-through cursor plus a
-//! conflict bit — what the paper's cluster could publish with a
-//! one-sided RDMA WRITE.
+//! The unit sends no verdict: replay runs in program order and stops at
+//! the first conflict, so its whole verdict stream is one monotone
+//! validated-through cursor plus a `poisoned` flag. The commit unit owns
+//! the shards, runs their turns on its own thread, and reads both in
+//! place (`TryCommitUnit::validated`, `TryCommitUnit::conflicted`).
 //!
 //! False (anti/output) dependences never reach this unit: memory
 //! versioning in the workers' private memories already broke them.
@@ -24,20 +24,20 @@
 //!
 //! The paper notes the validation algorithm "is parallelizable": value
 //! prediction of a load depends only on prior stores to the same address.
-//! When `unit_shards > 1`, N instances of this unit run, each owning the
-//! disjoint hash-partition of `PageId` space given by
-//! [`dsmtx_mem::shard_of`]. Workers pack each access record into the
-//! responsible shard's `ValBlock` and send a frame to *every* shard, so
-//! each shard's program-order cursor advances through every (MTX, stage)
-//! — a shard whose partition a subTX never touched replays an empty
-//! block. Each shard publishes its own verdict word; the commit unit
-//! reads them all (every cursor past an MTX commits it, any conflict in
-//! it recovers).
+//! When `unit_shards > 1`, N instances of this unit exist, each owning
+//! the disjoint hash-partition of `PageId` space given by
+//! [`dsmtx_mem::shard_of`], with its own replay image and validation
+//! links. Workers pack each access record into the responsible shard's
+//! `ValBlock` and send a frame to *every* shard, so each shard's
+//! program-order cursor advances through every (MTX, stage) — a shard
+//! whose partition a subTX never touched replays an empty block. The
+//! shards partition state, not threads: the commit unit runs their turns
+//! one after another on the thread that called `MtxSystem::run`, and
+//! commits an MTX once every cursor is past it, or recovers once any
+//! shard is poisoned at it.
 
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dsmtx_fabric::RecvPort;
 use dsmtx_mem::{AccessKind, AccessRecord, SpecMem};
@@ -47,54 +47,10 @@ use fxhash::FxHashMap;
 
 use crate::commit::CommittedImage;
 use crate::config::PipelineShape;
-use crate::control::{ControlPlane, Interrupt, EPOCH_UNSEEN};
+use crate::control::ControlPlane;
 use crate::ids::{MtxId, StageId};
-use crate::poll;
 use crate::trace::{Role, TraceKind, TraceSink};
 use crate::wire::{AccessBlock, Msg};
-
-/// Top bit of a verdict word: the MTX at the word's cursor conflicted.
-const CONFLICT: u64 = 1 << 63;
-
-/// The try-commit shards' verdicts: one word per shard, holding its
-/// validated-through cursor (every MTX below it validated in the shard's
-/// partition) and, in [`CONFLICT`], whether the cursor's MTX conflicted.
-///
-/// Only its shard writes a word: as each MTX validates, at a conflict,
-/// and between recovery barriers B2 and B3, when it resets to
-/// `boundary + 1`. It stores with `Release` after recording the trace
-/// event, and the commit unit loads with `Acquire`, so a `Validated`
-/// event always precedes its `Committed`. The commit unit reads only
-/// about its next MTX `m`, and no cursor lags `m`: it commits only MTXs
-/// every cursor passed, and recovery resets every word to the new `m`.
-#[derive(Debug, Clone)]
-pub(crate) struct VerdictBoard(Arc<[AtomicU64]>);
-
-impl VerdictBoard {
-    pub(crate) fn new(shards: usize) -> Self {
-        VerdictBoard((0..shards).map(|_| AtomicU64::new(0)).collect())
-    }
-
-    /// Shard `shard` only: every MTX below `cursor` validated, and the
-    /// one at `cursor` conflicted when `conflict` is set.
-    fn publish(&self, shard: u16, cursor: MtxId, conflict: bool) {
-        let word = cursor.0 | if conflict { CONFLICT } else { 0 };
-        self.0[usize::from(shard)].store(word, Ordering::Release);
-    }
-
-    /// Whether some shard conflicted in `m`.
-    pub(crate) fn conflicted(&self, m: MtxId) -> bool {
-        let bad = m.0 | CONFLICT;
-        self.0.iter().any(|w| w.load(Ordering::Acquire) == bad)
-    }
-
-    /// Whether every shard validated `m`.
-    pub(crate) fn validated(&self, m: MtxId) -> bool {
-        self.0
-            .iter()
-            .all(|w| w.load(Ordering::Acquire) & !CONFLICT > m.0)
-    }
-}
 
 /// One detected conflict with its attribution context: which page
 /// mismatched, which shard caught it, and which MTX wrote the page first
@@ -119,7 +75,7 @@ pub struct ConflictRecord {
     pub first_writer: Option<(u64, u32)>,
 }
 
-/// Per-shard statistics returned by [`TryCommitUnit::run`].
+/// Per-shard statistics returned by [`TryCommitUnit::finish`].
 #[derive(Debug, Default)]
 pub(crate) struct TryCommitCounters {
     /// MTXs this shard validated in its page partition.
@@ -138,10 +94,10 @@ pub(crate) struct TryCommitCounters {
     pub coa_fetches: u64,
     /// Stream arrival → program-order replay start, per subTX stream.
     pub replay_lag: Histogram,
-    /// Final-stage stream arrival → verdict publish, per MTX.
+    /// Final-stage stream arrival → cursor advance, per MTX.
     pub verdict_latency: Histogram,
-    /// Busy fraction of the shard thread, parts per million.
-    pub busy_ppm: u64,
+    /// Time spent in this shard's productive turns.
+    pub busy: Duration,
 }
 
 pub(crate) struct TryCommitUnit {
@@ -157,12 +113,12 @@ pub(crate) struct TryCommitUnit {
     committed: CommittedImage,
     /// Validation streams, one per worker (this shard's partition only).
     val_in: Vec<RecvPort<Msg>>,
-    /// Where this shard publishes its verdict word.
-    board: VerdictBoard,
     /// Received subTX blocks awaiting their replay turn, with their
     /// attempt number and arrival time (for replay-lag / verdict-latency
     /// histograms).
     done: FxHashMap<(u64, u16), (Box<AccessBlock>, u32, Instant)>,
+    /// The validated-through cursor: every MTX below it validated in
+    /// this shard's partition.
     cursor_mtx: MtxId,
     cursor_stage: StageId,
     /// Attempt number of the stream currently replaying (trace context
@@ -172,8 +128,8 @@ pub(crate) struct TryCommitUnit {
     /// `page -> (mtx, attempt)` of the earliest replayed store. Reset at
     /// recovery together with the image.
     first_writers: FxHashMap<u64, (u64, u32)>,
-    /// Set after publishing a conflict: stop replaying, wait for
-    /// recovery.
+    /// Set when the MTX at the cursor conflicted: stop replaying, wait
+    /// for recovery.
     poisoned: bool,
     counters: TryCommitCounters,
 }
@@ -184,7 +140,6 @@ pub(crate) struct TryCommitWiring {
     pub trace: TraceSink,
     pub shard: u16,
     pub val_in: Vec<RecvPort<Msg>>,
-    pub board: VerdictBoard,
     pub committed: CommittedImage,
 }
 
@@ -198,7 +153,6 @@ impl TryCommitUnit {
             image: SpecMem::new(),
             committed: w.committed,
             val_in: w.val_in,
-            board: w.board,
             done: FxHashMap::default(),
             cursor_mtx: MtxId(0),
             cursor_stage: StageId(0),
@@ -209,46 +163,32 @@ impl TryCommitUnit {
         }
     }
 
-    /// The unit's thread body; returns this shard's statistics. It loops
-    /// on [`poll::wait`] with one unit turn as the step.
-    pub(crate) fn run(mut self) -> TryCommitCounters {
-        let started = Instant::now();
-        let mut busy = std::time::Duration::ZERO;
-        let ctrl = self.ctrl.clone();
-        let mut seen = EPOCH_UNSEEN;
-        loop {
-            let turn = poll::wait(&ctrl, &mut seen, None, || {
-                let at = Instant::now();
-                let progress = self.turn();
-                if progress {
-                    busy += at.elapsed();
-                }
-                Ok(progress.then_some(()))
-            });
-            match turn {
-                Ok(()) => {}
-                Err(Interrupt::Recovery { boundary }) => {
-                    self.do_recovery(boundary);
-                    seen = EPOCH_UNSEEN;
-                }
-                Err(Interrupt::Terminate) => break,
-                // The turn never fails and the wait has no deadline: only
-                // the control plane's statuses reach here.
-                Err(intr) => unreachable!("try-commit shard interrupted by {intr}"),
-            }
-        }
-        let total = started.elapsed().as_nanos().max(1);
-        self.counters.busy_ppm = (busy.as_nanos().min(total) * 1_000_000 / total) as u64;
+    /// This shard's statistics.
+    pub(crate) fn finish(mut self) -> TryCommitCounters {
         self.counters.coa_fetches = self.image.faults_served();
         self.counters
     }
 
+    /// Whether every MTX up to `m` validated in this shard's partition.
+    pub(crate) fn validated(&self, m: MtxId) -> bool {
+        self.cursor_mtx > m
+    }
+
+    /// Whether `m` conflicted in this shard's partition.
+    pub(crate) fn conflicted(&self, m: MtxId) -> bool {
+        self.poisoned && self.cursor_mtx == m
+    }
+
     /// One unit turn: ingest what arrived, then, unless poisoned, replay
     /// what is ready. Returns whether the turn made progress.
-    fn turn(&mut self) -> bool {
+    pub(crate) fn turn(&mut self) -> bool {
+        let at = Instant::now();
         let mut progress = self.ingest();
         if !self.poisoned {
             progress |= self.replay_turn();
+        }
+        if progress {
+            self.counters.busy += at.elapsed();
         }
         progress
     }
@@ -290,8 +230,8 @@ impl TryCommitUnit {
         progress
     }
 
-    /// Replays the ready streams in program order, publishing the
-    /// verdict word as each MTX validates; stops at the first conflict.
+    /// Replays the ready streams in program order, advancing the cursor
+    /// as each MTX validates; stops at the first conflict.
     fn replay_turn(&mut self) -> bool {
         let mut progress = false;
         while let Some((block, attempt, arrived)) =
@@ -303,8 +243,8 @@ impl TryCommitUnit {
                 .replay_lag
                 .record(arrived.elapsed().as_micros() as u64);
             if let Some(conflict_addr) = self.replay(&block) {
-                // Conflict: tell the commit unit and freeze until it
-                // orchestrates recovery. The word stays at this MTX.
+                // Conflict: freeze at this MTX until the commit unit,
+                // which reads the flag, orchestrates recovery.
                 let page = conflict_addr.page().0;
                 self.counters.conflicts += 1;
                 self.counters.conflict_pages.push(page);
@@ -323,7 +263,6 @@ impl TryCommitUnit {
                     Some(self.cursor_stage),
                     TraceKind::Conflict,
                 );
-                self.board.publish(self.shard, self.cursor_mtx, true);
                 self.poisoned = true;
                 return true;
             }
@@ -337,7 +276,6 @@ impl TryCommitUnit {
                 );
                 self.cursor_mtx = self.cursor_mtx.next();
                 self.cursor_stage = StageId(0);
-                self.board.publish(self.shard, self.cursor_mtx, false);
                 self.counters.validated += 1;
                 self.counters
                     .verdict_latency
@@ -380,24 +318,24 @@ impl TryCommitUnit {
         None
     }
 
-    /// §4.3 recovery: rendezvous, flush, re-protect, resume validating at
-    /// the iteration after the re-executed one. The verdict word resets
-    /// between B2 and B3, while the commit unit reads no word.
-    fn do_recovery(&mut self, boundary: MtxId) {
-        let barrier = self.ctrl.barrier().clone();
-        barrier.wait(); // B1
+    /// §4.3 recovery, between barriers B1 and B2: discard everything
+    /// buffered on the validation queues.
+    pub(crate) fn drain(&mut self) {
         for port in &mut self.val_in {
             port.drain();
         }
-        barrier.wait(); // B2
+    }
+
+    /// §4.3 recovery, between barriers B2 and B3: roll the replay image
+    /// back and resume validating at the iteration after the re-executed
+    /// one.
+    pub(crate) fn reset(&mut self, boundary: MtxId) {
         self.image.rollback();
         self.done.clear();
         self.first_writers.clear();
         self.cursor_mtx = boundary.next();
         self.cursor_stage = StageId(0);
         self.poisoned = false;
-        self.board.publish(self.shard, self.cursor_mtx, false);
-        barrier.wait(); // B3
     }
 }
 

@@ -255,11 +255,10 @@ pub struct WorkerCtx {
     users: Vec<VecDeque<u64>>,
     /// Buffered ring (synchronized-dependence) values for this iteration.
     ring_in_vals: VecDeque<u64>,
-    /// Stores to forward to later stages at `end` (from [`WorkerCtx::write`]).
-    forwards: Vec<(VAddr, u64)>,
-    /// Stores to forward to one specific later stage
-    /// (from [`WorkerCtx::write_to_stage`]).
-    targeted_forwards: Vec<(StageId, VAddr, u64)>,
+    /// Stores to forward at `end`, in program order: to one later stage
+    /// (from [`WorkerCtx::write_to_stage`]), or to every later stage when
+    /// `None` (from [`WorkerCtx::write`]).
+    forwards: Vec<(Option<StageId>, VAddr, u64)>,
     /// User values produced this iteration, with their target stage.
     produces: Vec<(StageId, u64)>,
     /// Ring values produced this iteration for the successor iteration.
@@ -385,7 +384,6 @@ impl WorkerCtx {
             users: vec![VecDeque::new(); n_stages],
             ring_in_vals: VecDeque::new(),
             forwards: Vec::new(),
-            targeted_forwards: Vec::new(),
             produces: Vec::new(),
             ring_produces: Vec::new(),
             ring_loopback: VecDeque::new(),
@@ -455,7 +453,7 @@ impl WorkerCtx {
     /// None at present, as for [`WorkerCtx::read`].
     pub fn write(&mut self, addr: VAddr, value: u64) -> Result<(), Interrupt> {
         self.write_no_forward(addr, value)?;
-        self.forwards.push((addr, value));
+        self.forwards.push((None, addr, value));
         Ok(())
     }
 
@@ -483,7 +481,7 @@ impl WorkerCtx {
         );
         assert!(stage.0 < self.shape.n_stages(), "no such stage");
         self.write_no_forward(addr, value)?;
-        self.targeted_forwards.push((stage, addr, value));
+        self.forwards.push((Some(stage), addr, value));
         Ok(())
     }
 
@@ -605,7 +603,6 @@ impl WorkerCtx {
         // Abort the subTX: nothing of it may reach the other units.
         self.spec.drain_log();
         self.forwards.clear();
-        self.targeted_forwards.clear();
         self.produces.clear();
         self.ring_produces.clear();
         self.link
@@ -794,7 +791,6 @@ impl WorkerCtx {
         // Data frames to the executor of this iteration in each later
         // stage: forwarded stores + user values.
         let forwards = std::mem::take(&mut self.forwards);
-        let targeted = std::mem::take(&mut self.targeted_forwards);
         let produces = std::mem::take(&mut self.produces);
         for t in (stage.0 + 1)..self.shape.n_stages() {
             let t = StageId(t);
@@ -802,17 +798,11 @@ impl WorkerCtx {
             let Self { out, link, .. } = self;
             let port = port_to(out, dst);
             send(port, Msg::FrameBegin { mtx })?;
-            for &(addr, value) in &forwards {
-                send(
-                    port,
-                    Msg::Forward {
-                        addr: addr.raw(),
-                        value,
-                    },
-                )?;
-            }
-            for &(ts, addr, value) in targeted.iter().filter(|(ts, _, _)| *ts == t) {
-                debug_assert_eq!(ts, t);
+            // In program order, so the last store to an address wins.
+            for &(_, addr, value) in forwards
+                .iter()
+                .filter(|(to, _, _)| to.is_none_or(|to| to == t))
+            {
                 send(
                     port,
                     Msg::Forward {
@@ -959,7 +949,6 @@ impl WorkerCtx {
         self.ring_in_vals.clear();
         self.ring_loopback.clear();
         self.forwards.clear();
-        self.targeted_forwards.clear();
         self.produces.clear();
         self.ring_produces.clear();
         self.cur = None;

@@ -755,6 +755,124 @@ fn targeted_forwarding_reaches_one_stage() {
     });
 }
 
+/// A targeted store and a store to every later stage reach the later
+/// stage in program order, whichever comes first: the last store to an
+/// address wins there, as it does in validation and commit, so no MTX is
+/// squashed.
+#[test]
+fn forwarded_stores_arrive_in_program_order() {
+    under_deadline(|| {
+        const N: u64 = 64;
+        for targeted_first in [true, false] {
+            let mut heap = heap0();
+            let a = heap.alloc_words(1).unwrap();
+            let out = heap.alloc_words(N).unwrap();
+
+            let mut cfg = SystemConfig::new();
+            cfg.stage(StageKind::Sequential)
+                .stage(StageKind::Sequential);
+            let system = MtxSystem::new(&cfg).unwrap();
+
+            // The value stage 0 stores last in MTX `m`.
+            let last = move |m: u64| {
+                if targeted_first {
+                    3 * m + 1
+                } else {
+                    2 * m + 100
+                }
+            };
+            let s0 = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+                let (m, to_stage) = (mtx.0, StageId(1));
+                if targeted_first {
+                    ctx.write_to_stage(to_stage, a, 2 * m + 100)?;
+                    ctx.write(a, 3 * m + 1)?;
+                } else {
+                    ctx.write(a, 3 * m + 1)?;
+                    ctx.write_to_stage(to_stage, a, 2 * m + 100)?;
+                }
+                Ok(IterOutcome::Continue)
+            });
+            let s1 = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+                let v = ctx.read(a)?;
+                ctx.write_no_forward(out.add_words(mtx.0), v)?;
+                Ok(IterOutcome::Continue)
+            });
+
+            let result = system
+                .run(Program {
+                    master: MasterMem::new(),
+                    stages: vec![s0, s1],
+                    recovery: Box::new(move |mtx, m| {
+                        m.write(a, last(mtx.0));
+                        m.write(out.add_words(mtx.0), last(mtx.0));
+                        IterOutcome::Continue
+                    }),
+                    on_commit: None,
+                    iteration_limit: Some(N),
+                })
+                .unwrap();
+            for m in 0..N {
+                assert_eq!(
+                    result.master.read(out.add_words(m)),
+                    last(m),
+                    "MTX {m}, targeted store first: {targeted_first}"
+                );
+            }
+            assert_eq!(
+                result.report.recoveries, 0,
+                "targeted store first: {targeted_first}"
+            );
+        }
+    });
+}
+
+/// The speculation units run on the thread that calls `run`, so the
+/// `on_commit` hook and the recovery body do too.
+#[test]
+fn units_and_hooks_run_on_the_callers_thread() {
+    under_deadline(|| {
+        const N: u64 = 8;
+        let caller = std::thread::current().id();
+        let seen = Arc::new(parking_lot_stub::Mutex::new(Vec::new()));
+        let (hook_seen, recovery_seen) = (seen.clone(), seen.clone());
+
+        let mut cfg = SystemConfig::new();
+        cfg.stage(StageKind::Parallel { replicas: 2 });
+        let body = Arc::new(|ctx: &mut WorkerCtx, mtx: MtxId| {
+            if mtx.0 == 3 {
+                return ctx.misspec();
+            }
+            Ok(IterOutcome::Continue)
+        });
+        let result = MtxSystem::new(&cfg)
+            .unwrap()
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |_, _| {
+                    recovery_seen
+                        .lock()
+                        .push(("recovery", std::thread::current().id()));
+                    IterOutcome::Continue
+                }),
+                on_commit: Some(Box::new(move |_, _| {
+                    hook_seen
+                        .lock()
+                        .push(("on_commit", std::thread::current().id()));
+                })),
+                iteration_limit: Some(N),
+            })
+            .unwrap();
+        assert_eq!(result.report.recoveries, 1);
+        let seen = seen.lock().clone();
+        assert!(seen.iter().any(|&(who, _)| who == "recovery"), "{seen:?}");
+        assert!(seen.iter().any(|&(who, _)| who == "on_commit"), "{seen:?}");
+        for (who, thread) in seen {
+            assert_eq!(thread, caller, "{who} ran off the calling thread");
+        }
+    });
+}
+
 /// Two parallel stages in one pipeline: iteration-i frames route between
 /// the matching replicas of each stage.
 #[test]

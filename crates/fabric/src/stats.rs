@@ -8,9 +8,9 @@
 //! Beyond the send-side totals, the handle now carries the receive side of
 //! the ledger (packets/items/bytes unpacked, items discarded by recovery
 //! drains), a queue-depth gauge with a high-water mark, and log-bucketed
-//! histograms of flush batch sizes, blocking-receive stalls and queue
-//! dwell — enough to see whether the batching layer of §4.2 is actually
-//! amortizing transport overhead, and how long packets wait in it.
+//! histograms of flush batch sizes and queue dwell — enough to see
+//! whether the batching layer of §4.2 is actually amortizing transport
+//! overhead, and how long packets wait in it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,9 +19,8 @@ use dsmtx_obs::{schema, Gauge, Histogram, Registry};
 
 /// Shared counters of fabric traffic.
 ///
-/// Cloning is cheap; clones observe the same underlying counters.
-/// Independent instances (e.g. one per queue) can be folded together with
-/// [`FabricStats::merge`].
+/// Cloning is cheap; clones observe the same underlying counters, so
+/// every link of a run records into one handle.
 #[derive(Debug, Clone, Default)]
 pub struct FabricStats {
     inner: Arc<Counters>,
@@ -30,8 +29,6 @@ pub struct FabricStats {
     depth: Gauge,
     /// Items per shipped packet.
     batch_items: Histogram,
-    /// Microseconds a blocking `consume` waited for data to arrive.
-    recv_stall_us: Histogram,
     /// Microseconds a packet dwelled in the transport between its ship
     /// and its unpack (the fabric-level component of queue wait).
     queue_dwell_us: Histogram,
@@ -157,11 +154,6 @@ impl FabricStats {
     /// Records a recycled buffer dropped by a full freelist.
     pub fn record_freelist_drop(&self) {
         self.inner.freelist_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a recv-side stall (consumer blocked waiting for data).
-    pub fn record_recv_stall_us(&self, us: u64) {
-        self.recv_stall_us.record(us);
     }
 
     /// Records one packet's ship → unpack dwell in the transport.
@@ -290,48 +282,9 @@ impl FabricStats {
         &self.batch_items
     }
 
-    /// Histogram of recv-side stall durations (µs).
-    pub fn recv_stall_us(&self) -> &Histogram {
-        &self.recv_stall_us
-    }
-
     /// Histogram of ship → unpack packet dwell times (µs).
     pub fn queue_dwell_us(&self) -> &Histogram {
         &self.queue_dwell_us
-    }
-
-    /// Folds `other`'s counters, gauge, and histograms into `self`
-    /// (`other` is unchanged). Lets per-queue instances be aggregated
-    /// into one fleet-wide view after a run.
-    pub fn merge(&self, other: &FabricStats) {
-        for (mine, theirs) in [
-            (&self.inner.packets, &other.inner.packets),
-            (&self.inner.items, &other.inner.items),
-            (&self.inner.bytes, &other.inner.bytes),
-            (&self.inner.recv_packets, &other.inner.recv_packets),
-            (&self.inner.recv_items, &other.inner.recv_items),
-            (&self.inner.recv_bytes, &other.inner.recv_bytes),
-            (&self.inner.drained_items, &other.inner.drained_items),
-            (&self.inner.fault_drops, &other.inner.fault_drops),
-            (&self.inner.fault_delays, &other.inner.fault_delays),
-            (&self.inner.fault_dups, &other.inner.fault_dups),
-            (&self.inner.fault_reorders, &other.inner.fault_reorders),
-            (&self.inner.fault_stalls, &other.inner.fault_stalls),
-            (&self.inner.retries, &other.inner.retries),
-            (&self.inner.send_timeouts, &other.inner.send_timeouts),
-            (
-                &self.inner.dup_items_discarded,
-                &other.inner.dup_items_discarded,
-            ),
-            (&self.inner.ooo_packets, &other.inner.ooo_packets),
-            (&self.inner.freelist_drops, &other.inner.freelist_drops),
-        ] {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.depth.merge(&other.depth);
-        self.batch_items.merge(&other.batch_items);
-        self.recv_stall_us.merge(&other.recv_stall_us);
-        self.queue_dwell_us.merge(&other.queue_dwell_us);
     }
 
     /// Exports every counter, the depth gauge, and the histograms into
@@ -356,11 +309,6 @@ impl FabricStats {
         reg.gauge(schema::FABRIC_DEPTH_HIGH_WATER, &[])
             .set(self.depth_high_water() as i64);
         reg.install_histogram(schema::FABRIC_BATCH_ITEMS, &[], self.batch_items.clone());
-        reg.install_histogram(
-            schema::FABRIC_RECV_STALL_US,
-            &[],
-            self.recv_stall_us.clone(),
-        );
         reg.install_histogram(
             schema::FABRIC_QUEUE_DWELL_US,
             &[],
@@ -442,36 +390,10 @@ mod tests {
     #[test]
     fn stall_histograms_record_only_stalls() {
         let s = FabricStats::new();
-        assert!(s.recv_stall_us().is_empty());
-        s.record_recv_stall_us(40);
-        s.record_recv_stall_us(60);
-        assert_eq!(s.recv_stall_us().count(), 2);
-        assert_eq!(s.recv_stall_us().sum(), 100);
+        assert!(s.queue_dwell_us().is_empty());
         s.record_queue_dwell_us(25);
         assert_eq!(s.queue_dwell_us().count(), 1);
         assert_eq!(s.queue_dwell_us().sum(), 25);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_histograms() {
-        let a = FabricStats::new();
-        let b = FabricStats::new();
-        a.record_packet(4, 32);
-        a.record_recv(4, 32);
-        b.record_packet(8, 64);
-        b.record_drained(8);
-        b.record_recv_stall_us(500);
-        a.merge(&b);
-        assert_eq!(a.packets(), 2);
-        assert_eq!(a.items(), 12);
-        assert_eq!(a.bytes(), 96);
-        assert_eq!(a.recv_items(), 4);
-        assert_eq!(a.drained_items(), 8);
-        assert_eq!(a.in_flight_items(), 0);
-        assert_eq!(a.batch_items().count(), 2);
-        assert_eq!(a.recv_stall_us().count(), 1);
-        // `b` is untouched.
-        assert_eq!(b.packets(), 1);
     }
 
     #[test]
@@ -494,13 +416,6 @@ mod tests {
         assert_eq!(a.dup_items_discarded(), 5);
         assert_eq!(a.ooo_packets(), 1);
         assert_eq!(a.freelist_drops(), 1);
-        let b = FabricStats::new();
-        b.record_fault_drop();
-        b.record_freelist_drop();
-        a.merge(&b);
-        assert_eq!(a.fault_drops(), 2);
-        assert_eq!(a.faults_total(), 6);
-        assert_eq!(a.freelist_drops(), 2);
     }
 
     #[test]
@@ -536,7 +451,6 @@ mod tests {
         let s = FabricStats::new();
         s.record_packet(4, 32);
         s.record_recv(4, 32);
-        s.record_recv_stall_us(10);
         let reg = Registry::new();
         s.to_registry(&reg);
         let dump = reg.to_jsonl();
@@ -551,7 +465,6 @@ mod tests {
             schema::FABRIC_IN_FLIGHT_ITEMS,
             schema::FABRIC_DEPTH_HIGH_WATER,
             schema::FABRIC_BATCH_ITEMS,
-            schema::FABRIC_RECV_STALL_US,
             schema::FABRIC_QUEUE_DWELL_US,
         ] {
             assert!(dump.contains(name), "missing {name} in:\n{dump}");

@@ -11,12 +11,9 @@
 //! fills its inputs and reads its outputs back at memory speed.
 //!
 //! The page map is internally partitioned by [`shard_of`] into a fixed
-//! number of sub-maps so that group commit can apply a large write-set in
-//! parallel ([`MasterMem::commit_writes_parallel`]): each helper thread
-//! owns a disjoint partition of `PageId` space, mirroring how the paper's
-//! §3.2 parallel commit units each own part of the address space. The
-//! partition count is an interior detail — reads and sequential commits
-//! behave exactly as a single flat map would.
+//! number of sub-maps, one per disjoint partition of `PageId` space. The
+//! partition count is an interior detail: reads and commits behave
+//! exactly as a single flat map would.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,10 +28,6 @@ use crate::spec::{AccessKind, AccessRecord};
 
 /// Fixed interior partition count of the committed page map.
 const INTERNAL_SHARDS: usize = 8;
-
-/// Write-set size below which parallel apply is pure overhead: spawning a
-/// scoped thread costs far more than hashing a few thousand words.
-const PARALLEL_APPLY_MIN_WRITES: usize = 4096;
 
 /// Committed memory: the image COA fetches from and group commit updates.
 #[derive(Debug)]
@@ -203,41 +196,6 @@ impl MasterMem {
         self.commits_applied += 1;
     }
 
-    /// Like [`MasterMem::commit_writes`], but applies the interior page
-    /// partitions on scoped helper threads when the write-set is large
-    /// enough to amortize the spawns.
-    ///
-    /// Equivalent to the sequential path bit for bit: partitioning by page
-    /// keeps every address's updates on one thread in program order, so
-    /// last-writer-wins is preserved, and distinct partitions touch
-    /// disjoint pages.
-    pub fn commit_writes_parallel(&mut self, writes: Vec<(VAddr, u64)>) {
-        if writes.len() < PARALLEL_APPLY_MIN_WRITES {
-            self.commit_writes(writes);
-            return;
-        }
-        let mut buckets: Vec<Vec<(VAddr, u64)>> = vec![Vec::new(); INTERNAL_SHARDS];
-        for (addr, value) in writes {
-            self.dirty.insert(addr.page());
-            buckets[shard_of(addr.page(), INTERNAL_SHARDS)].push((addr, value));
-        }
-        std::thread::scope(|scope| {
-            for (map, bucket) in self.shards.iter_mut().zip(buckets) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    for (addr, value) in bucket {
-                        map.entry(addr.page())
-                            .or_default()
-                            .set_word(addr.word_in_page(), value);
-                    }
-                });
-            }
-        });
-        self.commits_applied += 1;
-    }
-
     /// Number of `commit_writes` calls so far (committed MTX count).
     pub fn commits_applied(&self) -> u64 {
         self.commits_applied
@@ -339,27 +297,6 @@ mod tests {
         assert_eq!(m.resident_pages(), 0);
         m.write(a(0), 1);
         assert_eq!(m.resident_pages(), 1);
-    }
-
-    #[test]
-    fn parallel_commit_matches_sequential() {
-        // Large enough to take the scoped-thread path, with repeated
-        // addresses so last-writer-wins is exercised.
-        let writes: Vec<(VAddr, u64)> = (0..10_000u64).map(|i| (a((i % 3000) * 8), i)).collect();
-        let mut seq = MasterMem::new();
-        seq.commit_writes(writes.clone());
-        let mut par = MasterMem::new();
-        par.commit_writes_parallel(writes);
-        assert_eq!(seq.snapshot(), par.snapshot());
-        assert_eq!(par.commits_applied(), 1);
-    }
-
-    #[test]
-    fn small_write_sets_stay_sequential_and_correct() {
-        let mut m = MasterMem::new();
-        m.commit_writes_parallel(vec![(a(8), 1), (a(8), 2)]);
-        assert_eq!(m.read(a(8)), 2);
-        assert_eq!(m.commits_applied(), 1);
     }
 
     #[test]

@@ -92,9 +92,10 @@ pub mod schema {
     pub const SHARD_REPLAY_LAG_US: &str = "shard.replay_lag_us";
     /// Arrival of an MTX's final-stage stream to its verdict publish.
     pub const SHARD_VERDICT_LATENCY_US: &str = "shard.verdict_latency_us";
-    /// Busy fraction of the shard's thread, parts per million.
+    /// Share of the run's wall time the units' thread spent in the
+    /// shard's productive turns, parts per million.
     pub const SHARD_OCCUPANCY_PPM: &str = "shard.occupancy_ppm";
-    /// MTXs this shard validated (published on its verdict word).
+    /// MTXs this shard validated.
     pub const SHARD_VALIDATED: &str = "shard.validated";
     /// Conflicts this shard detected in its page partition.
     pub const SHARD_CONFLICTS: &str = "shard.conflicts";
@@ -112,7 +113,6 @@ pub mod schema {
     pub const FABRIC_IN_FLIGHT_ITEMS: &str = "fabric.in_flight_items";
     pub const FABRIC_DEPTH_HIGH_WATER: &str = "fabric.depth_high_water";
     pub const FABRIC_BATCH_ITEMS: &str = "fabric.batch_items";
-    pub const FABRIC_RECV_STALL_US: &str = "fabric.recv_stall_us";
     /// Ship → unpack dwell of a packet in the queue (the fabric-level
     /// component of an MTX's queue wait).
     pub const FABRIC_QUEUE_DWELL_US: &str = "fabric.queue_dwell_us";
