@@ -27,7 +27,6 @@
 //! that holds the write lock would never return.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -108,7 +107,9 @@ pub(crate) struct CommitUnit {
     shards: Vec<TryCommitUnit>,
     /// Received store blocks per (mtx, stage), decoded at group commit.
     store_sets: FxHashMap<(u64, u16), Box<AccessBlock>>,
-    events: BTreeMap<u64, Events>,
+    /// Per-MTX events, keyed by MTX: a hash map keeps its table as MTXs
+    /// pass, where a B-tree allocates and frees nodes.
+    events: FxHashMap<u64, Events>,
     next_commit: MtxId,
     recovery: RecoveryFn,
     on_commit: Option<CommitHook>,
@@ -138,7 +139,7 @@ impl CommitUnit {
             from_workers: w.from_workers,
             shards: w.shards,
             store_sets: FxHashMap::default(),
-            events: BTreeMap::new(),
+            events: FxHashMap::default(),
             next_commit: MtxId(0),
             recovery: w.recovery,
             on_commit: w.on_commit,
@@ -287,14 +288,14 @@ impl CommitUnit {
             return StepResult::Idle;
         }
         // Group transaction commit: apply subTX write-sets in program
-        // (stage) order; the last store to an address wins.
-        let mut writes = Vec::new();
-        for s in 0..self.shape.n_stages() {
-            let block = self.store_sets.remove(&(m.0, s)).expect("checked above");
-            writes.extend(block.iter().map(|r| (r.addr, r.value)));
-        }
+        // (stage) order, straight from the received blocks; the last store
+        // to an address wins.
+        let n_stages = self.shape.n_stages();
+        let sets = &self.store_sets;
         let mut master = self.master.write().expect(ONLY_WRITER);
-        master.commit_writes(writes);
+        master.commit_writes(
+            (0..n_stages).flat_map(|s| sets[&(m.0, s)].iter().map(|r| (r.addr, r.value))),
+        );
         self.counters.committed += 1;
         self.counters.last_iteration = Some(m);
         self.trace.record(
@@ -309,6 +310,9 @@ impl CommitUnit {
             None => Ok(()),
         };
         drop(master);
+        for s in 0..n_stages {
+            self.store_sets.remove(&(m.0, s));
+        }
         if let Err(panic) = hooked {
             self.abandon(panic, false);
         }

@@ -27,7 +27,9 @@ pub struct ShardStats {
     /// certification pass asserts this set is a subset of the conflict
     /// sites predicted from the sequential dependence graph.
     pub conflict_pages: Vec<u64>,
-    /// COA pages copied into this shard's replay image.
+    /// COA pages copied into this shard's replay image: one per page per
+    /// validation window, on the shard's first replayed load *or store*
+    /// to it.
     pub coa_fetches: u64,
     /// SubTX stream arrival to replay start, microseconds.
     pub replay_lag: Histogram,
@@ -102,7 +104,8 @@ pub struct RunReport {
     /// The last iteration of the loop, if the loop ran at all.
     pub last_iteration: Option<MtxId>,
     /// Copy-On-Access pages copied out of the committed image: every
-    /// worker's first touches plus every try-commit shard's fetches.
+    /// worker's first touches plus every try-commit shard's fetches (a
+    /// shard's first replayed load or store to a page).
     pub coa_pages_served: u64,
     /// MTXs squashed because value validation conflicted in them
     /// (speculated dependences that manifested): one per MTX, however

@@ -1,8 +1,9 @@
 //! The try-commit unit: MTX validation off the critical path (§3.2).
 //!
-//! The unit maintains its own memory image — committed pages copied on
-//! demand out of the commit unit's image (Copy-On-Access), overlaid with
-//! every speculative store it has replayed. It consumes the per-subTX access
+//! The unit maintains its own memory image — committed pages copied out
+//! of the commit unit's image on the first replayed load or store to
+//! each page (Copy-On-Access), overlaid with every speculative store it
+//! has replayed since. It consumes the per-subTX access
 //! streams of all workers and replays them in global program order: MTX 0
 //! stage 0, MTX 0 stage 1, …, MTX 1 stage 0, … Each replayed store updates
 //! the image; each replayed load is a *value prediction* — if the image's
@@ -90,7 +91,8 @@ pub(crate) struct TryCommitCounters {
     /// Full attribution context for every conflict this shard detected,
     /// in detection order (the "why" behind each `conflict_pages` entry).
     pub conflict_events: Vec<ConflictRecord>,
-    /// COA pages copied into the replay image.
+    /// COA pages copied into the replay image, on a first replayed load
+    /// or store to the page.
     pub coa_fetches: u64,
     /// Stream arrival → program-order replay start, per subTX stream.
     pub replay_lag: Histogram,
@@ -304,7 +306,13 @@ impl TryCommitUnit {
                 self.first_writers
                     .entry(r.addr.page().0)
                     .or_insert((self.cursor_mtx.0, self.cursor_attempt));
-                self.image.apply_forwarded(r.addr, r.value);
+                // A first store to a page copies the committed page in, as
+                // a first load does: no replayed store to the page came
+                // before it since the last reset, so the committed copy is
+                // the program-order state at the cursor (DESIGN.md §9).
+                let Ok(()) = self.image.write_unlogged(r.addr, r.value, |page| {
+                    Ok::<_, Infallible>(self.committed.page(page))
+                });
             }
             AccessKind::Load => {
                 let Ok(actual) = self.image.read_unlogged(r.addr, |page| {

@@ -601,7 +601,7 @@ impl WorkerCtx {
     pub fn misspec<T>(&mut self) -> Result<T, Interrupt> {
         let mtx = self.cur.expect("misspec outside an iteration");
         // Abort the subTX: nothing of it may reach the other units.
-        self.spec.drain_log();
+        self.spec.clear_log();
         self.forwards.clear();
         self.produces.clear();
         self.ring_produces.clear();
@@ -662,8 +662,10 @@ impl WorkerCtx {
             } else {
                 let src = self.shape.executor(self.stage, MtxId(mtx.0 - 1));
                 if src == self.worker {
-                    // Single-replica ring: values loop back locally.
-                    self.ring_in_vals = std::mem::take(&mut self.ring_loopback);
+                    // Single-replica ring: values loop back locally. The
+                    // swap hands the emptied `ring_in_vals` buffer to the
+                    // loopback, so neither regrows.
+                    std::mem::swap(&mut self.ring_in_vals, &mut self.ring_loopback);
                 } else {
                     self.recv_frame(src, mtx, true)?;
                 }
@@ -701,10 +703,20 @@ impl WorkerCtx {
             Some(self.stage),
             TraceKind::FlushBegin,
         );
-        let records = self.spec.drain_log();
         let stage = self.stage;
         let exit = outcome == IterOutcome::Exit;
         let n_shards = self.link.val.len();
+        let Self {
+            spec,
+            filter,
+            filtered,
+            val_blocks,
+            commit_block,
+            valplane,
+            shard_map,
+            ..
+        } = self;
+        let records = spec.log();
 
         // What one message per record would have shipped (the
         // `records_pre`/`bytes_pre` baseline): one item per access plus
@@ -715,22 +727,15 @@ impl WorkerCtx {
             .filter(|r| r.kind == AccessKind::Store)
             .count();
         let pre_items = records.len() as u64 + 2 * n_shards as u64 + raw_stores as u64 + 2;
-        self.valplane.records_pre += pre_items;
-        self.valplane.bytes_pre += pre_items * ITEM_BYTES;
+        valplane.records_pre += pre_items;
+        valplane.bytes_pre += pre_items * ITEM_BYTES;
 
         // Filter the access log through the write-combining store buffer,
         // then pack each shard's share (and the coalesced store set) into
-        // block frames.
-        let Self {
-            filter,
-            filtered,
-            val_blocks,
-            commit_block,
-            valplane,
-            shard_map,
-            ..
-        } = self;
-        valplane.records_filtered += filter.filter_into(&records, filtered);
+        // block frames. Every buffer here keeps its capacity for the next
+        // subTX.
+        valplane.records_filtered += filter.filter_into(records, filtered);
+        spec.clear_log();
         for block in val_blocks.iter_mut() {
             block.clear();
         }
@@ -747,9 +752,10 @@ impl WorkerCtx {
         }
 
         // Validation plane: one block per shard, empty blocks included so
-        // every replay cursor advances.
+        // every replay cursor advances. Each frame carries an exact-size
+        // copy of its block; the consumer frees it.
         for s in 0..n_shards {
-            let block = Box::new(std::mem::take(&mut self.val_blocks[s]));
+            let block = Box::new(self.val_blocks[s].clone());
             self.valplane.records_post += 1;
             self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
             self.valplane.blocks += 1;
@@ -767,7 +773,7 @@ impl WorkerCtx {
 
         // Commit plane: the coalesced store set and the loop-exit decision
         // in one frame.
-        let block = Box::new(std::mem::take(&mut self.commit_block));
+        let block = Box::new(self.commit_block.clone());
         self.valplane.records_post += 1;
         self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
         self.valplane.blocks += 1;
@@ -790,12 +796,16 @@ impl WorkerCtx {
 
         // Data frames to the executor of this iteration in each later
         // stage: forwarded stores + user values.
-        let forwards = std::mem::take(&mut self.forwards);
-        let produces = std::mem::take(&mut self.produces);
         for t in (stage.0 + 1)..self.shape.n_stages() {
             let t = StageId(t);
             let dst = self.shape.executor(t, mtx);
-            let Self { out, link, .. } = self;
+            let Self {
+                out,
+                link,
+                forwards,
+                produces,
+                ..
+            } = self;
             let port = port_to(out, dst);
             send(port, Msg::FrameBegin { mtx })?;
             // In program order, so the last store to an address wins.
@@ -818,24 +828,34 @@ impl WorkerCtx {
             send(port, Msg::FrameEnd { mtx })?;
             link.wait(None, || shipped(port))?;
         }
+        self.forwards.clear();
+        self.produces.clear();
 
         // Ring frame for the successor iteration.
         if self.shape.ring_stage() == Some(stage) {
-            let ring_values = std::mem::take(&mut self.ring_produces);
             match self.shape.ring_next(self.worker) {
-                None => self.ring_loopback = ring_values.into(),
+                None => {
+                    self.ring_loopback.clear();
+                    self.ring_loopback.extend(&self.ring_produces);
+                }
                 Some(dst) => {
                     let next_mtx = MtxId(mtx.0 + 1);
-                    let Self { out, link, .. } = self;
+                    let Self {
+                        out,
+                        link,
+                        ring_produces,
+                        ..
+                    } = self;
                     let port = port_to(out, dst);
                     send(port, Msg::FrameBegin { mtx: next_mtx })?;
-                    for value in ring_values {
+                    for &value in ring_produces.iter() {
                         send(port, Msg::User { value })?;
                     }
                     send(port, Msg::FrameEnd { mtx: next_mtx })?;
                     link.wait(None, || shipped(port))?;
                 }
             }
+            self.ring_produces.clear();
         }
 
         // Reset per-iteration state.

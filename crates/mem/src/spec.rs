@@ -47,8 +47,9 @@ pub struct AccessRecord {
 pub struct SpecMem {
     table: PageTable,
     /// Forwarded words for pages not yet resident: page → (word, value) in
-    /// arrival order. Fx-hashed: interior keys, replayed on the
-    /// validation hot path.
+    /// arrival order. Fx-hashed: interior keys. Only a worker's data
+    /// frames fill it; a try-commit replay image stores through
+    /// `write_unlogged`, which copies the page in first.
     pending: FxHashMap<PageId, Vec<(usize, u64)>>,
     /// Program-ordered access log of the current subTX.
     log: Vec<AccessRecord>,
@@ -185,6 +186,11 @@ impl SpecMem {
     /// Drains the program-ordered access log (end of subTX).
     pub fn drain_log(&mut self) -> Vec<AccessRecord> {
         std::mem::take(&mut self.log)
+    }
+
+    /// Empties the access log, keeping its capacity for the next subTX.
+    pub fn clear_log(&mut self) {
+        self.log.clear();
     }
 
     /// Views the access log without draining.
@@ -343,6 +349,20 @@ mod tests {
         m.write(a(16), 6, zero_fetch).unwrap();
         assert_eq!(m.read(a(16), zero_fetch).unwrap(), 6);
         assert_eq!(m.resident_pages(), 1);
+    }
+
+    #[test]
+    fn clear_log_empties_the_log_and_keeps_its_capacity() {
+        let mut m = SpecMem::new();
+        for w in 0..100 {
+            m.write(a(8 * w), w, zero_fetch).unwrap();
+        }
+        let cap = m.log.capacity();
+        m.clear_log();
+        assert!(m.log().is_empty());
+        assert_eq!(m.log.capacity(), cap);
+        // The pages stay resident: only the log is per-subTX.
+        assert_eq!(m.read(a(8), zero_fetch).unwrap(), 1);
     }
 
     #[test]

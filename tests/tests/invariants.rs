@@ -168,3 +168,39 @@ fn coa_serves_committed_and_private_pages() {
     let foreign = dsmtx_uva::VAddr::new(w0_region, 8);
     assert_eq!(result.master.read(foreign), 0);
 }
+
+/// A try-commit shard's replay state does not grow with the stores it
+/// replays: its first replayed store to a page copies the committed page
+/// in, as a first load does, and every later store lands in that copy.
+/// Every MTX here stores to one word that no MTX loads; a shard that
+/// queued stores to pages it has not copied would fetch the page 0 times
+/// and hold all 4,096 stores until a recovery.
+#[test]
+fn shard_copies_a_stored_page_instead_of_queueing_its_stores() {
+    const N: u64 = 4096;
+    let mut heap = dsmtx_uva::RegionAllocator::new(dsmtx_uva::OwnerId(0));
+    let word = heap.alloc_words(1).unwrap();
+    let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+        ctx.write_no_forward(word, mtx.0 + 1)?;
+        Ok(IterOutcome::Continue)
+    });
+    let mut cfg = SystemConfig::new();
+    cfg.stage(StageKind::Parallel { replicas: 2 });
+    let result = MtxSystem::new(&cfg)
+        .unwrap()
+        .run(Program {
+            master: MasterMem::new(),
+            stages: vec![body],
+            recovery: Box::new(move |m, mem| {
+                mem.write(word, m.0 + 1);
+                IterOutcome::Continue
+            }),
+            on_commit: None,
+            iteration_limit: Some(N),
+        })
+        .unwrap();
+    assert_eq!(result.report.recoveries, 0);
+    assert_eq!(result.report.committed, N);
+    assert_eq!(result.report.shard_stats[0].coa_fetches, 1);
+    assert_eq!(result.master.read(word), N);
+}
