@@ -38,9 +38,8 @@
 //! `BENCH_shard_sweep.json` artifact.
 //!
 //! The `valplane` section runs the same validation-bound workload once
-//! and prints what the validation and commit planes shipped (filtering +
-//! packed frames + COA cache) next to the per-record baseline the
-//! workers count; `--sweep-out` there writes the `BENCH_valplane.json`
+//! and prints what the unit plane shipped (filtering + one packed frame
+//! per subTX) next to the per-record baseline the workers count; `--sweep-out` there writes the `BENCH_valplane.json`
 //! artifact.
 //!
 //! The `trace` section runs a real traced pipeline and prints a

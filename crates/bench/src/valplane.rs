@@ -1,12 +1,13 @@
 //! Validation-plane compaction benchmark.
 //!
 //! Runs a validation-bound Spec-DOALL loop once and reports what crossed
-//! the validation and commit planes — records, bytes, packed frames,
-//! filter suppressions, and the try-commit unit's verdict latency — next
-//! to the per-record baseline the workers count from their unfiltered
-//! access logs (`records_pre`/`bytes_pre`: one message per access plus
-//! framing). The gap between the two rows is what per-subTX access
-//! filtering and packed `AccessBlock` frames buy.
+//! the unit plane — records, bytes, packed frames, filter suppressions,
+//! and the try-commit unit's verdict latency — next to the per-record
+//! baseline the workers count from their unfiltered access logs
+//! (`records_pre`/`bytes_pre`: one message per access on the validation
+//! plane and per store on the commit plane, plus framing). The gap
+//! between the two rows is what per-subTX access filtering and one
+//! packed `AccessBlock` frame per subTX buy.
 //!
 //! A wrong run reports nothing: before any number is returned, the
 //! committed memory must equal the loop's recovery body replayed
@@ -41,7 +42,7 @@ struct ValRun {
 pub struct ValPlanePoint {
     /// Wall-clock time of the parallel section, microseconds.
     pub elapsed_us: u64,
-    /// Messages that actually crossed the validation + commit planes.
+    /// Messages that actually crossed the unit plane.
     pub records: u64,
     /// Bytes that actually crossed (framing + payload).
     pub bytes: u64,
@@ -342,9 +343,9 @@ mod tests {
             "sim predicts a slowdown: {}",
             s.sim_predicted_speedup
         );
-        // The run must actually pack: two frames per MTX (one shard plus
-        // the commit plane), many records per frame.
-        assert_eq!(s.post.blocks, 2 * 96);
+        // The run must actually pack: one frame per MTX, many records per
+        // frame.
+        assert_eq!(s.post.blocks, 96);
         assert!(s.post.block_fill > 1.0);
     }
 

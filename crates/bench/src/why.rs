@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use dsmtx::RunSpans;
 use dsmtx_analyze::{analyze, attribute, cause_counts, export_why_metrics};
 use dsmtx_obs::{json, AbortCause, MtxSpan, Registry, SpanOutcome};
-use dsmtx_paradigms::set_trace_default;
+use dsmtx_paradigms::with_trace_default;
 use dsmtx_workloads::{all_kernels, kernel_by_name, Scale};
 
 use crate::analyzecli::AnalyzeFormat;
@@ -129,24 +129,21 @@ pub fn run_why(opts: &WhyOptions) -> Result<WhyOutcome, String> {
 
     // Planted conflicts are schedule-dependent: rerun until one
     // manifests (or give up and report the clean run).
-    let prev = set_trace_default(true);
     let mut traced = RunSpans::default();
     let runs = if planted { MAX_RUNS } else { 1 };
-    let mut run_result = Err("no run attempted".to_string());
-    for _ in 0..runs {
-        run_result = run(opts.shards);
-        let Ok(result) = &run_result else { break };
-        traced = result.report.spans();
-        if traced
-            .spans
-            .iter()
-            .any(|s| s.outcome() == SpanOutcome::Aborted)
-        {
-            break;
+    with_trace_default(true, || {
+        for _ in 0..runs {
+            traced = run(opts.shards)?.report.spans();
+            if traced
+                .spans
+                .iter()
+                .any(|s| s.outcome() == SpanOutcome::Aborted)
+            {
+                break;
+            }
         }
-    }
-    set_trace_default(prev);
-    run_result?;
+        Ok::<_, String>(())
+    })?;
     if let Some(m) = opts.mtx {
         let mtxs = || traced.spans.iter().map(|s| s.mtx);
         if !mtxs().any(|mtx| mtx == m) {
@@ -384,60 +381,53 @@ pub fn run_mtx_lifecycle(shard_counts: &[usize]) -> Result<Vec<LifecycleRow>, St
         .map_err(|e| e.to_string())?;
     let analysis = analyze(&mut plan);
 
-    let prev = set_trace_default(true);
-    let mut rows = Vec::new();
-    for &shards in shard_counts {
-        let mut spans = Vec::new();
-        for _ in 0..MAX_RUNS {
-            let result = parser
-                .run_reported_planted_unknown(WORKERS, shards, scale)
-                .map_err(|e| e.to_string());
-            let result = match result {
-                Ok(r) => r,
-                Err(e) => {
-                    set_trace_default(prev);
-                    return Err(e);
+    with_trace_default(true, || {
+        let mut rows = Vec::new();
+        for &shards in shard_counts {
+            let mut spans = Vec::new();
+            for _ in 0..MAX_RUNS {
+                let result = parser
+                    .run_reported_planted_unknown(WORKERS, shards, scale)
+                    .map_err(|e| e.to_string())?;
+                spans = result.report.spans().spans;
+                if spans.iter().any(|s| s.outcome() == SpanOutcome::Aborted) {
+                    break;
                 }
-            };
-            spans = result.report.spans().spans;
-            if spans.iter().any(|s| s.outcome() == SpanOutcome::Aborted) {
-                break;
             }
-        }
-        attribute(&mut spans, &analysis.report);
+            attribute(&mut spans, &analysis.report);
 
-        let attempts = spans.len() as u64;
-        let committed = spans
-            .iter()
-            .filter(|s| s.outcome() == SpanOutcome::Committed)
-            .count() as u64;
-        let aborted = spans
-            .iter()
-            .filter(|s| s.outcome() == SpanOutcome::Aborted)
-            .count() as u64;
-        let mean = |total: u64, n: u64| total.checked_div(n).unwrap_or(0);
-        let validated = spans.iter().filter(|s| s.validated_us.is_some()).count() as u64;
-        rows.push(LifecycleRow {
-            shards,
-            attempts,
-            committed,
-            aborted,
-            queue_wait_us: mean(spans.iter().map(MtxSpan::queue_wait_us).sum(), attempts),
-            exec_us: mean(spans.iter().map(MtxSpan::exec_us).sum(), attempts),
-            flush_us: mean(spans.iter().map(MtxSpan::flush_us).sum(), attempts),
-            validation_lag_us: mean(
-                spans.iter().filter_map(MtxSpan::validation_lag_us).sum(),
-                validated,
-            ),
-            commit_hold_us: mean(
-                spans.iter().filter_map(MtxSpan::commit_hold_us).sum(),
+            let attempts = spans.len() as u64;
+            let committed = spans
+                .iter()
+                .filter(|s| s.outcome() == SpanOutcome::Committed)
+                .count() as u64;
+            let aborted = spans
+                .iter()
+                .filter(|s| s.outcome() == SpanOutcome::Aborted)
+                .count() as u64;
+            let mean = |total: u64, n: u64| total.checked_div(n).unwrap_or(0);
+            let validated = spans.iter().filter(|s| s.validated_us.is_some()).count() as u64;
+            rows.push(LifecycleRow {
+                shards,
+                attempts,
                 committed,
-            ),
-            causes: cause_counts(&spans),
-        });
-    }
-    set_trace_default(prev);
-    Ok(rows)
+                aborted,
+                queue_wait_us: mean(spans.iter().map(MtxSpan::queue_wait_us).sum(), attempts),
+                exec_us: mean(spans.iter().map(MtxSpan::exec_us).sum(), attempts),
+                flush_us: mean(spans.iter().map(MtxSpan::flush_us).sum(), attempts),
+                validation_lag_us: mean(
+                    spans.iter().filter_map(MtxSpan::validation_lag_us).sum(),
+                    validated,
+                ),
+                commit_hold_us: mean(
+                    spans.iter().filter_map(MtxSpan::commit_hold_us).sum(),
+                    committed,
+                ),
+                causes: cause_counts(&spans),
+            });
+        }
+        Ok(rows)
+    })
 }
 
 /// Renders the lifecycle rows as the single-line `BENCH_mtx_lifecycle`

@@ -3,19 +3,22 @@
 //! The commit unit owns the only committed memory image and is its only
 //! writer. It executed the sequential pre-loop code (in this
 //! reproduction: the caller built [`dsmtx_mem::MasterMem`] before the
-//! run), buffers the store streams of every subTX, and — once *every*
-//! try-commit shard's cursor has passed an MTX — applies its subTX
-//! write-sets in program order (group transaction commit, §3.1: last
-//! update to an address wins). A conflict in any shard, or an explicit
-//! worker misspeculation, makes it orchestrate the §4.3 recovery
-//! protocol and re-execute the squashed iteration single-threaded.
+//! run), takes in every worker's one unit link, and keeps each subTX's
+//! block in one `(mtx, stage)` map. Once *every* try-commit shard's
+//! cursor has passed an MTX, it applies the stores of that MTX's blocks
+//! in program order (group transaction commit, §3.1: last update to an
+//! address wins). A conflict in any shard, or an explicit worker
+//! misspeculation, makes it orchestrate the §4.3 recovery protocol and
+//! re-execute the squashed iteration single-threaded.
 //!
 //! The unit owns the try-commit shards and is their only driver: the
 //! thread that calls `MtxSystem::run` runs the unit's loop, and each turn
-//! runs every shard's turn before its own. So a shard's verdict is read
-//! in place, on the thread that wrote it, and a recovery round stays
-//! straight-line inside one turn: the workers and this thread meet at
-//! the barriers, and the unit drains and resets the shards itself.
+//! takes in what arrived, then runs every shard's turn over the block
+//! map, then its own step. So a shard reads the blocks and the commit
+//! unit reads the shard's verdict in place, on the one thread, and a
+//! recovery round stays straight-line inside one turn: the workers and
+//! this thread meet at the barriers, and the unit clears the map and
+//! resets the shards itself.
 //!
 //! Copy-On-Access takes no turn of this unit: workers and try-commit
 //! shards copy committed pages out of the image themselves, through a
@@ -29,9 +32,10 @@
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
+use std::time::Instant;
 
 use dsmtx_fabric::RecvPort;
-use dsmtx_mem::{MasterMem, Page};
+use dsmtx_mem::{AccessKind, MasterMem, Page};
 use dsmtx_uva::PageId;
 use fxhash::FxHashMap;
 
@@ -69,6 +73,22 @@ impl CommittedImage {
     }
 }
 
+/// A subTX's block as the commit unit received it.
+#[derive(Debug)]
+pub(crate) struct Arrived {
+    /// The subTX's filtered access stream.
+    pub block: Box<AccessBlock>,
+    /// Speculative attempt number (trace context from the frame).
+    pub attempt: u32,
+    /// When the commit unit took the frame off its link (the start of the
+    /// shards' replay-lag and verdict-latency histograms).
+    pub at: Instant,
+}
+
+/// Every received subTX block not yet committed, by `(mtx, stage)`. The
+/// try-commit shards replay from it and group commit applies from it.
+pub(crate) type StageBlocks = FxHashMap<(u64, u16), Arrived>;
+
 /// Per-MTX events gathered from workers.
 #[derive(Debug, Default, Clone, Copy)]
 struct Events {
@@ -101,12 +121,12 @@ pub(crate) struct CommitUnit {
     trace: TraceSink,
     /// The committed image; this unit is its only writer.
     master: Arc<RwLock<MasterMem>>,
-    /// Store-frame/event streams, one per worker, in worker order.
+    /// Unit links, one per worker, in worker order.
     from_workers: Vec<RecvPort<Msg>>,
     /// The try-commit shards, whose turns only this unit runs.
     shards: Vec<TryCommitUnit>,
-    /// Received store blocks per (mtx, stage), decoded at group commit.
-    store_sets: FxHashMap<(u64, u16), Box<AccessBlock>>,
+    /// Received subTX blocks, freed once their MTX commits.
+    blocks: StageBlocks,
     /// Per-MTX events, keyed by MTX: a hash map keeps its table as MTXs
     /// pass, where a B-tree allocates and frees nodes.
     events: FxHashMap<u64, Events>,
@@ -138,7 +158,7 @@ impl CommitUnit {
             master: w.master,
             from_workers: w.from_workers,
             shards: w.shards,
-            store_sets: FxHashMap::default(),
+            blocks: StageBlocks::default(),
             events: FxHashMap::default(),
             next_commit: MtxId(0),
             recovery: w.recovery,
@@ -190,15 +210,14 @@ impl CommitUnit {
         }
     }
 
-    /// One unit turn: run every shard's turn, drain the inputs, answer a
+    /// One unit turn: drain the inputs, run every shard's turn, answer a
     /// fabric-fault request with a recovery round, and otherwise try to
     /// commit the next MTX.
     fn turn(&mut self) -> StepResult {
-        let mut progress = false;
+        let mut progress = self.ingest();
         for shard in &mut self.shards {
-            progress |= shard.turn();
+            progress |= shard.turn(&self.blocks);
         }
-        progress |= self.ingest();
         // A fabric timeout anywhere converts into a recovery round at the
         // next commit boundary — never later, or uncommitted intermediate
         // MTXs would be silently lost.
@@ -235,19 +254,19 @@ impl CommitUnit {
                 };
                 progress = true;
                 match msg {
-                    Msg::CommitBlock {
+                    Msg::ValBlock {
                         mtx,
                         attempt,
                         stage,
-                        exit,
                         block,
                     } => {
-                        self.store_sets.insert((mtx.0, stage.0), block);
-                        let ev = self.events.entry(mtx.0).or_default();
-                        ev.attempt = attempt;
-                        if exit {
-                            ev.exit = true;
-                        }
+                        let at = Instant::now();
+                        let arrived = Arrived { block, attempt, at };
+                        self.blocks.insert((mtx.0, stage.0), arrived);
+                        self.events.entry(mtx.0).or_default().attempt = attempt;
+                    }
+                    Msg::LoopExit { mtx } => {
+                        self.events.entry(mtx.0).or_default().exit = true;
                     }
                     Msg::WorkerMisspec { mtx, attempt } => {
                         self.counters.worker_misspecs += 1;
@@ -255,7 +274,7 @@ impl CommitUnit {
                         ev.attempt = attempt;
                         ev.misspec = true;
                     }
-                    other => panic!("unexpected message on commit plane: {other:?}"),
+                    other => panic!("unexpected message on a unit link: {other:?}"),
                 }
             }
         }
@@ -277,25 +296,24 @@ impl CommitUnit {
             return self.recover(m, false);
         }
         // Group-commit decision: every shard must have validated its
-        // partition of the MTX.
+        // partition of the MTX. A shard's cursor passes the MTX only by
+        // replaying the block of each of its stages, so all are here.
         if !self.shards.iter().all(|s| s.validated(m)) {
             return StepResult::Idle;
         }
-        // All stage write-sets must have arrived (they were sent at the
-        // same subTX ends that produced the validated streams).
-        let all_here = (0..self.shape.n_stages()).all(|s| self.store_sets.contains_key(&(m.0, s)));
-        if !all_here {
-            return StepResult::Idle;
-        }
-        // Group transaction commit: apply subTX write-sets in program
+        // Group transaction commit: apply the subTXs' stores in program
         // (stage) order, straight from the received blocks; the last store
         // to an address wins.
         let n_stages = self.shape.n_stages();
-        let sets = &self.store_sets;
+        let blocks = &self.blocks;
         let mut master = self.master.write().expect(ONLY_WRITER);
-        master.commit_writes(
-            (0..n_stages).flat_map(|s| sets[&(m.0, s)].iter().map(|r| (r.addr, r.value))),
-        );
+        master.commit_writes((0..n_stages).flat_map(|s| {
+            blocks[&(m.0, s)]
+                .block
+                .iter()
+                .filter(|r| r.kind == AccessKind::Store)
+                .map(|r| (r.addr, r.value))
+        }));
         self.counters.committed += 1;
         self.counters.last_iteration = Some(m);
         self.trace.record(
@@ -311,7 +329,7 @@ impl CommitUnit {
         };
         drop(master);
         for s in 0..n_stages {
-            self.store_sets.remove(&(m.0, s));
+            self.blocks.remove(&(m.0, s));
         }
         if let Err(panic) = hooked {
             self.abandon(panic, false);
@@ -360,11 +378,8 @@ impl CommitUnit {
         for port in &mut self.from_workers {
             port.drain();
         }
-        self.store_sets.clear();
+        self.blocks.clear();
         self.events.clear();
-        for shard in &mut self.shards {
-            shard.drain();
-        }
         barrier.wait(); // B2: queues are clean everywhere.
 
         // Re-execute the squashed iteration single-threaded on committed

@@ -177,11 +177,12 @@ impl SystemConfig {
         self
     }
 
-    /// Installs a profile-guided page→shard placement. Workers route the
-    /// pages it names to the recorded shard instead of the hash
-    /// partition — the explicit thread/data mapping the auto-planner
-    /// ships when the store profile is skewed. All threads read the same
-    /// map from the shared shape, so the partition stays agreed-upon.
+    /// Installs a profile-guided page→shard placement. The try-commit
+    /// shards validate the pages it names on the recorded shard instead
+    /// of the hash partition's — the explicit thread/data mapping the
+    /// auto-planner ships when the store profile is skewed. Every shard
+    /// reads the same map from the shared shape, so the partition stays
+    /// agreed-upon.
     pub fn shard_map(&mut self, map: ShardMap) -> &mut Self {
         self.shard_map = Some(map);
         self

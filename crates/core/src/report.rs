@@ -31,7 +31,8 @@ pub struct ShardStats {
     /// validation window, on the shard's first replayed load *or store*
     /// to it.
     pub coa_fetches: u64,
-    /// SubTX stream arrival to replay start, microseconds.
+    /// SubTX block arrival at the units to this shard's replay start,
+    /// microseconds.
     pub replay_lag: Histogram,
     /// MTX final-stage arrival to verdict (its cursor advance),
     /// microseconds.

@@ -2,8 +2,8 @@
 //!
 //! [`MtxSystem`] is `mtx_newDSMTXsystem` of Table 1: it takes a pipeline
 //! configuration, wires the communication topology (workers of earlier
-//! stages to the executors of later stages, every worker to every
-//! try-commit shard and to the commit unit), shares the committed image,
+//! stages to the executors of later stages, every worker to the
+//! speculation units over one link), shares the committed image,
 //! spawns one thread per worker, and runs the speculation units itself —
 //! the paper's `mtx_spawn`, `mtx_tryCommitUnit`, and `mtx_commitUnit`,
 //! with `DSMTX_Init`/`DSMTX_Finalize` folded into [`MtxSystem::run`]'s
@@ -12,17 +12,19 @@
 //! also runs each try-commit shard's turn, and then joins the workers.
 //! With `unit_shards > 1` the speculation units are address-partitioned
 //! (§3.2): each shard owns a disjoint hash-partition of the page space
-//! and validates only its slice of every MTX's access stream.
+//! and validates only its slice of every MTX's access stream, which it
+//! reads from the same block as every other shard.
 //!
 //! Only the topology the MTX protocol needs is wired — a worker connects
-//! to the workers of later stages, the units, and (for ring stages) its
-//! successor replica — so the channel count never grows quadratically in
-//! the total thread count (§3.1). [`MtxSystem::run`] opens each link once,
-//! in a fixed order, and hands its two ends straight to the roles it
-//! joins. Every link starts at a worker: the speculation units send on
-//! none. Workers and try-commit shards copy committed pages out of the
-//! shared image themselves, and the commit unit reads each shard's
-//! verdicts in place.
+//! to the workers of later stages, the units (one link, at every shard
+//! count), and (for ring stages) its successor replica — so the channel
+//! count never grows quadratically in the total thread count (§3.1).
+//! [`MtxSystem::run`] opens each link once, in a fixed order, and hands
+//! its two ends straight to the roles it joins. Every link starts at a
+//! worker: the speculation units send on none. Workers and try-commit
+//! shards copy committed pages out of the shared image themselves, the
+//! shards read the commit unit's received blocks in place, and the
+//! commit unit reads each shard's verdicts in place.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, RwLock};
@@ -192,21 +194,11 @@ impl MtxSystem {
             }
         }
 
-        // Unit links: each worker to every try-commit shard and to the
-        // commit unit.
-        let mut val_in: Vec<Vec<_>> = (0..n_shards).map(|_| Vec::new()).collect();
+        // Unit links: one from each worker to the speculation units.
         let mut from_workers = Vec::with_capacity(n_workers);
         let mut worker_wirings = Vec::with_capacity(n_workers);
         for ((worker, out), inn) in workers().zip(out).zip(inn) {
-            let val_out = val_in
-                .iter_mut()
-                .map(|val_in| {
-                    let (tx, rx) = open();
-                    val_in.push(rx);
-                    tx
-                })
-                .collect();
-            let (cu_out, from_worker) = open();
+            let (unit_out, from_worker) = open();
             from_workers.push(from_worker);
             worker_wirings.push(WorkerWiring {
                 worker,
@@ -216,22 +208,17 @@ impl MtxSystem {
                 heap: RegionAllocator::new(worker_owner(worker)),
                 out,
                 inn,
-                val_out,
-                cu_out,
+                unit_out,
                 committed: CommittedImage::new(&image),
             });
         }
 
-        let shards = val_in
-            .into_iter()
-            .enumerate()
-            .map(|(shard, val_in)| {
+        let shards = (0..n_shards)
+            .map(|shard| {
                 TryCommitUnit::new(TryCommitWiring {
                     shape: shape.clone(),
-                    ctrl: ctrl.clone(),
                     trace: trace.clone(),
                     shard: shard as u16,
-                    val_in,
                     committed: CommittedImage::new(&image),
                 })
             })

@@ -3,14 +3,15 @@
 //! The unit maintains its own memory image — committed pages copied out
 //! of the commit unit's image on the first replayed load or store to
 //! each page (Copy-On-Access), overlaid with every speculative store it
-//! has replayed since. It consumes the per-subTX access
-//! streams of all workers and replays them in global program order: MTX 0
-//! stage 0, MTX 0 stage 1, …, MTX 1 stage 0, … Each replayed store updates
-//! the image; each replayed load is a *value prediction* — if the image's
-//! value at that program point differs from what the worker observed, a
-//! true dependence manifested that the plan speculated away, and the unit
-//! reports the conflict to the commit unit (§3.1's unified value
-//! prediction and checking mechanism).
+//! has replayed since. It reads the per-subTX access streams of all
+//! workers in place, from the commit unit's block map, and replays them
+//! in global program order: MTX 0 stage 0, MTX 0 stage 1, …, MTX 1
+//! stage 0, … Each replayed store updates the image; each replayed load
+//! is a *value prediction* — if the image's value at that program point
+//! differs from what the worker observed, a true dependence manifested
+//! that the plan speculated away, and the unit reports the conflict to
+//! the commit unit (§3.1's unified value prediction and checking
+//! mechanism).
 //!
 //! The unit sends no verdict: replay runs in program order and stops at
 //! the first conflict, so its whole verdict stream is one monotone
@@ -26,32 +27,31 @@
 //! The paper notes the validation algorithm "is parallelizable": value
 //! prediction of a load depends only on prior stores to the same address.
 //! When `unit_shards > 1`, N instances of this unit exist, each owning
-//! the disjoint hash-partition of `PageId` space given by
-//! [`dsmtx_mem::shard_of`], with its own replay image and validation
-//! links. Workers pack each access record into the responsible shard's
-//! `ValBlock` and send a frame to *every* shard, so each shard's
-//! program-order cursor advances through every (MTX, stage) — a shard
-//! whose partition a subTX never touched replays an empty block. The
-//! shards partition state, not threads: the commit unit runs their turns
-//! one after another on the thread that called `MtxSystem::run`, and
-//! commits an MTX once every cursor is past it, or recovers once any
-//! shard is poisoned at it.
+//! the disjoint partition of `PageId` space given by [`dsmtx_mem::route`]
+//! (the hash partition, or the shape's profile-guided shard map), with
+//! its own replay image. Every shard reads the same one block per subTX
+//! and skips the records whose page routes to another shard, so each
+//! shard's program-order cursor advances through every (MTX, stage) — a
+//! shard whose partition a subTX never touched replays no record of it.
+//! This module is the only one that knows the partition. The shards
+//! partition state, not threads: the commit unit runs their turns one
+//! after another on the thread that called `MtxSystem::run`, and commits
+//! an MTX once every cursor is past it, or recovers once any shard is
+//! poisoned at it.
 
 use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
-use dsmtx_fabric::RecvPort;
-use dsmtx_mem::{AccessKind, AccessRecord, SpecMem};
+use dsmtx_mem::{route, AccessKind, AccessRecord, SpecMem};
 use dsmtx_obs::Histogram;
 use dsmtx_uva::VAddr;
 use fxhash::FxHashMap;
 
-use crate::commit::CommittedImage;
+use crate::commit::{CommittedImage, StageBlocks};
 use crate::config::PipelineShape;
-use crate::control::ControlPlane;
 use crate::ids::{MtxId, StageId};
 use crate::trace::{Role, TraceKind, TraceSink};
-use crate::wire::{AccessBlock, Msg};
+use crate::wire::AccessBlock;
 
 /// One detected conflict with its attribution context: which page
 /// mismatched, which shard caught it, and which MTX wrote the page first
@@ -104,7 +104,6 @@ pub(crate) struct TryCommitCounters {
 
 pub(crate) struct TryCommitUnit {
     shape: PipelineShape,
-    ctrl: ControlPlane,
     trace: TraceSink,
     /// This shard's index (0 at `unit_shards = 1`).
     shard: u16,
@@ -113,12 +112,6 @@ pub(crate) struct TryCommitUnit {
     image: SpecMem,
     /// Where the replay image copies committed pages from.
     committed: CommittedImage,
-    /// Validation streams, one per worker (this shard's partition only).
-    val_in: Vec<RecvPort<Msg>>,
-    /// Received subTX blocks awaiting their replay turn, with their
-    /// attempt number and arrival time (for replay-lag / verdict-latency
-    /// histograms).
-    done: FxHashMap<(u64, u16), (Box<AccessBlock>, u32, Instant)>,
     /// The validated-through cursor: every MTX below it validated in
     /// this shard's partition.
     cursor_mtx: MtxId,
@@ -138,10 +131,8 @@ pub(crate) struct TryCommitUnit {
 
 pub(crate) struct TryCommitWiring {
     pub shape: PipelineShape,
-    pub ctrl: ControlPlane,
     pub trace: TraceSink,
     pub shard: u16,
-    pub val_in: Vec<RecvPort<Msg>>,
     pub committed: CommittedImage,
 }
 
@@ -149,13 +140,10 @@ impl TryCommitUnit {
     pub(crate) fn new(w: TryCommitWiring) -> Self {
         TryCommitUnit {
             shape: w.shape,
-            ctrl: w.ctrl,
             trace: w.trace,
             shard: w.shard,
             image: SpecMem::new(),
             committed: w.committed,
-            val_in: w.val_in,
-            done: FxHashMap::default(),
             cursor_mtx: MtxId(0),
             cursor_stage: StageId(0),
             cursor_attempt: 0,
@@ -181,70 +169,24 @@ impl TryCommitUnit {
         self.poisoned && self.cursor_mtx == m
     }
 
-    /// One unit turn: ingest what arrived, then, unless poisoned, replay
-    /// what is ready. Returns whether the turn made progress.
-    pub(crate) fn turn(&mut self) -> bool {
+    /// One unit turn: unless poisoned, replay the blocks of `blocks`
+    /// that are ready in program order, advancing the cursor as each MTX
+    /// validates; stops at the first conflict. Returns whether the turn
+    /// made progress.
+    pub(crate) fn turn(&mut self, blocks: &StageBlocks) -> bool {
+        if self.poisoned {
+            return false;
+        }
         let at = Instant::now();
-        let mut progress = self.ingest();
-        if !self.poisoned {
-            progress |= self.replay_turn();
-        }
-        if progress {
-            self.counters.busy += at.elapsed();
-        }
-        progress
-    }
-
-    /// Drains what is available on the validation queues into the replay
-    /// buffer, at most one batch per queue, so a worker that outpaces
-    /// this shard cannot keep it from replaying. Never blocks.
-    fn ingest(&mut self) -> bool {
-        let budget = self.shape.batch();
         let mut progress = false;
-        for port in &mut self.val_in {
-            for _ in 0..budget {
-                let msg = match port.try_consume() {
-                    Ok(Some(m)) => m,
-                    Ok(None) => break,
-                    Err(_) => {
-                        // A dying peer is unrecoverable: publish the typed
-                        // shutdown (once) so no thread blocks forever on
-                        // the dead worker's silence.
-                        self.ctrl.report_channel_down();
-                        break;
-                    }
-                };
-                progress = true;
-                match msg {
-                    Msg::ValBlock {
-                        mtx,
-                        attempt,
-                        stage,
-                        block,
-                    } => {
-                        self.done
-                            .insert((mtx.0, stage.0), (block, attempt, Instant::now()));
-                    }
-                    other => panic!("unexpected message on validation plane: {other:?}"),
-                }
-            }
-        }
-        progress
-    }
-
-    /// Replays the ready streams in program order, advancing the cursor
-    /// as each MTX validates; stops at the first conflict.
-    fn replay_turn(&mut self) -> bool {
-        let mut progress = false;
-        while let Some((block, attempt, arrived)) =
-            self.done.remove(&(self.cursor_mtx.0, self.cursor_stage.0))
-        {
+        while let Some(arrived) = blocks.get(&(self.cursor_mtx.0, self.cursor_stage.0)) {
             progress = true;
+            let attempt = arrived.attempt;
             self.cursor_attempt = attempt;
             self.counters
                 .replay_lag
-                .record(arrived.elapsed().as_micros() as u64);
-            if let Some(conflict_addr) = self.replay(&block) {
+                .record(arrived.at.elapsed().as_micros() as u64);
+            if let Some(conflict_addr) = self.replay(&arrived.block) {
                 // Conflict: freeze at this MTX until the commit unit,
                 // which reads the flag, orchestrates recovery.
                 let page = conflict_addr.page().0;
@@ -266,7 +208,7 @@ impl TryCommitUnit {
                     TraceKind::Conflict,
                 );
                 self.poisoned = true;
-                return true;
+                break;
             }
             if self.cursor_stage.0 + 1 == self.shape.n_stages() {
                 self.trace.record(
@@ -281,10 +223,13 @@ impl TryCommitUnit {
                 self.counters.validated += 1;
                 self.counters
                     .verdict_latency
-                    .record(arrived.elapsed().as_micros() as u64);
+                    .record(arrived.at.elapsed().as_micros() as u64);
             } else {
                 self.cursor_stage = StageId(self.cursor_stage.0 + 1);
             }
+        }
+        if progress {
+            self.counters.busy += at.elapsed();
         }
         progress
     }
@@ -298,6 +243,11 @@ impl TryCommitUnit {
     }
 
     fn replay_record(&mut self, r: AccessRecord) -> Option<VAddr> {
+        let shards = self.shape.unit_shards();
+        if route(self.shape.shard_map(), r.addr.page(), shards) != usize::from(self.shard) {
+            // Another shard validates this page.
+            return None;
+        }
         match r.kind {
             AccessKind::Store => {
                 // Remember the earliest speculative writer of each page:
@@ -326,20 +276,11 @@ impl TryCommitUnit {
         None
     }
 
-    /// §4.3 recovery, between barriers B1 and B2: discard everything
-    /// buffered on the validation queues.
-    pub(crate) fn drain(&mut self) {
-        for port in &mut self.val_in {
-            port.drain();
-        }
-    }
-
     /// §4.3 recovery, between barriers B2 and B3: roll the replay image
     /// back and resume validating at the iteration after the re-executed
     /// one.
     pub(crate) fn reset(&mut self, boundary: MtxId) {
         self.image.rollback();
-        self.done.clear();
         self.first_writers.clear();
         self.cursor_mtx = boundary.next();
         self.cursor_stage = StageId(0);

@@ -1,27 +1,25 @@
 //! The wire protocol: every message that crosses a thread boundary.
 //!
-//! Three logical planes share one message type, so every link
+//! Two logical planes share one message type, so every link
 //! [`crate::MtxSystem::run`] opens is a [`dsmtx_fabric::channel_faulted`]
 //! queue of [`Msg`]:
 //!
 //! * **data plane** (worker → later-stage worker, or TLS ring neighbour):
 //!   per-iteration frames carrying forwarded uncommitted stores and
 //!   `mtx_produce`d user values;
-//! * **validation plane** (worker → try-commit shards): the filtered,
-//!   program-ordered access stream of each subTX, shipped as one
-//!   [`Msg::ValBlock`] per (subTX, shard) — a packed [`AccessBlock`] that
-//!   carries the framing and every surviving record in a single message.
-//!   With `unit_shards > 1` each worker fans the stream out by `PageId`
-//!   partition — a frame (possibly empty) goes to every shard so replay
-//!   cursors advance in lockstep, records only to the owning shard;
-//! * **commit plane** (worker → commit: the coalesced store set and the
-//!   loop-exit decision as one [`Msg::CommitBlock`], and explicit
-//!   misspeculation events, in one stream per worker).
+//! * **unit plane** (worker → speculation units, one link per worker):
+//!   the filtered, program-ordered access stream of each subTX, shipped
+//!   as one [`Msg::ValBlock`] — a packed [`AccessBlock`] that carries the
+//!   framing and every surviving record in a single message. Every
+//!   try-commit shard replays the records of its page partition from
+//!   that block, and the commit unit applies its stores at group commit.
+//!   A [`Msg::LoopExit`] goes ahead of the block of a subTX that ended
+//!   the loop, and explicit misspeculation notices share the stream.
 //!
 //! Every link starts at a worker. Copy-On-Access sends no message: a
 //! worker or try-commit shard copies the committed page out of the
-//! commit unit's image itself. Neither do verdicts: each try-commit shard
-//! publishes a validated-through word that the commit unit reads.
+//! commit unit's image itself. Neither do verdicts: the commit unit
+//! reads each try-commit shard's validated-through cursor in place.
 
 use dsmtx_mem::{AccessKind, AccessRecord};
 use dsmtx_uva::VAddr;
@@ -84,8 +82,8 @@ impl AccessBlock {
         self.len
     }
 
-    /// True when the block carries no records (still a valid frame: the
-    /// receiving shard's cursor advances past an empty subTX).
+    /// True when the block carries no records (still a valid frame: every
+    /// shard's replay cursor advances past an empty subTX).
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -215,9 +213,10 @@ pub enum Msg {
         mtx: MtxId,
     },
 
-    // ------------------------------------------------ validation plane --
+    // ------------------------------------------------------ unit plane --
     /// A complete packed subTX access stream: framing plus every surviving
-    /// record in one message.
+    /// record in one message. The try-commit shards validate it and the
+    /// commit unit commits its stores.
     ValBlock {
         /// Enclosing MTX.
         mtx: MtxId,
@@ -226,11 +225,17 @@ pub enum Msg {
         /// Pipeline stage executing the subTX.
         stage: StageId,
         /// The packed records (possibly empty: the frame still advances
-        /// the receiving shard's replay cursor).
+        /// every shard's replay cursor).
         block: Box<AccessBlock>,
     },
-
-    // ---------------------------------------------------- commit plane --
+    /// The subTX of `mtx` observed the sequential loop exit: commit
+    /// everything at or before `mtx`, squash the rest, stop. Sent ahead
+    /// of that subTX's [`Msg::ValBlock`] on the same link, so the commit
+    /// unit knows of the exit before any shard can validate the MTX.
+    LoopExit {
+        /// The last iteration.
+        mtx: MtxId,
+    },
     /// A worker detected misspeculation itself (`mtx_misspec`), e.g. failed
     /// control-flow speculation.
     WorkerMisspec {
@@ -238,24 +243,6 @@ pub enum Msg {
         mtx: MtxId,
         /// Speculative attempt number (propagated trace context).
         attempt: u32,
-    },
-    /// A complete packed store stream on the commit plane: framing, the
-    /// coalesced write-set, and the loop-exit decision in one message —
-    /// so the commit unit can never commit an iteration without knowing
-    /// it was the last one.
-    CommitBlock {
-        /// Enclosing MTX.
-        mtx: MtxId,
-        /// Speculative attempt number (propagated trace context).
-        attempt: u32,
-        /// Pipeline stage executing the subTX.
-        stage: StageId,
-        /// True when this subTX observed the sequential loop exit at this
-        /// iteration: commit everything at or before `mtx`, squash the
-        /// rest, stop.
-        exit: bool,
-        /// The coalesced stores (kind stream is all-store).
-        block: Box<AccessBlock>,
     },
 }
 

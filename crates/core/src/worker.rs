@@ -11,16 +11,17 @@
 //!    through this context. The first touch of a protected page copies it
 //!    out of the committed image (Copy-On-Access, one-sided: the commit
 //!    unit takes no part).
-//! 3. **`end`** (`mtx_end`): sends the subTX's ordered access stream to the
-//!    try-commit unit, its store set to the commit unit, and a data frame
-//!    (forwards + produces) to the executor of this iteration in every
-//!    later stage (`mtx_writeAll` semantics).
+//! 3. **`end`** (`mtx_end`): sends the subTX's filtered, ordered access
+//!    stream to the speculation units as one frame — the try-commit
+//!    shards validate it and the commit unit commits its stores — and a
+//!    data frame (forwards + produces) to the executor of this iteration
+//!    in every later stage (`mtx_writeAll` semantics).
 //!
 //! Data frames ship at once, because a later stage is waiting for them.
-//! Validation and commit frames ride the queue's batch threshold instead
-//! (§4.2's batching), and `UnitLink::wait` — the one blocking primitive
-//! of a worker — ships whatever of them is still buffered before the
-//! worker blocks. Every blocking point, and every `begin`, also polls the
+//! Unit frames ride the queue's batch threshold instead (§4.2's
+//! batching), and `UnitLink::wait` — the one blocking primitive of a
+//! worker — ships whatever of them is still buffered before the worker
+//! blocks. Every blocking point, and every `begin`, also polls the
 //! control plane so the worker can unwind into the §4.3 recovery
 //! rendezvous or terminate.
 
@@ -29,7 +30,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use dsmtx_fabric::{FabricError, RecvPort, SendPort};
-use dsmtx_mem::{route, AccessKind, AccessRecord, ShardMap, SpecMem};
+use dsmtx_mem::{AccessKind, AccessRecord, SpecMem};
 use dsmtx_uva::{RegionAllocator, VAddr};
 
 use crate::commit::CommittedImage;
@@ -50,8 +51,7 @@ const ITEM_BYTES: u64 = std::mem::size_of::<Msg>() as u64;
 /// A write-combining store buffer over one subTX's access log.
 ///
 /// Filters the program-ordered access stream down to the records the
-/// validation and commit planes actually need, without changing any
-/// verdict:
+/// speculation units actually need, without changing any verdict:
 ///
 /// * a **load** survives only as the *first* access to its address — a
 ///   repeat load re-observes the same private page (nothing else writes
@@ -225,22 +225,16 @@ pub struct WorkerCtx {
     /// Incoming data queues from earlier-stage workers (plus the ring
     /// predecessor).
     inn: Vec<(WorkerId, RecvPort<Msg>)>,
-    /// The validation and commit planes plus the control plane: the
-    /// streams that must ship before this worker blocks.
+    /// The link to the speculation units plus the control plane: the
+    /// stream that must ship before this worker blocks.
     link: UnitLink,
-    /// Profile-guided page→shard overrides from the shared shape; pages
-    /// outside the map route by the hash partition. Identical on every
-    /// worker, so the partition stays agreed-upon without communication.
-    shard_map: Option<ShardMap>,
 
     /// Write-combining store buffer filtering each subTX's access log.
     filter: AccessFilter,
     /// Scratch: the filtered access stream of the current subTX.
     filtered: Vec<AccessRecord>,
-    /// Scratch: one packed block per try-commit shard.
-    val_blocks: Vec<AccessBlock>,
-    /// Scratch: the packed commit-plane store block.
-    commit_block: AccessBlock,
+    /// Scratch: the packed block of the current subTX.
+    block: AccessBlock,
     /// Validation-plane compaction counters (merged into the run report).
     valplane: ValPlaneStats,
 
@@ -272,54 +266,37 @@ pub struct WorkerCtx {
     ring_skip: Option<MtxId>,
 }
 
-/// A worker's link to the speculation units — one validation stream per
-/// try-commit shard and the commit stream — with its view of the control
-/// plane.
+/// A worker's one link to the speculation units, with its view of the
+/// control plane.
 ///
-/// Validation and commit frames are produced without a flush: they ship
-/// when a batch fills. A worker must not block while it still holds
-/// some, because what it waits for can depend on the units reaching
-/// those frames' MTX. For example, stage 0 waits for room on the full
-/// queue to a stage-1 replica; that replica misspeculated and waits for
-/// the recovery; and the commit unit reaches the squashed MTX only
-/// through frames stage 0 still holds. So every blocking wait of a
-/// worker goes through [`UnitLink::wait`], which ships them first.
+/// Unit frames are produced without a flush: they ship when a batch
+/// fills. A worker must not block while it still holds some, because
+/// what it waits for can depend on the units reaching those frames' MTX.
+/// For example, stage 0 waits for room on the full queue to a stage-1
+/// replica; that replica misspeculated and waits for the recovery; and
+/// the commit unit reaches the squashed MTX only through frames stage 0
+/// still holds. So every blocking wait of a worker goes through
+/// [`UnitLink::wait`], which ships them first.
 struct UnitLink {
     ctrl: ControlPlane,
     /// The control epoch this worker last saw ([`ControlPlane::poll`]).
     epoch: u64,
-    /// Validation streams, one per try-commit shard: each access record
-    /// goes to the shard owning its page ([`route`]); every shard gets a
-    /// frame per subTX (possibly empty) so all replay cursors advance in
-    /// lockstep.
-    val: Vec<SendPort<Msg>>,
-    /// Store frames and events to the commit unit.
-    commit: SendPort<Msg>,
+    /// Blocks, loop-exit and misspeculation notices to the units.
+    port: SendPort<Msg>,
 }
 
 impl UnitLink {
-    /// Ships every buffered validation and commit frame, waiting while a
-    /// transport is full. The try-commit shards and the commit unit drain
-    /// their inputs on every turn, so this wait ends.
+    /// Ships every buffered unit frame, waiting while the transport is
+    /// full. The commit unit drains its inputs on every turn, so this
+    /// wait ends.
     fn ship(&mut self) -> Result<(), Interrupt> {
-        let Self {
-            ctrl,
-            epoch,
-            val,
-            commit,
-        } = self;
-        poll::wait(ctrl, epoch, None, || {
-            let mut all = true;
-            for port in val.iter_mut().chain(std::iter::once(&mut *commit)) {
-                all &= shipped(port)?.is_some();
-            }
-            Ok(all.then_some(()))
-        })
+        let Self { ctrl, epoch, port } = self;
+        poll::wait(ctrl, epoch, None, || shipped(port))
     }
 
     /// The worker's one blocking primitive: [`poll::wait`] on `step`,
-    /// except that the buffered validation and commit frames ship before
-    /// the first poll that finds nothing.
+    /// except that the buffered unit frames ship before the first poll
+    /// that finds nothing.
     fn wait<T>(
         &mut self,
         timeout: Option<Duration>,
@@ -343,8 +320,7 @@ pub(crate) struct WorkerWiring {
     pub heap: RegionAllocator,
     pub out: Vec<(WorkerId, SendPort<Msg>)>,
     pub inn: Vec<(WorkerId, RecvPort<Msg>)>,
-    pub val_out: Vec<SendPort<Msg>>,
-    pub cu_out: SendPort<Msg>,
+    pub unit_out: SendPort<Msg>,
     pub committed: CommittedImage,
 }
 
@@ -353,8 +329,6 @@ impl WorkerCtx {
         let stage = w.shape.stage_of(w.worker);
         let n_stages = w.shape.n_stages() as usize;
         let data_timeout = w.shape.recv_deadline();
-        let shard_map = w.shape.shard_map().cloned();
-        let n_shards = w.val_out.len();
         WorkerCtx {
             role: Role::Worker(w.worker.0 as u32),
             worker: w.worker,
@@ -370,14 +344,11 @@ impl WorkerCtx {
             link: UnitLink {
                 ctrl: w.ctrl,
                 epoch: EPOCH_UNSEEN,
-                val: w.val_out,
-                commit: w.cu_out,
+                port: w.unit_out,
             },
-            shard_map,
             filter: AccessFilter::new(),
             filtered: Vec::new(),
-            val_blocks: vec![AccessBlock::new(); n_shards],
-            commit_block: AccessBlock::new(),
+            block: AccessBlock::new(),
             valplane: ValPlaneStats::default(),
             cur: None,
             attempt: 0,
@@ -582,9 +553,10 @@ impl WorkerCtx {
     }
 
     /// Takes the synchronized values forwarded by the previous iteration
-    /// (empty for iteration 0).
-    pub fn sync_take(&mut self) -> Vec<u64> {
-        self.ring_in_vals.drain(..).collect()
+    /// (none for iteration 0), in the order they were produced. The
+    /// values are gone once the iterator is dropped, read or not.
+    pub fn sync_take(&mut self) -> impl Iterator<Item = u64> + '_ {
+        self.ring_in_vals.drain(..)
     }
 
     // ------------------------------------------------------------------
@@ -606,7 +578,7 @@ impl WorkerCtx {
         self.produces.clear();
         self.ring_produces.clear();
         self.link
-            .commit
+            .port
             .produce(Msg::WorkerMisspec {
                 mtx,
                 attempt: self.attempt,
@@ -684,9 +656,9 @@ impl WorkerCtx {
     }
 
     /// Exits the subTX of `mtx` (`mtx_end`): queues the access stream for
-    /// try-commit and the store set for commit (they ship when their batch
-    /// fills, or before this worker next blocks), and ships data frames to
-    /// later stages and the ring frame to the successor iteration.
+    /// the speculation units (it ships when its batch fills, or before
+    /// this worker next blocks), and ships data frames to later stages
+    /// and the ring frame to the successor iteration.
     ///
     /// # Errors
     ///
@@ -705,15 +677,13 @@ impl WorkerCtx {
         );
         let stage = self.stage;
         let exit = outcome == IterOutcome::Exit;
-        let n_shards = self.link.val.len();
+        let n_shards = self.shape.unit_shards() as u64;
         let Self {
             spec,
             filter,
             filtered,
-            val_blocks,
-            commit_block,
+            block,
             valplane,
-            shard_map,
             ..
         } = self;
         let records = spec.log();
@@ -726,65 +696,38 @@ impl WorkerCtx {
             .iter()
             .filter(|r| r.kind == AccessKind::Store)
             .count();
-        let pre_items = records.len() as u64 + 2 * n_shards as u64 + raw_stores as u64 + 2;
+        let pre_items = records.len() as u64 + 2 * n_shards + raw_stores as u64 + 2;
         valplane.records_pre += pre_items;
         valplane.bytes_pre += pre_items * ITEM_BYTES;
 
         // Filter the access log through the write-combining store buffer,
-        // then pack each shard's share (and the coalesced store set) into
-        // block frames. Every buffer here keeps its capacity for the next
-        // subTX.
+        // then pack the survivors into the subTX's block. Every buffer
+        // here keeps its capacity for the next subTX.
         valplane.records_filtered += filter.filter_into(records, filtered);
         spec.clear_log();
-        for block in val_blocks.iter_mut() {
-            block.clear();
-        }
+        block.clear();
         for r in filtered.iter() {
-            val_blocks[route(shard_map.as_ref(), r.addr.page(), n_shards)].push(
-                r.kind,
-                r.addr.raw(),
-                r.value,
-            );
-        }
-        commit_block.clear();
-        for (addr, value) in SpecMem::stores_of(filtered) {
-            commit_block.push(AccessKind::Store, addr.raw(), value);
+            block.push(r.kind, r.addr.raw(), r.value);
         }
 
-        // Validation plane: one block per shard, empty blocks included so
-        // every replay cursor advances. Each frame carries an exact-size
-        // copy of its block; the consumer frees it.
-        for s in 0..n_shards {
-            let block = Box::new(self.val_blocks[s].clone());
-            self.valplane.records_post += 1;
-            self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
-            self.valplane.blocks += 1;
-            self.valplane.block_records += u64::from(block.len());
-            send(
-                &mut self.link.val[s],
-                Msg::ValBlock {
-                    mtx,
-                    attempt,
-                    stage,
-                    block,
-                },
-            )?;
+        // The loop-exit notice goes first, so the commit unit knows of the
+        // exit before any shard can validate this MTX.
+        if exit {
+            send(&mut self.link.port, Msg::LoopExit { mtx })?;
         }
-
-        // Commit plane: the coalesced store set and the loop-exit decision
-        // in one frame.
-        let block = Box::new(self.commit_block.clone());
+        // One frame carrying an exact-size copy of the block; the commit
+        // unit frees it once the MTX commits.
+        let block = Box::new(self.block.clone());
         self.valplane.records_post += 1;
         self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
         self.valplane.blocks += 1;
         self.valplane.block_records += u64::from(block.len());
         send(
-            &mut self.link.commit,
-            Msg::CommitBlock {
+            &mut self.link.port,
+            Msg::ValBlock {
                 mtx,
                 attempt,
                 stage,
-                exit,
                 block,
             },
         )?;
@@ -954,10 +897,7 @@ impl WorkerCtx {
         for (_, port) in &mut self.out {
             port.clear();
         }
-        for port in &mut self.link.val {
-            port.clear();
-        }
-        self.link.commit.clear();
+        self.link.port.clear();
         for (_, port) in &mut self.inn {
             port.drain();
         }
@@ -973,10 +913,7 @@ impl WorkerCtx {
         self.ring_produces.clear();
         self.cur = None;
         self.filtered.clear();
-        for block in &mut self.val_blocks {
-            block.clear();
-        }
-        self.commit_block.clear();
+        self.block.clear();
         // Iteration boundary+1's ring producer was re-executed by the
         // commit unit: its executor must re-derive synchronized state
         // from committed memory instead of waiting for a frame.

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dsmtx::{
-    IterOutcome, MtxId, MtxSystem, Program, RunReport, StageKind, SystemConfig, WorkerCtx,
+    IterOutcome, MtxId, MtxSystem, Program, RunReport, StageId, StageKind, SystemConfig, WorkerCtx,
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_uva::{OwnerId, RegionAllocator};
@@ -189,6 +189,49 @@ fn pipeline() -> (MtxSystem, impl Fn(u64) -> Program) {
     (system, program)
 }
 
+/// A 2-replica Spec-DOALL whose stage is a synchronization ring: MTX `i`
+/// takes the running sum MTX `i - 1` forwarded (MTX 0 loads it from the
+/// accumulator), adds `input[i]`, stores the sum to the accumulator and
+/// forwards it with one `sync_produce`.
+fn ring() -> (MtxSystem, impl Fn(u64) -> Program) {
+    let mut heap = RegionAllocator::new(OwnerId(0));
+    let input = heap.alloc_words(LONG).unwrap();
+    let acc = heap.alloc_words(1).unwrap();
+    let mut cfg = SystemConfig::new();
+    cfg.stage(StageKind::Parallel { replicas: 2 })
+        .ring(StageId(0));
+    let system = MtxSystem::new(&cfg).unwrap();
+    let program = move |n: u64| {
+        let mut master = MasterMem::new();
+        for i in 0..n {
+            master.write(input.add_words(i), 5 * i + 2);
+        }
+        let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+            let synced = ctx.sync_take().next();
+            let sum = match synced {
+                Some(v) => v,
+                None => ctx.read(acc)?,
+            };
+            let next = sum + ctx.read(input.add_words(mtx.0))?;
+            ctx.write_no_forward(acc, next)?;
+            ctx.sync_produce(next);
+            Ok(IterOutcome::Continue)
+        });
+        Program {
+            master,
+            stages: vec![body],
+            recovery: Box::new(move |m: MtxId, mem: &mut MasterMem| {
+                let next = mem.read(acc) + mem.read(input.add_words(m.0));
+                mem.write(acc, next);
+                IterOutcome::Continue
+            }),
+            on_commit: None,
+            iteration_limit: Some(n),
+        }
+    };
+    (system, program)
+}
+
 #[test]
 fn subtx_path_allocates_only_the_shipped_frames() {
     let mut rows = Vec::new();
@@ -198,6 +241,8 @@ fn subtx_path_allocates_only_the_shipped_frames() {
     }
     let (system, program) = pipeline();
     rows.push(("[S, P(2), S]".to_owned(), per_extra_mtx(&system, program)));
+    let (system, program) = ring();
+    rows.push(("ring P(2)".to_owned(), per_extra_mtx(&system, program)));
 
     for (name, (allocs, blocks)) in &rows {
         println!("{name}: {allocs:.2} allocations and {blocks:.2} blocks per extra MTX");

@@ -314,9 +314,9 @@ fn tls_ring_synchronized_dependence() {
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
             // Receive the running sum from the previous iteration (0 at the
             // start; re-derived from committed memory after a recovery).
-            let sums = ctx.sync_take();
-            let acc = match sums.first() {
-                Some(&v) => v,
+            let synced = ctx.sync_take().next();
+            let acc = match synced {
+                Some(v) => v,
                 None => ctx.read(total)?, // iteration 0 or post-recovery
             };
             let x = ctx.read_private(input.add_words(mtx.0))?; // read-only input
@@ -609,41 +609,49 @@ fn recovery_in_pipeline_refills() {
 #[test]
 fn exit_from_second_stage() {
     under_deadline(|| {
-        let mut heap = heap0();
-        let seen = heap.alloc_words(1).unwrap();
-        let master = MasterMem::new();
+        // At batch 1 every unit frame ships on its own, so the exit
+        // notice must go ahead of its MTX's block: sent after it, the
+        // shards could validate the MTX and the commit unit commit it
+        // before learning that the loop ended there, and the uncounted
+        // loop would run on.
+        for batch in [64, 1] {
+            let mut heap = heap0();
+            let seen = heap.alloc_words(1).unwrap();
+            let master = MasterMem::new();
 
-        let mut cfg = SystemConfig::new();
-        cfg.stage(StageKind::Sequential)
-            .stage(StageKind::Sequential);
-        let system = MtxSystem::new(&cfg).unwrap();
+            let mut cfg = SystemConfig::new();
+            cfg.stage(StageKind::Sequential)
+                .stage(StageKind::Sequential)
+                .batch(batch);
+            let system = MtxSystem::new(&cfg).unwrap();
 
-        let s0 = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            ctx.produce(mtx.0);
-            Ok(IterOutcome::Continue)
-        });
-        let s1 = Arc::new(move |ctx: &mut WorkerCtx, _| {
-            let i = ctx.consume();
-            let acc = ctx.read(seen)?;
-            ctx.write(seen, acc + 1)?;
-            Ok(if i == 4 {
-                IterOutcome::Exit
-            } else {
-                IterOutcome::Continue
-            })
-        });
+            let s0 = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+                ctx.produce(mtx.0);
+                Ok(IterOutcome::Continue)
+            });
+            let s1 = Arc::new(move |ctx: &mut WorkerCtx, _| {
+                let i = ctx.consume();
+                let acc = ctx.read(seen)?;
+                ctx.write(seen, acc + 1)?;
+                Ok(if i == 4 {
+                    IterOutcome::Exit
+                } else {
+                    IterOutcome::Continue
+                })
+            });
 
-        let result = system
-            .run(Program {
-                master,
-                stages: vec![s0, s1],
-                recovery: noop_recovery(),
-                on_commit: None,
-                iteration_limit: None,
-            })
-            .unwrap();
-        assert_eq!(result.report.committed, 5);
-        assert_eq!(result.master.read(seen), 5);
+            let result = system
+                .run(Program {
+                    master,
+                    stages: vec![s0, s1],
+                    recovery: noop_recovery(),
+                    on_commit: None,
+                    iteration_limit: None,
+                })
+                .unwrap();
+            assert_eq!(result.report.committed, 5, "batch {batch}");
+            assert_eq!(result.master.read(seen), 5, "batch {batch}");
+        }
     });
 }
 

@@ -58,5 +58,5 @@ pub use barrier::Barrier;
 pub use cost::CostModel;
 pub use error::{FabricError, Result};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultRates, RetryPolicy};
-pub use queue::{channel, channel_faulted, RecvPort, SendPort, FREELIST_DEPTH};
+pub use queue::{channel, channel_faulted, RecvPort, SendPort};
 pub use stats::FabricStats;

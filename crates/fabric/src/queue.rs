@@ -38,17 +38,6 @@ use crate::error::{FabricError, Result};
 use crate::fault::{FaultDecision, FaultInjector, RetryPolicy};
 use crate::stats::FabricStats;
 
-/// Upper bound on recycled batch buffers parked in a queue's freelist.
-///
-/// The freelist exists to keep steady-state traffic allocation-free, and
-/// steady state needs only a handful of husks: the sender consumes at most
-/// one per ship. A deep transport (`capacity` in the hundreds) would
-/// otherwise pin `capacity` empty-but-sized buffers per link for the whole
-/// run. Beyond this depth a returned husk is simply dropped (and counted
-/// in [`FabricStats::freelist_drops`]) — the next ship allocates fresh,
-/// which is the pre-freelist behaviour, not an error.
-pub const FREELIST_DEPTH: usize = 32;
-
 /// A packet on the wire: either a sequence-numbered batch of values or an
 /// end-of-stream mark.
 #[derive(Debug)]
@@ -156,11 +145,13 @@ pub fn channel_faulted<T>(
     assert!(batch >= 1, "batch must be at least 1");
     assert!(capacity >= 1, "capacity must be at least 1");
     let (tx, rx) = channel::bounded(capacity);
-    // The freelist is bounded by the transport's depth (at most `capacity`
-    // husks can be waiting to come home) and hard-capped at
-    // [`FREELIST_DEPTH`] so a deep transport doesn't pin a matching pile
-    // of idle buffers. A full freelist just drops the husk.
-    let (free_tx, free_rx) = channel::bounded(capacity.min(FREELIST_DEPTH));
+    // The freelist is bounded by the transport's depth: at most `capacity`
+    // packets are in flight, so a burst returns about that many husks,
+    // and a freelist that holds them all serves the next burst without
+    // allocating. Past that bound a returned husk is dropped (counted in
+    // [`FabricStats::freelist_drops`]) and the next ship allocates fresh,
+    // which is not an error.
+    let (free_tx, free_rx) = channel::bounded(capacity);
     (
         SendPort {
             tx,
@@ -738,17 +729,20 @@ mod tests {
     #[test]
     fn freelist_is_bounded_and_overflow_drops_are_counted() {
         let stats = FabricStats::new();
-        // Transport depth 64 but the freelist is capped at FREELIST_DEPTH.
+        // A deep transport keeps a freelist as deep as itself.
         let (tx, mut rx) = channel_with::<u32>(4, 64, CostModel::FREE, stats.clone());
-        for _ in 0..FREELIST_DEPTH + 5 {
+        for _ in 0..64 + 5 {
             rx.recycle(Vec::with_capacity(4));
         }
         assert_eq!(stats.freelist_drops(), 5, "overflow husks are counted");
         // Every parked husk is still reclaimable by the sender.
-        for _ in 0..FREELIST_DEPTH {
+        for _ in 0..64 {
             assert!(tx.free_rx.try_recv().is_ok());
         }
-        assert!(tx.free_rx.try_recv().is_err(), "freelist holds only DEPTH");
+        assert!(
+            tx.free_rx.try_recv().is_err(),
+            "freelist holds only `capacity`"
+        );
     }
 
     #[test]
@@ -758,7 +752,7 @@ mod tests {
         for _ in 0..3 {
             rx.recycle(Vec::new());
         }
-        // capacity (2) < FREELIST_DEPTH: the smaller bound wins.
+        // The freelist holds `capacity` (2) husks.
         assert_eq!(stats.freelist_drops(), 1);
         assert!(tx.free_rx.try_recv().is_ok());
         assert!(tx.free_rx.try_recv().is_ok());

@@ -146,8 +146,8 @@ impl ShardMap {
 }
 
 /// Routes `page` through `map` when one is present, else [`shard_of`] —
-/// the single lookup both workers and analysis passes call so the
-/// partition stays agreed-upon everywhere.
+/// the single lookup both the try-commit shards and analysis passes call
+/// so the partition stays agreed-upon everywhere.
 #[inline]
 pub fn route(map: Option<&ShardMap>, page: PageId, n_shards: usize) -> usize {
     match map {

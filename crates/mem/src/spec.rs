@@ -198,14 +198,6 @@ impl SpecMem {
         &self.log
     }
 
-    /// Extracts only the stores of `records`, preserving program order.
-    pub fn stores_of(records: &[AccessRecord]) -> impl Iterator<Item = (VAddr, u64)> + '_ {
-        records
-            .iter()
-            .filter(|r| r.kind == AccessKind::Store)
-            .map(|r| (r.addr, r.value))
-    }
-
     /// Rolls back all speculative state: re-protects every page, discards
     /// pending forwards and the access log. Returns the number of pages
     /// dropped (§4.3 step 4 re-installs access protection on the heap).
@@ -366,17 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn stores_of_filters_and_orders() {
-        let mut m = SpecMem::new();
-        let _ = m.read(a(8), zero_fetch).unwrap();
-        m.write(a(8), 1, zero_fetch).unwrap();
-        m.write(a(16), 2, zero_fetch).unwrap();
-        let log = m.drain_log();
-        let stores: Vec<_> = SpecMem::stores_of(&log).collect();
-        assert_eq!(stores, vec![(a(8), 1), (a(16), 2)]);
-    }
-
-    #[test]
     fn write_unlogged_is_private() {
         let mut m = SpecMem::new();
         m.write_unlogged(a(8), 9, zero_fetch).unwrap();
@@ -448,8 +429,8 @@ mod proptests {
             }
             let log = m.drain_log();
             let mut replay: std::collections::HashMap<VAddr, u64> = Default::default();
-            for (addr, value) in SpecMem::stores_of(&log) {
-                replay.insert(addr, value);
+            for r in log.iter().filter(|r| r.kind == AccessKind::Store) {
+                replay.insert(r.addr, r.value);
             }
             for (word, _) in &ops {
                 let live = m.read_unlogged(a(*word), fetch).unwrap();

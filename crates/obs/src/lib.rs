@@ -87,8 +87,9 @@ pub mod schema {
     /// labeled `shard`. At `unit_shards = 1` the single shard carries
     /// the whole validation plane.
     ///
-    /// Arrival of a subTX's validation stream to the start of its
-    /// program-order replay (how far the shard's image lags the workers).
+    /// Arrival of a subTX's block at the speculation units to the start
+    /// of this shard's program-order replay of it (how far the shard's
+    /// image lags the workers).
     pub const SHARD_REPLAY_LAG_US: &str = "shard.replay_lag_us";
     /// Arrival of an MTX's final-stage stream to its verdict publish.
     pub const SHARD_VERDICT_LATENCY_US: &str = "shard.verdict_latency_us";
@@ -134,9 +135,9 @@ pub mod schema {
     /// Validation-plane compaction counters (worker-side access filtering
     /// and packed `AccessBlock` frames).
     ///
-    /// Records one message per access would have shipped across the
-    /// validation and commit planes (accesses plus per-shard framing
-    /// messages) — an analytic baseline counted by the workers.
+    /// Records one message per access would have shipped across separate
+    /// validation and commit planes (accesses, stores, plus per-shard
+    /// framing messages) — an analytic baseline counted by the workers.
     pub const VALPLANE_RECORDS_PRE: &str = "valplane.records_pre";
     /// Fabric items actually shipped (block frames; each carries many
     /// records).
@@ -148,7 +149,8 @@ pub mod schema {
     pub const VALPLANE_BYTES_PRE: &str = "valplane.bytes_pre";
     /// Bytes actually on the wire (frames plus packed payloads).
     pub const VALPLANE_BYTES_POST: &str = "valplane.bytes_post";
-    /// `AccessBlock` frames shipped across validation and commit planes.
+    /// `AccessBlock` frames shipped to the speculation units (one per
+    /// subTX).
     pub const VALPLANE_BLOCKS: &str = "valplane.blocks";
     /// Access records carried inside those blocks (post-filter).
     pub const VALPLANE_BLOCK_RECORDS: &str = "valplane.block_records";

@@ -5,6 +5,7 @@
 //! recovery body; the executor owns the shape.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use dsmtx::{
     ConfigError, IterOutcome, MtxSystem, Program, RecoveryFn, RunError, RunResult, StageFn,
@@ -23,6 +24,26 @@ static TRACE_DEFAULT: AtomicBool = AtomicBool::new(false);
 /// restore it.
 pub fn set_trace_default(on: bool) -> bool {
     TRACE_DEFAULT.swap(on, Ordering::Relaxed)
+}
+
+/// Runs `f` with the process-wide [`Tuning::trace`] default set to `on`,
+/// then restores the previous value — also when `f` returns an error or
+/// panics. A process-wide lock serializes the callers, so one caller's
+/// restore cannot switch tracing off under another caller's runs.
+pub fn with_trace_default<T>(on: bool, f: impl FnOnce() -> T) -> T {
+    static LOCK: Mutex<()> = Mutex::new(());
+    /// Restores the saved default when dropped.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_trace_default(self.0);
+        }
+    }
+    // A caller that panicked poisoned the lock, but its `Restore` ran on
+    // the unwind and the lock guards no data, so the guard is sound.
+    let _lock = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _restore = Restore(set_trace_default(on));
+    f()
 }
 
 /// Shared tuning knobs for all executors. Queue batch and capacity keep
@@ -329,8 +350,9 @@ mod tests {
         let mut heap = RegionAllocator::new(OwnerId(0));
         let acc_cell = heap.alloc_words(1).unwrap();
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            let acc = match ctx.sync_take().first() {
-                Some(&v) => v,
+            let synced = ctx.sync_take().next();
+            let acc = match synced {
+                Some(v) => v,
                 None => ctx.read(acc_cell)?,
             };
             let next = acc + mtx.0;
@@ -417,9 +439,7 @@ mod tests {
 
     #[test]
     fn trace_default_yields_spans() {
-        let prev = set_trace_default(true);
-        let tuning = Tuning::default();
-        set_trace_default(prev);
+        let tuning = with_trace_default(true, Tuning::default);
         assert!(tuning.trace);
 
         let body = Arc::new(|_: &mut WorkerCtx, _: MtxId| Ok(IterOutcome::Continue));

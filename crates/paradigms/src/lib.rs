@@ -41,5 +41,7 @@
 pub mod executor;
 pub mod paradigm;
 
-pub use executor::{no_recovery, set_trace_default, ExecError, Pipeline, SpecDoall, Tls, Tuning};
+pub use executor::{
+    no_recovery, set_trace_default, with_trace_default, ExecError, Pipeline, SpecDoall, Tls, Tuning,
+};
 pub use paradigm::{taxonomy, Paradigm, SpecKind, TaxonomyRow};

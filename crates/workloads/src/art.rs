@@ -216,7 +216,7 @@ impl Art {
                     }
                     let score = compute_score(ctx, mtx.0)?;
                     ctx.write_no_forward(out_base.add_words(mtx.0), score)?;
-                    let incoming = ctx.sync_take();
+                    let incoming: Vec<u64> = ctx.sync_take().collect();
                     let mut best = if incoming.len() == 2 {
                         [incoming[0], incoming[1]]
                     } else {

@@ -287,8 +287,9 @@ impl Bzip2 {
                         Ok(r) => r,
                         Err(()) => return ctx.misspec(),
                     };
-                    let cur = match ctx.sync_take().first() {
-                        Some(&c) => c,
+                    let synced = ctx.sync_take().next();
+                    let cur = match synced {
+                        Some(c) => c,
                         None => ctx.read(cursor)?,
                     };
                     ctx.write_no_forward(stream_base.add_words(cur), record.len() as u64)?;

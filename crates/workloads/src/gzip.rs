@@ -270,8 +270,9 @@ impl Gzip {
                         Ok(r) => r,
                         Err(()) => return ctx.misspec(),
                     };
-                    let cur = match ctx.sync_take().first() {
-                        Some(&c) => c,
+                    let synced = ctx.sync_take().next();
+                    let cur = match synced {
+                        Some(c) => c,
                         None => ctx.read(cursor)?,
                     };
                     ctx.write_no_forward(stream_base.add_words(cur), record.len() as u64)?;

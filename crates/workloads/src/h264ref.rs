@@ -239,8 +239,9 @@ impl H264Ref {
                     if mtx.0 >= n {
                         return Ok(IterOutcome::Continue);
                     }
-                    let state = match ctx.sync_take().first() {
-                        Some(&v) => v,
+                    let synced = ctx.sync_take().next();
+                    let state = match synced {
+                        Some(v) => v,
                         None => ctx.read(state_cell)?,
                     };
                     let cost = encode_iter(ctx, mtx.0)?;

@@ -212,7 +212,7 @@ impl Hmmer {
                         return Ok(IterOutcome::Continue);
                     }
                     let sc = load_score(ctx, mtx.0)?;
-                    let incoming = ctx.sync_take();
+                    let incoming: Vec<u64> = ctx.sync_take().collect();
                     let mut state = if incoming.len() == (BUCKETS + 1) as usize {
                         incoming
                     } else {

@@ -335,7 +335,7 @@ impl Li {
                     let script: Vec<u64> = (0..unit)
                         .map(|k| ctx.read_private(s_base.add_words(mtx.0 * unit + k)))
                         .collect::<Result<_, _>>()?;
-                    let incoming = ctx.sync_take();
+                    let incoming: Vec<u64> = ctx.sync_take().collect();
                     let env: Vec<u64> = if incoming.len() == ENV_WORDS as usize {
                         incoming
                     } else {

@@ -258,8 +258,9 @@ impl Parser {
                     let sentence: Vec<u64> = (0..unit)
                         .map(|k| ctx.read_private(s_base.add_words(mtx.0 * unit + k)))
                         .collect::<Result<_, _>>()?;
-                    let gen = match ctx.sync_take().first() {
-                        Some(&g) => g,
+                    let synced = ctx.sync_take().next();
+                    let gen = match synced {
+                        Some(g) => g,
                         None => ctx.read(gen_cell)?,
                     };
                     let (score, new_gen) = parse(&dict, &sentence, gen);

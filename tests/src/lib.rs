@@ -388,8 +388,9 @@ fn ring_scan(n: u64, fault: Option<FaultConfig>, shards: usize) -> RunSummary {
         master.write(input.add_words(i), mix(i) % 1000);
     }
     let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-        let acc = match ctx.sync_take().first() {
-            Some(&v) => v,
+        let synced = ctx.sync_take().next();
+        let acc = match synced {
+            Some(v) => v,
             None => ctx.read(acc_cell)?,
         };
         let x = ctx.read_private(input.add_words(mtx.0))?;

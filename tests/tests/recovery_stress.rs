@@ -331,8 +331,9 @@ fn ring_recovery_mid_stream() {
         if mtx.0 == BAD {
             return ctx.misspec();
         }
-        let acc = match ctx.sync_take().first() {
-            Some(&v) => v,
+        let synced = ctx.sync_take().next();
+        let acc = match synced {
+            Some(v) => v,
             None => ctx.read(acc_cell)?,
         };
         let next = acc + (mtx.0 + 1) * 10;

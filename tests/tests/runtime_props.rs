@@ -164,8 +164,9 @@ proptest! {
                 // sequential re-execution the iteration is done.
                 return ctx.misspec();
             }
-            let acc = match ctx.sync_take().first() {
-                Some(&v) => v,
+            let synced = ctx.sync_take().next();
+            let acc = match synced {
+                Some(v) => v,
                 None => ctx.read(acc_cell)?,
             };
             let x = ctx.read_private(input.add_words(mtx.0))?;

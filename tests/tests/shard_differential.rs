@@ -165,11 +165,11 @@ fn packed_frames_are_shipped_and_shrink_the_plane() {
 
 #[test]
 fn validation_and_commit_frames_ship_in_batches() {
-    // The validation and commit planes ride the queue's batch threshold
-    // instead of a flush at every subTX end, so a store-heavy DOALL moves
-    // many frames per packet. Batching moves packets, not frames or
-    // bytes: one block per (subTX, shard) plus one commit block per
-    // subTX, and exactly the bytes of the per-subTX-flush protocol.
+    // Unit frames ride the queue's batch threshold instead of a flush at
+    // every subTX end, so a store-heavy DOALL moves many frames per
+    // packet. Batching moves packets, not frames or bytes: one block per
+    // subTX, which both shards validate and the commit unit commits, and
+    // exactly the bytes of the per-subTX-flush protocol.
     use dsmtx::{IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, WorkerCtx};
     use dsmtx_mem::MasterMem;
     use dsmtx_uva::{OwnerId, RegionAllocator};
@@ -230,11 +230,20 @@ fn validation_and_commit_frames_ship_in_batches() {
         items / packets >= 8,
         "{items} items in {packets} packets: frames are not batched"
     );
-    assert_eq!(report.valplane.records_post, 3 * N);
-    // What the same loop shipped when every frame was flushed on its own:
-    // 859,130 B at 32-byte queue slots, less 8 B for each of the
-    // 3 × 1,024 frames now that a slot is 24 bytes (859,130 − 24,576).
-    assert_eq!(report.valplane.bytes_post, 834_554);
+    // One frame per subTX, at every shard count.
+    assert_eq!(report.valplane.records_post, N);
+    // Each frame is one 24-byte queue slot plus its block's wire bytes.
+    // A block holds the input load and the 32 stores: a 4-byte count,
+    // 9 bytes of 2-bit kinds (33 records) and 33 × 8 bytes of values,
+    // so 301 bytes a frame with the slot, plus the address deltas. The
+    // input sits at offset 8 and the data right after it, at 8,200
+    // (offset 0 is reserved), so the first record of MTX `i` is a delta
+    // of 8 + 8i from 0, zigzagged to 16 + 16i: 1 varint byte for
+    // i < 7, 2 bytes up to i = 1022 and 3 for i = 1023, 2,042 bytes
+    // over the run. Every store is 8,192 bytes past the record before it
+    // (zigzag 16,384 = 2^14, 3 bytes), 96 bytes a frame.
+    // 1,024 × 301 + 2,042 + 1,024 × 96 = 408,570.
+    assert_eq!(report.valplane.bytes_post, 408_570);
 }
 
 #[test]

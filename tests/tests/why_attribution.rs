@@ -17,7 +17,7 @@
 //!    with an empty lint report, squashed attempts come back as
 //!    `fault_induced_retry`, not `unpredicted`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dsmtx::{
     IterOutcome, MtxId, MtxSystem, Program, RunReport, StageKind, SystemConfig, WorkerCtx,
@@ -27,7 +27,7 @@ use dsmtx_fabric::FaultRates;
 use dsmtx_integration_tests::{seed_from_env, FaultCase, Workload};
 use dsmtx_mem::MasterMem;
 use dsmtx_obs::{check_spans, AbortCause, MtxSpan, SpanOutcome};
-use dsmtx_paradigms::set_trace_default;
+use dsmtx_paradigms::with_trace_default;
 use dsmtx_uva::{OwnerId, RegionAllocator};
 use dsmtx_workloads::{all_kernels, Scale};
 use proptest::prelude::*;
@@ -37,22 +37,6 @@ const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 /// Pinned seeds, mirrored by the fault-matrix tests (overridable
 /// through `DSMTX_FAULT_SEED`).
 const FAULT_SEEDS: [u64; 3] = [1, 20260806, 0xDEAD_BEEF];
-
-/// Kernel runs build their `MtxSystem` through the paradigms executor,
-/// whose tracing default is process-global; tests that flip it must not
-/// interleave.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the global tracing default on, restoring the previous
-/// value afterwards (even if `f` panics the poisoned lock keeps later
-/// tests serialized).
-fn with_tracing<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = set_trace_default(true);
-    let out = f();
-    set_trace_default(prev);
-    out
-}
 
 fn heap0() -> RegionAllocator {
     RegionAllocator::new(OwnerId(0))
@@ -182,7 +166,7 @@ fn parser_planted_abort_attributes_as_predicted() {
     );
 
     let mut explained_any = false;
-    with_tracing(|| {
+    with_trace_default(true, || {
         for _attempt in 0..8 {
             for shards in SHARD_COUNTS {
                 let result = k.run_reported_planted_unknown(2, shards, scale).unwrap();
@@ -213,7 +197,7 @@ fn parser_planted_abort_attributes_as_predicted() {
 /// that cause is never `unpredicted`.
 #[test]
 fn every_registry_abort_is_attributed() {
-    with_tracing(|| {
+    with_trace_default(true, || {
         for k in all_kernels() {
             let name = k.info().name;
             let mut plan = k.plan(Scale::test()).unwrap();
