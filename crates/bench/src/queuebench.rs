@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use dsmtx_fabric::queue::channel_with;
-use dsmtx_fabric::{CostModel, FabricStats};
+use dsmtx_fabric::CostModel;
 
 /// Result of one throughput measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,13 +25,14 @@ pub struct QueueThroughput {
 /// size, charging the OpenMPI per-message cost, and returns the sustained
 /// bandwidth.
 pub fn measure_queue_throughput(words: u64, batch: usize) -> QueueThroughput {
-    let (mut tx, mut rx) = channel_with::<u64>(batch, 1024, CostModel::OPENMPI, FabricStats::new());
+    let (mut tx, mut rx) = channel_with::<u64>(batch, 1024, CostModel::OPENMPI);
     let start = Instant::now();
     let producer = std::thread::spawn(move || {
         for v in 0..words {
             tx.produce(v).expect("consumer alive");
         }
-        tx.close().expect("consumer alive");
+        // Dropping the flushed sender ends the stream.
+        tx.flush().expect("consumer alive");
     });
     let mut expected = 0u64;
     while let Ok(v) = rx.consume() {

@@ -44,7 +44,7 @@ use crate::control::{ControlPlane, Interrupt, Status, EPOCH_UNSEEN};
 use crate::ids::MtxId;
 use crate::poll;
 use crate::program::{CommitHook, IterOutcome, RecoveryFn};
-use crate::trace::{Role, TraceKind, TraceSink};
+use crate::trace::{TraceBuffer, TraceKind};
 use crate::trycommit::{TryCommitCounters, TryCommitUnit};
 use crate::wire::{AccessBlock, Msg};
 
@@ -99,6 +99,17 @@ struct Events {
     attempt: u32,
 }
 
+/// What the units' loop hands back to `MtxSystem::run` when it ends.
+pub(crate) struct UnitsOutcome {
+    pub counters: CommitCounters,
+    /// Each try-commit shard's counters, by shard.
+    pub shards: Vec<TryCommitCounters>,
+    /// The receive ends of the unit links, for their traffic counters.
+    pub links: Vec<RecvPort<Msg>>,
+    /// Each shard's trace buffer, then the commit unit's.
+    pub traces: Vec<TraceBuffer>,
+}
+
 /// Counters reported at the end of the run.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct CommitCounters {
@@ -118,7 +129,8 @@ pub(crate) struct CommitCounters {
 pub(crate) struct CommitUnit {
     shape: PipelineShape,
     ctrl: ControlPlane,
-    trace: TraceSink,
+    /// The commit unit's own trace buffer.
+    trace: TraceBuffer,
     /// The committed image; this unit is its only writer.
     master: Arc<RwLock<MasterMem>>,
     /// Unit links, one per worker, in worker order.
@@ -140,7 +152,7 @@ pub(crate) struct CommitUnit {
 pub(crate) struct CommitWiring {
     pub shape: PipelineShape,
     pub ctrl: ControlPlane,
-    pub trace: TraceSink,
+    pub trace: TraceBuffer,
     pub master: Arc<RwLock<MasterMem>>,
     pub from_workers: Vec<RecvPort<Msg>>,
     pub shards: Vec<TryCommitUnit>,
@@ -169,16 +181,23 @@ impl CommitUnit {
     }
 
     /// The units' loop, run by the caller of `MtxSystem::run`; returns
-    /// the run counters and each shard's. It loops on [`poll::wait`] with
+    /// what the units counted and traced. It loops on [`poll::wait`] with
     /// one unit turn as the step.
-    pub(crate) fn run(mut self) -> (CommitCounters, Vec<TryCommitCounters>) {
+    pub(crate) fn run(mut self) -> UnitsOutcome {
         if self.limit == Some(0) {
             self.terminate(None);
         } else {
             self.run_turns();
         }
-        let shards = self.shards.into_iter().map(TryCommitUnit::finish).collect();
-        (self.counters, shards)
+        let (shards, mut traces): (Vec<_>, Vec<_>) =
+            self.shards.into_iter().map(TryCommitUnit::finish).unzip();
+        traces.push(self.trace);
+        UnitsOutcome {
+            counters: self.counters,
+            shards,
+            links: self.from_workers,
+            traces,
+        }
     }
 
     fn run_turns(&mut self) {
@@ -199,8 +218,7 @@ impl CommitUnit {
                 // `Terminating` shutdown directly — honor it instead of
                 // spinning forever on queues that will never fill.
                 Err(Interrupt::Terminate) => {
-                    self.trace
-                        .record(Role::Commit, None, 0, None, TraceKind::Terminated);
+                    self.trace.record(None, 0, None, TraceKind::Terminated);
                     break;
                 }
                 // Only this unit publishes `Recovering`, and it runs each
@@ -316,13 +334,8 @@ impl CommitUnit {
         }));
         self.counters.committed += 1;
         self.counters.last_iteration = Some(m);
-        self.trace.record(
-            Role::Commit,
-            Some(m),
-            ev.attempt,
-            None,
-            TraceKind::Committed,
-        );
+        self.trace
+            .record(Some(m), ev.attempt, None, TraceKind::Committed);
         let hooked = match &mut self.on_commit {
             Some(hook) => catch_unwind(AssertUnwindSafe(|| hook(m, &master))),
             None => Ok(()),
@@ -360,10 +373,10 @@ impl CommitUnit {
         } else {
             TraceKind::RecoveryStart
         };
-        self.trace
-            .record(Role::Commit, Some(boundary), attempt, None, kind);
+        self.trace.record(Some(boundary), attempt, None, kind);
         self.ctrl.publish(Status::Recovering { boundary });
-        let barrier = self.ctrl.barrier().clone();
+        let ctrl = self.ctrl.clone();
+        let barrier = ctrl.barrier();
         barrier.wait(); // B1: every thread is in recovery mode.
 
         // Discard any fault request that raced in while recovery was
@@ -402,13 +415,8 @@ impl CommitUnit {
         self.counters.recovered_iterations += 1;
         self.counters.last_iteration = Some(boundary);
         self.ctrl.record_recovery();
-        self.trace.record(
-            Role::Commit,
-            Some(boundary),
-            attempt,
-            None,
-            TraceKind::RecoveryEnd,
-        );
+        self.trace
+            .record(Some(boundary), attempt, None, TraceKind::RecoveryEnd);
 
         let done = outcome == IterOutcome::Exit || self.limit == Some(boundary.0 + 1);
         if done {
@@ -420,13 +428,8 @@ impl CommitUnit {
         }
         barrier.wait(); // B3: parallel execution may recommence.
         if done {
-            self.trace.record(
-                Role::Commit,
-                Some(boundary),
-                attempt,
-                None,
-                TraceKind::Terminated,
-            );
+            self.trace
+                .record(Some(boundary), attempt, None, TraceKind::Terminated);
             StepResult::Terminated
         } else {
             self.next_commit = boundary.next();
@@ -452,8 +455,7 @@ impl CommitUnit {
 
     fn terminate(&mut self, last: Option<MtxId>) {
         self.ctrl.publish(Status::Terminating { last });
-        self.trace
-            .record(Role::Commit, last, 0, None, TraceKind::Terminated);
+        self.trace.record(last, 0, None, TraceKind::Terminated);
     }
 }
 

@@ -14,9 +14,7 @@
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use dsmtx_fabric::Barrier;
+use std::sync::{Arc, Barrier};
 
 use crate::ids::MtxId;
 

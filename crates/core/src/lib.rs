@@ -95,6 +95,6 @@ pub use program::{CommitHook, IterOutcome, Program, RecoveryFn, StageFn};
 pub use report::{RunReport, RunResult, ShardStats, ValPlaneStats};
 pub use spans::{build_spans, chrome_spans, RecoveryRound, RunSpans, SpanMetrics};
 pub use system::{worker_owner, MtxSystem, RunError};
-pub use trace::{Role, TraceEvent, TraceKind, TraceSink, DEFAULT_TRACE_CAPACITY};
+pub use trace::{Role, TraceEvent, TraceKind, DEFAULT_TRACE_CAPACITY};
 pub use trycommit::ConflictRecord;
 pub use worker::{AccessFilter, WorkerCtx};

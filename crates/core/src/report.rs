@@ -137,13 +137,14 @@ pub struct RunReport {
     /// Validation-plane compaction counters, aggregated over all
     /// workers.
     pub valplane: ValPlaneStats,
-    /// Aggregate fabric traffic (all queues).
+    /// Fabric traffic of every link end, merged once the run returned.
     pub stats: FabricStats,
     /// Wall-clock duration of the parallel section.
     pub elapsed: Duration,
     /// Trace events, when tracing was enabled.
     pub trace: Vec<TraceEvent>,
-    /// Trace events discarded because the sink's capacity was reached.
+    /// Trace events discarded because a role's share of
+    /// [`crate::DEFAULT_TRACE_CAPACITY`] was reached.
     pub trace_dropped: u64,
 }
 
@@ -198,8 +199,6 @@ impl RunReport {
         reg.counter(schema::RUN_RECOVERIES, &[])
             .add(self.recoveries);
         reg.counter(schema::RUN_BYTES, &[]).add(self.stats.bytes());
-        reg.counter(schema::RUN_TRACE_DROPPED, &[])
-            .add(self.trace_dropped);
         reg.counter(schema::TRACE_EVENTS_DROPPED, &[])
             .add(self.trace_dropped);
         reg.counter(schema::RUN_FABRIC_TIMEOUTS, &[])
@@ -292,7 +291,7 @@ mod tests {
 
     #[test]
     fn totals_and_bandwidth() {
-        let stats = FabricStats::new();
+        let mut stats = FabricStats::new();
         stats.record_packet(4, 4000);
         let r = RunReport {
             committed: 10,

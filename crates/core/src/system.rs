@@ -39,7 +39,7 @@ use crate::control::{ControlPlane, Status};
 use crate::ids::WorkerId;
 use crate::program::Program;
 use crate::report::{RunReport, RunResult};
-use crate::trace::TraceSink;
+use crate::trace::{self, Role, TraceBuffer, DEFAULT_TRACE_CAPACITY};
 use crate::trycommit::{TryCommitUnit, TryCommitWiring};
 use crate::wire::Msg;
 use crate::worker::{worker_main, WorkerCtx, WorkerWiring};
@@ -88,7 +88,6 @@ pub fn worker_owner(worker: WorkerId) -> OwnerId {
 pub struct MtxSystem {
     shape: PipelineShape,
     tracing: bool,
-    trace_capacity: usize,
 }
 
 impl MtxSystem {
@@ -101,22 +100,15 @@ impl MtxSystem {
         Ok(MtxSystem {
             shape: config.build()?,
             tracing: false,
-            trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
         })
     }
 
     /// Enables event tracing for subsequent runs (Figure-3 style execution
-    /// model inspection).
+    /// model inspection). A traced run stores at most
+    /// [`DEFAULT_TRACE_CAPACITY`] events, split evenly across its roles,
+    /// and counts the rest in `RunReport::trace_dropped`.
     pub fn trace(mut self, enabled: bool) -> Self {
         self.tracing = enabled;
-        self
-    }
-
-    /// Caps the trace buffer at `capacity` events for subsequent traced
-    /// runs; events past the cap are counted in
-    /// `RunReport::trace_dropped` instead of stored.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -143,11 +135,11 @@ impl MtxSystem {
         }
         let n_workers = shape.n_workers() as usize;
         let n_shards = shape.unit_shards();
-        let trace = if self.tracing {
-            TraceSink::with_capacity(self.trace_capacity)
-        } else {
-            TraceSink::disabled()
-        };
+        // Every role records into a buffer of its own, stamped from one
+        // origin; `trace::merge` joins them once the roles have returned.
+        let origin = self.tracing.then(Instant::now);
+        let share = DEFAULT_TRACE_CAPACITY / (n_workers + n_shards + 1);
+        let role_trace = |role| TraceBuffer::new(role, origin, share);
         // The recovery barriers' parties: the workers and this thread.
         let ctrl = ControlPlane::new(n_workers + 1);
         // The committed image: the commit unit writes it, every other
@@ -158,8 +150,7 @@ impl MtxSystem {
         // Every link opens here, in one fixed order, and its two ends go
         // straight to the roles it joins. Link `i` draws its fault
         // decisions from `plan.injector(i)`, so a fault schedule is a pure
-        // function of (seed, link order).
-        let stats = FabricStats::new();
+        // function of (seed, link order). Each end counts its own traffic.
         let fault = shape
             .fault()
             .map(|fc| (FaultPlan::new(fc.seed, fc.rates), fc.retry));
@@ -174,7 +165,6 @@ impl MtxSystem {
                 shape.batch(),
                 shape.capacity(),
                 CostModel::FREE,
-                stats.clone(),
                 injector,
                 retry,
             )
@@ -204,7 +194,7 @@ impl MtxSystem {
                 worker,
                 shape: shape.clone(),
                 ctrl: ctrl.clone(),
-                trace: trace.clone(),
+                trace: role_trace(Role::Worker(u32::from(worker.0))),
                 heap: RegionAllocator::new(worker_owner(worker)),
                 out,
                 inn,
@@ -217,7 +207,7 @@ impl MtxSystem {
             .map(|shard| {
                 TryCommitUnit::new(TryCommitWiring {
                     shape: shape.clone(),
-                    trace: trace.clone(),
+                    trace: role_trace(Role::TryCommit(shard as u16)),
                     shard: shard as u16,
                     committed: CommittedImage::new(&image),
                 })
@@ -227,7 +217,7 @@ impl MtxSystem {
         let cu_wiring = CommitWiring {
             shape: shape.clone(),
             ctrl: ctrl.clone(),
-            trace: trace.clone(),
+            trace: role_trace(Role::Commit),
             master: Arc::clone(&image),
             from_workers,
             shards,
@@ -260,14 +250,14 @@ impl MtxSystem {
         let elapsed = start.elapsed();
 
         // First, because a unit panic is also what poisons the image lock.
-        let (counters, shard_counters) = units.map_err(|_| RunError::ThreadPanic("commit"))?;
+        let units = units.map_err(|_| RunError::ThreadPanic("commit"))?;
         // Every page copied out of the committed image, by shards and
         // workers alike.
         let mut coa_pages_served = 0;
         let mut shard_stats = Vec::with_capacity(n_shards);
         let mut conflict_events = Vec::new();
         let wall = elapsed.as_nanos().max(1);
-        for c in shard_counters {
+        for c in units.shards {
             coa_pages_served += c.coa_fetches;
             conflict_events.extend(c.conflict_events);
             shard_stats.push(crate::report::ShardStats {
@@ -282,17 +272,35 @@ impl MtxSystem {
         }
         // Deterministic order across shards.
         conflict_events.sort_by_key(|e| (e.mtx, e.attempt, e.shard, e.page));
+        // Telemetry stays with the role that recorded it until here: fold
+        // every link end's counters into one set, and merge the roles'
+        // traces.
+        let mut stats = FabricStats::new();
+        let mut traces = Vec::with_capacity(n_workers + n_shards + 1);
         let mut valplane = crate::report::ValPlaneStats::default();
         for r in worker_results {
             let ctx = r.map_err(|_| RunError::ThreadPanic("worker"))?;
             coa_pages_served += ctx.coa_faults();
             valplane.merge(&ctx.valplane());
+            for port in ctx.link_stats() {
+                stats.merge(port);
+            }
+            traces.push(ctx.trace);
         }
+        for port in &units.links {
+            stats.merge(port.stats());
+        }
+        // Workers first, then the units: the order that events stamped in
+        // the same microsecond keep, which is the order a subTX flows
+        // through the roles.
+        traces.extend(units.traces);
+        let (trace, trace_dropped) = trace::merge(traces);
         let master = Arc::try_unwrap(image)
             .expect("every role has returned its image handle")
             .into_inner()
             .expect("the units returned, so the image lock is sound");
 
+        let counters = units.counters;
         let report = RunReport {
             committed: counters.committed,
             recoveries: ctrl.recoveries(),
@@ -309,8 +317,8 @@ impl MtxSystem {
             valplane,
             stats,
             elapsed,
-            trace: trace.events(),
-            trace_dropped: trace.dropped_events(),
+            trace,
+            trace_dropped,
         };
         Ok(RunResult { master, report })
     }

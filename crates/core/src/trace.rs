@@ -3,9 +3,12 @@
 //! iteration order), and as the raw feed of the span builder
 //! ([`crate::spans::build_spans`]), the one reader that the trace
 //! metrics, the Chrome export and the invariant checks work from.
+//!
+//! Each role of a run — every worker, every try-commit shard and the
+//! commit unit — records into a trace buffer of its own, stamped from the
+//! run's one origin `Instant`. `MtxSystem::run` merges the buffers once
+//! the roles have returned.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::ids::{MtxId, StageId};
@@ -83,189 +86,179 @@ pub struct TraceEvent {
     pub stage: Option<StageId>,
     /// The event kind.
     pub kind: TraceKind,
-    /// Microseconds since the sink's origin (run start). Relative
+    /// Microseconds since the run's trace origin. Relative
     /// timestamps survive serialization and are what the Chrome
     /// `trace_event` format wants.
     pub at_us: u64,
 }
 
-/// Default maximum buffered events (1 Mi events ≈ 40 MB); past it the
-/// sink counts drops instead of growing without bound.
+/// Maximum events a traced run stores (1 Mi events ≈ 40 MB), split evenly
+/// across its roles; past its share a role's buffer counts drops instead
+/// of growing without bound.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
+/// One role's trace: an append buffer that only its role writes, so
+/// recording takes no lock. A disabled buffer records nothing and costs
+/// one branch.
 #[derive(Debug)]
-struct Buffer {
+pub(crate) struct TraceBuffer {
+    role: Role,
+    /// The run's one trace origin, shared by every role's buffer; `None`
+    /// when the run is not traced.
+    origin: Option<Instant>,
     events: Vec<TraceEvent>,
     capacity: usize,
     dropped: u64,
 }
 
-/// Shared trace sink; cloning shares the buffer. Disabled sinks record
-/// nothing and cost one branch.
-#[derive(Debug, Clone)]
-pub struct TraceSink {
-    buf: Option<Arc<Mutex<Buffer>>>,
-    origin: Instant,
-}
-
-impl TraceSink {
-    /// A recording sink with the default capacity.
-    pub fn enabled() -> Self {
-        Self::with_capacity(DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A recording sink buffering at most `capacity` events; further
-    /// records are counted in [`dropped_events`](Self::dropped_events)
-    /// rather than stored. The buffer is pre-sized (up to a sane bound)
-    /// so the hot record path never reallocates.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceSink {
-            buf: Some(Arc::new(Mutex::new(Buffer {
-                // Pre-size, but never more than the cap and never a
-                // silly allocation for huge caps.
-                events: Vec::with_capacity(capacity.min(1 << 16)),
-                capacity,
-                dropped: 0,
-            }))),
-            origin: Instant::now(),
+impl TraceBuffer {
+    /// A buffer for `role` that stamps events relative to `origin` and
+    /// stores at most `capacity` of them; it records nothing when
+    /// `origin` is `None`.
+    pub(crate) fn new(role: Role, origin: Option<Instant>, capacity: usize) -> Self {
+        // Pre-sized, but never past the cap and never a silly allocation
+        // for huge caps, so the record path seldom reallocates.
+        let presize = if origin.is_some() {
+            capacity.min(1 << 14)
+        } else {
+            0
+        };
+        TraceBuffer {
+            role,
+            origin,
+            events: Vec::with_capacity(presize),
+            capacity,
+            dropped: 0,
         }
-    }
-
-    /// A no-op sink.
-    pub fn disabled() -> Self {
-        TraceSink {
-            buf: None,
-            origin: Instant::now(),
-        }
-    }
-
-    /// True when events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.buf.is_some()
     }
 
     /// Records one event (no-op when disabled, counted when full).
     /// `attempt` is the MTX's speculative attempt number (0 when no MTX
     /// is involved).
-    pub fn record(
-        &self,
-        role: Role,
+    pub(crate) fn record(
+        &mut self,
         mtx: Option<MtxId>,
         attempt: u32,
         stage: Option<StageId>,
         kind: TraceKind,
     ) {
-        if let Some(buf) = &self.buf {
-            let at_us = self.origin.elapsed().as_micros() as u64;
-            let mut b = buf.lock();
-            if b.events.len() < b.capacity {
-                b.events.push(TraceEvent {
-                    role,
-                    mtx,
-                    attempt,
-                    stage,
-                    kind,
-                    at_us,
-                });
-            } else {
-                b.dropped += 1;
-            }
+        let Some(origin) = self.origin else { return };
+        if self.events.len() < self.capacity {
+            self.events.push(TraceEvent {
+                role: self.role,
+                mtx,
+                attempt,
+                stage,
+                kind,
+                at_us: origin.elapsed().as_micros() as u64,
+            });
+        } else {
+            self.dropped += 1;
         }
-    }
-
-    /// Snapshots all events recorded so far, in recording order.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf
-            .as_ref()
-            .map_or_else(Vec::new, |b| b.lock().events.clone())
-    }
-
-    /// Events that arrived after the buffer filled and were discarded.
-    pub fn dropped_events(&self) -> u64 {
-        self.buf.as_ref().map_or(0, |b| b.lock().dropped)
     }
 }
 
-impl Default for TraceSink {
-    fn default() -> Self {
-        Self::disabled()
+/// Merges the roles' buffers into the run's trace, sorted by `at_us`,
+/// and returns it with the number of events the buffers dropped. The sort
+/// is stable and a role's own stamps never decrease, so each role's
+/// events keep the order it recorded them in.
+pub(crate) fn merge(buffers: impl IntoIterator<Item = TraceBuffer>) -> (Vec<TraceEvent>, u64) {
+    let mut events = Vec::new();
+    let mut dropped = 0;
+    for buffer in buffers {
+        events.extend(buffer.events);
+        dropped += buffer.dropped;
     }
+    events.sort_by_key(|e| e.at_us);
+    (events, dropped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn enabled(role: Role) -> TraceBuffer {
+        TraceBuffer::new(role, Some(Instant::now()), DEFAULT_TRACE_CAPACITY)
+    }
+
     #[test]
     fn disabled_sink_records_nothing() {
-        let t = TraceSink::disabled();
-        t.record(Role::Commit, Some(MtxId(1)), 0, None, TraceKind::Committed);
-        assert!(t.events().is_empty());
-        assert_eq!(t.dropped_events(), 0);
-        assert!(!t.is_enabled());
+        let mut t = TraceBuffer::new(Role::Commit, None, DEFAULT_TRACE_CAPACITY);
+        t.record(Some(MtxId(1)), 0, None, TraceKind::Committed);
+        assert_eq!(merge([t]), (Vec::new(), 0));
     }
 
     #[test]
     fn enabled_sink_records_in_order() {
-        let t = TraceSink::enabled();
-        let w = Role::Worker(0);
-        t.record(
-            w,
-            Some(MtxId(0)),
-            0,
-            Some(StageId(0)),
-            TraceKind::SubTxBegin,
-        );
-        t.record(w, Some(MtxId(0)), 0, Some(StageId(0)), TraceKind::SubTxEnd);
-        let ev = t.events();
+        let mut t = enabled(Role::Worker(0));
+        t.record(Some(MtxId(0)), 0, Some(StageId(0)), TraceKind::SubTxBegin);
+        t.record(Some(MtxId(0)), 0, Some(StageId(0)), TraceKind::SubTxEnd);
+        let (ev, _) = merge([t]);
         assert_eq!(ev.len(), 2);
+        assert_eq!(ev[0].role, Role::Worker(0));
         assert_eq!(ev[0].kind, TraceKind::SubTxBegin);
         assert_eq!(ev[1].kind, TraceKind::SubTxEnd);
         assert!(ev[0].at_us <= ev[1].at_us);
     }
 
     #[test]
-    fn clones_share_buffer() {
-        let t = TraceSink::enabled();
-        let t2 = t.clone();
-        t2.record(Role::Commit, None, 0, None, TraceKind::Terminated);
-        assert_eq!(t.events().len(), 1);
-    }
-
-    #[test]
     fn attempts_are_carried_on_events() {
-        let t = TraceSink::enabled();
-        let w = Role::Worker(0);
-        t.record(
-            w,
-            Some(MtxId(4)),
-            0,
-            Some(StageId(0)),
-            TraceKind::SubTxBegin,
-        );
-        t.record(
-            w,
-            Some(MtxId(4)),
-            2,
-            Some(StageId(0)),
-            TraceKind::SubTxBegin,
-        );
-        let ev = t.events();
+        let mut t = enabled(Role::Worker(0));
+        t.record(Some(MtxId(4)), 0, Some(StageId(0)), TraceKind::SubTxBegin);
+        t.record(Some(MtxId(4)), 2, Some(StageId(0)), TraceKind::SubTxBegin);
+        let (ev, _) = merge([t]);
         assert_eq!(ev[0].attempt, 0);
         assert_eq!(ev[1].attempt, 2);
     }
 
     #[test]
     fn capacity_bounds_growth_and_counts_drops() {
-        let t = TraceSink::with_capacity(3);
+        let mut t = TraceBuffer::new(Role::Commit, Some(Instant::now()), 3);
         for i in 0..10 {
-            t.record(Role::Commit, Some(MtxId(i)), 0, None, TraceKind::Committed);
+            t.record(Some(MtxId(i)), 0, None, TraceKind::Committed);
         }
-        assert_eq!(t.events().len(), 3);
-        assert_eq!(t.dropped_events(), 7);
+        let (ev, dropped) = merge([t]);
+        assert_eq!(ev.len(), 3);
+        assert_eq!(dropped, 7);
         // The survivors are the earliest events.
-        assert_eq!(t.events()[0].mtx, Some(MtxId(0)));
-        assert_eq!(t.events()[2].mtx, Some(MtxId(2)));
+        assert_eq!(ev[0].mtx, Some(MtxId(0)));
+        assert_eq!(ev[2].mtx, Some(MtxId(2)));
+    }
+
+    #[test]
+    fn merge_sorts_by_time_and_keeps_each_roles_order() {
+        let origin = Instant::now();
+        let mut worker = TraceBuffer::new(Role::Worker(0), Some(origin), 8);
+        let mut commit = TraceBuffer::new(Role::Commit, Some(origin), 2);
+        let stamp = |b: &mut TraceBuffer, mtx: u64, kind, at_us| {
+            b.events.push(TraceEvent {
+                role: b.role,
+                mtx: Some(MtxId(mtx)),
+                attempt: 0,
+                stage: None,
+                kind,
+                at_us,
+            })
+        };
+        stamp(&mut worker, 0, TraceKind::SubTxBegin, 5);
+        stamp(&mut worker, 0, TraceKind::ExecBegin, 5);
+        stamp(&mut worker, 0, TraceKind::SubTxEnd, 9);
+        stamp(&mut commit, 0, TraceKind::Committed, 2);
+        stamp(&mut commit, 1, TraceKind::Committed, 5);
+        commit.dropped = 4;
+        let (ev, dropped) = merge([worker, commit]);
+        assert_eq!(dropped, 4);
+        let seen: Vec<_> = ev.iter().map(|e| (e.at_us, e.kind)).collect();
+        assert_eq!(
+            seen,
+            [
+                (2, TraceKind::Committed),
+                (5, TraceKind::SubTxBegin),
+                (5, TraceKind::ExecBegin),
+                (5, TraceKind::Committed),
+                (9, TraceKind::SubTxEnd),
+            ]
+        );
     }
 
     #[test]

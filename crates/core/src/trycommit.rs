@@ -50,7 +50,7 @@ use fxhash::FxHashMap;
 use crate::commit::{CommittedImage, StageBlocks};
 use crate::config::PipelineShape;
 use crate::ids::{MtxId, StageId};
-use crate::trace::{Role, TraceKind, TraceSink};
+use crate::trace::{TraceBuffer, TraceKind};
 use crate::wire::AccessBlock;
 
 /// One detected conflict with its attribution context: which page
@@ -104,7 +104,8 @@ pub(crate) struct TryCommitCounters {
 
 pub(crate) struct TryCommitUnit {
     shape: PipelineShape,
-    trace: TraceSink,
+    /// This shard's own trace buffer.
+    trace: TraceBuffer,
     /// This shard's index (0 at `unit_shards = 1`).
     shard: u16,
     /// The replay image: committed pages + speculative stores in order.
@@ -131,7 +132,7 @@ pub(crate) struct TryCommitUnit {
 
 pub(crate) struct TryCommitWiring {
     pub shape: PipelineShape,
-    pub trace: TraceSink,
+    pub trace: TraceBuffer,
     pub shard: u16,
     pub committed: CommittedImage,
 }
@@ -153,10 +154,10 @@ impl TryCommitUnit {
         }
     }
 
-    /// This shard's statistics.
-    pub(crate) fn finish(mut self) -> TryCommitCounters {
+    /// This shard's statistics and its trace.
+    pub(crate) fn finish(mut self) -> (TryCommitCounters, TraceBuffer) {
         self.counters.coa_fetches = self.image.faults_served();
-        self.counters
+        (self.counters, self.trace)
     }
 
     /// Whether every MTX up to `m` validated in this shard's partition.
@@ -201,7 +202,6 @@ impl TryCommitUnit {
                     first_writer: self.first_writers.get(&page).copied(),
                 });
                 self.trace.record(
-                    Role::TryCommit(self.shard),
                     Some(self.cursor_mtx),
                     attempt,
                     Some(self.cursor_stage),
@@ -211,13 +211,8 @@ impl TryCommitUnit {
                 break;
             }
             if self.cursor_stage.0 + 1 == self.shape.n_stages() {
-                self.trace.record(
-                    Role::TryCommit(self.shard),
-                    Some(self.cursor_mtx),
-                    attempt,
-                    None,
-                    TraceKind::Validated,
-                );
+                self.trace
+                    .record(Some(self.cursor_mtx), attempt, None, TraceKind::Validated);
                 self.cursor_mtx = self.cursor_mtx.next();
                 self.cursor_stage = StageId(0);
                 self.counters.validated += 1;

@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use std::time::Duration;
 
-use dsmtx_fabric::{FabricError, RecvPort, SendPort};
+use dsmtx_fabric::{FabricError, FabricStats, RecvPort, SendPort};
 use dsmtx_mem::{AccessKind, AccessRecord, SpecMem};
 use dsmtx_uva::{RegionAllocator, VAddr};
 
@@ -40,7 +40,7 @@ use crate::ids::{MtxId, StageId, WorkerId};
 use crate::poll;
 use crate::program::{IterOutcome, StageFn};
 use crate::report::ValPlaneStats;
-use crate::trace::{Role, TraceKind, TraceSink};
+use crate::trace::{TraceBuffer, TraceKind};
 use crate::wire::{AccessBlock, Msg};
 
 /// Fabric accounting charges one enum slot per queued item; used to count
@@ -208,8 +208,8 @@ pub struct WorkerCtx {
     pub(crate) worker: WorkerId,
     pub(crate) stage: StageId,
     pub(crate) shape: PipelineShape,
-    pub(crate) trace: TraceSink,
-    role: Role,
+    /// This worker's own trace buffer.
+    pub(crate) trace: TraceBuffer,
     /// Receive deadline under fault injection (`None` = wait forever).
     /// Converts a peer silenced by faults into [`Interrupt::FabricTimeout`].
     data_timeout: Option<Duration>,
@@ -316,7 +316,7 @@ pub(crate) struct WorkerWiring {
     pub worker: WorkerId,
     pub shape: PipelineShape,
     pub ctrl: ControlPlane,
-    pub trace: TraceSink,
+    pub trace: TraceBuffer,
     pub heap: RegionAllocator,
     pub out: Vec<(WorkerId, SendPort<Msg>)>,
     pub inn: Vec<(WorkerId, RecvPort<Msg>)>,
@@ -330,7 +330,6 @@ impl WorkerCtx {
         let n_stages = w.shape.n_stages() as usize;
         let data_timeout = w.shape.recv_deadline();
         WorkerCtx {
-            role: Role::Worker(w.worker.0 as u32),
             worker: w.worker,
             stage,
             shape: w.shape,
@@ -616,7 +615,6 @@ impl WorkerCtx {
         // fresh span chained to the original.
         self.attempt = self.link.ctrl.recoveries() as u32;
         self.trace.record(
-            self.role,
             Some(mtx),
             self.attempt,
             Some(self.stage),
@@ -646,7 +644,6 @@ impl WorkerCtx {
         // All upstream frames are in; user code runs next. The gap back
         // to SubTxBegin is this subTX's queue wait.
         self.trace.record(
-            self.role,
             Some(mtx),
             self.attempt,
             Some(self.stage),
@@ -668,13 +665,8 @@ impl WorkerCtx {
         let attempt = self.attempt;
         // User code is done; everything from here to SubTxEnd is packing
         // the frames and shipping the data-plane ones.
-        self.trace.record(
-            self.role,
-            Some(mtx),
-            attempt,
-            Some(self.stage),
-            TraceKind::FlushBegin,
-        );
+        self.trace
+            .record(Some(mtx), attempt, Some(self.stage), TraceKind::FlushBegin);
         let stage = self.stage;
         let exit = outcome == IterOutcome::Exit;
         let n_shards = self.shape.unit_shards() as u64;
@@ -806,13 +798,8 @@ impl WorkerCtx {
             q.clear();
         }
         self.ring_in_vals.clear();
-        self.trace.record(
-            self.role,
-            Some(mtx),
-            attempt,
-            Some(stage),
-            TraceKind::SubTxEnd,
-        );
+        self.trace
+            .record(Some(mtx), attempt, Some(stage), TraceKind::SubTxEnd);
         self.cur = None;
         Ok(())
     }
@@ -892,7 +879,8 @@ impl WorkerCtx {
     /// `boundary` is the squashed MTX being re-executed by the commit
     /// unit; its successor iteration will have no ring frame.
     pub(crate) fn do_recovery(&mut self, boundary: MtxId) {
-        let barrier = self.link.ctrl.barrier().clone();
+        let ctrl = self.link.ctrl.clone();
+        let barrier = ctrl.barrier();
         barrier.wait(); // B1: everyone is in recovery mode.
         for (_, port) in &mut self.out {
             port.clear();
@@ -931,6 +919,14 @@ impl WorkerCtx {
     /// workers into [`crate::RunReport::valplane`]).
     pub fn valplane(&self) -> ValPlaneStats {
         self.valplane.clone()
+    }
+
+    /// The traffic counters of every link end this worker holds (merged
+    /// across roles into [`crate::RunReport::stats`]).
+    pub(crate) fn link_stats(&self) -> impl Iterator<Item = &FabricStats> {
+        let out = self.out.iter().map(|(_, port)| port.stats());
+        let inn = self.inn.iter().map(|(_, port)| port.stats());
+        out.chain(inn).chain([self.link.port.stats()])
     }
 }
 
@@ -1037,9 +1033,7 @@ fn run_iteration(ctx: &mut WorkerCtx, mtx: MtxId, stage_fn: &StageFn) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsmtx_fabric::{
-        channel, channel_faulted, CostModel, FabricStats, FaultPlan, FaultRates, RetryPolicy,
-    };
+    use dsmtx_fabric::{channel, channel_faulted, CostModel, FaultPlan, FaultRates, RetryPolicy};
 
     #[test]
     fn shipping_wait_reports_dead_peer_as_channel_down() {
@@ -1063,7 +1057,6 @@ mod tests {
             8,
             4,
             CostModel::FREE,
-            FabricStats::new(),
             Some(plan.injector(0)),
             RetryPolicy { max_attempts: 4 },
         );

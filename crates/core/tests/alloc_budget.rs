@@ -234,29 +234,38 @@ fn ring() -> (MtxSystem, impl Fn(u64) -> Program) {
 
 #[test]
 fn subtx_path_allocates_only_the_shipped_frames() {
+    // Each row's budget is 4 allocations per shipped block plus its
+    // headroom. The ring row reads a flat 4.0, so half an allocation
+    // fails one extra allocation per MTX by a clear margin; the other
+    // rows spread over a few tenths and keep a whole one.
     let mut rows = Vec::new();
     for writes in [8, 32, 64] {
         let (system, program) = scatter(writes);
-        rows.push((format!("doall w={writes}"), per_extra_mtx(&system, program)));
+        let row = per_extra_mtx(&system, program);
+        rows.push((format!("doall w={writes}"), 1.0, row));
     }
     let (system, program) = pipeline();
-    rows.push(("[S, P(2), S]".to_owned(), per_extra_mtx(&system, program)));
+    rows.push((
+        "[S, P(2), S]".to_owned(),
+        1.0,
+        per_extra_mtx(&system, program),
+    ));
     let (system, program) = ring();
-    rows.push(("ring P(2)".to_owned(), per_extra_mtx(&system, program)));
+    rows.push(("ring P(2)".to_owned(), 0.5, per_extra_mtx(&system, program)));
 
-    for (name, (allocs, blocks)) in &rows {
+    for (name, _, (allocs, blocks)) in &rows {
         println!("{name}: {allocs:.2} allocations and {blocks:.2} blocks per extra MTX");
     }
-    for (name, (allocs, blocks)) in &rows {
-        let budget = 4.0 * blocks + 1.0;
+    for (name, headroom, (allocs, blocks)) in &rows {
+        let budget = 4.0 * blocks + headroom;
         assert!(
             *allocs <= budget,
             "{name}: {allocs:.2} allocations per MTX, over the budget of {budget} \
-             (4 per shipped block + 1)"
+             (4 per shipped block + {headroom})"
         );
     }
     // The count must not grow with the records per subTX.
-    let (w8, w64) = (rows[0].1 .0, rows[2].1 .0);
+    let (w8, w64) = (rows[0].2 .0, rows[2].2 .0);
     assert!(
         (w64 - w8).abs() <= 1.0,
         "allocations per MTX grow with the stores per MTX: {w8:.2} at 8, {w64:.2} at 64"

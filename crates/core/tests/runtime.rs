@@ -5,7 +5,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use dsmtx::{
-    IterOutcome, MtxId, MtxSystem, Program, SpanMetrics, StageId, StageKind, SystemConfig,
+    IterOutcome, MtxId, MtxSystem, Program, Role, SpanMetrics, StageId, StageKind, SystemConfig,
     TraceKind, WorkerCtx,
 };
 use dsmtx_mem::MasterMem;
@@ -1043,27 +1043,77 @@ fn trace_analysis_invariants_hold_through_recovery() {
     });
 }
 
-/// A tiny trace capacity drops events past the cap and reports the count,
-/// instead of growing without bound.
+/// Each role records into a trace buffer of its own, and the run merges
+/// them once: the merged trace is ordered by time, and every role's
+/// events keep the order that role recorded them in.
 #[test]
-fn trace_capacity_caps_and_counts_drops() {
+fn merged_trace_is_time_ordered_and_keeps_each_roles_order() {
     under_deadline(|| {
-        const N: u64 = 16;
+        const N: u64 = 64;
         let mut cfg = SystemConfig::new();
-        cfg.stage(StageKind::Parallel { replicas: 2 });
-        let system = MtxSystem::new(&cfg).unwrap().trace(true).trace_capacity(8);
-        let body = Arc::new(|_: &mut WorkerCtx, _: MtxId| Ok(IterOutcome::Continue));
+        cfg.stage(StageKind::Sequential)
+            .stage(StageKind::Parallel { replicas: 2 })
+            .unit_shards(2);
+        let system = MtxSystem::new(&cfg).unwrap().trace(true);
+        let s0 = Arc::new(|ctx: &mut WorkerCtx, mtx: MtxId| {
+            ctx.produce(mtx.0);
+            Ok(IterOutcome::Continue)
+        });
+        let s1 = Arc::new(|ctx: &mut WorkerCtx, _: MtxId| {
+            let _ = ctx.consume();
+            Ok(IterOutcome::Continue)
+        });
         let result = system
             .run(Program {
                 master: MasterMem::new(),
-                stages: vec![body],
+                stages: vec![s0, s1],
                 recovery: noop_recovery(),
                 on_commit: None,
                 iteration_limit: Some(N),
             })
             .unwrap();
-        assert_eq!(result.report.trace.len(), 8);
-        assert!(result.report.trace_dropped > 0, "the rest was counted");
+        let trace = &result.report.trace;
+        assert_eq!(result.report.trace_dropped, 0);
+        assert!(
+            trace.windows(2).all(|w| w[0].at_us <= w[1].at_us),
+            "the merged trace is sorted by at_us"
+        );
+
+        // Every worker ran its subTXs one after another, in MTX order:
+        // begin, exec, flush, end.
+        let subtx = [
+            TraceKind::SubTxBegin,
+            TraceKind::ExecBegin,
+            TraceKind::FlushBegin,
+            TraceKind::SubTxEnd,
+        ];
+        for w in 0..3 {
+            let events: Vec<_> = trace.iter().filter(|e| e.role == Role::Worker(w)).collect();
+            assert!(!events.is_empty(), "worker{w} traced");
+            for (i, e) in events.iter().enumerate() {
+                assert_eq!(e.kind, subtx[i % 4], "worker{w} event {i}");
+                assert_eq!(e.mtx, events[i - i % 4].mtx, "worker{w} event {i}");
+            }
+            let mtxs: Vec<_> = events.iter().step_by(4).map(|e| e.mtx.unwrap()).collect();
+            assert!(mtxs.windows(2).all(|m| m[0] < m[1]), "worker{w}: {mtxs:?}");
+        }
+        // Each shard validated every MTX in order; the commit unit
+        // committed every MTX in order, then terminated.
+        let all: Vec<_> = (0..N).map(|m| Some(MtxId(m))).collect();
+        for shard in 0..2 {
+            let events: Vec<_> = trace
+                .iter()
+                .filter(|e| e.role == Role::TryCommit(shard))
+                .collect();
+            assert!(events.iter().all(|e| e.kind == TraceKind::Validated));
+            assert_eq!(events.iter().map(|e| e.mtx).collect::<Vec<_>>(), all);
+        }
+        let commit: Vec<_> = trace.iter().filter(|e| e.role == Role::Commit).collect();
+        let (last, committed) = commit.split_last().unwrap();
+        assert_eq!(last.kind, TraceKind::Terminated);
+        assert!(committed.iter().all(|e| e.kind == TraceKind::Committed));
+        assert_eq!(committed.iter().map(|e| e.mtx).collect::<Vec<_>>(), all);
+        result.report.spans().check().expect("clean run");
     });
 }
 

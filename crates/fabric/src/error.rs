@@ -11,8 +11,6 @@ pub enum FabricError {
     /// The peer end of a queue has been dropped; no further transfer is
     /// possible.
     Disconnected,
-    /// A receive was attempted after the sender signalled end-of-stream.
-    EndOfStream,
     /// A transfer attempt was consumed by an injected fault or a full
     /// transport while a fault plan is active; retry budget remains.
     Retriable,
@@ -25,7 +23,6 @@ impl fmt::Display for FabricError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FabricError::Disconnected => write!(f, "peer endpoint disconnected"),
-            FabricError::EndOfStream => write!(f, "end of stream"),
             FabricError::Retriable => write!(f, "transfer attempt faulted; retry"),
             FabricError::Timeout => write!(f, "transfer timed out after retries"),
         }
@@ -42,7 +39,6 @@ mod tests {
     fn display_is_lowercase_and_nonempty() {
         for e in [
             FabricError::Disconnected,
-            FabricError::EndOfStream,
             FabricError::Retriable,
             FabricError::Timeout,
         ] {

@@ -25,9 +25,8 @@
 //!   one attempt, a [`RetryPolicy`] bounds how many attempts faults may
 //!   consume, and the caller's own wait paces them ([`SendPort::flush`]
 //!   just retries `try_flush`);
-//! * [`FabricStats`] is one shared set of traffic and fault counters that
-//!   every link of a run records into;
-//! * [`Barrier`] is the reusable barrier of the recovery protocol (§4.3).
+//! * [`FabricStats`] is a set of traffic and fault counters: each port
+//!   keeps its own, and [`FabricStats::merge`] folds them into a run's.
 //!
 //! The crate has no topology type: the runtime (`dsmtx::MtxSystem::run`)
 //! opens each link itself and hands its two ends to the roles it joins.
@@ -47,14 +46,12 @@
 //! }
 //! ```
 
-pub mod barrier;
 pub mod cost;
 pub mod error;
 pub mod fault;
 pub mod queue;
 pub mod stats;
 
-pub use barrier::Barrier;
 pub use cost::CostModel;
 pub use error::{FabricError, Result};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultRates, RetryPolicy};

@@ -12,7 +12,11 @@
 //! empty (startup, or the consumer running behind).
 //!
 //! Queues are single-producer single-consumer, matching the paper's
-//! point-to-point channels between pipeline stages.
+//! point-to-point channels between pipeline stages. A stream ends when
+//! its sender is dropped: the receiver still gets every packet shipped
+//! before, then [`FabricError::Disconnected`]. Each end counts its own
+//! traffic in a [`FabricStats`] of its own ([`SendPort::stats`],
+//! [`RecvPort::stats`]).
 //!
 //! # Fault injection
 //!
@@ -38,18 +42,14 @@ use crate::error::{FabricError, Result};
 use crate::fault::{FaultDecision, FaultInjector, RetryPolicy};
 use crate::stats::FabricStats;
 
-/// A packet on the wire: either a sequence-numbered batch of values or an
-/// end-of-stream mark.
+/// A packet on the wire: a sequence-numbered batch of values.
 #[derive(Debug)]
-enum Packet<T> {
-    Data {
-        seq: u64,
-        batch: Vec<T>,
-        /// When the packet hit the transport; the receiver turns this
-        /// into the queue-dwell histogram (`fabric.queue_dwell_us`).
-        shipped: Instant,
-    },
-    Eos,
+struct Packet<T> {
+    seq: u64,
+    batch: Vec<T>,
+    /// When the packet hit the transport; the receiver turns this into
+    /// the queue-dwell histogram (`fabric.queue_dwell_us`).
+    shipped: Instant,
 }
 
 /// Producer end of a batched queue.
@@ -64,8 +64,8 @@ pub struct SendPort<T> {
     batch: usize,
     item_bytes: u64,
     cost: CostModel,
+    /// What this end shipped, and the faults injected on its ship path.
     stats: FabricStats,
-    closed: bool,
     fault: Option<FaultInjector>,
     retry: RetryPolicy,
     /// Sequence number of the next logical packet.
@@ -85,8 +85,8 @@ pub struct RecvPort<T> {
     cur: VecDeque<T>,
     item_bytes: u64,
     cost: CostModel,
+    /// What this end unpacked, discarded and drained.
     stats: FabricStats,
-    eos: bool,
     /// Next sequence number expected in order.
     expected_seq: u64,
     /// Packets that arrived ahead of sequence, keyed by seq.
@@ -110,11 +110,10 @@ pub struct RecvPort<T> {
 ///
 /// Panics if `batch` or `capacity` is zero.
 pub fn channel<T>(batch: usize, capacity: usize) -> (SendPort<T>, RecvPort<T>) {
-    channel_with(batch, capacity, CostModel::FREE, FabricStats::new())
+    channel_with(batch, capacity, CostModel::FREE)
 }
 
-/// Creates a batched SPSC queue with an explicit cost model and shared
-/// statistics handle.
+/// Creates a batched SPSC queue with an explicit cost model.
 ///
 /// # Panics
 ///
@@ -123,9 +122,8 @@ pub fn channel_with<T>(
     batch: usize,
     capacity: usize,
     cost: CostModel,
-    stats: FabricStats,
 ) -> (SendPort<T>, RecvPort<T>) {
-    channel_faulted(batch, capacity, cost, stats, None, RetryPolicy::DEFAULT)
+    channel_faulted(batch, capacity, cost, None, RetryPolicy::DEFAULT)
 }
 
 /// Creates a batched SPSC queue whose send path runs under an optional
@@ -138,7 +136,6 @@ pub fn channel_faulted<T>(
     batch: usize,
     capacity: usize,
     cost: CostModel,
-    stats: FabricStats,
     fault: Option<FaultInjector>,
     retry: RetryPolicy,
 ) -> (SendPort<T>, RecvPort<T>) {
@@ -159,8 +156,7 @@ pub fn channel_faulted<T>(
             batch,
             item_bytes: std::mem::size_of::<T>() as u64,
             cost,
-            stats: stats.clone(),
-            closed: false,
+            stats: FabricStats::new(),
             fault,
             retry,
             next_seq: 0,
@@ -173,8 +169,7 @@ pub fn channel_faulted<T>(
             cur: VecDeque::new(),
             item_bytes: std::mem::size_of::<T>() as u64,
             cost,
-            stats,
-            eos: false,
+            stats: FabricStats::new(),
             expected_seq: 0,
             ooo: BTreeMap::new(),
             resync: false,
@@ -198,7 +193,6 @@ impl<T> SendPort<T> {
     /// * [`FabricError::Disconnected`] if the consumer was dropped.
     /// * [`FabricError::Timeout`] if the fault-retry budget exhausted.
     pub fn produce(&mut self, value: T) -> Result<()> {
-        debug_assert!(!self.closed, "produce after close");
         self.buf.push(value);
         if self.buf.len() >= self.batch {
             match self.try_flush() {
@@ -264,15 +258,15 @@ impl<T> SendPort<T> {
             };
             match decision {
                 FaultDecision::Drop => {
-                    self.stats.record_fault_drop();
+                    self.stats.fault_drops += 1;
                     return self.consume_attempt(true);
                 }
                 FaultDecision::Delay => {
-                    self.stats.record_fault_delay();
+                    self.stats.fault_delays += 1;
                     return self.consume_attempt(true);
                 }
                 FaultDecision::Stall => {
-                    self.stats.record_fault_stall();
+                    self.stats.fault_stalls += 1;
                     return self.consume_attempt(true);
                 }
                 FaultDecision::Reorder => {
@@ -287,7 +281,7 @@ impl<T> SendPort<T> {
                     self.next_seq += 1;
                     self.held = Some((seq, batch));
                     self.attempts = 0;
-                    self.stats.record_fault_reorder();
+                    self.stats.fault_reorders += 1;
                     return Ok(false);
                 }
                 FaultDecision::None | FaultDecision::Duplicate => {
@@ -305,8 +299,8 @@ impl<T> SendPort<T> {
                                 // Best-effort ghost copy with the stale
                                 // seq; the receiver must discard it. (No
                                 // payload: `T` need not be `Clone`.)
-                                self.stats.record_fault_duplicate();
-                                let _ = self.tx.try_send(Packet::Data {
+                                self.stats.fault_dups += 1;
+                                let _ = self.tx.try_send(Packet {
                                     seq,
                                     batch: Vec::new(),
                                     shipped: Instant::now(),
@@ -350,11 +344,11 @@ impl<T> SendPort<T> {
             // Without a fault plan a full transport is plain backpressure.
             return Ok(false);
         }
-        self.stats.record_retry();
+        self.stats.retries += 1;
         self.attempts += 1;
         if self.attempts >= self.retry.max_attempts {
             self.attempts = 0;
-            self.stats.record_send_timeout();
+            self.stats.send_timeouts += 1;
             return Err(FabricError::Timeout);
         }
         if faulted {
@@ -368,7 +362,7 @@ impl<T> SendPort<T> {
     /// `Ok(Some(batch))` transport full (batch returned).
     fn raw_try_send(&mut self, seq: u64, batch: Vec<T>) -> Result<Option<Vec<T>>> {
         let items = batch.len() as u64;
-        match self.tx.try_send(Packet::Data {
+        match self.tx.try_send(Packet {
             seq,
             batch,
             shipped: Instant::now(),
@@ -378,28 +372,9 @@ impl<T> SendPort<T> {
                 self.stats.record_packet(items, items * self.item_bytes);
                 Ok(None)
             }
-            Err(channel::TrySendError::Full(Packet::Data { batch, .. })) => Ok(Some(batch)),
-            Err(channel::TrySendError::Full(_)) => unreachable!("data packet returned"),
+            Err(channel::TrySendError::Full(Packet { batch, .. })) => Ok(Some(batch)),
             Err(channel::TrySendError::Disconnected(_)) => Err(FabricError::Disconnected),
         }
-    }
-
-    /// Flushes and sends the end-of-stream mark. Further `produce` calls
-    /// are a logic error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FabricError::Disconnected`] if the consumer was dropped,
-    /// or [`FabricError::Timeout`] if a faulted flush exhausted its budget.
-    pub fn close(&mut self) -> Result<()> {
-        if self.closed {
-            return Ok(());
-        }
-        self.flush()?;
-        self.closed = true;
-        self.tx
-            .send(Packet::Eos)
-            .map_err(|_| FabricError::Disconnected)
     }
 
     /// Discards all locally buffered (not yet shipped) values, any
@@ -426,6 +401,11 @@ impl<T> SendPort<T> {
     pub fn batch(&self) -> usize {
         self.batch
     }
+
+    /// This end's traffic and fault counters.
+    pub fn stats(&self) -> &FabricStats {
+        &self.stats
+    }
 }
 
 impl<T> RecvPort<T> {
@@ -433,16 +413,12 @@ impl<T> RecvPort<T> {
     ///
     /// # Errors
     ///
-    /// * [`FabricError::EndOfStream`] after the producer [`SendPort::close`]s.
-    /// * [`FabricError::Disconnected`] if the producer was dropped without
-    ///   closing.
+    /// [`FabricError::Disconnected`] once the producer was dropped and
+    /// every packet it shipped was delivered.
     pub fn consume(&mut self) -> Result<T> {
         loop {
             if let Some(v) = self.cur.pop_front() {
                 return Ok(v);
-            }
-            if self.eos {
-                return Err(FabricError::EndOfStream);
             }
             let pkt = self.rx.recv().map_err(|_| FabricError::Disconnected)?;
             self.unpack(pkt);
@@ -465,66 +441,53 @@ impl<T> RecvPort<T> {
     fn recycle(&mut self, mut batch: Vec<T>) {
         batch.clear();
         if let Err(channel::TrySendError::Full(_)) = self.free_tx.try_send(batch) {
-            self.stats.record_freelist_drop();
+            self.stats.freelist_drops += 1;
         }
     }
 
     /// Sequences one packet: dedup stale copies, stash early arrivals,
     /// deliver in-order runs.
     fn unpack(&mut self, pkt: Packet<T>) {
-        match pkt {
-            Packet::Data {
-                seq,
-                batch,
-                shipped,
-            } => {
-                self.stats
-                    .record_queue_dwell_us(shipped.elapsed().as_micros() as u64);
-                if self.resync {
-                    // First packet after a recovery drain re-baselines the
-                    // sequence (the wire was empty inside the barriers, so
-                    // whatever arrives next is the peer's new head).
-                    self.resync = false;
-                    self.expected_seq = seq;
+        let Packet {
+            seq,
+            batch,
+            shipped,
+        } = pkt;
+        self.stats
+            .record_queue_dwell_us(shipped.elapsed().as_micros() as u64);
+        if self.resync {
+            // First packet after a recovery drain re-baselines the
+            // sequence (the wire was empty inside the barriers, so
+            // whatever arrives next is the peer's new head).
+            self.resync = false;
+            self.expected_seq = seq;
+        }
+        if seq < self.expected_seq {
+            // Stale duplicate: already delivered under this seq.
+            self.stats.dup_items_discarded += batch.len() as u64;
+            self.recycle(batch);
+            return;
+        }
+        if seq > self.expected_seq {
+            // Ahead of sequence (reordered): stash until the gap fills.
+            // A duplicate of a stashed packet is discarded.
+            match self.ooo.entry(seq) {
+                std::collections::btree_map::Entry::Vacant(e) => {
+                    e.insert(batch);
+                    self.stats.ooo_packets += 1;
                 }
-                if seq < self.expected_seq {
-                    // Stale duplicate: already delivered under this seq.
-                    self.stats.record_dup_discarded(batch.len() as u64);
+                std::collections::btree_map::Entry::Occupied(_) => {
+                    self.stats.dup_items_discarded += batch.len() as u64;
                     self.recycle(batch);
-                    return;
-                }
-                if seq > self.expected_seq {
-                    // Ahead of sequence (reordered): stash until the gap
-                    // fills. A duplicate of a stashed packet is discarded.
-                    match self.ooo.entry(seq) {
-                        std::collections::btree_map::Entry::Vacant(e) => {
-                            e.insert(batch);
-                            self.stats.record_ooo_stashed();
-                        }
-                        std::collections::btree_map::Entry::Occupied(_) => {
-                            self.stats.record_dup_discarded(batch.len() as u64);
-                            self.recycle(batch);
-                        }
-                    }
-                    return;
-                }
-                self.accept(batch);
-                self.expected_seq += 1;
-                while let Some(batch) = self.ooo.remove(&self.expected_seq) {
-                    self.accept(batch);
-                    self.expected_seq += 1;
                 }
             }
-            Packet::Eos => {
-                // Close ships every held packet first, so the stash is
-                // normally empty here; deliver leftovers in seq order
-                // defensively rather than lose data.
-                let leftovers = std::mem::take(&mut self.ooo);
-                for (_, batch) in leftovers {
-                    self.accept(batch);
-                }
-                self.eos = true;
-            }
+            return;
+        }
+        self.accept(batch);
+        self.expected_seq += 1;
+        while let Some(batch) = self.ooo.remove(&self.expected_seq) {
+            self.accept(batch);
+            self.expected_seq += 1;
         }
     }
 
@@ -540,9 +503,6 @@ impl<T> RecvPort<T> {
             if let Some(v) = self.cur.pop_front() {
                 return Ok(Some(v));
             }
-            if self.eos {
-                return Err(FabricError::EndOfStream);
-            }
             match self.rx.try_recv() {
                 Ok(pkt) => self.unpack(pkt),
                 Err(channel::TryRecvError::Empty) => return Ok(None),
@@ -555,8 +515,7 @@ impl<T> RecvPort<T> {
     /// partially unpacked, and arms a sequence resync.
     ///
     /// Used during misspeculation recovery while all threads are inside the
-    /// recovery barriers, so no new speculative packets can race in. An
-    /// end-of-stream mark encountered while draining is preserved.
+    /// recovery barriers, so no new speculative packets can race in.
     pub fn drain(&mut self) -> usize {
         let mut dropped = self.cur.len();
         self.cur.clear();
@@ -567,31 +526,23 @@ impl<T> RecvPort<T> {
         }
         // Items still packed on the wire were never counted as received;
         // account for them as drained so in-flight bookkeeping settles.
-        while let Ok(pkt) = self.rx.try_recv() {
-            match pkt {
-                Packet::Data { seq, batch, .. } => {
-                    if seq < self.expected_seq {
-                        // Ghost duplicate: its send was never counted.
-                        self.stats.record_dup_discarded(batch.len() as u64);
-                    } else {
-                        still_packed += batch.len() as u64;
-                        dropped += batch.len();
-                    }
-                }
-                Packet::Eos => self.eos = true,
+        while let Ok(Packet { seq, batch, .. }) = self.rx.try_recv() {
+            if seq < self.expected_seq {
+                // Ghost duplicate: its send was never counted.
+                self.stats.dup_items_discarded += batch.len() as u64;
+            } else {
+                still_packed += batch.len() as u64;
+                dropped += batch.len();
             }
         }
-        if still_packed > 0 {
-            self.stats.record_drained(still_packed);
-        }
+        self.stats.drained_items += still_packed;
         self.resync = true;
         dropped
     }
 
-    /// True once the end-of-stream mark has been observed and all prior
-    /// values consumed.
-    pub fn is_eos(&self) -> bool {
-        self.eos && self.cur.is_empty()
+    /// This end's traffic counters.
+    pub fn stats(&self) -> &FabricStats {
+        &self.stats
     }
 }
 
@@ -629,16 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn close_yields_end_of_stream() {
-        let (mut tx, mut rx) = channel::<u8>(8, 16);
-        tx.produce(1).unwrap();
-        tx.close().unwrap();
-        assert_eq!(rx.consume().unwrap(), 1);
-        assert_eq!(rx.consume(), Err(FabricError::EndOfStream));
-        assert!(rx.is_eos());
-    }
-
-    #[test]
     fn dropped_sender_reports_disconnect() {
         let (tx, mut rx) = channel::<u8>(8, 16);
         drop(tx);
@@ -667,15 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_preserves_eos() {
-        let (mut tx, mut rx) = channel::<u32>(2, 16);
-        tx.produce(1).unwrap();
-        tx.close().unwrap();
-        rx.drain();
-        assert_eq!(rx.consume(), Err(FabricError::EndOfStream));
-    }
-
-    #[test]
     fn clear_discards_unshipped_only() {
         let (mut tx, mut rx) = channel::<u32>(4, 16);
         for v in 0..4 {
@@ -685,7 +617,8 @@ mod tests {
         assert_eq!(tx.buffered(), 1);
         tx.clear();
         assert_eq!(tx.buffered(), 0);
-        tx.close().unwrap();
+        tx.flush().unwrap();
+        drop(tx);
         let mut seen = Vec::new();
         while let Ok(v) = rx.consume() {
             seen.push(v);
@@ -728,13 +661,12 @@ mod tests {
 
     #[test]
     fn freelist_is_bounded_and_overflow_drops_are_counted() {
-        let stats = FabricStats::new();
         // A deep transport keeps a freelist as deep as itself.
-        let (tx, mut rx) = channel_with::<u32>(4, 64, CostModel::FREE, stats.clone());
+        let (tx, mut rx) = channel::<u32>(4, 64);
         for _ in 0..64 + 5 {
             rx.recycle(Vec::with_capacity(4));
         }
-        assert_eq!(stats.freelist_drops(), 5, "overflow husks are counted");
+        assert_eq!(rx.stats().freelist_drops(), 5, "overflow husks are counted");
         // Every parked husk is still reclaimable by the sender.
         for _ in 0..64 {
             assert!(tx.free_rx.try_recv().is_ok());
@@ -747,13 +679,12 @@ mod tests {
 
     #[test]
     fn shallow_transport_keeps_shallow_freelist() {
-        let stats = FabricStats::new();
-        let (tx, mut rx) = channel_with::<u32>(4, 2, CostModel::FREE, stats.clone());
+        let (tx, mut rx) = channel::<u32>(4, 2);
         for _ in 0..3 {
             rx.recycle(Vec::new());
         }
         // The freelist holds `capacity` (2) husks.
-        assert_eq!(stats.freelist_drops(), 1);
+        assert_eq!(rx.stats().freelist_drops(), 1);
         assert!(tx.free_rx.try_recv().is_ok());
         assert!(tx.free_rx.try_recv().is_ok());
         assert!(tx.free_rx.try_recv().is_err());
@@ -761,11 +692,11 @@ mod tests {
 
     #[test]
     fn stats_count_packets_items_bytes() {
-        let stats = FabricStats::new();
-        let (mut tx, _rx) = channel_with::<u64>(4, 16, CostModel::FREE, stats.clone());
+        let (mut tx, _rx) = channel::<u64>(4, 16);
         for v in 0..8u64 {
             tx.produce(v).unwrap();
         }
+        let stats = tx.stats();
         assert_eq!(stats.packets(), 2);
         assert_eq!(stats.items(), 8);
         assert_eq!(stats.bytes(), 64);
@@ -774,42 +705,48 @@ mod tests {
 
     #[test]
     fn recv_side_stats_mirror_send_side() {
-        let stats = FabricStats::new();
-        let (mut tx, mut rx) = channel_with::<u64>(4, 16, CostModel::FREE, stats.clone());
+        let (mut tx, mut rx) = channel::<u64>(4, 16);
         for v in 0..8u64 {
             tx.produce(v).unwrap();
         }
-        assert_eq!(stats.in_flight_items(), 8);
+        assert_eq!(tx.stats().in_flight_items(), 8);
         for _ in 0..8 {
             rx.consume().unwrap();
         }
-        assert_eq!(stats.recv_packets(), 2);
-        assert_eq!(stats.recv_items(), 8);
-        assert_eq!(stats.recv_bytes(), 64);
-        assert_eq!(stats.in_flight_items(), 0);
-        assert_eq!(stats.depth_high_water(), 8);
-        assert_eq!(stats.batch_items().count(), 2);
+        // Each end counted its own side only.
+        assert_eq!(tx.stats().recv_items(), 0);
+        assert_eq!(rx.stats().items(), 0);
+        assert_eq!(rx.stats().recv_packets(), 2);
+        assert_eq!(rx.stats().recv_items(), 8);
+        assert_eq!(rx.stats().recv_bytes(), 64);
+        assert_eq!(rx.stats().queue_dwell_us().count(), 2);
+        assert_eq!(tx.stats().batch_items().count(), 2);
+        let mut link = FabricStats::new();
+        link.merge(tx.stats());
+        link.merge(rx.stats());
+        assert_eq!(link.in_flight_items(), 0);
     }
 
     #[test]
     fn drain_counts_only_still_packed_items() {
-        let stats = FabricStats::new();
-        let (mut tx, mut rx) = channel_with::<u32>(2, 16, CostModel::FREE, stats.clone());
+        let (mut tx, mut rx) = channel::<u32>(2, 16);
         for v in 0..6 {
             tx.produce(v).unwrap();
         }
         // Unpack the first packet partially: 2 items become "received".
         assert_eq!(rx.consume().unwrap(), 0);
         rx.drain();
-        assert_eq!(stats.recv_items(), 2);
-        assert_eq!(stats.drained_items(), 4);
-        assert_eq!(stats.in_flight_items(), 0);
+        assert_eq!(rx.stats().recv_items(), 2);
+        assert_eq!(rx.stats().drained_items(), 4);
+        let mut link = FabricStats::new();
+        link.merge(tx.stats());
+        link.merge(rx.stats());
+        assert_eq!(link.in_flight_items(), 0);
     }
 
     #[test]
     fn flush_blocking_on_full_records_send_stall() {
-        let stats = FabricStats::new();
-        let (mut tx, mut rx) = channel_with::<u32>(1, 1, CostModel::FREE, stats.clone());
+        let (mut tx, mut rx) = channel::<u32>(1, 1);
         tx.produce(1).unwrap(); // ships, fills the single transport slot
         tx.produce(2).unwrap(); // transport full: stays buffered
         assert_eq!(tx.buffered(), 1);
@@ -822,9 +759,9 @@ mod tests {
             got
         });
         tx.flush().unwrap(); // retries until the consumer drains the slot
-        tx.close().unwrap();
+        assert_eq!(tx.stats().packets(), 2);
+        drop(tx); // ends the stream
         assert_eq!(consumer.join().unwrap(), vec![1, 2]);
-        assert_eq!(stats.packets(), 2);
     }
 
     #[test]
@@ -834,7 +771,7 @@ mod tests {
             for v in 0..10_000u64 {
                 tx.produce(v).unwrap();
             }
-            tx.close().unwrap();
+            tx.flush().unwrap();
         });
         let mut expected = 0u64;
         while let Ok(v) = rx.consume() {
@@ -912,24 +849,15 @@ mod fault_tests {
         rates: FaultRates,
         seed: u64,
         retry: RetryPolicy,
-    ) -> (SendPort<T>, RecvPort<T>, FabricStats) {
-        let stats = FabricStats::new();
+    ) -> (SendPort<T>, RecvPort<T>) {
         let plan = FaultPlan::new(seed, rates);
-        let (tx, rx) = channel_faulted(
-            4,
-            64,
-            CostModel::FREE,
-            stats.clone(),
-            Some(plan.injector(0)),
-            retry,
-        );
-        (tx, rx, stats)
+        channel_faulted(4, 64, CostModel::FREE, Some(plan.injector(0)), retry)
     }
 
     /// Pump every produced value through a faulted link, retrying faulted
     /// attempts, and return what the receiver saw.
     fn pump(values: &[u32], rates: FaultRates, seed: u64) -> Vec<u32> {
-        let (mut tx, mut rx, _stats) = faulted_pair::<u32>(rates, seed, RetryPolicy::DEFAULT);
+        let (mut tx, mut rx) = faulted_pair::<u32>(rates, seed, RetryPolicy::DEFAULT);
         let mut seen = Vec::new();
         for &v in values {
             tx.produce(v).unwrap();
@@ -975,31 +903,37 @@ mod fault_tests {
     #[test]
     fn reorders_are_resequenced() {
         let vals: Vec<u32> = (0..200).collect();
-        let (mut tx, mut rx, stats) =
+        let (mut tx, mut rx) =
             faulted_pair::<u32>(FaultRates::only_reorder(0.4), 14, RetryPolicy::DEFAULT);
         for &v in &vals {
             tx.produce(v).unwrap();
         }
-        tx.close().unwrap(); // ships any held packet before Eos
+        tx.flush().unwrap(); // ships any held packet
+        assert!(
+            tx.stats().fault_reorders() > 0,
+            "schedule must actually reorder"
+        );
+        drop(tx);
         let mut seen = Vec::new();
         while let Ok(v) = rx.consume() {
             seen.push(v);
         }
         assert_eq!(seen, vals);
-        assert!(stats.fault_reorders() > 0, "schedule must actually reorder");
-        assert!(stats.ooo_packets() > 0, "receiver must see packets early");
+        assert!(
+            rx.stats().ooo_packets() > 0,
+            "receiver must see packets early"
+        );
     }
 
     #[test]
     fn payload_duplicate_is_discarded_by_seq() {
         // Hand-inject a full-payload retransmit of an already-delivered
         // seq; a receiver that ignores seq would deliver items twice.
-        let stats = FabricStats::new();
-        let (mut tx, mut rx) = channel_with::<u32>(1, 16, CostModel::FREE, stats.clone());
+        let (mut tx, mut rx) = channel::<u32>(1, 16);
         tx.produce(5).unwrap(); // seq 0 ships
         assert_eq!(rx.consume().unwrap(), 5);
         tx.tx
-            .send(Packet::Data {
+            .send(Packet {
                 seq: 0,
                 batch: vec![5],
                 shipped: Instant::now(),
@@ -1007,13 +941,13 @@ mod fault_tests {
             .unwrap();
         tx.produce(6).unwrap(); // seq 1
         assert_eq!(rx.consume().unwrap(), 6, "stale retransmit skipped");
-        assert_eq!(stats.dup_items_discarded(), 1);
+        assert_eq!(rx.stats().dup_items_discarded(), 1);
     }
 
     #[test]
     fn permanent_fault_times_out_after_budget() {
         let retry = RetryPolicy { max_attempts: 8 };
-        let (mut tx, _rx, stats) = faulted_pair::<u32>(FaultRates::only_drop(1.0), 15, retry);
+        let (mut tx, _rx) = faulted_pair::<u32>(FaultRates::only_drop(1.0), 15, retry);
         tx.produce(1).unwrap();
         let mut outcome = None;
         for _ in 0..100 {
@@ -1026,15 +960,15 @@ mod fault_tests {
             }
         }
         assert_eq!(outcome, Some(Err(FabricError::Timeout)));
-        assert_eq!(stats.send_timeouts(), 1);
-        assert_eq!(stats.retries(), 8);
-        assert!(stats.fault_drops() >= 8);
+        assert_eq!(tx.stats().send_timeouts(), 1);
+        assert_eq!(tx.stats().retries(), 8);
+        assert!(tx.stats().fault_drops() >= 8);
     }
 
     #[test]
     fn blocking_flush_times_out_under_permanent_fault() {
         let retry = RetryPolicy { max_attempts: 4 };
-        let (mut tx, _rx, _stats) = faulted_pair::<u32>(FaultRates::only_drop(1.0), 16, retry);
+        let (mut tx, _rx) = faulted_pair::<u32>(FaultRates::only_drop(1.0), 16, retry);
         tx.buf.push(1);
         assert_eq!(tx.flush(), Err(FabricError::Timeout));
     }
@@ -1044,19 +978,19 @@ mod fault_tests {
         let retry = RetryPolicy { max_attempts: 32 };
         // Stall every draw with short windows: attempts burn during the
         // window, then ships succeed again.
-        let (mut tx, mut rx, stats) =
-            faulted_pair::<u32>(FaultRates::only_stall(0.3, 4), 17, retry);
+        let (mut tx, mut rx) = faulted_pair::<u32>(FaultRates::only_stall(0.3, 4), 17, retry);
         let vals: Vec<u32> = (0..100).collect();
         for &v in &vals {
             tx.produce(v).unwrap();
         }
-        tx.close().unwrap();
+        tx.flush().unwrap();
+        assert!(tx.stats().fault_stalls() > 0);
+        drop(tx);
         let mut seen = Vec::new();
         while let Ok(v) = rx.consume() {
             seen.push(v);
         }
         assert_eq!(seen, vals);
-        assert!(stats.fault_stalls() > 0);
     }
 
     #[test]
@@ -1071,16 +1005,9 @@ mod fault_tests {
         }
         // Faulted: the same situation draws down the budget.
         let retry = RetryPolicy { max_attempts: 8 };
-        let stats = FabricStats::new();
         let plan = FaultPlan::new(3, FaultRates::only_drop(0.0));
-        let (mut ftx, _frx) = channel_faulted::<u32>(
-            1,
-            1,
-            CostModel::FREE,
-            stats.clone(),
-            Some(plan.injector(0)),
-            retry,
-        );
+        let (mut ftx, _frx) =
+            channel_faulted::<u32>(1, 1, CostModel::FREE, Some(plan.injector(0)), retry);
         ftx.produce(1).unwrap(); // ships, fills the slot
         ftx.produce(2).unwrap(); // full: buffered
         let mut timed_out = false;
@@ -1099,7 +1026,7 @@ mod fault_tests {
 
     #[test]
     fn clear_drops_held_packet_and_drain_resyncs() {
-        let (mut tx, mut rx, _stats) =
+        let (mut tx, mut rx) =
             faulted_pair::<u32>(FaultRates::only_reorder(1.0), 18, RetryPolicy::DEFAULT);
         tx.produce(1).unwrap();
         tx.produce(2).unwrap();
@@ -1111,11 +1038,12 @@ mod fault_tests {
         let _ = rx.drain();
         assert_eq!(tx.buffered(), 0);
         // Post-recovery traffic flows despite the retired seq numbers —
-        // but rate 1.0 holds every batch, so close() ships it with Eos.
+        // but rate 1.0 holds every batch, so only the flush ships it.
         for v in [7, 8, 9, 10] {
             tx.produce(v).unwrap();
         }
-        tx.close().unwrap();
+        tx.flush().unwrap();
+        drop(tx);
         let mut seen = Vec::new();
         while let Ok(v) = rx.consume() {
             seen.push(v);
@@ -1125,13 +1053,11 @@ mod fault_tests {
 
     #[test]
     fn faulted_cross_thread_transfer_is_exact() {
-        let stats = FabricStats::new();
         let plan = FaultPlan::new(0xFEED, FaultRates::uniform(0.2));
         let (mut tx, mut rx) = channel_faulted::<u64>(
             8,
             32,
             CostModel::FREE,
-            stats.clone(),
             Some(plan.injector(7)),
             // A huge budget: the consumer thread may be descheduled, and
             // this test is about delivery, not timeout conversion.
@@ -1143,7 +1069,8 @@ mod fault_tests {
             for v in 0..5_000u64 {
                 tx.produce(v).unwrap();
             }
-            tx.close().unwrap();
+            tx.flush().unwrap();
+            tx.stats().faults_total()
         });
         let mut expected = 0u64;
         while let Ok(v) = rx.consume() {
@@ -1151,8 +1078,8 @@ mod fault_tests {
             expected += 1;
         }
         assert_eq!(expected, 5_000);
-        producer.join().unwrap();
-        assert!(stats.faults_total() > 0, "schedule must actually fire");
+        let faults = producer.join().unwrap();
+        assert!(faults > 0, "schedule must actually fire");
     }
 }
 
@@ -1198,15 +1125,13 @@ mod proptests {
             n in 0u64..500,
             batch in 1usize..64,
         ) {
-            let stats = FabricStats::new();
-            let (mut tx, mut rx) =
-                channel_with::<u64>(batch, 1024, CostModel::FREE, stats.clone());
+            let (mut tx, mut rx) = channel::<u64>(batch, 1024);
             for v in 0..n {
                 tx.produce(v).unwrap();
             }
             tx.flush().unwrap();
-            prop_assert_eq!(stats.items(), n);
-            prop_assert_eq!(stats.bytes(), n * 8);
+            prop_assert_eq!(tx.stats().items(), n);
+            prop_assert_eq!(tx.stats().bytes(), n * 8);
             let mut count = 0;
             while rx.try_consume().unwrap().is_some() {
                 count += 1;
@@ -1245,7 +1170,7 @@ mod proptests {
         ) {
             let plan = FaultPlan::new(seed, FaultRates::uniform(p));
             let (mut tx, mut rx) = channel_faulted::<u32>(
-                batch, 64, CostModel::FREE, FabricStats::new(),
+                batch, 64, CostModel::FREE,
                 Some(plan.injector(0)), RetryPolicy::DEFAULT,
             );
             let mut seen = Vec::new();

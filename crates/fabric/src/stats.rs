@@ -2,76 +2,66 @@
 //!
 //! Figure 5(a) of the paper reports per-application bandwidth, computed by
 //! dividing the total data transferred through DSMTX by execution time.
-//! Every queue in the fabric shares a [`FabricStats`] handle so that the
-//! runtime can make the same measurement.
+//! Each end of a link keeps its own [`FabricStats`]: the send end counts
+//! what it shipped and the faults injected on its ship path, the receive
+//! end what it unpacked, discarded and drained. Nothing is shared between
+//! the two ends' threads, as on a cluster with no shared memory, so a
+//! record is a plain add. The runtime folds every port's counters into
+//! one set with [`FabricStats::merge`] once the run is over.
 //!
-//! Beyond the send-side totals, the handle now carries the receive side of
+//! Beyond the send-side totals, the counters carry the receive side of
 //! the ledger (packets/items/bytes unpacked, items discarded by recovery
-//! drains), a queue-depth gauge with a high-water mark, and log-bucketed
-//! histograms of flush batch sizes and queue dwell — enough to see
-//! whether the batching layer of §4.2 is actually amortizing transport
-//! overhead, and how long packets wait in it.
+//! drains) and log-bucketed histograms of flush batch sizes and queue
+//! dwell — enough to see whether the batching layer of §4.2 is actually
+//! amortizing transport overhead, and how long packets wait in it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use dsmtx_obs::{schema, Histogram, Registry};
 
-use dsmtx_obs::{schema, Gauge, Histogram, Registry};
-
-/// Shared counters of fabric traffic.
-///
-/// Cloning is cheap; clones observe the same underlying counters, so
-/// every link of a run records into one handle.
-#[derive(Debug, Clone, Default)]
+/// Traffic and fault counters of one link end, or of every link of a run
+/// once merged.
+#[derive(Debug, Default)]
 pub struct FabricStats {
-    inner: Arc<Counters>,
-    /// Items sent but not yet unpacked or drained; high-water mark is the
-    /// deepest the fabric ever got.
-    depth: Gauge,
+    /// Packets handed to the underlying transport (one per batch flush).
+    packets: u64,
+    /// Logical items produced (before batching).
+    items: u64,
+    /// Payload bytes moved (item size × items).
+    bytes: u64,
+    /// Packets unpacked by receivers.
+    recv_packets: u64,
+    /// Logical items unpacked by receivers.
+    recv_items: u64,
+    /// Payload bytes unpacked by receivers.
+    recv_bytes: u64,
+    /// Items discarded still-packed by recovery drains.
+    pub(crate) drained_items: u64,
+    /// Ship attempts discarded by an injected drop.
+    pub(crate) fault_drops: u64,
+    /// Ship attempts deferred by an injected delay.
+    pub(crate) fault_delays: u64,
+    /// Packets shipped twice by an injected duplicate.
+    pub(crate) fault_dups: u64,
+    /// Packets held and swapped on the wire by an injected reorder.
+    pub(crate) fault_reorders: u64,
+    /// Ship attempts swallowed by an endpoint stall window.
+    pub(crate) fault_stalls: u64,
+    /// Send attempts consumed while a fault plan was active (faulted or
+    /// transport-full); each one draws from the retry budget.
+    pub(crate) retries: u64,
+    /// Sends that exhausted the retry budget.
+    pub(crate) send_timeouts: u64,
+    /// Items arriving in duplicate packets and discarded by seq dedup.
+    pub(crate) dup_items_discarded: u64,
+    /// Packets that arrived ahead of sequence and were stashed.
+    pub(crate) ooo_packets: u64,
+    /// Recycled batch buffers dropped because the bounded freelist was
+    /// full (the next ship allocates fresh instead of reusing).
+    pub(crate) freelist_drops: u64,
     /// Items per shipped packet.
     batch_items: Histogram,
     /// Microseconds a packet dwelled in the transport between its ship
     /// and its unpack (the fabric-level component of queue wait).
     queue_dwell_us: Histogram,
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    /// Packets handed to the underlying transport (one per batch flush).
-    packets: AtomicU64,
-    /// Logical items produced (before batching).
-    items: AtomicU64,
-    /// Payload bytes moved (item size × items).
-    bytes: AtomicU64,
-    /// Packets unpacked by receivers.
-    recv_packets: AtomicU64,
-    /// Logical items unpacked by receivers.
-    recv_items: AtomicU64,
-    /// Payload bytes unpacked by receivers.
-    recv_bytes: AtomicU64,
-    /// Items discarded still-packed by recovery drains.
-    drained_items: AtomicU64,
-    /// Ship attempts discarded by an injected drop.
-    fault_drops: AtomicU64,
-    /// Ship attempts deferred by an injected delay.
-    fault_delays: AtomicU64,
-    /// Packets shipped twice by an injected duplicate.
-    fault_dups: AtomicU64,
-    /// Packets held and swapped on the wire by an injected reorder.
-    fault_reorders: AtomicU64,
-    /// Ship attempts swallowed by an endpoint stall window.
-    fault_stalls: AtomicU64,
-    /// Send attempts consumed while a fault plan was active (faulted or
-    /// transport-full); each one draws from the retry budget.
-    retries: AtomicU64,
-    /// Sends that exhausted the retry budget.
-    send_timeouts: AtomicU64,
-    /// Items arriving in duplicate packets and discarded by seq dedup.
-    dup_items_discarded: AtomicU64,
-    /// Packets that arrived ahead of sequence and were stashed.
-    ooo_packets: AtomicU64,
-    /// Recycled batch buffers dropped because the bounded freelist was
-    /// full (the next ship allocates fresh instead of reusing).
-    freelist_drops: AtomicU64,
 }
 
 impl FabricStats {
@@ -81,199 +71,156 @@ impl FabricStats {
     }
 
     /// Records a packet of `items` logical items totalling `bytes` bytes.
-    pub fn record_packet(&self, items: u64, bytes: u64) {
-        self.inner.packets.fetch_add(1, Ordering::Relaxed);
-        self.inner.items.fetch_add(items, Ordering::Relaxed);
-        self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
+    pub fn record_packet(&mut self, items: u64, bytes: u64) {
+        self.packets += 1;
+        self.items += items;
+        self.bytes += bytes;
         self.batch_items.record(items);
-        self.depth.add(items as i64);
     }
 
     /// Records a received (unpacked) packet of `items` items / `bytes`
     /// bytes.
-    pub fn record_recv(&self, items: u64, bytes: u64) {
-        self.inner.recv_packets.fetch_add(1, Ordering::Relaxed);
-        self.inner.recv_items.fetch_add(items, Ordering::Relaxed);
-        self.inner.recv_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.depth.sub(items as i64);
-    }
-
-    /// Records `items` in-flight items discarded by a recovery drain.
-    pub fn record_drained(&self, items: u64) {
-        self.inner.drained_items.fetch_add(items, Ordering::Relaxed);
-        self.depth.sub(items as i64);
-    }
-
-    /// Records one injected fault of the given class on the ship path.
-    pub fn record_fault_drop(&self) {
-        self.inner.fault_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an injected delay decision.
-    pub fn record_fault_delay(&self) {
-        self.inner.fault_delays.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an injected duplicate (packet shipped twice).
-    pub fn record_fault_duplicate(&self) {
-        self.inner.fault_dups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an injected reorder (packet held past its successor).
-    pub fn record_fault_reorder(&self) {
-        self.inner.fault_reorders.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a ship attempt swallowed by a stall window.
-    pub fn record_fault_stall(&self) {
-        self.inner.fault_stalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one consumed send attempt under an active fault plan.
-    pub fn record_retry(&self) {
-        self.inner.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a send that exhausted its retry budget.
-    pub fn record_send_timeout(&self) {
-        self.inner.send_timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `items` discarded by receiver-side duplicate rejection.
-    pub fn record_dup_discarded(&self, items: u64) {
-        self.inner
-            .dup_items_discarded
-            .fetch_add(items, Ordering::Relaxed);
-    }
-
-    /// Records a packet stashed because it arrived ahead of sequence.
-    pub fn record_ooo_stashed(&self) {
-        self.inner.ooo_packets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a recycled buffer dropped by a full freelist.
-    pub fn record_freelist_drop(&self) {
-        self.inner.freelist_drops.fetch_add(1, Ordering::Relaxed);
+    pub fn record_recv(&mut self, items: u64, bytes: u64) {
+        self.recv_packets += 1;
+        self.recv_items += items;
+        self.recv_bytes += bytes;
     }
 
     /// Records one packet's ship → unpack dwell in the transport.
-    pub fn record_queue_dwell_us(&self, us: u64) {
+    pub fn record_queue_dwell_us(&mut self, us: u64) {
         self.queue_dwell_us.record(us);
     }
 
-    /// Number of transport packets sent so far.
+    /// Adds every counter and histogram of `other` into this set.
+    pub fn merge(&mut self, other: &FabricStats) {
+        self.packets += other.packets;
+        self.items += other.items;
+        self.bytes += other.bytes;
+        self.recv_packets += other.recv_packets;
+        self.recv_items += other.recv_items;
+        self.recv_bytes += other.recv_bytes;
+        self.drained_items += other.drained_items;
+        self.fault_drops += other.fault_drops;
+        self.fault_delays += other.fault_delays;
+        self.fault_dups += other.fault_dups;
+        self.fault_reorders += other.fault_reorders;
+        self.fault_stalls += other.fault_stalls;
+        self.retries += other.retries;
+        self.send_timeouts += other.send_timeouts;
+        self.dup_items_discarded += other.dup_items_discarded;
+        self.ooo_packets += other.ooo_packets;
+        self.freelist_drops += other.freelist_drops;
+        self.batch_items.merge(&other.batch_items);
+        self.queue_dwell_us.merge(&other.queue_dwell_us);
+    }
+
+    /// Number of transport packets sent.
     pub fn packets(&self) -> u64 {
-        self.inner.packets.load(Ordering::Relaxed)
+        self.packets
     }
 
-    /// Number of logical items sent so far.
+    /// Number of logical items sent.
     pub fn items(&self) -> u64 {
-        self.inner.items.load(Ordering::Relaxed)
+        self.items
     }
 
-    /// Total payload bytes sent so far.
+    /// Total payload bytes sent.
     pub fn bytes(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
+        self.bytes
     }
 
-    /// Number of transport packets unpacked so far.
+    /// Number of transport packets unpacked.
     pub fn recv_packets(&self) -> u64 {
-        self.inner.recv_packets.load(Ordering::Relaxed)
+        self.recv_packets
     }
 
-    /// Number of logical items unpacked so far.
+    /// Number of logical items unpacked.
     pub fn recv_items(&self) -> u64 {
-        self.inner.recv_items.load(Ordering::Relaxed)
+        self.recv_items
     }
 
-    /// Total payload bytes unpacked so far.
+    /// Total payload bytes unpacked.
     pub fn recv_bytes(&self) -> u64 {
-        self.inner.recv_bytes.load(Ordering::Relaxed)
+        self.recv_bytes
     }
 
     /// Items discarded still-packed by recovery drains.
     pub fn drained_items(&self) -> u64 {
-        self.inner.drained_items.load(Ordering::Relaxed)
+        self.drained_items
     }
 
-    /// Injected drops so far.
+    /// Injected drops.
     pub fn fault_drops(&self) -> u64 {
-        self.inner.fault_drops.load(Ordering::Relaxed)
+        self.fault_drops
     }
 
-    /// Injected delays so far.
+    /// Injected delays.
     pub fn fault_delays(&self) -> u64 {
-        self.inner.fault_delays.load(Ordering::Relaxed)
+        self.fault_delays
     }
 
-    /// Injected duplicates so far.
+    /// Injected duplicates.
     pub fn fault_dups(&self) -> u64 {
-        self.inner.fault_dups.load(Ordering::Relaxed)
+        self.fault_dups
     }
 
-    /// Injected reorders so far.
+    /// Injected reorders.
     pub fn fault_reorders(&self) -> u64 {
-        self.inner.fault_reorders.load(Ordering::Relaxed)
+        self.fault_reorders
     }
 
-    /// Stall-window attempts so far.
+    /// Stall-window attempts.
     pub fn fault_stalls(&self) -> u64 {
-        self.inner.fault_stalls.load(Ordering::Relaxed)
+        self.fault_stalls
     }
 
     /// Total injected faults across every class.
     pub fn faults_total(&self) -> u64 {
-        self.fault_drops()
-            + self.fault_delays()
-            + self.fault_dups()
-            + self.fault_reorders()
-            + self.fault_stalls()
+        self.fault_drops
+            + self.fault_delays
+            + self.fault_dups
+            + self.fault_reorders
+            + self.fault_stalls
     }
 
     /// Send attempts consumed under an active fault plan.
     pub fn retries(&self) -> u64 {
-        self.inner.retries.load(Ordering::Relaxed)
+        self.retries
     }
 
     /// Sends that exhausted their retry budget.
     pub fn send_timeouts(&self) -> u64 {
-        self.inner.send_timeouts.load(Ordering::Relaxed)
+        self.send_timeouts
     }
 
     /// Items discarded by receiver-side duplicate rejection.
     pub fn dup_items_discarded(&self) -> u64 {
-        self.inner.dup_items_discarded.load(Ordering::Relaxed)
+        self.dup_items_discarded
     }
 
     /// Packets stashed because they arrived ahead of sequence.
     pub fn ooo_packets(&self) -> u64 {
-        self.inner.ooo_packets.load(Ordering::Relaxed)
+        self.ooo_packets
     }
 
     /// Recycled buffers dropped by a full freelist.
     pub fn freelist_drops(&self) -> u64 {
-        self.inner.freelist_drops.load(Ordering::Relaxed)
+        self.freelist_drops
     }
 
-    /// Items currently sent but neither unpacked nor drained.
+    /// Items sent but neither unpacked nor drained. Meaningful once both
+    /// ends of every link are merged in.
     pub fn in_flight_items(&self) -> u64 {
-        self.items()
-            .saturating_sub(self.recv_items() + self.drained_items())
-    }
-
-    /// Deepest the fabric ever got, in items (high-water of the depth
-    /// gauge).
-    pub fn depth_high_water(&self) -> u64 {
-        self.depth.high_water().max(0) as u64
+        self.items
+            .saturating_sub(self.recv_items + self.drained_items)
     }
 
     /// Average batch size (items per packet), or 0.0 if nothing was sent.
     pub fn mean_batch(&self) -> f64 {
-        let p = self.packets();
-        if p == 0 {
+        if self.packets == 0 {
             0.0
         } else {
-            self.items() as f64 / p as f64
+            self.items as f64 / self.packets as f64
         }
     }
 
@@ -287,52 +234,38 @@ impl FabricStats {
         &self.queue_dwell_us
     }
 
-    /// Exports every counter, the depth gauge, and the histograms into
-    /// `reg` under the shared [`dsmtx_obs::schema`] names.
+    /// Exports every counter and the histograms into `reg` under the
+    /// shared [`dsmtx_obs::schema`] names.
     pub fn to_registry(&self, reg: &Registry) {
-        reg.counter(schema::FABRIC_SENT_PACKETS, &[])
-            .add(self.packets());
-        reg.counter(schema::FABRIC_SENT_ITEMS, &[])
-            .add(self.items());
-        reg.counter(schema::FABRIC_SENT_BYTES, &[])
-            .add(self.bytes());
-        reg.counter(schema::FABRIC_RECV_PACKETS, &[])
-            .add(self.recv_packets());
-        reg.counter(schema::FABRIC_RECV_ITEMS, &[])
-            .add(self.recv_items());
-        reg.counter(schema::FABRIC_RECV_BYTES, &[])
-            .add(self.recv_bytes());
-        reg.counter(schema::FABRIC_DRAINED_ITEMS, &[])
-            .add(self.drained_items());
+        for (name, value) in [
+            (schema::FABRIC_SENT_PACKETS, self.packets),
+            (schema::FABRIC_SENT_ITEMS, self.items),
+            (schema::FABRIC_SENT_BYTES, self.bytes),
+            (schema::FABRIC_RECV_PACKETS, self.recv_packets),
+            (schema::FABRIC_RECV_ITEMS, self.recv_items),
+            (schema::FABRIC_RECV_BYTES, self.recv_bytes),
+            (schema::FABRIC_DRAINED_ITEMS, self.drained_items),
+            (schema::FABRIC_FAULT_DROPS, self.fault_drops),
+            (schema::FABRIC_FAULT_DELAYS, self.fault_delays),
+            (schema::FABRIC_FAULT_DUPS, self.fault_dups),
+            (schema::FABRIC_FAULT_REORDERS, self.fault_reorders),
+            (schema::FABRIC_FAULT_STALLS, self.fault_stalls),
+            (schema::FABRIC_RETRIES, self.retries),
+            (schema::FABRIC_SEND_TIMEOUTS, self.send_timeouts),
+            (schema::FABRIC_DUP_ITEMS_DISCARDED, self.dup_items_discarded),
+            (schema::FABRIC_OOO_PACKETS, self.ooo_packets),
+            (schema::FABRIC_FREELIST_DROPS, self.freelist_drops),
+        ] {
+            reg.counter(name, &[]).add(value);
+        }
         reg.gauge(schema::FABRIC_IN_FLIGHT_ITEMS, &[])
             .set(self.in_flight_items() as i64);
-        reg.gauge(schema::FABRIC_DEPTH_HIGH_WATER, &[])
-            .set(self.depth_high_water() as i64);
         reg.install_histogram(schema::FABRIC_BATCH_ITEMS, &[], self.batch_items.clone());
         reg.install_histogram(
             schema::FABRIC_QUEUE_DWELL_US,
             &[],
             self.queue_dwell_us.clone(),
         );
-        reg.counter(schema::FABRIC_FAULT_DROPS, &[])
-            .add(self.fault_drops());
-        reg.counter(schema::FABRIC_FAULT_DELAYS, &[])
-            .add(self.fault_delays());
-        reg.counter(schema::FABRIC_FAULT_DUPS, &[])
-            .add(self.fault_dups());
-        reg.counter(schema::FABRIC_FAULT_REORDERS, &[])
-            .add(self.fault_reorders());
-        reg.counter(schema::FABRIC_FAULT_STALLS, &[])
-            .add(self.fault_stalls());
-        reg.counter(schema::FABRIC_RETRIES, &[]).add(self.retries());
-        reg.counter(schema::FABRIC_SEND_TIMEOUTS, &[])
-            .add(self.send_timeouts());
-        reg.counter(schema::FABRIC_DUP_ITEMS_DISCARDED, &[])
-            .add(self.dup_items_discarded());
-        reg.counter(schema::FABRIC_OOO_PACKETS, &[])
-            .add(self.ooo_packets());
-        reg.counter(schema::FABRIC_FREELIST_DROPS, &[])
-            .add(self.freelist_drops());
     }
 }
 
@@ -342,7 +275,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate() {
-        let s = FabricStats::new();
+        let mut s = FabricStats::new();
         s.record_packet(10, 80);
         s.record_packet(30, 240);
         assert_eq!(s.packets(), 2);
@@ -354,42 +287,36 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_counters() {
-        let s = FabricStats::new();
-        let t = s.clone();
-        s.record_packet(1, 8);
-        t.record_packet(2, 16);
-        assert_eq!(s.items(), 3);
-        assert_eq!(t.bytes(), 24);
-    }
-
-    #[test]
     fn empty_stats_have_zero_mean_batch() {
         assert_eq!(FabricStats::new().mean_batch(), 0.0);
     }
 
     #[test]
     fn recv_and_drain_settle_in_flight() {
-        let s = FabricStats::new();
-        s.record_packet(10, 80);
-        s.record_packet(6, 48);
-        assert_eq!(s.in_flight_items(), 16);
-        assert_eq!(s.depth_high_water(), 16);
-        s.record_recv(10, 80);
-        assert_eq!(s.recv_packets(), 1);
-        assert_eq!(s.recv_items(), 10);
-        assert_eq!(s.recv_bytes(), 80);
-        assert_eq!(s.in_flight_items(), 6);
-        s.record_drained(6);
-        assert_eq!(s.drained_items(), 6);
-        assert_eq!(s.in_flight_items(), 0);
-        // High water stays at the peak even after the fabric empties.
-        assert_eq!(s.depth_high_water(), 16);
+        // The two ends of a link count separately; the merge settles.
+        let (mut send, mut recv) = (FabricStats::new(), FabricStats::new());
+        send.record_packet(10, 80);
+        send.record_packet(6, 48);
+        assert_eq!(send.in_flight_items(), 16);
+        recv.record_recv(10, 80);
+        assert_eq!(recv.recv_packets(), 1);
+        assert_eq!(recv.recv_items(), 10);
+        assert_eq!(recv.recv_bytes(), 80);
+        let mut run = FabricStats::new();
+        run.merge(&send);
+        run.merge(&recv);
+        assert_eq!(run.in_flight_items(), 6);
+        recv.drained_items += 6;
+        let mut run = FabricStats::new();
+        run.merge(&send);
+        run.merge(&recv);
+        assert_eq!(run.drained_items(), 6);
+        assert_eq!(run.in_flight_items(), 0);
     }
 
     #[test]
     fn stall_histograms_record_only_stalls() {
-        let s = FabricStats::new();
+        let mut s = FabricStats::new();
         assert!(s.queue_dwell_us().is_empty());
         s.record_queue_dwell_us(25);
         assert_eq!(s.queue_dwell_us().count(), 1);
@@ -398,32 +325,42 @@ mod tests {
 
     #[test]
     fn fault_counters_accumulate_and_merge() {
-        let a = FabricStats::new();
-        a.record_fault_drop();
-        a.record_fault_delay();
-        a.record_fault_duplicate();
-        a.record_fault_reorder();
-        a.record_fault_stall();
-        a.record_retry();
-        a.record_retry();
-        a.record_send_timeout();
-        a.record_dup_discarded(5);
-        a.record_ooo_stashed();
-        a.record_freelist_drop();
+        let mut a = FabricStats::new();
+        a.fault_drops += 1;
+        a.fault_delays += 1;
+        a.fault_dups += 1;
+        a.fault_reorders += 1;
+        a.fault_stalls += 1;
+        a.retries += 2;
+        a.send_timeouts += 1;
+        a.dup_items_discarded += 5;
+        a.ooo_packets += 1;
+        a.freelist_drops += 1;
+        a.record_packet(4, 32);
+        a.record_queue_dwell_us(7);
+        let mut b = FabricStats::new();
+        b.merge(&a);
+        b.merge(&a);
+        assert_eq!(b.faults_total(), 10);
+        assert_eq!(b.retries(), 4);
+        assert_eq!(b.send_timeouts(), 2);
+        assert_eq!(b.dup_items_discarded(), 10);
+        assert_eq!(b.ooo_packets(), 2);
+        assert_eq!(b.freelist_drops(), 2);
+        assert_eq!(b.items(), 8);
+        assert_eq!(b.batch_items().count(), 2);
+        assert_eq!(b.queue_dwell_us().sum(), 14);
+        // Merging reads `a`; it never shares or moves its counters.
         assert_eq!(a.faults_total(), 5);
-        assert_eq!(a.retries(), 2);
-        assert_eq!(a.send_timeouts(), 1);
-        assert_eq!(a.dup_items_discarded(), 5);
-        assert_eq!(a.ooo_packets(), 1);
-        assert_eq!(a.freelist_drops(), 1);
+        assert_eq!(a.batch_items().count(), 1);
     }
 
     #[test]
     fn registry_export_covers_fault_schema() {
-        let s = FabricStats::new();
-        s.record_fault_drop();
-        s.record_retry();
-        s.record_send_timeout();
+        let mut s = FabricStats::new();
+        s.fault_drops += 1;
+        s.retries += 1;
+        s.send_timeouts += 1;
         let reg = Registry::new();
         s.to_registry(&reg);
         let dump = reg.to_jsonl();
@@ -448,7 +385,7 @@ mod tests {
 
     #[test]
     fn registry_export_covers_the_schema() {
-        let s = FabricStats::new();
+        let mut s = FabricStats::new();
         s.record_packet(4, 32);
         s.record_recv(4, 32);
         let reg = Registry::new();
@@ -463,7 +400,6 @@ mod tests {
             schema::FABRIC_RECV_BYTES,
             schema::FABRIC_DRAINED_ITEMS,
             schema::FABRIC_IN_FLIGHT_ITEMS,
-            schema::FABRIC_DEPTH_HIGH_WATER,
             schema::FABRIC_BATCH_ITEMS,
             schema::FABRIC_QUEUE_DWELL_US,
         ] {

@@ -69,8 +69,8 @@ pub mod schema {
     pub const RUN_BYTES: &str = "run.bytes";
     pub const RUN_BANDWIDTH_BPS: &str = "run.bandwidth_bps";
     pub const RUN_SPEEDUP_MILLI: &str = "run.speedup_milli";
-    pub const RUN_TRACE_DROPPED: &str = "run.trace_dropped";
-    /// Trace events discarded after the capacity-bounded sink filled.
+    /// Trace events discarded after a role's capacity-bounded trace
+    /// buffer filled.
     /// Nonzero means the span set is incomplete — `repro why` output
     /// and the drop counter both surface it.
     pub const TRACE_EVENTS_DROPPED: &str = "trace.events_dropped";
@@ -112,7 +112,6 @@ pub mod schema {
     pub const FABRIC_RECV_BYTES: &str = "fabric.recv_bytes";
     pub const FABRIC_DRAINED_ITEMS: &str = "fabric.drained_items";
     pub const FABRIC_IN_FLIGHT_ITEMS: &str = "fabric.in_flight_items";
-    pub const FABRIC_DEPTH_HIGH_WATER: &str = "fabric.depth_high_water";
     pub const FABRIC_BATCH_ITEMS: &str = "fabric.batch_items";
     /// Ship → unpack dwell of a packet in the queue (the fabric-level
     /// component of an MTX's queue wait).

@@ -230,8 +230,13 @@ fn validation_and_commit_frames_ship_in_batches() {
         items / packets >= 8,
         "{items} items in {packets} packets: frames are not batched"
     );
-    // One frame per subTX, at every shard count.
+    // One frame per subTX, at every shard count. The links are the
+    // workers' unit links: the workers' ports count every frame sent and
+    // the commit unit's ports every frame received, so a merge that
+    // missed either side's ports reads 0 here.
     assert_eq!(report.valplane.records_post, N);
+    assert_eq!(items, N);
+    assert_eq!(report.stats.recv_items(), N);
     // Each frame is one 24-byte queue slot plus its block's wire bytes.
     // A block holds the input load and the 32 stores: a 4-byte count,
     // 9 bytes of 2-bit kinds (33 records) and 33 × 8 bytes of values,
