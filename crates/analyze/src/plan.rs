@@ -870,18 +870,23 @@ pub fn render_plan_jsonl(outcome: &PlanOutcome) -> String {
 
 /// Exports the planner's outcome into an observability registry under
 /// the shared `plan.*` schema names, labeled by workload.
-pub fn export_plan_metrics(reg: &Registry, outcome: &PlanOutcome) {
+pub fn export_plan_metrics(reg: &mut Registry, outcome: &PlanOutcome) {
     let labels = [("workload", outcome.name)];
-    reg.counter(schema::PLAN_SCCS, &labels)
-        .add(outcome.doall_sccs + outcome.accumulator_sccs + outcome.sequential_sccs);
-    reg.counter(schema::PLAN_CANDIDATES, &labels)
-        .add(outcome.candidates.len() as u64);
-    reg.counter(schema::PLAN_REJECTED, &labels)
-        .add(outcome.rejected.len() as u64);
-    reg.counter(schema::PLAN_AGREEMENTS, &labels)
-        .add(outcome.diff.agreements);
-    reg.counter(schema::PLAN_DIVERGENCES, &labels)
-        .add(outcome.diff.total - outcome.diff.agreements);
+    for (name, value) in [
+        (
+            schema::PLAN_SCCS,
+            outcome.doall_sccs + outcome.accumulator_sccs + outcome.sequential_sccs,
+        ),
+        (schema::PLAN_CANDIDATES, outcome.candidates.len() as u64),
+        (schema::PLAN_REJECTED, outcome.rejected.len() as u64),
+        (schema::PLAN_AGREEMENTS, outcome.diff.agreements),
+        (
+            schema::PLAN_DIVERGENCES,
+            outcome.diff.total - outcome.diff.agreements,
+        ),
+    ] {
+        reg.add(name, &labels, value);
+    }
 }
 
 #[cfg(test)]
@@ -1078,14 +1083,14 @@ mod tests {
     fn plan_metrics_export_under_the_shared_schema() {
         let mut plan = acc_plus_table(Vec::new());
         let outcome = auto_plan(&mut plan);
-        let reg = Registry::new();
-        export_plan_metrics(&reg, &outcome);
+        let mut reg = Registry::new();
+        export_plan_metrics(&mut reg, &outcome);
         let labels = [("workload", outcome.name)];
         assert_eq!(
-            reg.counter(schema::PLAN_CANDIDATES, &labels).value(),
-            outcome.candidates.len() as u64
+            reg.counter(schema::PLAN_CANDIDATES, &labels),
+            Some(outcome.candidates.len() as u64)
         );
-        assert_eq!(reg.counter(schema::PLAN_REJECTED, &labels).value(), 1);
+        assert_eq!(reg.counter(schema::PLAN_REJECTED, &labels), Some(1));
         for line in reg.to_jsonl().lines() {
             dsmtx_obs::json::validate(line).expect("metric rows parse");
         }

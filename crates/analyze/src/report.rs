@@ -132,31 +132,42 @@ pub fn render_jsonl(graph: &DepGraph, report: &LintReport) -> String {
 
 /// Exports the analysis into an observability registry under the shared
 /// `analyze.*` schema names, labeled by workload.
-pub fn export_metrics(reg: &Registry, graph: &DepGraph, report: &LintReport) {
+pub fn export_metrics(reg: &mut Registry, graph: &DepGraph, report: &LintReport) {
     let labels = [("workload", graph.name)];
-    reg.counter(schema::ANALYZE_EDGES, &labels)
-        .add(graph.edges.len() as u64);
-    reg.counter(schema::ANALYZE_CARRIED_FLOWS, &labels)
-        .add(graph.carried_flows().count() as u64);
-    reg.counter(schema::ANALYZE_FINDINGS_ERROR, &labels)
-        .add(report.errors().count() as u64);
-    reg.counter(schema::ANALYZE_FINDINGS_WARNING, &labels)
-        .add(count_severity(report, Severity::Warning) as u64);
-    reg.counter(schema::ANALYZE_PREDICTED_PAGES, &labels)
-        .add(report.predicted_conflict_pages.len() as u64);
+    for (name, value) in [
+        (schema::ANALYZE_EDGES, graph.edges.len()),
+        (schema::ANALYZE_CARRIED_FLOWS, graph.carried_flows().count()),
+        (schema::ANALYZE_FINDINGS_ERROR, report.errors().count()),
+        (
+            schema::ANALYZE_FINDINGS_WARNING,
+            count_severity(report, Severity::Warning),
+        ),
+        (
+            schema::ANALYZE_PREDICTED_PAGES,
+            report.predicted_conflict_pages.len(),
+        ),
+    ] {
+        reg.add(name, &labels, value as u64);
+    }
 }
 
 /// Exports one certification check into an observability registry under
 /// the shared `cert.*` schema names, labeled by workload and shard
 /// count.
-pub fn export_cert_metrics(reg: &Registry, cert: &Certificate) {
+pub fn export_cert_metrics(reg: &mut Registry, cert: &Certificate) {
     let shards = cert.shards.to_string();
     let labels = [("workload", cert.name), ("shards", shards.as_str())];
-    reg.counter(schema::CERT_RUNS, &labels).inc();
-    reg.counter(schema::CERT_OBSERVED_PAGES, &labels)
-        .add(cert.observed.len() as u64);
-    reg.counter(schema::CERT_UNPREDICTED_PAGES, &labels)
-        .add(cert.unpredicted.len() as u64);
+    reg.add(schema::CERT_RUNS, &labels, 1);
+    reg.add(
+        schema::CERT_OBSERVED_PAGES,
+        &labels,
+        cert.observed.len() as u64,
+    );
+    reg.add(
+        schema::CERT_UNPREDICTED_PAGES,
+        &labels,
+        cert.unpredicted.len() as u64,
+    );
 }
 
 /// One-line summary used by the CLI's roll-up footer.
@@ -252,25 +263,21 @@ mod tests {
     #[test]
     fn metrics_export_uses_the_shared_schema() {
         let (graph, report) = analyzed();
-        let reg = Registry::new();
-        export_metrics(&reg, &graph, &report);
+        let mut reg = Registry::new();
+        export_metrics(&mut reg, &graph, &report);
         let labels = [("workload", graph.name)];
         assert_eq!(
-            reg.counter(schema::ANALYZE_FINDINGS_ERROR, &labels).value(),
-            1
+            reg.counter(schema::ANALYZE_FINDINGS_ERROR, &labels),
+            Some(1)
         );
-        assert_eq!(
-            reg.counter(schema::ANALYZE_CARRIED_FLOWS, &labels).value(),
-            3
-        );
+        assert_eq!(reg.counter(schema::ANALYZE_CARRIED_FLOWS, &labels), Some(3));
         let cert = crate::cert::certify(&report, &[0], 2);
-        export_cert_metrics(&reg, &cert);
+        export_cert_metrics(&mut reg, &cert);
         let cert_labels = [("workload", graph.name), ("shards", "2")];
-        assert_eq!(reg.counter(schema::CERT_RUNS, &cert_labels).value(), 1);
+        assert_eq!(reg.counter(schema::CERT_RUNS, &cert_labels), Some(1));
         assert_eq!(
-            reg.counter(schema::CERT_UNPREDICTED_PAGES, &cert_labels)
-                .value(),
-            0,
+            reg.counter(schema::CERT_UNPREDICTED_PAGES, &cert_labels),
+            Some(0),
             "page 0 was predicted"
         );
         for line in reg.to_jsonl().lines() {

@@ -104,15 +104,18 @@ pub fn cause_counts(spans: &[MtxSpan]) -> Vec<(AbortCause, u64)> {
 
 /// Exports attempt totals and the per-cause abort histogram under the
 /// shared `why.*` schema names, labeled by workload.
-pub fn export_why_metrics(reg: &Registry, spans: &[MtxSpan], workload: &str) {
-    reg.counter(schema::WHY_ATTEMPTS, &[("workload", workload)])
-        .add(spans.len() as u64);
+pub fn export_why_metrics(reg: &mut Registry, spans: &[MtxSpan], workload: &str) {
+    reg.add(
+        schema::WHY_ATTEMPTS,
+        &[("workload", workload)],
+        spans.len() as u64,
+    );
     for (cause, n) in cause_counts(spans) {
-        reg.counter(
+        reg.add(
             schema::WHY_ABORTS,
             &[("workload", workload), ("cause", cause.name())],
-        )
-        .add(n);
+            n,
+        );
     }
 }
 
@@ -220,20 +223,18 @@ mod tests {
             1
         );
 
-        let reg = Registry::new();
-        export_why_metrics(&reg, &spans, "test");
+        let mut reg = Registry::new();
+        export_why_metrics(&mut reg, &spans, "test");
         assert_eq!(
-            reg.counter(schema::WHY_ATTEMPTS, &[("workload", "test")])
-                .value(),
-            2
+            reg.counter(schema::WHY_ATTEMPTS, &[("workload", "test")]),
+            Some(2)
         );
         assert_eq!(
             reg.counter(
                 schema::WHY_ABORTS,
                 &[("workload", "test"), ("cause", "predicted_carried_dep")]
-            )
-            .value(),
-            1
+            ),
+            Some(1)
         );
         for line in reg.to_jsonl().lines() {
             dsmtx_obs::json::validate(line).expect("metric rows parse");

@@ -59,7 +59,7 @@ pub fn run_analyze(workload: &str, format: AnalyzeFormat) -> Result<AnalyzeOutco
         })?]
     };
 
-    let reg = Registry::new();
+    let mut reg = Registry::new();
     let mut out = String::new();
     let mut summaries = Vec::new();
     let mut gate_failed = false;
@@ -68,7 +68,7 @@ pub fn run_analyze(workload: &str, format: AnalyzeFormat) -> Result<AnalyzeOutco
             .plan(Scale::test())
             .map_err(|e| format!("{}: {e}", k.info().name))?;
         let analysis = analyze(&mut plan);
-        export_metrics(&reg, &analysis.graph, &analysis.report);
+        export_metrics(&mut reg, &analysis.graph, &analysis.report);
         gate_failed |= analysis.report.has_errors();
         match format {
             AnalyzeFormat::Text => {

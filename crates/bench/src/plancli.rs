@@ -54,7 +54,7 @@ pub fn run_plan(
         })?]
     };
 
-    let reg = Registry::new();
+    let mut reg = Registry::new();
     let mut out = String::new();
     let mut summaries = Vec::new();
     let mut gate_failed = false;
@@ -62,7 +62,7 @@ pub fn run_plan(
         let name = k.info().name;
         let mut plan = k.plan(Scale::test()).map_err(|e| format!("{name}: {e}"))?;
         let outcome = auto_plan(&mut plan);
-        export_plan_metrics(&reg, &outcome);
+        export_plan_metrics(&mut reg, &outcome);
         let picked = match outcome.best() {
             Some(best) => best.name,
             None => {
@@ -98,10 +98,16 @@ pub fn run_plan(
                     .map_err(|e| format!("{name}: hand plan: {e}"))?;
                 let shards = APPLY_SHARDS.to_string();
                 let labels = [("workload", name), ("shards", shards.as_str())];
-                reg.counter(schema::PLAN_APPLY_CONFLICTS, &labels)
-                    .add(result.report.validation_conflicts);
-                reg.counter(schema::PLAN_APPLY_UNPREDICTED, &labels)
-                    .add(cert.unpredicted.len() as u64);
+                reg.add(
+                    schema::PLAN_APPLY_CONFLICTS,
+                    &labels,
+                    result.report.validation_conflicts,
+                );
+                reg.add(
+                    schema::PLAN_APPLY_UNPREDICTED,
+                    &labels,
+                    cert.unpredicted.len() as u64,
+                );
                 gate_failed |= !cert.holds();
                 match format {
                     AnalyzeFormat::Text => {

@@ -112,8 +112,8 @@ pub fn chrome_trace_json(result: &RunResult) -> String {
 
 /// JSONL metrics dump for a run (shared schema with the simulator).
 pub fn metrics_jsonl(result: &RunResult) -> String {
-    let reg = Registry::new();
-    result.report.to_registry(&reg);
+    let mut reg = Registry::new();
+    result.report.to_registry(&mut reg);
     reg.to_jsonl()
 }
 

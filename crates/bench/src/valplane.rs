@@ -2,23 +2,23 @@
 //!
 //! Runs a validation-bound Spec-DOALL loop once and reports what crossed
 //! the unit plane — records, bytes, packed frames, filter suppressions,
-//! and the try-commit unit's verdict latency — next to the per-record
-//! baseline the workers count from their unfiltered access logs
-//! (`records_pre`/`bytes_pre`: one message per access on the validation
-//! plane and per store on the commit plane, plus framing). The gap
-//! between the two rows is what per-subTX access filtering and one
-//! packed `AccessBlock` frame per subTX buy.
+//! and the try-commit unit's verdict latency — next to a per-record
+//! baseline counted from the loop itself (one message per access on the
+//! validation plane and per store on the commit plane, plus framing).
+//! The gap between the two rows is what per-subTX access filtering and
+//! one packed `AccessBlock` frame per subTX buy.
 //!
 //! A wrong run reports nothing: before any number is returned, the
 //! committed memory must equal the loop's recovery body replayed
 //! sequentially over a [`MasterMem`], and the MTXs must have committed in
-//! iteration order. The measured `bytes_post / bytes_pre` ratio also
-//! feeds the simulator's `val_compaction` knob so the model's shard-sweep
+//! iteration order. The shipped-to-per-record byte ratio also feeds the
+//! simulator's `val_compaction` knob so the model's shard-sweep
 //! predictions reflect the protocol actually running.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use dsmtx::wire::Msg;
 use dsmtx::{
     IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, ValPlaneStats, WorkerCtx,
 };
@@ -69,7 +69,7 @@ pub struct ValPlaneSweep {
     /// Cores available to this process when the sweep ran.
     pub cores: usize,
     /// Messages one message per access record would have shipped
-    /// (counted by the workers, not run).
+    /// (counted from the loop, not run).
     pub pre_records: u64,
     /// Bytes one message per access record would have cost.
     pub pre_bytes: u64,
@@ -83,6 +83,17 @@ pub struct ValPlaneSweep {
     /// byte ratio into its `val_compaction` knob (128 simulated cores,
     /// one speculation-unit shard).
     pub sim_predicted_speedup: f64,
+}
+
+/// What one message per access record would ship for the loop, as
+/// `(messages, bytes)`: per MTX, one message per access (one load,
+/// `writes_per_iter` stores) on the validation plane and one per store on
+/// the commit plane, plus a begin/end framing pair on each plane (the
+/// loop runs on one try-commit shard). The fabric charges each message
+/// one `Msg` slot.
+fn per_record(iters: u64, writes_per_iter: u64) -> (u64, u64) {
+    let messages = iters * (2 * writes_per_iter + 5);
+    (messages, messages * std::mem::size_of::<Msg>() as u64)
 }
 
 /// Runs the validation-bound DOALL once, with tracing on, and returns
@@ -156,7 +167,7 @@ fn run_valplane_once(iters: u64, writes_per_iter: u64) -> ValRun {
         "MTXs did not commit in iteration order"
     );
 
-    let verdicts = dsmtx_obs::Histogram::new();
+    let mut verdicts = dsmtx_obs::Histogram::new();
     for s in &result.report.shard_stats {
         verdicts.merge(&s.verdict_latency);
     }
@@ -188,13 +199,14 @@ pub fn run_valplane_sweep(iters: u64, writes_per_iter: u64) -> ValPlaneSweep {
         verdict_p50_us: r.verdict_p50_us,
         verdict_p99_us: r.verdict_p99_us,
     };
-    let records_ratio = v.records_pre as f64 / post.records.max(1) as f64;
-    let bytes_ratio = v.bytes_pre as f64 / post.bytes.max(1) as f64;
+    let (pre_records, pre_bytes) = per_record(iters, writes_per_iter);
+    let records_ratio = pre_records as f64 / post.records.max(1) as f64;
+    let bytes_ratio = pre_bytes as f64 / post.bytes.max(1) as f64;
 
     // Feed the measured byte ratio into the simulator: predicted loop
     // speedup of the compacted protocol on the paper's 128-core platform,
     // one speculation-unit shard, validation-heavy profile.
-    let vc = (post.bytes as f64 / v.bytes_pre.max(1) as f64).clamp(0.0, 1.0);
+    let vc = (post.bytes as f64 / pre_bytes.max(1) as f64).clamp(0.0, 1.0);
     let profile = validation_heavy_profile();
     let before = unit_shard_sweep_with(&profile, 128, &[1], 1.0);
     let after = unit_shard_sweep_with(&profile, 128, &[1], vc);
@@ -207,8 +219,8 @@ pub fn run_valplane_sweep(iters: u64, writes_per_iter: u64) -> ValPlaneSweep {
         iters,
         writes_per_iter,
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        pre_records: v.records_pre,
-        pre_bytes: v.bytes_pre,
+        pre_records,
+        pre_bytes,
         post,
         records_ratio,
         bytes_ratio,
@@ -228,13 +240,14 @@ pub(crate) fn validation_heavy_profile() -> dsmtx_sim::WorkloadProfile {
     profile
 }
 
-/// Measures the compacted protocol's byte ratio (`bytes_post /
-/// bytes_pre`) on a small validation-bound run — the plug-in value for
-/// the simulator's `val_compaction` knob.
+/// Measures the compacted protocol's byte ratio (shipped over
+/// per-record bytes) on a small validation-bound run — the plug-in value
+/// for the simulator's `val_compaction` knob.
 pub fn measured_compaction_factor() -> f64 {
-    let r = run_valplane_once(128, 16);
-    let v = &r.valplane;
-    (v.bytes_post as f64 / v.bytes_pre.max(1) as f64).clamp(0.0, 1.0)
+    let (iters, writes_per_iter) = (128, 16);
+    let r = run_valplane_once(iters, writes_per_iter);
+    let (_, pre_bytes) = per_record(iters, writes_per_iter);
+    (r.valplane.bytes_post as f64 / pre_bytes as f64).clamp(0.0, 1.0)
 }
 
 /// Renders the sweep as a text table for the `repro` binary.

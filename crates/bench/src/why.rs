@@ -323,8 +323,8 @@ fn render(workload: &str, opts: &WhyOptions, traced: &RunSpans) -> WhyOutcome {
                     let _ = writeln!(out, "}}");
                 }
             }
-            let reg = Registry::new();
-            export_why_metrics(&reg, spans, workload);
+            let mut reg = Registry::new();
+            export_why_metrics(&mut reg, spans, workload);
             let _ = write!(out, "{}", reg.to_jsonl());
             out
         }

@@ -20,13 +20,9 @@ pub struct ShardStats {
     /// MTXs this shard validated in its page partition (its cursor
     /// advanced past them).
     pub validated: u64,
-    /// Value-validation conflicts detected in this shard's partition.
+    /// Value-validation conflicts detected in this shard's partition
+    /// (each one is a [`RunReport::conflict_events`] entry).
     pub conflicts: u64,
-    /// `PageId` of every conflicting load this shard detected, in
-    /// detection order (one entry per conflict). The analyzer's
-    /// certification pass asserts this set is a subset of the conflict
-    /// sites predicted from the sequential dependence graph.
-    pub conflict_pages: Vec<u64>,
     /// COA pages copied into this shard's replay image: one per page per
     /// validation window, on the shard's first replayed load *or store*
     /// to it.
@@ -45,21 +41,13 @@ pub struct ShardStats {
     pub busy_ppm: u64,
 }
 
-/// Validation-plane compaction statistics, aggregated across workers.
-///
-/// "Pre" figures are an analytic baseline: what one message per access
-/// record would have shipped (one fabric item per access or store plus
-/// two framing items per shard and plane), counted by the worker from the
-/// unfiltered access log. "Post" figures count what actually went on the
-/// wire (block frames plus their packed payload bytes).
+/// Validation-plane compaction statistics, aggregated across workers:
+/// what actually went on the wire (block frames plus their packed
+/// payload bytes) and what the worker-side filter suppressed.
 #[derive(Debug, Default, Clone)]
 pub struct ValPlaneStats {
-    /// Fabric items one message per record would have shipped.
-    pub records_pre: u64,
     /// Fabric items actually shipped (block frames).
     pub records_post: u64,
-    /// Wire bytes one message per record would have cost.
-    pub bytes_pre: u64,
     /// Wire bytes actually spent (frames + packed payloads).
     pub bytes_post: u64,
     /// Access records suppressed by the worker-side store buffer.
@@ -73,9 +61,7 @@ pub struct ValPlaneStats {
 impl ValPlaneStats {
     /// Folds another worker's counters into this aggregate.
     pub fn merge(&mut self, other: &ValPlaneStats) {
-        self.records_pre += other.records_pre;
         self.records_post += other.records_post;
-        self.bytes_pre += other.bytes_pre;
         self.bytes_post += other.bytes_post;
         self.records_filtered += other.records_filtered;
         self.blocks += other.blocks;
@@ -171,11 +157,7 @@ impl RunReport {
     /// conflict sites" side of the analyzer's predicted-vs-observed
     /// certification pass.
     pub fn conflict_pages(&self) -> Vec<u64> {
-        let mut pages: Vec<u64> = self
-            .shard_stats
-            .iter()
-            .flat_map(|s| s.conflict_pages.iter().copied())
-            .collect();
+        let mut pages: Vec<u64> = self.conflict_events.iter().map(|c| c.page).collect();
         pages.sort_unstable();
         pages.dedup();
         pages
@@ -194,34 +176,27 @@ impl RunReport {
     /// and occupancy metrics ([`SpanMetrics`]) into `reg` under the
     /// shared [`dsmtx_obs::schema`] names; the simulator emits the same
     /// `run.*` names.
-    pub fn to_registry(&self, reg: &Registry) {
-        reg.counter(schema::RUN_COMMITTED, &[]).add(self.committed);
-        reg.counter(schema::RUN_RECOVERIES, &[])
-            .add(self.recoveries);
-        reg.counter(schema::RUN_BYTES, &[]).add(self.stats.bytes());
-        reg.counter(schema::TRACE_EVENTS_DROPPED, &[])
-            .add(self.trace_dropped);
-        reg.counter(schema::RUN_FABRIC_TIMEOUTS, &[])
-            .add(self.fabric_timeouts);
-        reg.counter(schema::RUN_FAULT_RECOVERIES, &[])
-            .add(self.fault_recoveries);
-        reg.counter(schema::RUN_CHANNEL_DOWNS, &[])
-            .add(self.channel_downs);
-        reg.gauge(schema::RUN_ELAPSED_US, &[])
-            .set(self.elapsed.as_micros() as i64);
-        reg.gauge(schema::RUN_BANDWIDTH_BPS, &[])
-            .set(self.bandwidth_bps() as i64);
+    pub fn to_registry(&self, reg: &mut Registry) {
+        for (name, value) in [
+            (schema::RUN_COMMITTED, self.committed),
+            (schema::RUN_RECOVERIES, self.recoveries),
+            (schema::RUN_BYTES, self.stats.bytes()),
+            (schema::TRACE_EVENTS_DROPPED, self.trace_dropped),
+            (schema::RUN_FABRIC_TIMEOUTS, self.fabric_timeouts),
+            (schema::RUN_FAULT_RECOVERIES, self.fault_recoveries),
+            (schema::RUN_CHANNEL_DOWNS, self.channel_downs),
+        ] {
+            reg.add(name, &[], value);
+        }
+        reg.set(schema::RUN_ELAPSED_US, &[], self.elapsed.as_micros() as i64);
+        reg.set(schema::RUN_BANDWIDTH_BPS, &[], self.bandwidth_bps() as i64);
         for (s, stats) in self.shard_stats.iter().enumerate() {
             let shard = s.to_string();
             let labels: &[(&str, &str)] = &[("shard", &shard)];
-            reg.counter(schema::SHARD_VALIDATED, labels)
-                .add(stats.validated);
-            reg.counter(schema::SHARD_CONFLICTS, labels)
-                .add(stats.conflicts);
-            reg.counter(schema::SHARD_COA_FETCHES, labels)
-                .add(stats.coa_fetches);
-            reg.gauge(schema::SHARD_OCCUPANCY_PPM, labels)
-                .set(stats.busy_ppm as i64);
+            reg.add(schema::SHARD_VALIDATED, labels, stats.validated);
+            reg.add(schema::SHARD_CONFLICTS, labels, stats.conflicts);
+            reg.add(schema::SHARD_COA_FETCHES, labels, stats.coa_fetches);
+            reg.set(schema::SHARD_OCCUPANCY_PPM, labels, stats.busy_ppm as i64);
             reg.install_histogram(
                 schema::SHARD_REPLAY_LAG_US,
                 labels,
@@ -234,19 +209,15 @@ impl RunReport {
             );
         }
         let v = &self.valplane;
-        reg.counter(schema::VALPLANE_RECORDS_PRE, &[])
-            .add(v.records_pre);
-        reg.counter(schema::VALPLANE_RECORDS_POST, &[])
-            .add(v.records_post);
-        reg.counter(schema::VALPLANE_RECORDS_FILTERED, &[])
-            .add(v.records_filtered);
-        reg.counter(schema::VALPLANE_BYTES_PRE, &[])
-            .add(v.bytes_pre);
-        reg.counter(schema::VALPLANE_BYTES_POST, &[])
-            .add(v.bytes_post);
-        reg.counter(schema::VALPLANE_BLOCKS, &[]).add(v.blocks);
-        reg.counter(schema::VALPLANE_BLOCK_RECORDS, &[])
-            .add(v.block_records);
+        for (name, value) in [
+            (schema::VALPLANE_RECORDS_POST, v.records_post),
+            (schema::VALPLANE_RECORDS_FILTERED, v.records_filtered),
+            (schema::VALPLANE_BYTES_POST, v.bytes_post),
+            (schema::VALPLANE_BLOCKS, v.blocks),
+            (schema::VALPLANE_BLOCK_RECORDS, v.block_records),
+        ] {
+            reg.add(name, &[], value);
+        }
         self.stats.to_registry(reg);
         SpanMetrics::new(&self.spans().spans).to_registry(reg);
     }
@@ -347,8 +318,8 @@ mod tests {
     #[test]
     fn registry_export_has_run_and_fabric_metrics() {
         let r = empty_report();
-        let reg = Registry::new();
-        r.to_registry(&reg);
+        let mut reg = Registry::new();
+        r.to_registry(&mut reg);
         let dump = reg.to_jsonl();
         for line in dump.lines() {
             dsmtx_obs::json::validate(line).unwrap();
@@ -364,22 +335,20 @@ mod tests {
     #[test]
     fn valplane_merge_sums_and_block_fill_averages() {
         let mut a = ValPlaneStats {
-            records_pre: 100,
             records_post: 10,
-            bytes_pre: 3200,
             bytes_post: 900,
             records_filtered: 20,
             blocks: 4,
             block_records: 80,
         };
         let b = ValPlaneStats {
-            records_pre: 50,
+            records_post: 5,
             blocks: 1,
             block_records: 20,
             ..ValPlaneStats::default()
         };
         a.merge(&b);
-        assert_eq!(a.records_pre, 150);
+        assert_eq!(a.records_post, 15);
         assert_eq!(a.blocks, 5);
         assert!((a.block_fill() - 20.0).abs() < 1e-9);
         assert_eq!(ValPlaneStats::default().block_fill(), 0.0);
@@ -387,18 +356,21 @@ mod tests {
 
     #[test]
     fn conflict_pages_aggregate_sorted_and_deduped() {
+        let conflict = |mtx, page, shard| ConflictRecord {
+            mtx,
+            attempt: 0,
+            stage: 0,
+            page,
+            shard,
+            first_writer: None,
+        };
         let mut r = empty_report();
-        r.shard_stats = vec![
-            ShardStats {
-                conflicts: 3,
-                conflict_pages: vec![9, 2, 9],
-                ..ShardStats::default()
-            },
-            ShardStats {
-                conflicts: 1,
-                conflict_pages: vec![5],
-                ..ShardStats::default()
-            },
+        // Shard 0 conflicted three times (page 9 twice), shard 1 once.
+        r.conflict_events = vec![
+            conflict(1, 9, 0),
+            conflict(2, 2, 0),
+            conflict(3, 5, 1),
+            conflict(4, 9, 0),
         ];
         assert_eq!(r.conflict_pages(), vec![2, 5, 9]);
         assert!(empty_report().conflict_pages().is_empty());
@@ -419,8 +391,8 @@ mod tests {
                 ..ShardStats::default()
             },
         ];
-        let reg = Registry::new();
-        r.to_registry(&reg);
+        let mut reg = Registry::new();
+        r.to_registry(&mut reg);
         let dump = reg.to_jsonl();
         for line in dump.lines() {
             dsmtx_obs::json::validate(line).unwrap();

@@ -406,7 +406,7 @@ impl SpanMetrics {
 
     /// Installs the histograms and the per-worker `role.busy_ppm` gauges
     /// into `reg` under the shared [`dsmtx_obs::schema`] names.
-    pub fn to_registry(&self, reg: &Registry) {
+    pub fn to_registry(&self, reg: &mut Registry) {
         for (stage, hist) in &self.stage_exec {
             reg.install_histogram(
                 schema::STAGE_EXEC_US,
@@ -423,11 +423,11 @@ impl SpanMetrics {
             reg.install_histogram(name, &[], hist.clone());
         }
         for (w, frac) in self.occupancy() {
-            reg.gauge(
+            reg.set(
                 schema::ROLE_BUSY_PPM,
                 &[("role", &Role::Worker(w).to_string())],
-            )
-            .set((frac * 1.0e6) as i64);
+                (frac * 1.0e6) as i64,
+            );
         }
     }
 }
@@ -873,22 +873,18 @@ mod tests {
 
     #[test]
     fn registry_export_uses_shared_schema() {
-        let reg = Registry::new();
-        SpanMetrics::new(&build_spans(&clean_trace(), &[]).spans).to_registry(&reg);
+        let mut reg = Registry::new();
+        SpanMetrics::new(&build_spans(&clean_trace(), &[]).spans).to_registry(&mut reg);
         let dump = reg.to_jsonl();
         for line in dump.lines() {
             dsmtx_obs::json::validate(line).unwrap();
         }
-        assert_eq!(
-            reg.histogram(schema::STAGE_EXEC_US, &[("stage", "0")])
-                .count(),
-            2
-        );
-        assert_eq!(reg.histogram(schema::MTX_COMMIT_WAIT_US, &[]).count(), 2);
-        assert_eq!(reg.histogram(schema::MTX_COMMIT_PERIOD_US, &[]).count(), 1);
-        let busy = reg
-            .gauge(schema::ROLE_BUSY_PPM, &[("role", "worker0")])
-            .value();
-        assert_eq!(busy, (240.0 / 340.0 * 1.0e6) as i64);
+        let count =
+            |name: &str, labels: &[(&str, &str)]| reg.histogram(name, labels).map(Histogram::count);
+        assert_eq!(count(schema::STAGE_EXEC_US, &[("stage", "0")]), Some(2));
+        assert_eq!(count(schema::MTX_COMMIT_WAIT_US, &[]), Some(2));
+        assert_eq!(count(schema::MTX_COMMIT_PERIOD_US, &[]), Some(1));
+        let busy = reg.gauge(schema::ROLE_BUSY_PPM, &[("role", "worker0")]);
+        assert_eq!(busy, Some((240.0 / 340.0 * 1.0e6) as i64));
     }
 }

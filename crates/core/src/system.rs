@@ -263,7 +263,6 @@ impl MtxSystem {
             shard_stats.push(crate::report::ShardStats {
                 validated: c.validated,
                 conflicts: c.conflicts,
-                conflict_pages: c.conflict_pages,
                 coa_fetches: c.coa_fetches,
                 replay_lag: c.replay_lag,
                 verdict_latency: c.verdict_latency,

@@ -83,13 +83,11 @@ pub(crate) struct TryCommitCounters {
     pub validated: u64,
     /// Conflicts this shard detected in its page partition.
     pub conflicts: u64,
-    /// `PageId` of every conflicting load, in detection order (one entry
-    /// per conflict, so repeats mean the same page conflicted across
-    /// recoveries). The analyzer's certification pass checks this set
-    /// against the conflict sites the partition linter predicted.
-    pub conflict_pages: Vec<u64>,
-    /// Full attribution context for every conflict this shard detected,
-    /// in detection order (the "why" behind each `conflict_pages` entry).
+    /// Every conflict this shard detected, in detection order (one entry
+    /// per conflict, so a repeated page means the same page conflicted
+    /// across recoveries). The analyzer's certification pass checks
+    /// their pages against the conflict sites the partition linter
+    /// predicted.
     pub conflict_events: Vec<ConflictRecord>,
     /// COA pages copied into the replay image, on a first replayed load
     /// or store to the page.
@@ -192,7 +190,6 @@ impl TryCommitUnit {
                 // which reads the flag, orchestrates recovery.
                 let page = conflict_addr.page().0;
                 self.counters.conflicts += 1;
-                self.counters.conflict_pages.push(page);
                 self.counters.conflict_events.push(ConflictRecord {
                     mtx: self.cursor_mtx.0,
                     attempt,

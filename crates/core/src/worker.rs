@@ -43,11 +43,6 @@ use crate::report::ValPlaneStats;
 use crate::trace::{TraceBuffer, TraceKind};
 use crate::wire::{AccessBlock, Msg};
 
-/// Fabric accounting charges one enum slot per queued item; used to count
-/// what one message per access record would cost on the wire (the
-/// `records_pre`/`bytes_pre` baseline of [`ValPlaneStats`]).
-const ITEM_BYTES: u64 = std::mem::size_of::<Msg>() as u64;
-
 /// A write-combining store buffer over one subTX's access log.
 ///
 /// Filters the program-ordered access stream down to the records the
@@ -669,7 +664,6 @@ impl WorkerCtx {
             .record(Some(mtx), attempt, Some(self.stage), TraceKind::FlushBegin);
         let stage = self.stage;
         let exit = outcome == IterOutcome::Exit;
-        let n_shards = self.shape.unit_shards() as u64;
         let Self {
             spec,
             filter,
@@ -678,24 +672,11 @@ impl WorkerCtx {
             valplane,
             ..
         } = self;
-        let records = spec.log();
-
-        // What one message per record would have shipped (the
-        // `records_pre`/`bytes_pre` baseline): one item per access plus
-        // the per-shard framing pair on the validation plane, one item per
-        // store plus the framing pair on the commit plane.
-        let raw_stores = records
-            .iter()
-            .filter(|r| r.kind == AccessKind::Store)
-            .count();
-        let pre_items = records.len() as u64 + 2 * n_shards + raw_stores as u64 + 2;
-        valplane.records_pre += pre_items;
-        valplane.bytes_pre += pre_items * ITEM_BYTES;
 
         // Filter the access log through the write-combining store buffer,
         // then pack the survivors into the subTX's block. Every buffer
         // here keeps its capacity for the next subTX.
-        valplane.records_filtered += filter.filter_into(records, filtered);
+        valplane.records_filtered += filter.filter_into(spec.log(), filtered);
         spec.clear_log();
         block.clear();
         for r in filtered.iter() {
@@ -708,10 +689,11 @@ impl WorkerCtx {
             send(&mut self.link.port, Msg::LoopExit { mtx })?;
         }
         // One frame carrying an exact-size copy of the block; the commit
-        // unit frees it once the MTX commits.
+        // unit frees it once the MTX commits. The fabric charges the frame
+        // one queue slot plus the packed payload.
         let block = Box::new(self.block.clone());
         self.valplane.records_post += 1;
-        self.valplane.bytes_post += ITEM_BYTES + block.wire_bytes();
+        self.valplane.bytes_post += std::mem::size_of::<Msg>() as u64 + block.wire_bytes();
         self.valplane.blocks += 1;
         self.valplane.block_records += u64::from(block.len());
         send(

@@ -5,7 +5,9 @@
 //! exact-size copy of each finished block (the box and at most three
 //! streams), freed by the consumer. A buffer that regrows from empty on
 //! every subTX shows up here as a per-MTX count that exceeds the budget
-//! and grows with the records per subTX.
+//! and grows with the records per subTX. Telemetry that a role never
+//! writes must cost nothing either: a link end's `FabricStats` and an
+//! unwritten `Histogram` allocate no buckets.
 //!
 //! This binary holds exactly one test: the counting allocator sees every
 //! thread, so nothing else may allocate while it measures.
@@ -17,7 +19,9 @@ use std::sync::Arc;
 use dsmtx::{
     IterOutcome, MtxId, MtxSystem, Program, RunReport, StageId, StageKind, SystemConfig, WorkerCtx,
 };
+use dsmtx_fabric::FabricStats;
 use dsmtx_mem::MasterMem;
+use dsmtx_obs::Histogram;
 use dsmtx_uva::{OwnerId, RegionAllocator};
 
 /// Counts every allocation and reallocation, on every thread.
@@ -78,23 +82,35 @@ fn counted_run(system: &MtxSystem, program: Program) -> (u64, RunReport) {
     (allocs, result.report)
 }
 
-/// Allocations per extra MTX, and blocks shipped per extra MTX, of the
-/// loop `program(n)` builds: after a warm-up run, the median over
-/// [`ROUNDS`] of the difference between a [`LONG`] and a [`SHORT`] run.
-fn per_extra_mtx(system: &MtxSystem, program: impl Fn(u64) -> Program) -> (f64, f64) {
+/// Allocations made building and dropping one `make()`.
+fn allocs_of<T>(make: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    drop(std::hint::black_box(make()));
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Allocations per extra MTX, blocks shipped per extra MTX, and
+/// allocations of one whole [`LONG`] run, of the loop `program(n)`
+/// builds: after a warm-up run, the medians over [`ROUNDS`] of the
+/// difference between a [`LONG`] and a [`SHORT`] run and of the [`LONG`]
+/// run.
+fn per_extra_mtx(system: &MtxSystem, program: impl Fn(u64) -> Program) -> (f64, f64, u64) {
     counted_run(system, program(SHORT));
     let extra = (LONG - SHORT) as f64;
     let mut allocs = Vec::new();
+    let mut runs = Vec::new();
     let mut blocks = 0.0;
     for _ in 0..ROUNDS {
         let (short, short_report) = counted_run(system, program(SHORT));
         let (long, long_report) = counted_run(system, program(LONG));
         assert_eq!(long_report.committed, LONG);
         allocs.push((long as f64 - short as f64) / extra);
+        runs.push(long);
         blocks = (long_report.valplane.blocks - short_report.valplane.blocks) as f64 / extra;
     }
     allocs.sort_by(f64::total_cmp);
-    (allocs[ROUNDS / 2], blocks)
+    runs.sort_unstable();
+    (allocs[ROUNDS / 2], blocks, runs[ROUNDS / 2])
 }
 
 /// A 2-replica Spec-DOALL over 2 try-commit shards: MTX `i` loads
@@ -253,10 +269,22 @@ fn subtx_path_allocates_only_the_shipped_frames() {
     let (system, program) = ring();
     rows.push(("ring P(2)".to_owned(), 0.5, per_extra_mtx(&system, program)));
 
-    for (name, _, (allocs, blocks)) in &rows {
-        println!("{name}: {allocs:.2} allocations and {blocks:.2} blocks per extra MTX");
+    // Telemetry nobody writes: a link end's counters, and the histogram
+    // that end never records into.
+    let idle = (allocs_of(FabricStats::new), allocs_of(Histogram::new));
+
+    for (name, _, (allocs, blocks, run)) in &rows {
+        println!(
+            "{name}: {allocs:.2} allocations and {blocks:.2} blocks per extra MTX, \
+             {run} allocations in one {LONG}-MTX run"
+        );
     }
-    for (name, headroom, (allocs, blocks)) in &rows {
+    println!(
+        "unwritten telemetry: FabricStats::new() {} allocations, Histogram::new() {}",
+        idle.0, idle.1
+    );
+    assert_eq!(idle, (0, 0), "telemetry that is never written allocates");
+    for (name, headroom, (allocs, blocks, _)) in &rows {
         let budget = 4.0 * blocks + headroom;
         assert!(
             *allocs <= budget,

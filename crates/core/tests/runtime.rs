@@ -969,21 +969,22 @@ fn trace_analysis_invariants_hold_on_clean_run() {
         assert_eq!(metrics.stage_exec.len(), 2);
         assert_eq!(result.report.trace_dropped, 0);
 
-        let reg = Registry::new();
-        result.report.to_registry(&reg);
+        let mut reg = Registry::new();
+        result.report.to_registry(&mut reg);
+        let count =
+            |name: &str, labels: &[(&str, &str)]| reg.histogram(name, labels).map(|h| h.count());
         for stage in ["0", "1"] {
-            let exec = reg.histogram(schema::STAGE_EXEC_US, &[("stage", stage)]);
-            assert_eq!(exec.count(), N, "stage {stage}");
+            let exec = count(schema::STAGE_EXEC_US, &[("stage", stage)]);
+            assert_eq!(exec, Some(N), "stage {stage}");
         }
         for name in [
             schema::MTX_VALIDATION_WAIT_US,
             schema::MTX_COMMIT_WAIT_US,
             schema::MTX_TOTAL_LATENCY_US,
         ] {
-            assert_eq!(reg.histogram(name, &[]).count(), N, "{name}");
+            assert_eq!(count(name, &[]), Some(N), "{name}");
         }
-        let period = reg.histogram(schema::MTX_COMMIT_PERIOD_US, &[]);
-        assert_eq!(period.count(), N - 1);
+        assert_eq!(count(schema::MTX_COMMIT_PERIOD_US, &[]), Some(N - 1));
         // One gauge per worker: the sequential stage's and two replicas.
         let busy_gauges = reg
             .to_jsonl()
@@ -993,7 +994,9 @@ fn trace_analysis_invariants_hold_on_clean_run() {
         assert_eq!(busy_gauges, 3);
         for w in 0..3 {
             let role = format!("worker{w}");
-            let ppm = reg.gauge(schema::ROLE_BUSY_PPM, &[("role", &role)]).value();
+            let ppm = reg
+                .gauge(schema::ROLE_BUSY_PPM, &[("role", &role)])
+                .unwrap();
             assert!(ppm > 0 && ppm <= 1_000_000, "{role} busy {ppm} ppm");
         }
     });

@@ -13,7 +13,10 @@
 //! the ledger (packets/items/bytes unpacked, items discarded by recovery
 //! drains) and log-bucketed histograms of flush batch sizes and queue
 //! dwell — enough to see whether the batching layer of §4.2 is actually
-//! amortizing transport overhead, and how long packets wait in it.
+//! amortizing transport overhead, and how long packets wait in it. A send
+//! end writes only the first and a receive end only the second; a
+//! histogram allocates its buckets on its first record, so the one an
+//! end never writes costs nothing.
 
 use dsmtx_obs::{schema, Histogram, Registry};
 
@@ -236,7 +239,7 @@ impl FabricStats {
 
     /// Exports every counter and the histograms into `reg` under the
     /// shared [`dsmtx_obs::schema`] names.
-    pub fn to_registry(&self, reg: &Registry) {
+    pub fn to_registry(&self, reg: &mut Registry) {
         for (name, value) in [
             (schema::FABRIC_SENT_PACKETS, self.packets),
             (schema::FABRIC_SENT_ITEMS, self.items),
@@ -256,10 +259,13 @@ impl FabricStats {
             (schema::FABRIC_OOO_PACKETS, self.ooo_packets),
             (schema::FABRIC_FREELIST_DROPS, self.freelist_drops),
         ] {
-            reg.counter(name, &[]).add(value);
+            reg.add(name, &[], value);
         }
-        reg.gauge(schema::FABRIC_IN_FLIGHT_ITEMS, &[])
-            .set(self.in_flight_items() as i64);
+        reg.set(
+            schema::FABRIC_IN_FLIGHT_ITEMS,
+            &[],
+            self.in_flight_items() as i64,
+        );
         reg.install_histogram(schema::FABRIC_BATCH_ITEMS, &[], self.batch_items.clone());
         reg.install_histogram(
             schema::FABRIC_QUEUE_DWELL_US,
@@ -361,8 +367,8 @@ mod tests {
         s.fault_drops += 1;
         s.retries += 1;
         s.send_timeouts += 1;
-        let reg = Registry::new();
-        s.to_registry(&reg);
+        let mut reg = Registry::new();
+        s.to_registry(&mut reg);
         let dump = reg.to_jsonl();
         for name in [
             schema::FABRIC_FAULT_DROPS,
@@ -388,8 +394,8 @@ mod tests {
         let mut s = FabricStats::new();
         s.record_packet(4, 32);
         s.record_recv(4, 32);
-        let reg = Registry::new();
-        s.to_registry(&reg);
+        let mut reg = Registry::new();
+        s.to_registry(&mut reg);
         let dump = reg.to_jsonl();
         for name in [
             schema::FABRIC_SENT_PACKETS,

@@ -1,40 +1,30 @@
-//! Lock-cheap log-bucketed histogram.
+//! Log-bucketed histogram, a plain owned value.
 //!
 //! Values 0..=3 get exact buckets; above that each power-of-two octave is
 //! split into 4 sub-buckets, giving a worst-case relative error of 12.5%
-//! across the full `u64` range in 256 fixed slots (2 KiB of atomics).
-//! `record` is two relaxed `fetch_add`s plus a `fetch_min`/`fetch_max` —
-//! cheap enough for per-packet fabric paths. Handles are `Clone` and
-//! share the underlying buckets, and whole histograms [`merge`] so
-//! per-queue or per-thread instances can be aggregated after a run.
+//! across the full `u64` range in 256 fixed slots (2 KiB of `u64`s,
+//! allocated on the first `record`, so a histogram nothing writes costs
+//! no allocation). One owner writes it: `record` and [`merge`] take
+//! `&mut self`, and `Clone` copies the data. Whole histograms [`merge`]
+//! so per-port or per-role instances can be aggregated after a run.
 //!
 //! [`merge`]: Histogram::merge
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 const EXACT: usize = 4; // values 0..=3 are exact
 const SUB_BITS: u32 = 2; // 4 sub-buckets per octave
 const SLOTS: usize = 256;
 
-struct Inner {
-    buckets: [AtomicU64; SLOTS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-/// Mergeable log-bucketed histogram; clones share storage.
-#[derive(Clone)]
+/// Mergeable log-bucketed histogram.
+#[derive(Clone, Default)]
 pub struct Histogram {
-    inner: Arc<Inner>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Per-bucket counts: empty until the first observation, then
+    /// `SLOTS` long.
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
+    /// Exact extremes; meaningful once `count > 0`.
+    min: u64,
+    max: u64,
 }
 
 fn bucket_index(v: u64) -> usize {
@@ -76,78 +66,66 @@ fn bucket_mid(i: usize) -> u64 {
 
 impl Histogram {
     pub fn new() -> Self {
-        Self {
-            inner: Arc::new(Inner {
-                buckets: [const { AtomicU64::new(0) }; SLOTS],
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
-            }),
-        }
+        Self::default()
     }
 
-    pub fn record(&self, value: u64) {
-        let i = bucket_index(value);
-        self.inner.buckets[i].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.sum.fetch_add(value, Ordering::Relaxed);
-        self.inner.min.fetch_min(value, Ordering::Relaxed);
-        self.inner.max.fetch_max(value, Ordering::Relaxed);
+    pub fn record(&mut self, value: u64) {
+        if self.buckets.is_empty() {
+            self.buckets = vec![0; SLOTS];
+            self.min = value;
+        }
+        self.buckets[bucket_index(value)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
     }
 
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.count
     }
 
     pub fn is_empty(&self) -> bool {
-        self.count() == 0
+        self.count == 0
     }
 
     pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
+        self.sum
     }
 
     pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
+        if self.count == 0 {
             0.0
         } else {
-            self.sum() as f64 / n as f64
+            self.sum as f64 / self.count as f64
         }
     }
 
     /// Exact minimum recorded value (0 when empty).
     pub fn min(&self) -> u64 {
-        let m = self.inner.min.load(Ordering::Relaxed);
-        if m == u64::MAX {
-            0
-        } else {
-            m
-        }
+        self.min
     }
 
     /// Exact maximum recorded value.
     pub fn max(&self) -> u64 {
-        self.inner.max.load(Ordering::Relaxed)
+        self.max
     }
 
     /// Value at quantile `q` in `[0, 1]`, within the bucket resolution
     /// (±12.5%), clamped to the exact observed min/max.
     pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
+        if self.count == 0 {
             return 0;
         }
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut cum = 0u64;
-        for i in 0..SLOTS {
-            cum += self.inner.buckets[i].load(Ordering::Relaxed);
+        for (i, n) in self.buckets.iter().enumerate() {
+            cum += n;
             if cum >= target {
-                return bucket_mid(i).clamp(self.min(), self.max());
+                return bucket_mid(i).clamp(self.min, self.max);
             }
         }
-        self.max()
+        self.max
     }
 
     pub fn p50(&self) -> u64 {
@@ -163,28 +141,30 @@ impl Histogram {
     }
 
     /// Folds `other`'s observations into `self` (other is unchanged).
-    pub fn merge(&self, other: &Histogram) {
-        for i in 0..SLOTS {
-            let n = other.inner.buckets[i].load(Ordering::Relaxed);
-            if n > 0 {
-                self.inner.buckets[i].fetch_add(n, Ordering::Relaxed);
-            }
+    pub fn merge(&mut self, other: &Histogram) {
+        if other.is_empty() {
+            return;
         }
-        self.inner.count.fetch_add(other.count(), Ordering::Relaxed);
-        self.inner.sum.fetch_add(other.sum(), Ordering::Relaxed);
-        self.inner
-            .min
-            .fetch_min(other.inner.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.inner.max.fetch_max(other.max(), Ordering::Relaxed);
+        if self.is_empty() {
+            self.clone_from(other);
+            return;
+        }
+        for (n, m) in self.buckets.iter_mut().zip(&other.buckets) {
+            *n += m;
+        }
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 
     /// Non-empty buckets as `(lower_bound, count)` pairs.
     pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        (0..SLOTS)
-            .filter_map(|i| {
-                let n = self.inner.buckets[i].load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_lower(i), n))
-            })
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(i, &n)| (bucket_lower(i), n))
             .collect()
     }
 }
@@ -226,7 +206,7 @@ mod tests {
 
     #[test]
     fn exact_small_values() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in [0, 1, 2, 3] {
             h.record(v);
         }
@@ -239,7 +219,7 @@ mod tests {
 
     #[test]
     fn quantiles_within_relative_error() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in 1..=10_000u64 {
             h.record(v);
         }
@@ -252,15 +232,15 @@ mod tests {
 
     #[test]
     fn merge_equals_union() {
-        let a = Histogram::new();
-        let b = Histogram::new();
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
         for v in 0..100u64 {
             a.record(v);
         }
         for v in 100..1000u64 {
             b.record(v * 17);
         }
-        let both = Histogram::new();
+        let mut both = Histogram::new();
         for v in 0..100u64 {
             both.record(v);
         }
@@ -275,31 +255,26 @@ mod tests {
         assert_eq!(a.p50(), both.p50());
         assert_eq!(a.p99(), both.p99());
         assert_eq!(a.snapshot(), both.snapshot());
+        // Merging into an empty histogram copies; merging an empty one
+        // changes nothing.
+        let mut empty = Histogram::new();
+        empty.merge(&a);
+        assert_eq!(empty.snapshot(), a.snapshot());
+        assert_eq!((empty.min(), empty.max()), (a.min(), a.max()));
+        a.merge(&Histogram::new());
+        assert_eq!((a.count(), a.min()), (both.count(), both.min()));
     }
 
     #[test]
-    fn clones_share_storage() {
-        let h = Histogram::new();
-        let h2 = h.clone();
-        h2.record(42);
+    fn clones_copy_the_data() {
+        let mut h = Histogram::new();
+        h.record(7);
+        let mut copy = h.clone();
+        copy.record(42);
         assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 42);
-    }
-
-    #[test]
-    fn concurrent_recording_loses_nothing() {
-        let h = Histogram::new();
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let h = h.clone();
-                s.spawn(move || {
-                    for v in 0..10_000u64 {
-                        h.record(v + t);
-                    }
-                });
-            }
-        });
-        assert_eq!(h.count(), 40_000);
+        assert_eq!(h.max(), 7);
+        assert_eq!(copy.count(), 2);
+        assert_eq!(copy.max(), 42);
     }
 
     #[test]

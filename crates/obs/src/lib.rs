@@ -4,20 +4,21 @@
 //! recovery cost), so every layer of this runtime reports into a shared
 //! vocabulary defined here:
 //!
-//! - [`Histogram`] — lock-free log-bucketed latency/size histogram with
-//!   ±12.5% relative error, mergeable across threads and queues;
-//! - [`Counter`] / [`Gauge`] — monotonic and level metrics with a
-//!   high-water mark;
-//! - [`Registry`] — labeled get-or-create metric handles plus a JSONL
-//!   export, so simulated and real runs emit the same schema
-//!   ([`schema`] holds the shared metric names);
+//! - [`Histogram`] — log-bucketed latency/size histogram with ±12.5%
+//!   relative error, mergeable across ports and roles after a run;
+//! - [`Registry`] — labeled counters (`u64`), gauges (`i64`) and
+//!   histograms plus a JSONL export, so simulated and real runs emit the
+//!   same schema ([`schema`] holds the shared metric names);
 //! - [`ChromeTrace`] — a `chrome://tracing` / Perfetto `trace_event`
 //!   JSON writer for per-MTX lifecycle spans;
 //! - [`json`] — the escaping and validation helpers backing both
 //!   exporters.
 //!
-//! This crate has no dependencies (std only) so it can sit below the
-//! fabric in the crate DAG.
+//! Every metric is a plain value with one owner, written through
+//! `&mut self`: as on a cluster whose nodes share no memory, each role
+//! keeps its own telemetry and the runtime merges it once the run
+//! returns. This crate has no dependencies (std only) so it can sit
+//! below the fabric in the crate DAG.
 
 pub mod chrome;
 pub mod hist;
@@ -27,7 +28,7 @@ pub mod span;
 
 pub use chrome::ChromeTrace;
 pub use hist::Histogram;
-pub use metrics::{Counter, Gauge, Registry};
+pub use metrics::Registry;
 pub use span::{check_spans, AbortCause, ConflictInfo, MtxSpan, SpanOutcome, StageSpan};
 
 /// Shared metric names: the sim engine and the real runtime both emit
@@ -134,18 +135,12 @@ pub mod schema {
     /// Validation-plane compaction counters (worker-side access filtering
     /// and packed `AccessBlock` frames).
     ///
-    /// Records one message per access would have shipped across separate
-    /// validation and commit planes (accesses, stores, plus per-shard
-    /// framing messages) — an analytic baseline counted by the workers.
-    pub const VALPLANE_RECORDS_PRE: &str = "valplane.records_pre";
     /// Fabric items actually shipped (block frames; each carries many
     /// records).
     pub const VALPLANE_RECORDS_POST: &str = "valplane.records_post";
     /// Access records suppressed by the worker-side store buffer
     /// (coalesced stores and duplicate loads).
     pub const VALPLANE_RECORDS_FILTERED: &str = "valplane.records_filtered";
-    /// Bytes one message per access would have put on the wire.
-    pub const VALPLANE_BYTES_PRE: &str = "valplane.bytes_pre";
     /// Bytes actually on the wire (frames plus packed payloads).
     pub const VALPLANE_BYTES_POST: &str = "valplane.bytes_post";
     /// `AccessBlock` frames shipped to the speculation units (one per

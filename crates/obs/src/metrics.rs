@@ -1,110 +1,13 @@
-//! Counters, gauges, and the labeled metric registry.
+//! The labeled metric registry: counters, gauges and histograms as plain
+//! values in one sorted map.
 
 use crate::hist::Histogram;
 use crate::json;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 
-/// Monotonic counter; clones share the same cell.
-#[derive(Clone, Default)]
-pub struct Counter {
-    cell: Arc<AtomicU64>,
-}
-
-impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn value(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Folds `other`'s count into `self`.
-    pub fn merge(&self, other: &Counter) {
-        self.add(other.value());
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counter({})", self.value())
-    }
-}
-
-/// Level metric with a high-water mark; clones share the same cells.
-///
-/// `add`/`sub` keep a current level (e.g. queue depth) while the
-/// high-water mark records the maximum level ever seen.
-#[derive(Clone, Default)]
-pub struct Gauge {
-    inner: Arc<GaugeInner>,
-}
-
-#[derive(Default)]
-struct GaugeInner {
-    current: AtomicI64,
-    high_water: AtomicI64,
-}
-
-impl Gauge {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn add(&self, delta: i64) {
-        let now = self.inner.current.fetch_add(delta, Ordering::Relaxed) + delta;
-        self.inner.high_water.fetch_max(now, Ordering::Relaxed);
-    }
-
-    pub fn sub(&self, delta: i64) {
-        self.add(-delta);
-    }
-
-    pub fn set(&self, value: i64) {
-        self.inner.current.store(value, Ordering::Relaxed);
-        self.inner.high_water.fetch_max(value, Ordering::Relaxed);
-    }
-
-    pub fn value(&self) -> i64 {
-        self.inner.current.load(Ordering::Relaxed)
-    }
-
-    pub fn high_water(&self) -> i64 {
-        self.inner.high_water.load(Ordering::Relaxed)
-    }
-
-    /// Folds `other` into `self`: levels add, high-water marks take the
-    /// max (an aggregate queue's depth is the sum of its members').
-    pub fn merge(&self, other: &Gauge) {
-        if other.value() != 0 {
-            self.add(other.value());
-        }
-        self.inner
-            .high_water
-            .fetch_max(other.high_water(), Ordering::Relaxed);
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Gauge({}, high {})", self.value(), self.high_water())
-    }
-}
-
-#[derive(Clone)]
 enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
+    Counter(u64),
+    Gauge(i64),
     Histogram(Histogram),
 }
 
@@ -120,14 +23,13 @@ impl Metric {
 
 type Key = (String, Vec<(String, String)>);
 
-/// Get-or-create registry of labeled metrics; clones share contents.
+/// Labeled metrics keyed by name + labels, sorted for export.
 ///
-/// Handles are cheap to clone out of the registry once and update
-/// lock-free afterwards; the registry lock is only taken at
-/// registration and export time.
-#[derive(Clone, Default)]
+/// One owner writes it through `&mut self`: an exporter takes
+/// `&mut Registry`, so a second writer does not compile.
+#[derive(Default)]
 pub struct Registry {
-    inner: Arc<Mutex<BTreeMap<Key, Metric>>>,
+    metrics: BTreeMap<Key, Metric>,
 }
 
 fn key(name: &str, labels: &[(&str, &str)]) -> Key {
@@ -144,71 +46,89 @@ impl Registry {
         Self::default()
     }
 
-    /// Counter handle for `name` + `labels`, created on first use.
+    /// Adds `n` to the counter `name` + `labels`, created at 0 on first
+    /// use.
     ///
     /// Panics if the same name+labels was registered as another type —
-    /// that is a schema bug worth failing loudly on.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        match self.get_or_insert(name, labels, || Metric::Counter(Counter::new())) {
-            Metric::Counter(c) => c,
+    /// that is a schema bug worth failing loudly on (as do [`set`] and
+    /// [`install_histogram`]).
+    ///
+    /// [`set`]: Registry::set
+    /// [`install_histogram`]: Registry::install_histogram
+    pub fn add(&mut self, name: &str, labels: &[(&str, &str)], n: u64) {
+        match self.slot(name, labels, || Metric::Counter(0)) {
+            Metric::Counter(c) => *c += n,
             other => panic!("{name} already registered as {}", other.kind()),
         }
     }
 
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        match self.get_or_insert(name, labels, || Metric::Gauge(Gauge::new())) {
-            Metric::Gauge(g) => g,
-            other => panic!("{name} already registered as {}", other.kind()),
-        }
-    }
-
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        match self.get_or_insert(name, labels, || Metric::Histogram(Histogram::new())) {
-            Metric::Histogram(h) => h,
+    /// Sets the gauge `name` + `labels` to `value`.
+    pub fn set(&mut self, name: &str, labels: &[(&str, &str)], value: i64) {
+        match self.slot(name, labels, || Metric::Gauge(0)) {
+            Metric::Gauge(g) => *g = value,
             other => panic!("{name} already registered as {}", other.kind()),
         }
     }
 
     /// Registers an already-built histogram (e.g. one the fabric has
     /// been recording into) under `name` + `labels`, replacing any
-    /// previous entry.
-    pub fn install_histogram(&self, name: &str, labels: &[(&str, &str)], hist: Histogram) {
-        self.lock()
-            .insert(key(name, labels), Metric::Histogram(hist));
+    /// previous histogram there.
+    pub fn install_histogram(&mut self, name: &str, labels: &[(&str, &str)], hist: Histogram) {
+        match self.slot(name, labels, || Metric::Histogram(Histogram::new())) {
+            Metric::Histogram(h) => *h = hist,
+            other => panic!("{name} already registered as {}", other.kind()),
+        }
     }
 
-    fn get_or_insert(
-        &self,
+    fn slot(
+        &mut self,
         name: &str,
         labels: &[(&str, &str)],
         make: impl FnOnce() -> Metric,
-    ) -> Metric {
-        self.lock()
-            .entry(key(name, labels))
-            .or_insert_with(make)
-            .clone()
+    ) -> &mut Metric {
+        self.metrics.entry(key(name, labels)).or_insert_with(make)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<Key, Metric>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The counter `name` + `labels`, if one is registered.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
+        match self.metrics.get(&key(name, labels))? {
+            Metric::Counter(c) => Some(*c),
+            _ => None,
+        }
+    }
+
+    /// The gauge `name` + `labels`, if one is registered.
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<i64> {
+        match self.metrics.get(&key(name, labels))? {
+            Metric::Gauge(g) => Some(*g),
+            _ => None,
+        }
+    }
+
+    /// The histogram `name` + `labels`, if one is registered.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
+        match self.metrics.get(&key(name, labels))? {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.metrics.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.metrics.is_empty()
     }
 
     /// One JSON object per metric, one per line, sorted by name+labels.
     ///
-    /// Counters: `{"name","labels","type":"counter","value"}`. Gauges
-    /// add `"high_water"`. Histograms carry `count/sum/mean/min/max/
-    /// p50/p90/p99` plus the non-empty `[lower_bound, count]` buckets.
+    /// Counters and gauges: `{"name","labels","type","value"}`.
+    /// Histograms carry `count/sum/mean/min/max/p50/p90/p99` plus the
+    /// non-empty `[lower_bound, count]` buckets.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for ((name, labels), metric) in self.lock().iter() {
+        for ((name, labels), metric) in &self.metrics {
             out.push('{');
             out.push_str(&format!("\"name\":{},", json::string(name)));
             out.push_str("\"labels\":{");
@@ -221,16 +141,8 @@ impl Registry {
             out.push_str("},");
             out.push_str(&format!("\"type\":\"{}\",", metric.kind()));
             match metric {
-                Metric::Counter(c) => {
-                    out.push_str(&format!("\"value\":{}", c.value()));
-                }
-                Metric::Gauge(g) => {
-                    out.push_str(&format!(
-                        "\"value\":{},\"high_water\":{}",
-                        g.value(),
-                        g.high_water()
-                    ));
-                }
+                Metric::Counter(c) => out.push_str(&format!("\"value\":{c}")),
+                Metric::Gauge(g) => out.push_str(&format!("\"value\":{g}")),
                 Metric::Histogram(h) => {
                     out.push_str(&format!(
                         "\"count\":{},\"sum\":{},\"mean\":{:.3},\"min\":{},\"max\":{},\
@@ -270,82 +182,41 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-
-        let g = Gauge::new();
-        g.add(10);
-        g.sub(3);
-        assert_eq!(g.value(), 7);
-        assert_eq!(g.high_water(), 10);
-        g.set(2);
-        assert_eq!(g.value(), 2);
-        assert_eq!(g.high_water(), 10);
-    }
-
-    #[test]
-    fn merge_semantics() {
-        let a = Counter::new();
-        let b = Counter::new();
-        a.add(3);
-        b.add(4);
-        a.merge(&b);
-        assert_eq!(a.value(), 7);
-
-        let g1 = Gauge::new();
-        let g2 = Gauge::new();
-        g1.add(5);
-        g2.add(9);
-        g2.sub(9);
-        g1.merge(&g2);
-        assert_eq!(g1.value(), 5);
-        assert_eq!(g1.high_water(), 9);
-    }
-
-    #[test]
     fn registry_reuses_handles_by_name_and_labels() {
-        let r = Registry::new();
-        let a = r.counter("x", &[("q", "1")]);
-        let b = r.counter("x", &[("q", "1")]);
-        let c = r.counter("x", &[("q", "2")]);
-        a.inc();
-        b.inc();
-        c.inc();
-        assert_eq!(a.value(), 2);
-        assert_eq!(c.value(), 1);
+        let mut r = Registry::new();
+        r.add("x", &[("q", "1")], 1);
+        r.add("x", &[("q", "1")], 1);
+        r.add("x", &[("q", "2")], 1);
+        assert_eq!(r.counter("x", &[("q", "1")]), Some(2));
+        assert_eq!(r.counter("x", &[("q", "2")]), Some(1));
         assert_eq!(r.len(), 2);
     }
 
     #[test]
     fn label_order_does_not_matter() {
-        let r = Registry::new();
-        let a = r.counter("x", &[("a", "1"), ("b", "2")]);
-        let b = r.counter("x", &[("b", "2"), ("a", "1")]);
-        a.inc();
-        assert_eq!(b.value(), 1);
+        let mut r = Registry::new();
+        r.add("x", &[("a", "1"), ("b", "2")], 1);
+        assert_eq!(r.counter("x", &[("b", "2"), ("a", "1")]), Some(1));
         assert_eq!(r.len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn type_mismatch_panics() {
-        let r = Registry::new();
-        let _ = r.counter("x", &[]);
-        let _ = r.gauge("x", &[]);
+        let mut r = Registry::new();
+        r.add("x", &[], 0);
+        r.set("x", &[], 0);
     }
 
     #[test]
     fn jsonl_is_deterministically_ordered() {
         // Register in scrambled order; the dump must come out sorted by
         // name then labels so metric snapshots diff cleanly in goldens.
-        let r = Registry::new();
-        r.counter("z.last", &[]).inc();
-        r.counter("a.first", &[("shard", "2")]).inc();
-        r.counter("a.first", &[("shard", "1")]).inc();
-        r.gauge("m.middle", &[]).set(3);
+        let mut r = Registry::new();
+        r.add("z.last", &[], 1);
+        r.add("a.first", &[("shard", "2")], 1);
+        r.add("a.first", &[("shard", "1")], 1);
+        r.set("m.middle", &[], 3);
         let dump = r.to_jsonl();
         let names: Vec<&str> = dump
             .lines()
@@ -363,13 +234,14 @@ mod tests {
 
     #[test]
     fn jsonl_is_valid_json_per_line() {
-        let r = Registry::new();
-        r.counter("runs", &[]).add(2);
-        r.gauge("depth", &[("queue", "w0->tc")]).add(5);
-        let h = r.histogram("lat_us", &[("stage", "0")]);
+        let mut r = Registry::new();
+        r.add("runs", &[], 2);
+        r.set("depth", &[("queue", "w0->tc")], 5);
+        let mut h = Histogram::new();
         for v in [1u64, 50, 999, 12345] {
             h.record(v);
         }
+        r.install_histogram("lat_us", &[("stage", "0")], h);
         let dump = r.to_jsonl();
         assert_eq!(dump.lines().count(), 3);
         for line in dump.lines() {
@@ -377,5 +249,6 @@ mod tests {
         }
         assert!(dump.contains("\"type\":\"histogram\""));
         assert!(dump.contains("\"p99\":"));
+        assert!(dump.contains(r#""type":"gauge","value":5}"#));
     }
 }

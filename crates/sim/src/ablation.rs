@@ -174,8 +174,9 @@ pub fn unit_shard_sweep(profile: &WorkloadProfile, cores: u32, shards: &[u32]) -
 }
 
 /// [`unit_shard_sweep`] with an explicit validation-plane compaction
-/// factor (the runtime's measured `bytes_post / bytes_pre` ratio), so the
-/// model predictions reflect the protocol actually running.
+/// factor (the runtime's shipped bytes over the per-record baseline, as
+/// `repro valplane` measures them), so the model predictions reflect the
+/// protocol actually running.
 pub fn unit_shard_sweep_with(
     profile: &WorkloadProfile,
     cores: u32,

@@ -36,8 +36,8 @@ pub struct ClusterConfig {
     pub unit_shards: u32,
     /// Fraction of validation-plane traffic that survives compaction
     /// (access-stream filtering plus packed frames). 1.0 models one
-    /// message per access record; the runtime's measured
-    /// `bytes_post / bytes_pre` ratio plugs in directly. Scales both the
+    /// message per access record; the ratio of shipped to per-record bytes
+    /// that `repro valplane` measures plugs in directly. Scales both the
     /// words shipped on the validation/commit planes and the per-word
     /// check/apply work (filtered records are neither sent nor checked).
     pub val_compaction: f64,

@@ -16,22 +16,22 @@ impl SimOutcome {
     /// Simulated times are in seconds; they are converted to the schema's
     /// microsecond units. Speedup is exported in milli-x
     /// ([`schema::RUN_SPEEDUP_MILLI`]) so it survives the integer gauge.
-    pub fn to_registry(&self, reg: &Registry) {
-        reg.gauge(schema::RUN_ELAPSED_US, &[])
-            .set((self.loop_time * 1e6) as i64);
-        reg.counter(schema::RUN_RECOVERIES, &[])
-            .add(self.recovery.episodes);
-        reg.counter(schema::RUN_BYTES, &[]).add(self.bytes as u64);
-        reg.gauge(schema::RUN_BANDWIDTH_BPS, &[])
-            .set(self.bandwidth as i64);
-        reg.gauge(schema::RUN_SPEEDUP_MILLI, &[])
-            .set((self.app_speedup * 1000.0) as i64);
+    pub fn to_registry(&self, reg: &mut Registry) {
+        reg.set(schema::RUN_ELAPSED_US, &[], (self.loop_time * 1e6) as i64);
+        reg.add(schema::RUN_RECOVERIES, &[], self.recovery.episodes);
+        reg.add(schema::RUN_BYTES, &[], self.bytes as u64);
+        reg.set(schema::RUN_BANDWIDTH_BPS, &[], self.bandwidth as i64);
+        reg.set(
+            schema::RUN_SPEEDUP_MILLI,
+            &[],
+            (self.app_speedup * 1000.0) as i64,
+        );
     }
 
     /// One-call JSONL dump of this outcome.
     pub fn to_jsonl(&self) -> String {
-        let reg = Registry::new();
-        self.to_registry(&reg);
+        let mut reg = Registry::new();
+        self.to_registry(&mut reg);
         reg.to_jsonl()
     }
 }
@@ -87,9 +87,9 @@ mod tests {
     #[test]
     fn speedup_survives_the_integer_gauge() {
         let out = any_outcome();
-        let reg = Registry::new();
-        out.to_registry(&reg);
-        let milli = reg.gauge(schema::RUN_SPEEDUP_MILLI, &[]).value();
+        let mut reg = Registry::new();
+        out.to_registry(&mut reg);
+        let milli = reg.gauge(schema::RUN_SPEEDUP_MILLI, &[]).unwrap();
         assert!((milli as f64 / 1000.0 - out.app_speedup).abs() < 0.001);
     }
 }

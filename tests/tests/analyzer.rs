@@ -196,7 +196,7 @@ fn mispartitioned_two_stage_program_is_flagged() {
 
 #[test]
 fn shipped_plans_certify_across_shard_counts() {
-    let reg = Registry::new();
+    let mut reg = Registry::new();
     for k in all_kernels() {
         let name = k.info().name;
         let mut plan = k.plan(Scale::test()).unwrap();
@@ -209,7 +209,7 @@ fn shipped_plans_certify_across_shard_counts() {
         for shards in SHARD_COUNTS {
             let result = k.run_reported(2, shards, Scale::test()).unwrap();
             let cert = certify(&analysis.report, &result.report.conflict_pages(), shards);
-            export_cert_metrics(&reg, &cert);
+            export_cert_metrics(&mut reg, &cert);
             assert!(
                 cert.holds(),
                 "{name} at {shards} shard(s): observed conflicts on pages {:?} the \
@@ -226,10 +226,10 @@ fn shipped_plans_certify_across_shard_counts() {
         for shards in SHARD_COUNTS {
             let shards_s = shards.to_string();
             let labels = [("workload", k.info().name), ("shards", shards_s.as_str())];
-            runs += reg.counter(schema::CERT_RUNS, &labels).value();
+            runs += reg.counter(schema::CERT_RUNS, &labels).unwrap_or(0);
             assert_eq!(
-                reg.counter(schema::CERT_UNPREDICTED_PAGES, &labels).value(),
-                0
+                reg.counter(schema::CERT_UNPREDICTED_PAGES, &labels),
+                Some(0)
             );
         }
     }
