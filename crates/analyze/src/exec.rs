@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use dsmtx::{IterOutcome, MtxId, RunResult, StageRole, WorkerCtx};
 use dsmtx_mem::{AccessKind, AccessRecord};
-use dsmtx_paradigms::{ExecError, Pipeline, Tuning};
+use dsmtx_paradigms::{ExecError, Pipeline};
 use dsmtx_uva::VAddr;
 use dsmtx_workloads::AnalysisPlan;
 
@@ -59,10 +59,7 @@ pub fn run_candidate(
         let owned = Arc::new(owned);
         let iters = Arc::clone(&iters);
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            let Some(records) = iters.get(mtx.0 as usize) else {
-                return Ok(IterOutcome::Continue);
-            };
-            for r in records {
+            for r in &iters[mtx.0 as usize] {
                 if !owned.contains(&r.addr) {
                     continue;
                 }
@@ -82,7 +79,7 @@ pub fn run_candidate(
     }
 
     pipeline
-        .tuning(Tuning::with_unit_shards(unit_shards))
+        .shards(unit_shards)
         .shard_map(fresh.shard_map.clone())
         .run(fresh.master, fresh.recovery, Some(raw_iters.len() as u64))
 }

@@ -311,10 +311,7 @@ pub fn lint(
     }
     let top_page = per_page.iter().max_by_key(|(_, &c)| c);
     for n in HOTSPOT_SHARDS {
-        let counts = match shard_map {
-            Some(map) => map.store_shard_load(&stream, n),
-            None => store_shard_load(&stream, n),
-        };
+        let counts = store_shard_load(&stream, shard_map, n);
         let total: u64 = counts.iter().sum();
         if total < HOTSPOT_MIN_STORES {
             continue;

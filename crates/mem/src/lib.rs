@@ -62,6 +62,6 @@ pub mod table;
 pub use cache::PageCache;
 pub use master::MasterMem;
 pub use page::{Page, PageDiff};
-pub use shard::{partition_stream, route, shard_of, store_shard_load, ShardMap};
+pub use shard::{route, shard_of, store_shard_load, ShardMap};
 pub use spec::{AccessKind, AccessRecord, SpecMem};
 pub use table::{PageFault, PageTable};

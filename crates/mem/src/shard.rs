@@ -6,8 +6,7 @@
 //! be split across N try-commit shards as long as every access to a given
 //! page always lands on the same shard. [`shard_of`] is that routing
 //! function — a pure, process-independent hash partition of [`PageId`]
-//! space — and [`partition_stream`] applies it to a drained access log,
-//! preserving program order within each shard.
+//! space — and [`route`] applies a plan's [`ShardMap`] on top of it.
 //!
 //! Stability matters twice over: workers and try-commit shards live on
 //! different threads (in the paper, different nodes) and must agree on the
@@ -131,18 +130,6 @@ impl ShardMap {
         }
         map
     }
-
-    /// Per-shard store counts under this map — the map-aware analogue
-    /// of [`store_shard_load`], for lint-time what-if histograms.
-    pub fn store_shard_load(&self, records: &[AccessRecord], n_shards: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; n_shards.max(1)];
-        for r in records {
-            if r.kind == crate::spec::AccessKind::Store {
-                counts[self.shard_of(r.addr.page(), n_shards)] += 1;
-            }
-        }
-        counts
-    }
 }
 
 /// Routes `page` through `map` when one is present, else [`shard_of`] —
@@ -156,31 +143,20 @@ pub fn route(map: Option<&ShardMap>, page: PageId, n_shards: usize) -> usize {
     }
 }
 
-/// Splits a program-ordered access stream into `n_shards` per-shard
-/// streams routed by [`shard_of`].
-///
-/// Relative order of records within each returned stream matches the
-/// input stream, which is all value-based validation needs: a load of
-/// page P is validated against exactly the stores to page P, and those
-/// are on the same shard in the same order.
-pub fn partition_stream(records: &[AccessRecord], n_shards: usize) -> Vec<Vec<AccessRecord>> {
-    let mut out: Vec<Vec<AccessRecord>> = vec![Vec::new(); n_shards.max(1)];
-    for r in records {
-        out[shard_of(r.addr.page(), n_shards)].push(*r);
-    }
-    out
-}
-
 /// Per-shard speculative-store counts for a program-ordered access
 /// stream at a hypothetical shard count — the introspection the
 /// partition linter's `ShardHotspot` check runs without spinning up any
-/// try-commit units. Index `s` holds the number of stores [`shard_of`]
-/// would route to shard `s`.
-pub fn store_shard_load(records: &[AccessRecord], n_shards: usize) -> Vec<u64> {
+/// try-commit units. Index `s` holds the number of stores [`route`]
+/// sends to shard `s` under `map` (the hash partition when `None`).
+pub fn store_shard_load(
+    records: &[AccessRecord],
+    map: Option<&ShardMap>,
+    n_shards: usize,
+) -> Vec<u64> {
     let mut counts = vec![0u64; n_shards.max(1)];
     for r in records {
         if r.kind == crate::spec::AccessKind::Store {
-            counts[shard_of(r.addr.page(), n_shards)] += 1;
+            counts[route(map, r.addr.page(), n_shards)] += 1;
         }
     }
     counts
@@ -256,14 +232,16 @@ mod tests {
             })
             .collect();
         for n in [1usize, 2, 4] {
-            let counts = store_shard_load(&stream, n);
+            let counts = store_shard_load(&stream, None, n);
             assert_eq!(counts.len(), n);
             assert_eq!(counts.iter().sum::<u64>(), 20, "20 stores in the stream");
             // Every store must be counted on exactly the shard of its page.
-            let parts = partition_stream(&stream, n);
-            for (s, part) in parts.iter().enumerate() {
-                let stores = part.iter().filter(|r| r.kind == AccessKind::Store).count() as u64;
-                assert_eq!(counts[s], stores);
+            for (s, &count) in counts.iter().enumerate() {
+                let stores = stream
+                    .iter()
+                    .filter(|r| r.kind == AccessKind::Store && shard_of(r.addr.page(), n) == s)
+                    .count() as u64;
+                assert_eq!(count, stores);
             }
         }
     }
@@ -309,13 +287,13 @@ mod tests {
                 stream.push(rec(p, i, AccessKind::Store));
             }
         }
-        let hashed = store_shard_load(&stream, 2);
+        let hashed = store_shard_load(&stream, None, 2);
         assert_eq!(hashed[0], stream.len() as u64, "planted skew missing");
 
         let map = ShardMap::balance(&stream, 4);
         assert_eq!(map.len(), pages.len());
         for n in [2usize, 4] {
-            let counts = map.store_shard_load(&stream, n);
+            let counts = store_shard_load(&stream, Some(&map), n);
             assert_eq!(counts.iter().sum::<u64>(), stream.len() as u64);
             let max = *counts.iter().max().unwrap();
             let min = *counts.iter().min().unwrap();
@@ -332,39 +310,5 @@ mod tests {
             .map(|i| rec(i % 13, i, AccessKind::Store))
             .collect();
         assert_eq!(ShardMap::balance(&stream, 4), ShardMap::balance(&stream, 4));
-    }
-
-    #[test]
-    fn partition_preserves_order_and_covers_input() {
-        let stream: Vec<AccessRecord> = (0..100)
-            .map(|i| {
-                rec(
-                    i % 7,
-                    i,
-                    if i % 3 == 0 {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    },
-                )
-            })
-            .collect();
-        for n in [1usize, 2, 4] {
-            let parts = partition_stream(&stream, n);
-            assert_eq!(parts.len(), n);
-            // Every record lands on exactly the shard of its page.
-            let total: usize = parts.iter().map(Vec::len).sum();
-            assert_eq!(total, stream.len());
-            for (s, part) in parts.iter().enumerate() {
-                for r in part {
-                    assert_eq!(shard_of(r.addr.page(), n), s);
-                }
-                // Order within the shard follows program order (values
-                // were assigned monotonically).
-                for w in part.windows(2) {
-                    assert!(w[0].value < w[1].value);
-                }
-            }
-        }
     }
 }

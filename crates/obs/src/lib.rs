@@ -48,14 +48,6 @@ pub mod schema {
     /// worker/try-commit/commit track, labeled `role`.
     pub const ROLE_BUSY_PPM: &str = "role.busy_ppm";
 
-    /// Per-MTX critical-path decomposition (from [`crate::MtxSpan`]):
-    /// time blocked on upstream frames before user code ran.
-    pub const MTX_QUEUE_WAIT_US: &str = "mtx.queue_wait_us";
-    /// Time inside user code (summed across stages).
-    pub const MTX_EXEC_US: &str = "mtx.exec_us";
-    /// Time flushing validation/commit streams to the shards.
-    pub const MTX_FLUSH_US: &str = "mtx.flush_us";
-
     /// Aborted speculative attempts by attributed cause, labeled
     /// `cause` with an [`crate::AbortCause`] name. A nonzero
     /// `cause="unpredicted"` count is a soundness red flag.

@@ -1,8 +1,10 @@
-//! Executors: one per paradigm, wrapping the core runtime.
+//! The executor: one MTX pipeline per plan, wrapping the core runtime.
 //!
-//! Each executor builds the pipeline configuration its paradigm implies
-//! and runs a [`Program`]. Workloads supply stage bodies and a sequential
-//! recovery body; the executor owns the shape.
+//! Every Table 2 paradigm is a configuration of one [`Pipeline`]:
+//! Spec-DOALL is one parallel stage, `DSWP+[…]` and `Spec-DSWP+[…]` are
+//! sequential and parallel stages in order, and the TLS baseline is one
+//! parallel stage made a [`Pipeline::ring`]. Workloads supply stage bodies
+//! and a sequential recovery body; the pipeline owns the shape.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -11,23 +13,24 @@ use dsmtx::{
     ConfigError, IterOutcome, MtxSystem, Program, RecoveryFn, RunError, RunResult, StageFn,
     StageId, StageKind, SystemConfig,
 };
-use dsmtx_mem::MasterMem;
+use dsmtx_mem::{MasterMem, ShardMap};
 
-/// Process-wide default for [`Tuning::trace`]. Harnesses that need
-/// lifecycle spans from kernels they don't construct directly (e.g.
-/// `repro why` driving a workload's shipped plan) flip this before the
-/// run instead of threading a flag through every executor.
+/// Process-wide default for whether a [`Pipeline`] records a lifecycle
+/// trace. Harnesses that need lifecycle spans from kernels they don't
+/// construct directly (e.g. `repro why` driving a workload's shipped
+/// plan) flip this before the run instead of threading a flag through
+/// every kernel.
 static TRACE_DEFAULT: AtomicBool = AtomicBool::new(false);
 
-/// Sets the process-wide default for [`Tuning::trace`]; affects tunings
-/// created *after* the call. Returns the previous value so callers can
-/// restore it.
+/// Sets the process-wide trace default; affects pipelines created
+/// *after* the call. Returns the previous value so callers can restore
+/// it.
 pub fn set_trace_default(on: bool) -> bool {
     TRACE_DEFAULT.swap(on, Ordering::Relaxed)
 }
 
-/// Runs `f` with the process-wide [`Tuning::trace`] default set to `on`,
-/// then restores the previous value — also when `f` returns an error or
+/// Runs `f` with the process-wide trace default set to `on`, then
+/// restores the previous value — also when `f` returns an error or
 /// panics. A process-wide lock serializes the callers, so one caller's
 /// restore cannot switch tracing off under another caller's runs.
 pub fn with_trace_default<T>(on: bool, f: impl FnOnce() -> T) -> T {
@@ -46,160 +49,28 @@ pub fn with_trace_default<T>(on: bool, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Shared tuning knobs for all executors. Queue batch and capacity keep
-/// [`SystemConfig`]'s defaults.
-#[derive(Debug, Clone, Copy)]
-pub struct Tuning {
-    /// Try-commit shard count (§3.2 parallel speculation units); 1 is
-    /// the single-unit topology.
-    pub unit_shards: usize,
-    /// Record a lifecycle trace ([`dsmtx::TraceEvent`] stream) for the
-    /// run; defaults to the process-wide [`set_trace_default`] value.
-    pub trace: bool,
-}
-
-impl Default for Tuning {
-    fn default() -> Self {
-        Tuning {
-            unit_shards: 1,
-            trace: TRACE_DEFAULT.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Tuning {
-    /// Default tuning at an explicit try-commit shard count — what the
-    /// certification harness uses to run every kernel's shipped plan at
-    /// shards ∈ {1, 2, 4}.
-    pub fn with_unit_shards(unit_shards: usize) -> Self {
-        Tuning {
-            unit_shards,
-            ..Tuning::default()
-        }
-    }
-}
-
-fn build(cfg: &mut SystemConfig, tuning: Tuning) -> &mut SystemConfig {
-    cfg.unit_shards(tuning.unit_shards)
-}
-
-fn build_system(cfg: &SystemConfig, tuning: Tuning) -> Result<MtxSystem, ConfigError> {
-    Ok(MtxSystem::new(cfg)?.trace(tuning.trace))
-}
-
-/// Spec-DOALL: one parallel stage; all cross-iteration dependences are
-/// speculated away (validated by value).
-#[derive(Debug, Clone, Copy)]
-pub struct SpecDoall {
-    /// Worker replicas.
-    pub replicas: u16,
-    /// Executor tuning.
-    pub tuning: Tuning,
-}
-
-impl SpecDoall {
-    /// An executor with default tuning.
-    pub fn new(replicas: u16) -> Self {
-        SpecDoall {
-            replicas,
-            tuning: Tuning::default(),
-        }
-    }
-
-    /// Runs `body` over `limit` iterations.
-    ///
-    /// # Errors
-    ///
-    /// Configuration or runtime errors from the core system.
-    pub fn run(
-        &self,
-        master: MasterMem,
-        body: StageFn,
-        recovery: RecoveryFn,
-        limit: Option<u64>,
-    ) -> Result<RunResult, ExecError> {
-        let mut cfg = SystemConfig::new();
-        cfg.stage(StageKind::Parallel {
-            replicas: self.replicas,
-        });
-        build(&mut cfg, self.tuning);
-        let system = build_system(&cfg, self.tuning)?;
-        Ok(system.run(Program {
-            master,
-            stages: vec![body],
-            recovery,
-            on_commit: None,
-            iteration_limit: limit,
-        })?)
-    }
-}
-
-/// TLS baseline: single-threaded transactions on a replica ring.
-/// Synchronized dependences are forwarded with
-/// [`dsmtx::WorkerCtx::sync_produce`]/[`dsmtx::WorkerCtx::sync_take`],
-/// putting inter-thread latency on the critical path (cyclic pattern).
-#[derive(Debug, Clone, Copy)]
-pub struct Tls {
-    /// Worker replicas.
-    pub replicas: u16,
-    /// Executor tuning.
-    pub tuning: Tuning,
-}
-
-impl Tls {
-    /// An executor with default tuning.
-    pub fn new(replicas: u16) -> Self {
-        Tls {
-            replicas,
-            tuning: Tuning::default(),
-        }
-    }
-
-    /// Runs `body` over `limit` iterations.
-    ///
-    /// # Errors
-    ///
-    /// Configuration or runtime errors from the core system.
-    pub fn run(
-        &self,
-        master: MasterMem,
-        body: StageFn,
-        recovery: RecoveryFn,
-        limit: Option<u64>,
-    ) -> Result<RunResult, ExecError> {
-        let mut cfg = SystemConfig::new();
-        cfg.stage(StageKind::Parallel {
-            replicas: self.replicas,
-        })
-        .ring(StageId(0));
-        build(&mut cfg, self.tuning);
-        let system = build_system(&cfg, self.tuning)?;
-        Ok(system.run(Program {
-            master,
-            stages: vec![body],
-            recovery,
-            on_commit: None,
-            iteration_limit: limit,
-        })?)
-    }
-}
-
-/// DSWP / Spec-DSWP pipeline builder: `Pipeline::new().seq(a).par(4, b).seq(c)`.
+/// An MTX pipeline, built stage by stage:
+/// `Pipeline::new().seq(a).par(4, b).seq(c)` is `Spec-DSWP+[S,DOALL,S]`,
+/// `Pipeline::new().par(4, b)` is Spec-DOALL, and
+/// `Pipeline::new().par(4, b).ring()` is the TLS baseline.
 pub struct Pipeline {
     stages: Vec<(StageKind, StageFn)>,
-    tuning: Tuning,
-    shard_map: Option<dsmtx_mem::ShardMap>,
-    on_commit: Option<dsmtx::CommitHook>,
+    ring: Option<StageId>,
+    unit_shards: usize,
+    shard_map: Option<ShardMap>,
+    trace: bool,
 }
 
 impl Pipeline {
-    /// An empty pipeline with default tuning.
+    /// An empty pipeline with one try-commit shard, tracing when the
+    /// process-wide [`set_trace_default`] is on.
     pub fn new() -> Self {
         Pipeline {
             stages: Vec::new(),
-            tuning: Tuning::default(),
+            ring: None,
+            unit_shards: 1,
             shard_map: None,
-            on_commit: None,
+            trace: TRACE_DEFAULT.load(Ordering::Relaxed),
         }
     }
 
@@ -215,21 +86,29 @@ impl Pipeline {
         self
     }
 
-    /// Overrides the executor tuning.
-    pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
+    /// Makes the stage appended last a ring — the TLS baseline: one
+    /// transaction per iteration on the stage's replicas, with
+    /// synchronized dependences forwarded replica-to-replica through
+    /// [`dsmtx::WorkerCtx::sync_produce`]/[`dsmtx::WorkerCtx::sync_take`],
+    /// which puts inter-thread latency on the critical path (the cyclic
+    /// pattern of Figure 1). [`Pipeline::run`] fails with
+    /// [`ConfigError`] unless that stage is parallel.
+    pub fn ring(mut self) -> Self {
+        let last = self.stages.len().saturating_sub(1);
+        self.ring = Some(StageId(u16::try_from(last).unwrap_or(u16::MAX)));
         self
     }
 
-    /// Installs a per-commit hook.
-    pub fn on_commit(mut self, hook: dsmtx::CommitHook) -> Self {
-        self.on_commit = Some(hook);
+    /// Sets the try-commit shard count (§3.2 parallel speculation
+    /// units); 1, the default, is the single-unit topology.
+    pub fn shards(mut self, unit_shards: usize) -> Self {
+        self.unit_shards = unit_shards;
         self
     }
 
     /// Installs a profile-guided page→shard placement for the run
     /// (`None` keeps the default hash partition).
-    pub fn shard_map(mut self, map: Option<dsmtx_mem::ShardMap>) -> Self {
+    pub fn shard_map(mut self, map: Option<ShardMap>) -> Self {
         self.shard_map = map;
         self
     }
@@ -254,16 +133,19 @@ impl Pipeline {
         for (kind, _) in &self.stages {
             cfg.stage(*kind);
         }
-        build(&mut cfg, self.tuning);
-        if let Some(map) = self.shard_map.clone() {
+        if let Some(stage) = self.ring {
+            cfg.ring(stage);
+        }
+        cfg.unit_shards(self.unit_shards);
+        if let Some(map) = self.shard_map {
             cfg.shard_map(map);
         }
-        let system = build_system(&cfg, self.tuning)?;
+        let system = MtxSystem::new(&cfg)?.trace(self.trace);
         Ok(system.run(Program {
             master,
             stages: self.stages.into_iter().map(|(_, f)| f).collect(),
             recovery,
-            on_commit: self.on_commit,
+            on_commit: None,
             iteration_limit: limit,
         })?)
     }
@@ -337,8 +219,9 @@ mod tests {
             ctx.write_no_forward(out.add_words(mtx.0), mtx.0 * 2)?;
             Ok(IterOutcome::Continue)
         });
-        let r = SpecDoall::new(3)
-            .run(MasterMem::new(), body, no_recovery(), Some(10))
+        let r = Pipeline::new()
+            .par(3, body)
+            .run(MasterMem::new(), no_recovery(), Some(10))
             .unwrap();
         for i in 0..10 {
             assert_eq!(r.master.read(out.add_words(i)), i * 2);
@@ -360,10 +243,11 @@ mod tests {
             ctx.sync_produce(next);
             Ok(IterOutcome::Continue)
         });
-        let r = Tls::new(2)
+        let r = Pipeline::new()
+            .par(2, body)
+            .ring()
             .run(
                 MasterMem::new(),
-                body,
                 Box::new(move |mtx, m| {
                     let acc = m.read(acc_cell);
                     m.write(acc_cell, acc + mtx.0);
@@ -417,15 +301,14 @@ mod tests {
         for w in 0..16 {
             map.assign(out.add_words(w).page(), 1);
         }
-        let tuning = Tuning::with_unit_shards(2);
         let base = Pipeline::new()
             .par(2, body.clone())
-            .tuning(tuning)
+            .shards(2)
             .run(MasterMem::new(), no_recovery(), Some(16))
             .unwrap();
         let mapped = Pipeline::new()
             .par(2, body)
-            .tuning(tuning)
+            .shards(2)
             .shard_map(Some(map))
             .run(MasterMem::new(), no_recovery(), Some(16))
             .unwrap();
@@ -439,19 +322,11 @@ mod tests {
 
     #[test]
     fn trace_default_yields_spans() {
-        let tuning = with_trace_default(true, Tuning::default);
-        assert!(tuning.trace);
-
         let body = Arc::new(|_: &mut WorkerCtx, _: MtxId| Ok(IterOutcome::Continue));
-        let ex = SpecDoall {
-            replicas: 2,
-            tuning: Tuning {
-                trace: true,
-                ..Tuning::default()
-            },
-        };
-        let r = ex
-            .run(MasterMem::new(), body, no_recovery(), Some(6))
+        let pipeline = with_trace_default(true, || Pipeline::new().par(2, body));
+        assert!(pipeline.trace);
+        let r = pipeline
+            .run(MasterMem::new(), no_recovery(), Some(6))
             .unwrap();
         let spans = r.report.spans().spans;
         assert_eq!(spans.len(), 6);
@@ -464,5 +339,14 @@ mod tests {
         let err = MtxSystem::new(cfg.batch(0)).map(|_| ()).unwrap_err();
         let e: ExecError = err.into();
         assert!(e.to_string().contains("configuration"));
+
+        // Only a parallel stage can be a ring.
+        let body = Arc::new(|_: &mut WorkerCtx, _: MtxId| Ok(IterOutcome::Continue));
+        let e = Pipeline::new()
+            .seq(body)
+            .ring()
+            .run(MasterMem::new(), no_recovery(), Some(1))
+            .unwrap_err();
+        assert!(e.to_string().contains("cannot be a ring"), "{e}");
     }
 }

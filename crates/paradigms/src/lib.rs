@@ -2,15 +2,17 @@
 //!
 //! The paper's evaluation parallelizes each benchmark with the paradigm
 //! that fits its structure (Table 2): Spec-DOALL, `DSWP+[…]` /
-//! `Spec-DSWP+[…]` pipelines, and a TLS-only baseline. This crate gives
-//! each paradigm a first-class executor over the core runtime:
+//! `Spec-DSWP+[…]` pipelines, and a TLS-only baseline. Each is a
+//! configuration of one MTX pipeline behind one interface (Table 1), so
+//! this crate has one executor, [`executor::Pipeline`], built stage by
+//! stage:
 //!
-//! * [`executor::SpecDoall`] — one parallel stage, iterations split
-//!   round-robin; all cross-iteration dependences speculated.
-//! * [`executor::Pipeline`] — DSWP/Spec-DSWP pipelines built stage by
-//!   stage (`[S, DOALL, S]`-style), with decoupled, acyclic communication.
-//! * [`executor::Tls`] — the TLS baseline: one transaction per iteration
-//!   on a replica ring, synchronized dependences forwarded
+//! * Spec-DOALL — one parallel stage, iterations split round-robin; all
+//!   cross-iteration dependences speculated: `Pipeline::new().par(4, body)`.
+//! * DSWP/Spec-DSWP — sequential and parallel stages in order, with
+//!   decoupled, acyclic communication: `.seq(a).par(4, b).seq(c)`.
+//! * TLS — one parallel stage made a ring with [`executor::Pipeline::ring`]:
+//!   one transaction per iteration, synchronized dependences forwarded
 //!   replica-to-replica, putting communication latency on the critical
 //!   path (the cyclic pattern of Figure 1).
 //!
@@ -24,7 +26,7 @@
 //! use std::sync::Arc;
 //! use dsmtx::{IterOutcome, MtxId, WorkerCtx};
 //! use dsmtx_mem::MasterMem;
-//! use dsmtx_paradigms::{no_recovery, SpecDoall};
+//! use dsmtx_paradigms::{no_recovery, Pipeline};
 //! use dsmtx_uva::{OwnerId, RegionAllocator};
 //!
 //! let mut heap = RegionAllocator::new(OwnerId(0));
@@ -33,7 +35,10 @@
 //!     ctx.write_no_forward(out.add_words(mtx.0), mtx.0 * mtx.0)?;
 //!     Ok(IterOutcome::Continue)
 //! });
-//! let result = SpecDoall::new(2).run(MasterMem::new(), body, no_recovery(), Some(8))?;
+//! // Spec-DOALL: one parallel stage of two replicas.
+//! let result = Pipeline::new()
+//!     .par(2, body)
+//!     .run(MasterMem::new(), no_recovery(), Some(8))?;
 //! assert_eq!(result.master.read(out.add_words(5)), 25);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -41,7 +46,5 @@
 pub mod executor;
 pub mod paradigm;
 
-pub use executor::{
-    no_recovery, set_trace_default, with_trace_default, ExecError, Pipeline, SpecDoall, Tls, Tuning,
-};
+pub use executor::{no_recovery, set_trace_default, with_trace_default, ExecError, Pipeline};
 pub use paradigm::{taxonomy, Paradigm, SpecKind, TaxonomyRow};

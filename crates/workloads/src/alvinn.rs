@@ -19,7 +19,7 @@ use dsmtx::{
     IterOutcome, MtxId, RecoveryFn, Region, RunResult, StageFn, StageRole, StageSpec, WorkerCtx,
 };
 use dsmtx_mem::MasterMem;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecDoall, SpecKind, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     InvocationProfile, TlsPlan, WorkloadProfile,
@@ -178,12 +178,9 @@ fn initial_master(lay: &Layout, scale: Scale) -> MasterMem {
     master
 }
 
-fn body_fn(lay: &Layout, n: u64) -> StageFn {
+fn body_fn(lay: &Layout) -> StageFn {
     let (w_base, s_base, g_base) = (lay.w_base, lay.s_base, lay.g_base);
     Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-        if mtx.0 >= n {
-            return Ok(IterOutcome::Continue);
-        }
         // Live-in weights arrive by Copy-On-Access each invocation.
         let mut w1 = [0.0f64; W1_WORDS as usize];
         for (k, w) in w1.iter_mut().enumerate() {
@@ -241,17 +238,21 @@ impl Alvinn {
         w1.iter().chain(w2.iter()).map(|&f| f2w(f)).collect()
     }
 
-    fn parallel(scale: Scale, workers: u16) -> Result<Vec<u64>, KernelError> {
+    /// All [`EPOCHS`] invocations of the parallel section, with the
+    /// weight update between them.
+    fn train(scale: Scale, workers: u16) -> Result<Vec<u64>, KernelError> {
         let n = scale.iterations;
         let lay = layout(scale)?;
         let (w_base, g_base) = (lay.w_base, lay.g_base);
         let mut master = initial_master(&lay, scale);
-        let body = body_fn(&lay, n);
+        let body = body_fn(&lay);
 
         for _epoch in 0..EPOCHS {
             let recovery = recovery_fn(&lay);
             let result =
-                SpecDoall::new(workers.max(1)).run(master, body.clone(), recovery, Some(n))?;
+                Pipeline::new()
+                    .par(workers.max(1), body.clone())
+                    .run(master, recovery, Some(n))?;
             master = result.master;
             // Inter-invocation sequential code (commit unit): reduce the
             // gradient arrays and update the weights.
@@ -318,27 +319,26 @@ impl Kernel for Alvinn {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        match mode {
-            Mode::Sequential => Ok(Self::sequential(scale)),
-            // Both parallelizations are the same Spec-DOALL (§5.1).
-            Mode::Dsmtx { workers } | Mode::Tls { workers } => Self::parallel(scale, workers),
-        }
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(scale)
     }
 
     /// One invocation (the first epoch's Spec-DOALL section) at an
     /// explicit shard count — the certified parallel section; the
     /// inter-invocation weight update is sequential commit-unit code.
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
+        let (Mode::Dsmtx { workers } | Mode::Tls { workers }) = mode else {
+            unreachable!("parallel paths only")
+        };
         let n = scale.iterations;
         let lay = layout(scale)?;
         let master = initial_master(&lay, scale);
-        let body = body_fn(&lay, n);
+        let body = body_fn(&lay);
         let recovery = recovery_fn(&lay);
         // The plan ships a profile-guided shard map (the store stream is
         // heavily page-skewed); install it so a sharded run routes
@@ -348,9 +348,27 @@ impl Kernel for Alvinn {
         });
         Ok(Pipeline::new()
             .par(workers.max(1), body)
-            .tuning(Tuning::with_unit_shards(unit_shards))
+            .shards(unit_shards)
             .shard_map(shard_map)
             .run(master, recovery, Some(n))?)
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        Ok(load_words(
+            master,
+            layout(scale)?.w_base,
+            W1_WORDS + W2_WORDS,
+        ))
+    }
+
+    /// Runs all [`EPOCHS`] invocations: a parallel run is not one
+    /// [`Kernel::parallel`] section but the whole training loop.
+    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        match mode {
+            Mode::Sequential => Ok(Self::sequential(scale)),
+            // Both parallelizations are the same Spec-DOALL (§5.1).
+            Mode::Dsmtx { workers } | Mode::Tls { workers } => Self::train(scale, workers),
+        }
     }
 
     /// The first invocation's loop: weights are live-in (validated

@@ -19,7 +19,7 @@ use dsmtx::{
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind, Tls, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -136,18 +136,6 @@ impl Art {
         out
     }
 
-    fn run_generated(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            return Ok(Self::sequential(&generate(scale), scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_generated(mode, 1, scale)?;
-        let mut out = load_words(&result.master, lay.out_base, scale.iterations);
-        out.push(result.master.read(lay.best_base));
-        out.push(result.master.read(lay.best_base.add_words(1)));
-        Ok(out)
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_generated(
@@ -171,28 +159,19 @@ impl Art {
             Ok(match_window(&window))
         };
 
-        let result = match mode {
+        let pipeline = match mode {
             Mode::Dsmtx { workers } => {
                 let dispatch = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     ctx.produce_to(StageId(1), mtx.0);
                     Ok(IterOutcome::Continue)
                 });
-                let matcher = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
+                let matcher = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| {
                     let i = ctx.consume_from(StageId(0));
                     let score = compute_score(ctx, i)?;
                     ctx.produce_to(StageId(2), score);
                     Ok(IterOutcome::Continue)
                 });
                 let reduce = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let score = ctx.consume_from(StageId(1));
                     ctx.write_no_forward(out_base.add_words(mtx.0), score)?;
                     let best0 = ctx.read(best_base)?;
@@ -206,14 +185,9 @@ impl Art {
                     .seq(dispatch)
                     .par(workers.max(1), matcher)
                     .seq(reduce)
-                    .tuning(Tuning::with_unit_shards(shards))
-                    .run(master, recovery, Some(n))?
             }
             Mode::Tls { workers } => {
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let score = compute_score(ctx, mtx.0)?;
                     ctx.write_no_forward(out_base.add_words(mtx.0), score)?;
                     let incoming: Vec<u64> = ctx.sync_take().collect();
@@ -229,15 +203,11 @@ impl Art {
                     ctx.sync_produce(best[1]);
                     Ok(IterOutcome::Continue)
                 });
-                Tls {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), body).ring()
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 }
 
@@ -290,17 +260,25 @@ impl Kernel for Art {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_generated(mode, scale)
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(&generate(scale), scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.result_generated(Mode::Dsmtx { workers }, unit_shards, scale)
+        self.result_generated(mode, unit_shards, scale)
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        let lay = layout(scale)?;
+        let mut out = load_words(master, lay.out_base, scale.iterations);
+        out.push(master.read(lay.best_base));
+        out.push(master.read(lay.best_base.add_words(1)));
+        Ok(out)
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

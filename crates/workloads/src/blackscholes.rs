@@ -16,7 +16,7 @@ use dsmtx::{
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecDoall, SpecKind, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -25,8 +25,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    f2w, load_words, master_heap, store_words, w2f, Kernel, KernelError, Mode, Scale, Stream,
-    Table2Entry,
+    f2w, load_words, master_heap, run_on, store_words, w2f, Kernel, KernelError, Mode, Scale,
+    Stream, Table2Entry,
 };
 
 /// Words per option record: spot, strike, rate, volatility, time, is_put.
@@ -150,20 +150,6 @@ impl BlackScholes {
             .collect()
     }
 
-    fn run_with_input(
-        &self,
-        mode: Mode,
-        scale: Scale,
-        input: Vec<u64>,
-    ) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            return Ok(Self::sequential(&input, scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_with_input(mode, 1, scale, input)?;
-        Ok(load_words(&result.master, lay.out_base, scale.iterations))
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_with_input(
@@ -171,13 +157,13 @@ impl BlackScholes {
         mode: Mode,
         shards: usize,
         scale: Scale,
-        input: Vec<u64>,
+        input: &[u64],
     ) -> Result<RunResult, KernelError> {
         let n = scale.iterations;
         let lay = layout(scale)?;
         let (in_base, out_base) = (lay.in_base, lay.out_base);
         let mut master = MasterMem::new();
-        store_words(&mut master, in_base, &input);
+        store_words(&mut master, in_base, input);
 
         let load_option =
             move |ctx: &mut WorkerCtx, i: u64| -> Result<Vec<u64>, dsmtx::Interrupt> {
@@ -186,9 +172,6 @@ impl BlackScholes {
                     .collect()
             };
         let compute = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            if mtx.0 >= n {
-                return Ok(IterOutcome::Continue);
-            }
             let opt = load_option(ctx, mtx.0)?;
             match price(&opt) {
                 Ok(p) => {
@@ -199,26 +182,16 @@ impl BlackScholes {
             }
         });
         let emit = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            if mtx.0 >= n {
-                return Ok(IterOutcome::Continue);
-            }
             let p = ctx.consume_from(StageId(0));
             ctx.write_no_forward(out_base.add_words(mtx.0), p)?;
             Ok(IterOutcome::Continue)
         });
         let recovery = recovery_fn(&lay);
 
-        let result = match mode {
-            Mode::Dsmtx { workers } => Pipeline::new()
-                .par(workers.max(1), compute)
-                .seq(emit)
-                .tuning(Tuning::with_unit_shards(shards))
-                .run(master, recovery, Some(n))?,
+        let pipeline = match mode {
+            Mode::Dsmtx { workers } => Pipeline::new().par(workers.max(1), compute).seq(emit),
             Mode::Tls { workers } => {
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let opt = load_option(ctx, mtx.0)?;
                     match price(&opt) {
                         Ok(p) => {
@@ -228,15 +201,11 @@ impl BlackScholes {
                         Err(()) => ctx.misspec(),
                     }
                 });
-                SpecDoall {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), body)
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 
     /// Runs with one invalid option to exercise the speculated error path.
@@ -245,7 +214,14 @@ impl BlackScholes {
         mode: Mode,
         scale: Scale,
     ) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, true))
+        let input = generate(scale, true);
+        run_on(
+            self,
+            mode,
+            scale,
+            || Self::sequential(&input, scale),
+            |mode| self.result_with_input(mode, 1, scale, &input),
+        )
     }
 }
 
@@ -292,22 +268,25 @@ impl Kernel for BlackScholes {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, false))
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(&generate(scale, false), scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.result_with_input(
-            Mode::Dsmtx { workers },
-            unit_shards,
-            scale,
-            generate(scale, false),
-        )
+        self.result_with_input(mode, unit_shards, scale, &generate(scale, false))
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        Ok(load_words(
+            master,
+            layout(scale)?.out_base,
+            scale.iterations,
+        ))
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

@@ -19,7 +19,7 @@ use dsmtx::{
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind, Tls, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -28,8 +28,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    load_words, master_heap, profiled_shard_map, shard_map_for, store_words, Kernel, KernelError,
-    Mode, Scale, Stream, Table2Entry,
+    load_words, master_heap, profiled_shard_map, run_on, shard_map_for, store_words, Kernel,
+    KernelError, Mode, Scale, Stream, Table2Entry,
 };
 
 /// Rare error marker (speculated untaken).
@@ -179,24 +179,6 @@ impl Bzip2 {
         out
     }
 
-    fn run_with_input(
-        &self,
-        mode: Mode,
-        scale: Scale,
-        input: Vec<u64>,
-    ) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            return Ok(Self::sequential(&input, scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_with_input(mode, 1, scale, input)?;
-        let len = result.master.read(lay.cursor);
-        assert!(len <= lay.stream_cap, "stream overflow");
-        let mut out = vec![len];
-        out.extend(load_words(&result.master, lay.stream_base, len));
-        Ok(out)
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_with_input(
@@ -204,31 +186,25 @@ impl Bzip2 {
         mode: Mode,
         shards: usize,
         scale: Scale,
-        input: Vec<u64>,
+        input: &[u64],
     ) -> Result<RunResult, KernelError> {
         let n = scale.iterations;
         let unit = scale.unit;
         let lay = layout(scale)?;
-        let master = initial_master(&input, &lay);
+        let master = initial_master(input, &lay);
         let (in_base, stream_base, cursor) = (lay.in_base, lay.stream_base, lay.cursor);
         let recovery = recovery_fn(&lay, scale);
 
-        let result = match mode {
+        let pipeline = match mode {
             Mode::Dsmtx { workers } => {
                 let read = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     for k in 0..unit {
                         let w = ctx.read_private(in_base.add_words(mtx.0 * unit + k))?;
                         ctx.produce_to(StageId(1), w);
                     }
                     Ok(IterOutcome::Continue)
                 });
-                let compress = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
+                let compress = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| {
                     let block: Vec<u64> = (0..unit).map(|_| ctx.consume_from(StageId(0))).collect();
                     match mtf_rle_compress(&block) {
                         Ok(record) => {
@@ -241,10 +217,7 @@ impl Bzip2 {
                         Err(()) => ctx.misspec(),
                     }
                 });
-                let emit = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
+                let emit = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| {
                     let len = ctx.consume_from(StageId(1));
                     let cur = ctx.read(cursor)?;
                     ctx.write_no_forward(stream_base.add_words(cur), len)?;
@@ -260,7 +233,7 @@ impl Bzip2 {
                 // analyzer weighed it.
                 let shard_map = shard_map_for(shards, || {
                     profiled_shard_map(
-                        initial_master(&input, &lay),
+                        initial_master(input, &lay),
                         &mut recovery_fn(&lay, scale),
                         n,
                     )
@@ -269,17 +242,12 @@ impl Bzip2 {
                     .seq(read)
                     .par(workers.max(1), compress)
                     .seq(emit)
-                    .tuning(Tuning::with_unit_shards(shards))
                     .shard_map(shard_map)
-                    .run(master, recovery, Some(n))?
             }
             Mode::Tls { workers } => {
                 // TLS ships only the block index: workers read the input
                 // themselves, and the output cursor rides the ring.
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let block: Vec<u64> = (0..unit)
                         .map(|k| ctx.read_private(in_base.add_words(mtx.0 * unit + k)))
                         .collect::<Result<_, _>>()?;
@@ -301,15 +269,11 @@ impl Bzip2 {
                     ctx.sync_produce(next);
                     Ok(IterOutcome::Continue)
                 });
-                Tls {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), body).ring()
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 
     /// Runs with a planted error marker.
@@ -318,7 +282,14 @@ impl Bzip2 {
         mode: Mode,
         scale: Scale,
     ) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, true))
+        let input = generate(scale, true);
+        run_on(
+            self,
+            mode,
+            scale,
+            || Self::sequential(&input, scale),
+            |mode| self.result_with_input(mode, 1, scale, &input),
+        )
     }
 }
 
@@ -373,22 +344,26 @@ impl Kernel for Bzip2 {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, false))
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(&generate(scale, false), scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.result_with_input(
-            Mode::Dsmtx { workers },
-            unit_shards,
-            scale,
-            generate(scale, false),
-        )
+        self.result_with_input(mode, unit_shards, scale, &generate(scale, false))
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        let lay = layout(scale)?;
+        let len = master.read(lay.cursor);
+        assert!(len <= lay.stream_cap, "stream overflow");
+        let mut out = vec![len];
+        out.extend(load_words(master, lay.stream_base, len));
+        Ok(out)
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

@@ -92,33 +92,42 @@ impl From<ExecError> for KernelError {
 }
 
 /// One reproduced benchmark.
+///
+/// A kernel supplies its sequential reference, one parallel run of its
+/// plan, and where its output words live in committed memory;
+/// [`Kernel::run`] and [`Kernel::run_reported`] are written once over
+/// those three.
 pub trait Kernel: Send + Sync {
     /// Table 2 metadata.
     fn info(&self) -> Table2Entry;
     /// Simulator profile calibrated to the paper's curves.
     fn profile(&self) -> WorkloadProfile;
-    /// Executes the kernel and returns its output words.
-    ///
-    /// # Errors
-    ///
-    /// Runtime failures (thread panics, configuration errors).
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError>;
+    /// The sequential reference output: what `Mode::Sequential` returns.
+    fn reference(&self, scale: Scale) -> Vec<u64>;
 
-    /// Runs the shipped Table-2 DSMTX plan at an explicit try-commit
-    /// shard count and returns the full [`RunResult`] (committed memory
-    /// plus report). The analyzer's certification pass reads observed
-    /// conflict pages out of the report and checks them against the
-    /// sites predicted from the sequential dependence graph.
+    /// One run of the parallel plan `mode` names (`Mode::Dsmtx`: the
+    /// shipped Table-2 plan; `Mode::Tls`: the TLS baseline) at
+    /// `unit_shards` try-commit shards, returning the full [`RunResult`]
+    /// (committed memory plus report). Panics on `Mode::Sequential`,
+    /// which has no parallel run.
     ///
     /// # Errors
     ///
     /// Runtime failures (thread panics, configuration errors).
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError>;
+
+    /// Reads the output words out of the memory a parallel run
+    /// committed.
+    ///
+    /// # Errors
+    ///
+    /// Address-space exhaustion while rebuilding the heap layout.
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError>;
 
     /// The analyzable description of the kernel's loop: pre-loop
     /// committed memory, the sequential recovery body, and the declared
@@ -128,6 +137,62 @@ pub trait Kernel: Send + Sync {
     ///
     /// Address-space exhaustion while rebuilding the heap layout.
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError>;
+
+    /// Executes the kernel and returns its output words: the reference
+    /// for `Mode::Sequential`, else one parallel run at one try-commit
+    /// shard.
+    ///
+    /// # Errors
+    ///
+    /// Runtime failures (thread panics, configuration errors).
+    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        run_on(
+            self,
+            mode,
+            scale,
+            || self.reference(scale),
+            |mode| self.parallel(mode, 1, scale),
+        )
+    }
+
+    /// Runs the shipped Table-2 DSMTX plan at an explicit try-commit
+    /// shard count and returns the full [`RunResult`]. The analyzer's
+    /// certification pass reads observed conflict pages out of the
+    /// report and checks them against the sites predicted from the
+    /// sequential dependence graph.
+    ///
+    /// # Errors
+    ///
+    /// Runtime failures (thread panics, configuration errors).
+    fn run_reported(
+        &self,
+        workers: u16,
+        unit_shards: usize,
+        scale: Scale,
+    ) -> Result<RunResult, KernelError> {
+        self.parallel(Mode::Dsmtx { workers }, unit_shards, scale)
+    }
+}
+
+/// [`Kernel::run`] with the reference and the parallel run given — what
+/// the kernels' planted-input and corpus variants run on their own
+/// input: `reference()` for `Mode::Sequential`, else the output words
+/// `kernel` reads out of the memory `parallel(mode)` committed.
+///
+/// # Errors
+///
+/// Runtime failures (thread panics, configuration errors).
+pub fn run_on<K: Kernel + ?Sized>(
+    kernel: &K,
+    mode: Mode,
+    scale: Scale,
+    reference: impl FnOnce() -> Vec<u64>,
+    parallel: impl FnOnce(Mode) -> Result<RunResult, KernelError>,
+) -> Result<Vec<u64>, KernelError> {
+    match mode {
+        Mode::Sequential => Ok(reference()),
+        Mode::Dsmtx { .. } | Mode::Tls { .. } => kernel.output(&parallel(mode)?.master, scale),
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use dsmtx::{IterOutcome, MtxId, RecoveryFn, Region, RunResult, StageRole, StageSpec, WorkerCtx};
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecDoall, SpecKind, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -23,7 +23,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    load_words, master_heap, store_words, Kernel, KernelError, Mode, Scale, Stream, Table2Entry,
+    load_words, master_heap, run_on, store_words, Kernel, KernelError, Mode, Scale, Stream,
+    Table2Entry,
 };
 
 /// In-band marker for the speculated error path.
@@ -128,20 +129,6 @@ impl Crc32 {
             .collect()
     }
 
-    fn run_with_input(
-        &self,
-        mode: Mode,
-        scale: Scale,
-        input: Vec<u64>,
-    ) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            return Ok(Self::sequential(&input, scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_with_input(mode, 1, scale, input)?;
-        Ok(load_words(&result.master, lay.out_base, scale.iterations))
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_with_input(
@@ -149,20 +136,17 @@ impl Crc32 {
         mode: Mode,
         shards: usize,
         scale: Scale,
-        input: Vec<u64>,
+        input: &[u64],
     ) -> Result<RunResult, KernelError> {
         let n = scale.iterations;
         let lay = layout(scale)?;
         let (in_base, out_base) = (lay.in_base, lay.out_base);
         let mut master = MasterMem::new();
-        store_words(&mut master, in_base, &input);
+        store_words(&mut master, in_base, input);
 
         let unit = scale.unit;
         // Parallel stage: checksum the file; the error path misspeculates.
         let compute = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            if mtx.0 >= n {
-                return Ok(IterOutcome::Continue); // squashed overshoot
-            }
             let mut crc = u64::MAX;
             for k in 0..unit {
                 // The input is read-only after loop entry: unvalidated.
@@ -178,29 +162,19 @@ impl Crc32 {
         });
         // Sequential output stage, as in the paper's plan.
         let emit = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            if mtx.0 >= n {
-                return Ok(IterOutcome::Continue);
-            }
             let crc = ctx.consume_from(dsmtx::StageId(0));
             ctx.write_no_forward(out_base.add_words(mtx.0), crc)?;
             Ok(IterOutcome::Continue)
         });
         let recovery = recovery_fn(&lay, scale);
 
-        let result = match mode {
-            Mode::Dsmtx { workers } => Pipeline::new()
-                .par(workers.max(1), compute)
-                .seq(emit)
-                .tuning(Tuning::with_unit_shards(shards))
-                .run(master, recovery, Some(n))?,
+        let pipeline = match mode {
+            Mode::Dsmtx { workers } => Pipeline::new().par(workers.max(1), compute).seq(emit),
             Mode::Tls { workers } => {
                 // The TLS plan degenerates to Spec-DOALL here (no
                 // synchronized dependences): the compute stage writes the
                 // output slot itself.
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let mut crc = u64::MAX;
                     for k in 0..unit {
                         let w = ctx.read_private(in_base.add_words(mtx.0 * unit + k))?;
@@ -212,15 +186,11 @@ impl Crc32 {
                     ctx.write_no_forward(out_base.add_words(mtx.0), crc)?;
                     Ok(IterOutcome::Continue)
                 });
-                SpecDoall {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), body)
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 
     /// Runs with a planted error to exercise the misspeculation path.
@@ -229,7 +199,14 @@ impl Crc32 {
         mode: Mode,
         scale: Scale,
     ) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, true))
+        let input = generate(scale, true);
+        run_on(
+            self,
+            mode,
+            scale,
+            || Self::sequential(&input, scale),
+            |mode| self.result_with_input(mode, 1, scale, &input),
+        )
     }
 }
 
@@ -278,22 +255,25 @@ impl Kernel for Crc32 {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, false))
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(&generate(scale, false), scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.result_with_input(
-            Mode::Dsmtx { workers },
-            unit_shards,
-            scale,
-            generate(scale, false),
-        )
+        self.result_with_input(mode, unit_shards, scale, &generate(scale, false))
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        Ok(load_words(
+            master,
+            layout(scale)?.out_base,
+            scale.iterations,
+        ))
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

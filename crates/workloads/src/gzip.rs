@@ -21,7 +21,7 @@ use dsmtx::{
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind, Tls, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -30,7 +30,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    load_words, master_heap, store_words, Kernel, KernelError, Mode, Scale, Stream, Table2Entry,
+    load_words, master_heap, run_on, store_words, Kernel, KernelError, Mode, Scale, Stream,
+    Table2Entry,
 };
 
 /// Rare in-band marker whose handling the plan speculates away.
@@ -168,24 +169,6 @@ impl Gzip {
         out
     }
 
-    fn run_with_input(
-        &self,
-        mode: Mode,
-        scale: Scale,
-        input: Vec<u64>,
-    ) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            return Ok(Self::sequential(&input, scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_with_input(mode, 1, scale, input)?;
-        let len = result.master.read(lay.cursor);
-        assert!(len <= lay.stream_cap, "stream overflow");
-        let mut out = vec![len];
-        out.extend(load_words(&result.master, lay.stream_base, len));
-        Ok(out)
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_with_input(
@@ -193,23 +176,20 @@ impl Gzip {
         mode: Mode,
         shards: usize,
         scale: Scale,
-        input: Vec<u64>,
+        input: &[u64],
     ) -> Result<RunResult, KernelError> {
         let n = scale.iterations;
         let unit = scale.unit;
         let lay = layout(scale)?;
-        let master = initial_master(&input, &lay);
+        let master = initial_master(input, &lay);
         let (in_base, stream_base, cursor) = (lay.in_base, lay.stream_base, lay.cursor);
         let recovery = recovery_fn(&lay, scale);
 
-        let result = match mode {
+        let pipeline = match mode {
             Mode::Dsmtx { workers } => {
                 // Stage 0 (S): the file reader ships whole blocks down the
                 // pipeline — the bandwidth-heavy part of the plan.
                 let read = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     for k in 0..unit {
                         let w = ctx.read_private(in_base.add_words(mtx.0 * unit + k))?;
                         ctx.produce_to(StageId(1), w);
@@ -217,10 +197,7 @@ impl Gzip {
                     Ok(IterOutcome::Continue)
                 });
                 // Stage 1 (DOALL): compress in a private block version.
-                let compress = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
+                let compress = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| {
                     let block: Vec<u64> = (0..unit).map(|_| ctx.consume_from(StageId(0))).collect();
                     match rle_compress(&block) {
                         Ok(record) => {
@@ -234,10 +211,7 @@ impl Gzip {
                     }
                 });
                 // Stage 2 (S): append records in order at the cursor.
-                let emit = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
+                let emit = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| {
                     let len = ctx.consume_from(StageId(1));
                     let cur = ctx.read(cursor)?;
                     ctx.write_no_forward(stream_base.add_words(cur), len)?;
@@ -252,17 +226,12 @@ impl Gzip {
                     .seq(read)
                     .par(workers.max(1), compress)
                     .seq(emit)
-                    .tuning(Tuning::with_unit_shards(shards))
-                    .run(master, recovery, Some(n))?
             }
             Mode::Tls { workers } => {
                 // TLS: each transaction reads its block directly (no bulk
                 // forwarding) and the output cursor is synchronized on the
                 // ring.
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let block: Vec<u64> = (0..unit)
                         .map(|k| ctx.read_private(in_base.add_words(mtx.0 * unit + k)))
                         .collect::<Result<_, _>>()?;
@@ -284,15 +253,11 @@ impl Gzip {
                     ctx.sync_produce(next);
                     Ok(IterOutcome::Continue)
                 });
-                Tls {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), body).ring()
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 
     /// Runs with one escape-marked block to exercise the rare path.
@@ -301,7 +266,14 @@ impl Gzip {
         mode: Mode,
         scale: Scale,
     ) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, true))
+        let input = generate(scale, true);
+        run_on(
+            self,
+            mode,
+            scale,
+            || Self::sequential(&input, scale),
+            |mode| self.result_with_input(mode, 1, scale, &input),
+        )
     }
 }
 
@@ -354,22 +326,26 @@ impl Kernel for Gzip {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, false))
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(&generate(scale, false), scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.result_with_input(
-            Mode::Dsmtx { workers },
-            unit_shards,
-            scale,
-            generate(scale, false),
-        )
+        self.result_with_input(mode, unit_shards, scale, &generate(scale, false))
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        let lay = layout(scale)?;
+        let len = master.read(lay.cursor);
+        assert!(len <= lay.stream_cap, "stream overflow");
+        let mut out = vec![len];
+        out.extend(load_words(master, lay.stream_base, len));
+        Ok(out)
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

@@ -21,7 +21,7 @@ use dsmtx::{
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind, Tls, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -145,17 +145,6 @@ impl H264Ref {
         out
     }
 
-    fn run_generated(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            return Ok(Self::sequential(&generate(scale), scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_generated(mode, 1, scale)?;
-        let mut out = load_words(&result.master, lay.out_base, scale.iterations);
-        out.push(result.master.read(lay.state_cell));
-        Ok(out)
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_generated(
@@ -203,12 +192,9 @@ impl H264Ref {
             Ok(cost)
         };
 
-        let result = match mode {
+        let pipeline = match mode {
             Mode::Dsmtx { workers } => {
                 let encode = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let cost = encode_iter(ctx, mtx.0)?;
                     ctx.produce_to(StageId(1), cost);
                     Ok(IterOutcome::Continue)
@@ -216,9 +202,6 @@ impl H264Ref {
                 // The rate-control dependence cycle lives in its own
                 // sequential stage.
                 let rate = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let cost = ctx.consume_from(StageId(0));
                     let state = ctx.read(state_cell)?;
                     let (size, new_state) = rate_control(cost, state);
@@ -226,19 +209,12 @@ impl H264Ref {
                     ctx.write(state_cell, new_state)?;
                     Ok(IterOutcome::Continue)
                 });
-                Pipeline::new()
-                    .par(workers.max(1), encode)
-                    .seq(rate)
-                    .tuning(Tuning::with_unit_shards(shards))
-                    .run(master, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), encode).seq(rate)
             }
             Mode::Tls { workers } => {
                 // TLS: rate control is synchronized inside the iteration —
                 // the whole transaction waits on the ring value.
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let synced = ctx.sync_take().next();
                     let state = match synced {
                         Some(v) => v,
@@ -251,15 +227,11 @@ impl H264Ref {
                     ctx.sync_produce(new_state);
                     Ok(IterOutcome::Continue)
                 });
-                Tls {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), body).ring()
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 }
 
@@ -307,17 +279,24 @@ impl Kernel for H264Ref {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_generated(mode, scale)
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(&generate(scale), scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.result_generated(Mode::Dsmtx { workers }, unit_shards, scale)
+        self.result_generated(mode, unit_shards, scale)
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        let lay = layout(scale)?;
+        let mut out = load_words(master, lay.out_base, scale.iterations);
+        out.push(master.read(lay.state_cell));
+        Ok(out)
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

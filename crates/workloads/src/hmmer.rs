@@ -19,7 +19,7 @@ use dsmtx::{
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind, Tls, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -135,16 +135,6 @@ impl Hmmer {
         out
     }
 
-    fn run_generated(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            let (profile, seqs) = generate(scale);
-            return Ok(Self::sequential(&profile, &seqs, scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_generated(mode, 1, scale)?;
-        Ok(load_words(&result.master, lay.h_base, BUCKETS + 1))
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_generated(
@@ -173,20 +163,14 @@ impl Hmmer {
             Ok(score(&prof, &seq))
         };
 
-        let result = match mode {
+        let pipeline = match mode {
             Mode::Dsmtx { workers } => {
                 let compute = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let sc = load_score(ctx, mtx.0)?;
                     ctx.produce_to(StageId(1), sc);
                     Ok(IterOutcome::Continue)
                 });
-                let reduce = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
+                let reduce = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| {
                     let sc = ctx.consume_from(StageId(0));
                     let bucket = h_base.add_words(sc % BUCKETS);
                     let cur = ctx.read(bucket)?;
@@ -198,19 +182,12 @@ impl Hmmer {
                     }
                     Ok(IterOutcome::Continue)
                 });
-                Pipeline::new()
-                    .par(workers.max(1), compute)
-                    .seq(reduce)
-                    .tuning(Tuning::with_unit_shards(shards))
-                    .run(master, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), compute).seq(reduce)
             }
             Mode::Tls { workers } => {
                 // TLS forwards the entire reduction state on the ring —
                 // the cyclic pattern that caps its scalability.
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let sc = load_score(ctx, mtx.0)?;
                     let incoming: Vec<u64> = ctx.sync_take().collect();
                     let mut state = if incoming.len() == (BUCKETS + 1) as usize {
@@ -227,15 +204,11 @@ impl Hmmer {
                     }
                     Ok(IterOutcome::Continue)
                 });
-                Tls {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), body).ring()
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 }
 
@@ -282,17 +255,22 @@ impl Kernel for Hmmer {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_generated(mode, scale)
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        let (profile, seqs) = generate(scale);
+        Self::sequential(&profile, &seqs, scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.result_generated(Mode::Dsmtx { workers }, unit_shards, scale)
+        self.result_generated(mode, unit_shards, scale)
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        Ok(load_words(master, layout(scale)?.h_base, BUCKETS + 1))
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

@@ -20,7 +20,7 @@ use dsmtx::{
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind, Tls, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -29,7 +29,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    load_words, master_heap, store_words, Kernel, KernelError, Mode, Scale, Stream, Table2Entry,
+    load_words, master_heap, run_on, store_words, Kernel, KernelError, Mode, Scale, Stream,
+    Table2Entry,
 };
 
 /// Environment cells.
@@ -218,8 +219,8 @@ fn recovery_fn(lay: &Layout, scale: Scale) -> RecoveryFn {
 pub struct Li;
 
 impl Li {
-    fn sequential(env0: &[u64], scripts: &[u64], scale: Scale) -> Vec<u64> {
-        let mut env = env0.to_vec();
+    fn sequential(scale: Scale, corpus: Corpus) -> Vec<u64> {
+        let (mut env, scripts) = generate(scale, corpus);
         let mut out = Vec::new();
         for i in 0..scale.iterations {
             let script = &scripts[(i * scale.unit) as usize..((i + 1) * scale.unit) as usize];
@@ -245,17 +246,13 @@ impl Li {
         scale: Scale,
         corpus: Corpus,
     ) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            let (env0, scripts) = generate(scale, corpus);
-            return Ok(Self::sequential(&env0, &scripts, scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_corpus(mode, 1, scale, corpus)?;
-        let count = result.master.read(lay.count_cell);
-        let mut out = load_words(&result.master, lay.out_base, count);
-        out.push(count);
-        out.extend(load_words(&result.master, lay.env_base, ENV_WORDS));
-        Ok(out)
+        run_on(
+            self,
+            mode,
+            scale,
+            || Self::sequential(scale, corpus),
+            |mode| self.result_corpus(mode, 1, scale, corpus),
+        )
     }
 
     /// The parallel paths, at an explicit try-commit shard count,
@@ -288,16 +285,9 @@ impl Li {
             Ok(eval(&script, &env))
         };
 
-        // `iteration_limit: None` — termination rides on the speculated
-        // EXIT path (or the natural end of the corpus via a limit guard
-        // when no EXIT script exists).
-        let limit = Some(n);
-        let result = match mode {
+        let pipeline = match mode {
             Mode::Dsmtx { workers } => {
                 let interpret = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let ev = eval_iter(ctx, mtx.0)?;
                     for (k, v) in &ev.env_writes {
                         ctx.write(env_base.add_words(*k), *v)?;
@@ -311,27 +301,17 @@ impl Li {
                 });
                 // The sequential "print" stage.
                 let print = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let r = ctx.consume_from(StageId(0));
                     ctx.write_no_forward(out_base.add_words(mtx.0), r)?;
                     ctx.write_no_forward(count_cell, mtx.0 + 1)?;
                     Ok(IterOutcome::Continue)
                 });
-                Pipeline::new()
-                    .par(workers.max(1), interpret)
-                    .seq(print)
-                    .tuning(Tuning::with_unit_shards(shards))
-                    .run(master, recovery, limit)?
+                Pipeline::new().par(workers.max(1), interpret).seq(print)
             }
             Mode::Tls { workers } => {
                 // TLS orders the print through the ring (the §5.2 print
                 // synchronization), forwarding the environment with it.
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let script: Vec<u64> = (0..unit)
                         .map(|k| ctx.read_private(s_base.add_words(mtx.0 * unit + k)))
                         .collect::<Result<_, _>>()?;
@@ -360,15 +340,13 @@ impl Li {
                         IterOutcome::Continue
                     })
                 });
-                Tls {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, limit)?
+                Pipeline::new().par(workers.max(1), body).ring()
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        // The loop ends at the corpus's end or, earlier, at a committed
+        // EXIT script (loop-exit control speculation).
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 
     /// [`Kernel::run_reported`] for an explicit corpus shape — the
@@ -485,17 +463,26 @@ impl Kernel for Li {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_corpus(mode, scale, Corpus::pure())
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(scale, Corpus::pure())
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.run_corpus_reported(workers, unit_shards, scale, Corpus::pure())
+        self.result_corpus(mode, unit_shards, scale, Corpus::pure())
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        let lay = layout(scale)?;
+        let count = master.read(lay.count_cell);
+        let mut out = load_words(master, lay.out_base, count);
+        out.push(count);
+        out.extend(load_words(master, lay.env_base, ENV_WORDS));
+        Ok(out)
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

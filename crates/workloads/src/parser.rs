@@ -21,7 +21,7 @@ use dsmtx::{
 };
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::paradigm::StageLabel;
-use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind, Tls, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -30,7 +30,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    load_words, master_heap, store_words, Kernel, KernelError, Mode, Scale, Stream, Table2Entry,
+    load_words, master_heap, run_on, store_words, Kernel, KernelError, Mode, Scale, Stream,
+    Table2Entry,
 };
 
 /// Dictionary entries.
@@ -68,11 +69,19 @@ pub(crate) fn parse(dict: &[u64], sentence: &[u64], gen: u64) -> (u64, u64) {
     (score, new_gen)
 }
 
-fn generate(scale: Scale, plant_unknown: bool) -> (Vec<u64>, Vec<u64>) {
+/// The sorted, deduplicated dictionary, and the input stream after it.
+/// The dictionary is drawn first, so its length — which fixes the heap
+/// layout — costs no sentences.
+fn dictionary(scale: Scale) -> (Vec<u64>, Stream) {
     let mut s = Stream::new(scale.seed ^ 0x197);
     let mut dict: Vec<u64> = (0..DICT_WORDS).map(|_| s.next() % 100_000).collect();
     dict.sort_unstable();
     dict.dedup();
+    (dict, s)
+}
+
+fn generate(scale: Scale, plant_unknown: bool) -> (Vec<u64>, Vec<u64>) {
+    let (dict, mut s) = dictionary(scale);
     let sentences: Vec<u64> = (0..scale.iterations * scale.unit)
         .map(|_| dict[(s.next() % dict.len() as u64) as usize])
         .collect();
@@ -153,23 +162,6 @@ impl Parser {
         out
     }
 
-    fn run_with_input(
-        &self,
-        mode: Mode,
-        scale: Scale,
-        dict: Vec<u64>,
-        sentences: Vec<u64>,
-    ) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            return Ok(Self::sequential(&dict, &sentences, scale));
-        }
-        let lay = layout(scale, dict.len() as u64)?;
-        let result = self.result_with_input(mode, 1, scale, dict, sentences)?;
-        let mut out = load_words(&result.master, lay.out_base, scale.iterations);
-        out.push(result.master.read(lay.gen_cell));
-        Ok(out)
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_with_input(
@@ -177,14 +169,14 @@ impl Parser {
         mode: Mode,
         shards: usize,
         scale: Scale,
-        dict: Vec<u64>,
-        sentences: Vec<u64>,
+        dict: &[u64],
+        sentences: &[u64],
     ) -> Result<RunResult, KernelError> {
         let n = scale.iterations;
         let unit = scale.unit;
         let dict_len = dict.len() as u64;
         let lay = layout(scale, dict_len)?;
-        let master = initial_master(&dict, &sentences, &lay);
+        let master = initial_master(dict, sentences, &lay);
         let (d_base, s_base, out_base, gen_cell) =
             (lay.d_base, lay.s_base, lay.out_base, lay.gen_cell);
         let recovery = recovery_fn(&lay, scale, dict_len);
@@ -206,22 +198,16 @@ impl Parser {
                 Ok((score, gen, new_gen))
             };
 
-        let result = match mode {
+        let pipeline = match mode {
             Mode::Dsmtx { workers } => {
                 // Stage 0 (S): sentence dispatch (models the reader; the
                 // sentence words themselves travel by COA here, so the
                 // produced token is just the iteration id).
                 let dispatch = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     ctx.produce_to(StageId(1), mtx.0);
                     Ok(IterOutcome::Continue)
                 });
-                let parse_stage = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
+                let parse_stage = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| {
                     let i = ctx.consume_from(StageId(0));
                     let (score, gen, new_gen) = parse_iter(ctx, i)?;
                     if new_gen != gen {
@@ -232,9 +218,6 @@ impl Parser {
                     Ok(IterOutcome::Continue)
                 });
                 let emit = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let score = ctx.consume_from(StageId(1));
                     ctx.write_no_forward(out_base.add_words(mtx.0), score)?;
                     Ok(IterOutcome::Continue)
@@ -243,15 +226,10 @@ impl Parser {
                     .seq(dispatch)
                     .par(workers.max(1), parse_stage)
                     .seq(emit)
-                    .tuning(Tuning::with_unit_shards(shards))
-                    .run(master, recovery, Some(n))?
             }
             Mode::Tls { workers } => {
                 // TLS synchronizes the global on the ring.
                 let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-                    if mtx.0 >= n {
-                        return Ok(IterOutcome::Continue);
-                    }
                     let dict: Vec<u64> = (0..dict_len)
                         .map(|k| ctx.read_private(d_base.add_words(k)))
                         .collect::<Result<_, _>>()?;
@@ -269,15 +247,11 @@ impl Parser {
                     ctx.sync_produce(new_gen);
                     Ok(IterOutcome::Continue)
                 });
-                Tls {
-                    replicas: workers.max(1),
-                    tuning: Tuning::with_unit_shards(shards),
-                }
-                .run(master, body, recovery, Some(n))?
+                Pipeline::new().par(workers.max(1), body).ring()
             }
             Mode::Sequential => unreachable!("parallel paths only"),
         };
-        Ok(result)
+        Ok(pipeline.shards(shards).run(master, recovery, Some(n))?)
     }
 
     /// Runs with one unknown token planted, manifesting the speculated
@@ -288,7 +262,13 @@ impl Parser {
         scale: Scale,
     ) -> Result<Vec<u64>, KernelError> {
         let (dict, sentences) = generate(scale, true);
-        self.run_with_input(mode, scale, dict, sentences)
+        run_on(
+            self,
+            mode,
+            scale,
+            || Self::sequential(&dict, &sentences, scale),
+            |mode| self.result_with_input(mode, 1, scale, &dict, &sentences),
+        )
     }
 
     /// [`Kernel::run_reported`] with one unknown token planted — the
@@ -305,7 +285,13 @@ impl Parser {
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
         let (dict, sentences) = generate(scale, true);
-        self.result_with_input(Mode::Dsmtx { workers }, unit_shards, scale, dict, sentences)
+        self.result_with_input(
+            Mode::Dsmtx { workers },
+            unit_shards,
+            scale,
+            &dict,
+            &sentences,
+        )
     }
 
     fn plan_with(&self, scale: Scale, plant_unknown: bool) -> Result<AnalysisPlan, KernelError> {
@@ -414,19 +400,26 @@ impl Kernel for Parser {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
+    fn reference(&self, scale: Scale) -> Vec<u64> {
         let (dict, sentences) = generate(scale, false);
-        self.run_with_input(mode, scale, dict, sentences)
+        Self::sequential(&dict, &sentences, scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
         let (dict, sentences) = generate(scale, false);
-        self.result_with_input(Mode::Dsmtx { workers }, unit_shards, scale, dict, sentences)
+        self.result_with_input(mode, unit_shards, scale, &dict, &sentences)
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        let lay = layout(scale, dictionary(scale).0.len() as u64)?;
+        let mut out = load_words(master, lay.out_base, scale.iterations);
+        out.push(master.read(lay.gen_cell));
+        Ok(out)
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

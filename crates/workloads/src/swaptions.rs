@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use dsmtx::{IterOutcome, MtxId, RecoveryFn, Region, RunResult, StageRole, StageSpec, WorkerCtx};
 use dsmtx_mem::MasterMem;
-use dsmtx_paradigms::{Paradigm, SpecDoall, SpecKind, Tuning};
+use dsmtx_paradigms::{Paradigm, Pipeline, SpecKind};
 use dsmtx_sim::{
     profile::{StageProfile, StageShape},
     TlsPlan, WorkloadProfile,
@@ -22,8 +22,8 @@ use dsmtx_uva::VAddr;
 
 use crate::analysis::AnalysisPlan;
 use crate::common::{
-    f2w, load_words, master_heap, store_words, w2f, Kernel, KernelError, Mode, Scale, Stream,
-    Table2Entry,
+    f2w, load_words, master_heap, run_on, store_words, w2f, Kernel, KernelError, Mode, Scale,
+    Stream, Table2Entry,
 };
 
 /// Words per swaption record: strike, maturity, volatility, seed.
@@ -131,20 +131,6 @@ impl Swaptions {
             .collect()
     }
 
-    fn run_with_input(
-        &self,
-        mode: Mode,
-        scale: Scale,
-        input: Vec<u64>,
-    ) -> Result<Vec<u64>, KernelError> {
-        if let Mode::Sequential = mode {
-            return Ok(Self::sequential(&input, scale));
-        }
-        let lay = layout(scale)?;
-        let result = self.result_with_input(mode, 1, scale, input)?;
-        Ok(load_words(&result.master, lay.out_base, scale.iterations))
-    }
-
     /// The parallel paths, at an explicit try-commit shard count,
     /// returning the full run result.
     fn result_with_input(
@@ -152,7 +138,7 @@ impl Swaptions {
         mode: Mode,
         shards: usize,
         scale: Scale,
-        input: Vec<u64>,
+        input: &[u64],
     ) -> Result<RunResult, KernelError> {
         let n = scale.iterations;
         let workers = match mode {
@@ -164,12 +150,9 @@ impl Swaptions {
         let lay = layout(scale)?;
         let (in_base, out_base) = (lay.in_base, lay.out_base);
         let mut master = MasterMem::new();
-        store_words(&mut master, in_base, &input);
+        store_words(&mut master, in_base, input);
 
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            if mtx.0 >= n {
-                return Ok(IterOutcome::Continue);
-            }
             let rec: Vec<u64> = (0..SWAPTION_WORDS)
                 .map(|k| ctx.read_private(in_base.add_words(mtx.0 * SWAPTION_WORDS + k)))
                 .collect::<Result<_, _>>()?;
@@ -182,11 +165,10 @@ impl Swaptions {
             }
         });
         let recovery = recovery_fn(&lay);
-        Ok(SpecDoall {
-            replicas: workers,
-            tuning: Tuning::with_unit_shards(shards),
-        }
-        .run(master, body, recovery, Some(n))?)
+        Ok(Pipeline::new()
+            .par(workers, body)
+            .shards(shards)
+            .run(master, recovery, Some(n))?)
     }
 
     /// Runs with one degenerate swaption to exercise the error path.
@@ -195,7 +177,14 @@ impl Swaptions {
         mode: Mode,
         scale: Scale,
     ) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, true))
+        let input = generate(scale, true);
+        run_on(
+            self,
+            mode,
+            scale,
+            || Self::sequential(&input, scale),
+            |mode| self.result_with_input(mode, 1, scale, &input),
+        )
     }
 }
 
@@ -234,22 +223,25 @@ impl Kernel for Swaptions {
         }
     }
 
-    fn run(&self, mode: Mode, scale: Scale) -> Result<Vec<u64>, KernelError> {
-        self.run_with_input(mode, scale, generate(scale, false))
+    fn reference(&self, scale: Scale) -> Vec<u64> {
+        Self::sequential(&generate(scale, false), scale)
     }
 
-    fn run_reported(
+    fn parallel(
         &self,
-        workers: u16,
+        mode: Mode,
         unit_shards: usize,
         scale: Scale,
     ) -> Result<RunResult, KernelError> {
-        self.result_with_input(
-            Mode::Dsmtx { workers },
-            unit_shards,
-            scale,
-            generate(scale, false),
-        )
+        self.result_with_input(mode, unit_shards, scale, &generate(scale, false))
+    }
+
+    fn output(&self, master: &MasterMem, scale: Scale) -> Result<Vec<u64>, KernelError> {
+        Ok(load_words(
+            master,
+            layout(scale)?.out_base,
+            scale.iterations,
+        ))
     }
 
     fn plan(&self, scale: Scale) -> Result<AnalysisPlan, KernelError> {

@@ -195,7 +195,7 @@ pub fn check_case(case: &FaultCase) -> RunSummary {
     let c = *case;
     let faulted = under_watchdog(
         &format!("faulted run (deadlocked recovery?)\n{}", case.reproducer()),
-        move || run_workload(c.workload, c.n, Some(c.fault_config())),
+        move || run_unwatched(c.workload, c.n, Some(c.fault_config()), 1),
     );
 
     assert_eq!(
@@ -223,8 +223,20 @@ pub fn run_workload(workload: Workload, n: u64, fault: Option<FaultConfig>) -> R
 
 /// [`run_workload`] with an explicit try-commit shard count — the
 /// differential harness runs the same workload at `unit_shards` 1, 2, and
-/// 4 and asserts bit-identical results.
+/// 4 and asserts bit-identical results. The run is under [`WATCHDOG`].
 pub fn run_workload_sharded(
+    workload: Workload,
+    n: u64,
+    fault: Option<FaultConfig>,
+    shards: usize,
+) -> RunSummary {
+    under_watchdog(
+        &format!("{workload:?} n={n} shards={shards} faults={fault:?}"),
+        move || run_unwatched(workload, n, fault, shards),
+    )
+}
+
+fn run_unwatched(
     workload: Workload,
     n: u64,
     fault: Option<FaultConfig>,

@@ -13,10 +13,13 @@
 
 use dsmtx::{IterOutcome, Region, StageRole, StageSpec};
 use dsmtx_analyze::{analyze, certify, export_cert_metrics, render_text, FindingKind, Severity};
+use dsmtx_integration_tests::under_watchdog;
 use dsmtx_mem::MasterMem;
 use dsmtx_obs::{schema, Registry};
 use dsmtx_uva::{OwnerId, VAddr};
-use dsmtx_workloads::{all_kernels, AnalysisPlan, Scale};
+use dsmtx_workloads::li::{Corpus, Li};
+use dsmtx_workloads::parser::Parser;
+use dsmtx_workloads::{all_kernels, kernel_by_name, AnalysisPlan, Scale};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -207,7 +210,12 @@ fn shipped_plans_certify_across_shard_counts() {
             analysis.report.findings
         );
         for shards in SHARD_COUNTS {
-            let result = k.run_reported(2, shards, Scale::test()).unwrap();
+            let result = under_watchdog(&format!("{name} at {shards} shard(s)"), move || {
+                kernel_by_name(name)
+                    .unwrap()
+                    .run_reported(2, shards, Scale::test())
+            })
+            .unwrap();
             let cert = certify(&analysis.report, &result.report.conflict_pages(), shards);
             export_cert_metrics(&mut reg, &cert);
             assert!(
@@ -272,32 +280,34 @@ fn certify_planted(
 
 #[test]
 fn parser_planted_unknown_certifies_non_vacuously() {
-    let k = dsmtx_workloads::parser::Parser;
     let scale = Scale::test();
-    let mut plan = k.plan_with_planted_unknown(scale).unwrap();
+    let mut plan = Parser.plan_with_planted_unknown(scale).unwrap();
     let analysis = analyze(&mut plan);
     certify_planted("197.parser(planted)", &analysis, |shards| {
-        k.run_reported_planted_unknown(2, shards, scale)
-            .unwrap()
-            .report
-            .conflict_pages()
+        under_watchdog(&format!("197.parser(planted) at {shards}"), move || {
+            Parser.run_reported_planted_unknown(2, shards, scale)
+        })
+        .unwrap()
+        .report
+        .conflict_pages()
     });
 }
 
 #[test]
 fn li_setenv_certifies_non_vacuously() {
-    let k = dsmtx_workloads::li::Li;
     let scale = Scale::test();
-    let corpus = dsmtx_workloads::li::Corpus {
+    let corpus = Corpus {
         with_setenv: true,
         with_exit: false,
     };
-    let mut plan = k.plan_corpus(scale, corpus).unwrap();
+    let mut plan = Li.plan_corpus(scale, corpus).unwrap();
     let analysis = analyze(&mut plan);
     certify_planted("130.li(setenv)", &analysis, |shards| {
-        k.run_corpus_reported(2, shards, scale, corpus)
-            .unwrap()
-            .report
-            .conflict_pages()
+        under_watchdog(&format!("130.li(setenv) at {shards}"), move || {
+            Li.run_corpus_reported(2, shards, scale, corpus)
+        })
+        .unwrap()
+        .report
+        .conflict_pages()
     });
 }

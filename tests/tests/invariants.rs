@@ -7,6 +7,7 @@ use std::sync::Arc;
 use dsmtx::{
     IterOutcome, MtxId, MtxSystem, Program, StageKind, SystemConfig, TraceKind, WorkerCtx,
 };
+use dsmtx_integration_tests::under_watchdog;
 use dsmtx_mem::MasterMem;
 use dsmtx_paradigms::Paradigm;
 use dsmtx_sim::profile::StageShape;
@@ -68,17 +69,19 @@ fn trace_invariants_under_recovery() {
     });
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 3 });
-    let result = MtxSystem::new(&cfg)
-        .unwrap()
-        .trace(true)
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(|_, _| IterOutcome::Continue),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("traced DOALL with two misspeculations", move || {
+        MtxSystem::new(&cfg)
+            .unwrap()
+            .trace(true)
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(|_, _| IterOutcome::Continue),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
 
     let trace = &result.report.trace;
     let commits: Vec<u64> = trace
@@ -147,16 +150,18 @@ fn coa_serves_committed_and_private_pages() {
     });
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 2 });
-    let result = MtxSystem::new(&cfg)
-        .unwrap()
-        .run(Program {
-            master,
-            stages: vec![body],
-            recovery: Box::new(|_, _| IterOutcome::Continue),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("COA over four input pages", move || {
+        MtxSystem::new(&cfg)
+            .unwrap()
+            .run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(|_, _| IterOutcome::Continue),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
     // Each worker faults the two input pages it reads plus its scratch
     // page (6 in all), and the try-commit shard the 4 input pages it
     // validates.
@@ -186,19 +191,21 @@ fn shard_copies_a_stored_page_instead_of_queueing_its_stores() {
     });
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 2 });
-    let result = MtxSystem::new(&cfg)
-        .unwrap()
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(move |m, mem| {
-                mem.write(word, m.0 + 1);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("DOALL storing one unloaded word", move || {
+        MtxSystem::new(&cfg)
+            .unwrap()
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |m, mem| {
+                    mem.write(word, m.0 + 1);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
     assert_eq!(result.report.recoveries, 0);
     assert_eq!(result.report.committed, N);
     assert_eq!(result.report.shard_stats[0].coa_fetches, 1);

@@ -17,21 +17,45 @@
 //! `DSMTX_UPDATE_GOLDEN=1` to regenerate after an intentional
 //! report-format change.
 
-use dsmtx::{IterOutcome, Region, StageRole, StageSpec};
+use std::sync::Arc;
+
+use dsmtx::{IterOutcome, Region, RunResult, StageRole, StageSpec};
 use dsmtx_analyze::{
     analyze, auto_plan, certify, render_plan_jsonl, render_plan_text, run_candidate, FindingKind,
-    Severity,
+    PlanOutcome, Severity,
 };
+use dsmtx_integration_tests::under_watchdog;
 use dsmtx_mem::MasterMem;
 use dsmtx_obs::json;
+use dsmtx_paradigms::ExecError;
 use dsmtx_uva::{OwnerId, VAddr};
-use dsmtx_workloads::{all_kernels, AnalysisPlan, Scale};
+use dsmtx_workloads::{all_kernels, kernel_by_name, AnalysisPlan, Scale};
 use proptest::prelude::*;
 
 /// Replicas per parallel stage when applying a candidate.
 const APPLY_REPLICAS: u16 = 2;
 /// Try-commit shards when applying a candidate.
 const APPLY_SHARDS: usize = 2;
+
+/// Applies `outcome`'s top candidate through the real runtime, on a
+/// `fresh` plan, under the watchdog.
+fn apply_best(
+    what: &str,
+    outcome: &Arc<PlanOutcome>,
+    fresh: AnalysisPlan,
+) -> Result<RunResult, ExecError> {
+    let outcome = Arc::clone(outcome);
+    under_watchdog(what, move || {
+        let best = outcome.best().expect("a viable candidate");
+        run_candidate(
+            best,
+            &outcome.raw_iters,
+            fresh,
+            APPLY_REPLICAS,
+            APPLY_SHARDS,
+        )
+    })
+}
 
 fn at(off: u64) -> VAddr {
     VAddr::new(OwnerId(0), off)
@@ -118,19 +142,13 @@ fn applied_auto_plans_certify_and_match_hand_conflicts() {
     for k in all_kernels() {
         let name = k.info().name;
         let mut plan = k.plan(Scale::test()).unwrap();
-        let outcome = auto_plan(&mut plan);
+        let outcome = Arc::new(auto_plan(&mut plan));
         let best = outcome
             .best()
             .unwrap_or_else(|| panic!("{name}: no viable auto plan"));
         let fresh = k.plan(Scale::test()).unwrap();
-        let result = run_candidate(
-            best,
-            &outcome.raw_iters,
-            fresh,
-            APPLY_REPLICAS,
-            APPLY_SHARDS,
-        )
-        .unwrap_or_else(|e| panic!("{name}: applying `{}`: {e}", best.name));
+        let what = format!("{name}: applying `{}`", best.name);
+        let result = apply_best(&what, &outcome, fresh).unwrap_or_else(|e| panic!("{what}: {e}"));
         assert_eq!(
             result.report.total_iterations(),
             outcome.iterations,
@@ -146,9 +164,12 @@ fn applied_auto_plans_certify_and_match_hand_conflicts() {
             cert.unpredicted,
             cert.predicted
         );
-        let hand = k
-            .run_reported(APPLY_REPLICAS, APPLY_SHARDS, Scale::test())
-            .unwrap();
+        let hand = under_watchdog(&format!("{name}: the hand plan"), move || {
+            kernel_by_name(name)
+                .unwrap()
+                .run_reported(APPLY_REPLICAS, APPLY_SHARDS, Scale::test())
+        })
+        .unwrap();
         auto_no_worse_somewhere |=
             result.report.validation_conflicts <= hand.report.validation_conflicts;
     }
@@ -195,7 +216,7 @@ fn planted_mispartition_refuses_the_doall_candidate() {
         )],
         shard_map: None,
     };
-    let outcome = auto_plan(&mut plan);
+    let outcome = Arc::new(auto_plan(&mut plan));
     let refused: Vec<&str> = outcome.rejected.iter().map(|r| r.name).collect();
     assert!(
         refused.contains(&"doall"),
@@ -235,14 +256,7 @@ fn planted_mispartition_refuses_the_doall_candidate() {
         stages: Vec::new(),
         shard_map: None,
     };
-    let result = run_candidate(
-        best,
-        &outcome.raw_iters,
-        fresh,
-        APPLY_REPLICAS,
-        APPLY_SHARDS,
-    )
-    .unwrap();
+    let result = apply_best("the synthetic winner", &outcome, fresh).unwrap();
     assert_eq!(result.report.total_iterations(), 8);
     let cert = certify(&best.report, &result.report.conflict_pages(), APPLY_SHARDS);
     assert!(cert.holds());

@@ -1,16 +1,28 @@
 //! Property-based tests of the runtime: randomly generated programs must
 //! match their sequential models exactly, with and without injected
-//! misspeculation.
+//! misspeculation. Every run is under the harness watchdog, and every
+//! stage body checks the iteration-limit contract.
 
 use std::sync::Arc;
 
 use dsmtx::{IterOutcome, MtxId, MtxSystem, Program, StageId, StageKind, SystemConfig, WorkerCtx};
+use dsmtx_integration_tests::under_watchdog;
 use dsmtx_mem::MasterMem;
 use dsmtx_uva::{OwnerId, RegionAllocator};
 use proptest::prelude::*;
 
 fn heap0() -> RegionAllocator {
     RegionAllocator::new(OwnerId(0))
+}
+
+/// The iteration-limit contract stage bodies rely on: the runtime never
+/// runs a stage body for an MTX at or past `iteration_limit` (`n`).
+fn assert_within_limit(mtx: MtxId, n: u64) {
+    assert!(
+        mtx.0 < n,
+        "stage body ran MTX {} at or past the limit {n}",
+        mtx.0
+    );
 }
 
 proptest! {
@@ -36,19 +48,22 @@ proptest! {
             master.write(input.add_words(i as u64), *v);
         }
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+            assert_within_limit(mtx, n);
             let x = ctx.read(input.add_words(mtx.0))?;
             ctx.write_no_forward(output.add_words(mtx.0), x.wrapping_mul(mult) ^ mtx.0)?;
             Ok(IterOutcome::Continue)
         });
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Parallel { replicas });
-        let result = MtxSystem::new(&cfg).unwrap().run(Program {
-            master,
-            stages: vec![body],
-            recovery: Box::new(|_, _| IterOutcome::Continue),
-            on_commit: None,
-            iteration_limit: Some(n),
-        }).unwrap();
+        let result = under_watchdog(&format!("DOALL n={n} x{replicas}"), move || {
+            MtxSystem::new(&cfg).unwrap().run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(|_, _| IterOutcome::Continue),
+                on_commit: None,
+                iteration_limit: Some(n),
+            }).unwrap()
+        });
         for (i, v) in values.iter().enumerate() {
             prop_assert_eq!(
                 result.master.read(output.add_words(i as u64)),
@@ -74,11 +89,13 @@ proptest! {
             master.write(input.add_words(i as u64), *v);
         }
         let first = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+            assert_within_limit(mtx, n);
             let x = ctx.read(input.add_words(mtx.0))?;
             ctx.produce(x.rotate_left(11));
             Ok(IterOutcome::Continue)
         });
-        let last = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| {
+        let last = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+            assert_within_limit(mtx, n);
             let v = ctx.consume();
             let acc = ctx.read(acc_cell)?;
             ctx.write(acc_cell, acc.wrapping_mul(1099511628211).wrapping_add(v))?;
@@ -86,13 +103,15 @@ proptest! {
         });
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Parallel { replicas }).stage(StageKind::Sequential);
-        let result = MtxSystem::new(&cfg).unwrap().run(Program {
-            master,
-            stages: vec![first, last],
-            recovery: Box::new(|_, _| IterOutcome::Continue),
-            on_commit: None,
-            iteration_limit: Some(n),
-        }).unwrap();
+        let result = under_watchdog(&format!("[DOALL x{replicas}, S] n={n}"), move || {
+            MtxSystem::new(&cfg).unwrap().run(Program {
+                master,
+                stages: vec![first, last],
+                recovery: Box::new(|_, _| IterOutcome::Continue),
+                on_commit: None,
+                iteration_limit: Some(n),
+            }).unwrap()
+        });
         let mut expect = 0u64;
         for v in &values {
             expect = expect.wrapping_mul(1099511628211).wrapping_add(v.rotate_left(11));
@@ -113,7 +132,8 @@ proptest! {
         let mut heap = heap0();
         let out = heap.alloc_words(n).unwrap();
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            if mtx.0 < n && bad(mtx.0) {
+            assert_within_limit(mtx, n);
+            if bad(mtx.0) {
                 return ctx.misspec();
             }
             ctx.write_no_forward(out.add_words(mtx.0), mtx.0 + 7)?;
@@ -121,16 +141,18 @@ proptest! {
         });
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Parallel { replicas });
-        let result = MtxSystem::new(&cfg).unwrap().run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(move |mtx, master| {
-                master.write(out.add_words(mtx.0), mtx.0 + 7);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(n),
-        }).unwrap();
+        let result = under_watchdog(&format!("DOALL n={n} x{replicas} bad={bad_bits:#x}"), move || {
+            MtxSystem::new(&cfg).unwrap().run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |mtx, master| {
+                    master.write(out.add_words(mtx.0), mtx.0 + 7);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(n),
+            }).unwrap()
+        });
         let bad_count = (0..n).filter(|&i| bad(i)).count() as u64;
         prop_assert_eq!(result.report.recoveries, bad_count);
         prop_assert_eq!(result.report.recovered_iterations, bad_count);
@@ -159,6 +181,7 @@ proptest! {
             master.write(input.add_words(i as u64), *v);
         }
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
+            assert_within_limit(mtx, n);
             if bad_at == Some(mtx.0 as usize) {
                 // Only the speculative path misspeculates; after the
                 // sequential re-execution the iteration is done.
@@ -178,19 +201,21 @@ proptest! {
         });
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Parallel { replicas }).ring(StageId(0));
-        let result = MtxSystem::new(&cfg).unwrap().run(Program {
-            master,
-            stages: vec![body],
-            recovery: Box::new(move |mtx, master| {
-                let acc = master.read(acc_cell);
-                let x = master.read(input.add_words(mtx.0));
-                master.write(acc_cell, acc + x);
-                master.write(scan.add_words(mtx.0), acc + x);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(n),
-        }).unwrap();
+        let result = under_watchdog(&format!("ring n={n} x{replicas} bad_at={bad_at:?}"), move || {
+            MtxSystem::new(&cfg).unwrap().run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(move |mtx, master| {
+                    let acc = master.read(acc_cell);
+                    let x = master.read(input.add_words(mtx.0));
+                    master.write(acc_cell, acc + x);
+                    master.write(scan.add_words(mtx.0), acc + x);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(n),
+            }).unwrap()
+        });
         let mut acc = 0u64;
         for (i, v) in values.iter().enumerate() {
             acc += v;
@@ -210,20 +235,21 @@ proptest! {
         let mut heap = heap0();
         let out = heap.alloc_words(n).unwrap();
         let body = Arc::new(move |ctx: &mut WorkerCtx, mtx: MtxId| {
-            if mtx.0 < n {
-                ctx.write_no_forward(out.add_words(mtx.0), 1)?;
-            }
+            assert_within_limit(mtx, n);
+            ctx.write_no_forward(out.add_words(mtx.0), 1)?;
             Ok(if mtx.0 == exit_at { IterOutcome::Exit } else { IterOutcome::Continue })
         });
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Parallel { replicas });
-        let result = MtxSystem::new(&cfg).unwrap().run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(|_, _| IterOutcome::Continue),
-            on_commit: None,
-            iteration_limit: Some(n),
-        }).unwrap();
+        let result = under_watchdog(&format!("DOALL n={n} x{replicas} exit_at={exit_at}"), move || {
+            MtxSystem::new(&cfg).unwrap().run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(|_, _| IterOutcome::Continue),
+                on_commit: None,
+                iteration_limit: Some(n),
+            }).unwrap()
+        });
         prop_assert_eq!(result.report.committed, exit_at + 1);
         for i in 0..=exit_at {
             prop_assert_eq!(result.master.read(out.add_words(i)), 1, "slot {}", i);

@@ -24,7 +24,8 @@
 
 use dsmtx_fabric::FaultRates;
 use dsmtx_integration_tests::{
-    run_workload_sharded, seed_from_env, FaultCase, RunSummary, Workload, ALL_WORKLOADS,
+    run_workload_sharded, seed_from_env, under_watchdog, FaultCase, RunSummary, Workload,
+    ALL_WORKLOADS,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -199,22 +200,24 @@ fn validation_and_commit_frames_ship_in_batches() {
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 2 })
         .unit_shards(2);
-    let result = MtxSystem::new(&cfg)
-        .unwrap()
-        .run(Program {
-            master,
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                let x = m.read(input.add_words(mtx.0));
-                for k in 0..STORES {
-                    m.write(data.add_words(k * N + mtx.0), x ^ (k << 40));
-                }
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("store-heavy DOALL at 2 shards", move || {
+        MtxSystem::new(&cfg)
+            .unwrap()
+            .run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    let x = m.read(input.add_words(mtx.0));
+                    for k in 0..STORES {
+                        m.write(data.add_words(k * N + mtx.0), x ^ (k << 40));
+                    }
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
     let report = &result.report;
     assert_eq!(report.recoveries, 0);
     for i in 0..N {
@@ -280,16 +283,18 @@ fn filtering_suppresses_repeat_accesses() {
         }
         Ok(IterOutcome::Continue)
     });
-    let result = MtxSystem::new(&cfg)
-        .unwrap()
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(|_, _| IterOutcome::Continue),
-            on_commit: None,
-            iteration_limit: Some(n),
-        })
-        .unwrap();
+    let result = under_watchdog("read-modify-write DOALL", move || {
+        MtxSystem::new(&cfg)
+            .unwrap()
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(|_, _| IterOutcome::Continue),
+                on_commit: None,
+                iteration_limit: Some(n),
+            })
+            .unwrap()
+    });
     assert!(
         result.report.valplane.records_filtered > 0,
         "read-modify-write loop produced no filterable accesses"

@@ -24,12 +24,14 @@ use dsmtx::{
 };
 use dsmtx_analyze::{analyze, attribute, cause_counts};
 use dsmtx_fabric::FaultRates;
-use dsmtx_integration_tests::{seed_from_env, FaultCase, Workload};
+use dsmtx_integration_tests::{seed_from_env, under_watchdog, FaultCase, Workload};
 use dsmtx_mem::MasterMem;
 use dsmtx_obs::{check_spans, AbortCause, MtxSpan, SpanOutcome};
 use dsmtx_paradigms::with_trace_default;
 use dsmtx_uva::{OwnerId, RegionAllocator};
-use dsmtx_workloads::{all_kernels, Scale};
+use dsmtx_workloads::li::{Corpus, Li};
+use dsmtx_workloads::parser::Parser;
+use dsmtx_workloads::{all_kernels, kernel_by_name, Scale};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -90,13 +92,15 @@ proptest! {
         });
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Parallel { replicas });
-        let result = MtxSystem::new(&cfg).unwrap().trace(true).run(Program {
-            master,
-            stages: vec![body],
-            recovery: Box::new(|_, _| IterOutcome::Continue),
-            on_commit: None,
-            iteration_limit: Some(n),
-        }).unwrap();
+        let result = under_watchdog(&format!("traced DOALL n={n} x{replicas}"), move || {
+            MtxSystem::new(&cfg).unwrap().trace(true).run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(|_, _| IterOutcome::Continue),
+                on_commit: None,
+                iteration_limit: Some(n),
+            }).unwrap()
+        });
         let spans = result.report.spans().spans;
         if let Err(errs) = check_spans(&spans) {
             prop_assert!(false, "malformed spans: {errs:?}");
@@ -127,17 +131,19 @@ proptest! {
         });
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Parallel { replicas });
-        let result = MtxSystem::new(&cfg).unwrap().trace(true).run(Program {
-            master,
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                let acc = m.read(acc_cell);
-                m.write(acc_cell, acc + mtx.0 + 1);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(n),
-        }).unwrap();
+        let result = under_watchdog(&format!("speculated accumulator n={n} x{replicas}"), move || {
+            MtxSystem::new(&cfg).unwrap().trace(true).run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    let acc = m.read(acc_cell);
+                    m.write(acc_cell, acc + mtx.0 + 1);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(n),
+            }).unwrap()
+        });
         prop_assert_eq!(
             result.master.read(acc_cell),
             n * (n + 1) / 2,
@@ -156,9 +162,8 @@ proptest! {
 /// hence the bounded retry loop.
 #[test]
 fn parser_planted_abort_attributes_as_predicted() {
-    let k = dsmtx_workloads::parser::Parser;
     let scale = Scale::test();
-    let mut plan = k.plan_with_planted_unknown(scale).unwrap();
+    let mut plan = Parser.plan_with_planted_unknown(scale).unwrap();
     let analysis = analyze(&mut plan);
     assert!(
         analysis.report.has_errors(),
@@ -169,7 +174,10 @@ fn parser_planted_abort_attributes_as_predicted() {
     with_trace_default(true, || {
         for _attempt in 0..8 {
             for shards in SHARD_COUNTS {
-                let result = k.run_reported_planted_unknown(2, shards, scale).unwrap();
+                let result = under_watchdog(&format!("197.parser(planted)@{shards}"), move || {
+                    Parser.run_reported_planted_unknown(2, shards, scale)
+                })
+                .unwrap();
                 let mut spans = result.report.spans().spans;
                 attribute(&mut spans, &analysis.report);
                 assert_all_aborts_explained("197.parser(planted)", &spans);
@@ -203,7 +211,12 @@ fn every_registry_abort_is_attributed() {
             let mut plan = k.plan(Scale::test()).unwrap();
             let analysis = analyze(&mut plan);
             for shards in SHARD_COUNTS {
-                let result = k.run_reported(2, shards, Scale::test()).unwrap();
+                let result = under_watchdog(&format!("{name}@{shards}"), move || {
+                    kernel_by_name(name)
+                        .unwrap()
+                        .run_reported(2, shards, Scale::test())
+                })
+                .unwrap();
                 let mut spans = result.report.spans().spans;
                 if let Err(errs) = check_spans(&spans) {
                     panic!("{name} at {shards} shard(s): malformed spans: {errs:?}");
@@ -214,28 +227,30 @@ fn every_registry_abort_is_attributed() {
         }
 
         // Planted variants: the runs most likely to abort at all.
-        let parser = dsmtx_workloads::parser::Parser;
         let scale = Scale::test();
-        let mut plan = parser.plan_with_planted_unknown(scale).unwrap();
+        let mut plan = Parser.plan_with_planted_unknown(scale).unwrap();
         let parser_lint = analyze(&mut plan);
         for shards in SHARD_COUNTS {
-            let result = parser
-                .run_reported_planted_unknown(2, shards, scale)
-                .unwrap();
+            let result = under_watchdog(&format!("parser(planted)@{shards}"), move || {
+                Parser.run_reported_planted_unknown(2, shards, scale)
+            })
+            .unwrap();
             let mut spans = result.report.spans().spans;
             attribute(&mut spans, &parser_lint.report);
             assert_all_aborts_explained(&format!("parser(planted)@{shards}"), &spans);
         }
 
-        let li = dsmtx_workloads::li::Li;
-        let corpus = dsmtx_workloads::li::Corpus {
+        let corpus = Corpus {
             with_setenv: true,
             with_exit: false,
         };
-        let mut plan = li.plan_corpus(scale, corpus).unwrap();
+        let mut plan = Li.plan_corpus(scale, corpus).unwrap();
         let li_lint = analyze(&mut plan);
         for shards in SHARD_COUNTS {
-            let result = li.run_corpus_reported(2, shards, scale, corpus).unwrap();
+            let result = under_watchdog(&format!("li(setenv)@{shards}"), move || {
+                Li.run_corpus_reported(2, shards, scale, corpus)
+            })
+            .unwrap();
             let mut spans = result.report.spans().spans;
             attribute(&mut spans, &li_lint.report);
             assert_all_aborts_explained(&format!("li(setenv)@{shards}"), &spans);
@@ -269,22 +284,24 @@ fn faulted_doall_report(seed: u64) -> RunReport {
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 3 });
     cfg.faults(case.fault_config());
-    let result = MtxSystem::new(&cfg)
-        .unwrap()
-        .trace(true)
-        .run(Program {
-            master,
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                let x = m.read(input.add_words(mtx.0));
-                m.write(out.add_words(mtx.0), x.wrapping_mul(31));
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(n),
-        })
-        .unwrap();
-    result.report
+    under_watchdog(&case.reproducer(), move || {
+        MtxSystem::new(&cfg)
+            .unwrap()
+            .trace(true)
+            .run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    let x = m.read(input.add_words(mtx.0));
+                    m.write(out.add_words(mtx.0), x.wrapping_mul(31));
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(n),
+            })
+            .unwrap()
+    })
+    .report
 }
 
 /// Fault rounds on a conflict-free DOALL: with an *empty* lint report
