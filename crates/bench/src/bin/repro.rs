@@ -52,12 +52,15 @@
 //!
 //! `--fault-seed S` runs the traced pipeline under the deterministic
 //! fault injector: rate `R` (default 0.1, `--fault-rate`) is split
-//! evenly over drop/delay/duplicate/reorder/stall on every link, and the
+//! evenly over drop and stall (the two ways a ship attempt can fail; a
+//! link delivers in order and exactly once) on every link, and the
 //! fault/retry/recovery counters flow through the same occupancy report
-//! and JSONL schema. The same seed gives every link the same decision
-//! stream (its *k*-th ship attempt always draws the same decision), but
-//! the fault counts vary from run to run: packet boundaries, and so the
-//! number of ship attempts, depend on timing.
+//! and JSONL schema. A run recovers only when some send exhausts its
+//! retry budget: `--fault-seed 1 --fault-rate 0.99` does, at every MTX.
+//! The same seed gives every link the same decision stream (its *k*-th
+//! ship attempt always draws the same decision), but the fault counts
+//! vary from run to run: packet boundaries, and so the number of ship
+//! attempts, depend on timing.
 //!
 //! The `why` section runs a workload's shipped plan with lifecycle
 //! tracing on and prints causal misspeculation chains: per-attempt
@@ -309,7 +312,7 @@ fn main() {
         let fault = fault_seed.map(|seed| {
             println!(
                 "fault injection: seed={seed:#x} rate={fault_rate} (uniform over \
-                 drop/delay/duplicate/reorder/stall, all links)"
+                 drop/stall, all links)"
             );
             dsmtx::FaultConfig::new(seed, dsmtx_fabric::FaultRates::uniform(fault_rate))
         });

@@ -217,7 +217,7 @@ mod tests {
         use dsmtx_fabric::FaultRates;
 
         let clean = run_traced_pipeline(32);
-        let fault = FaultConfig::new(7, FaultRates::uniform(0.10)).recv_timeout_us(15_000);
+        let fault = FaultConfig::new(7, FaultRates::uniform(0.10));
         let faulted = run_traced_pipeline_faulted(32, Some(fault));
         assert_eq!(clean.report.total_iterations(), 32);
         assert_eq!(faulted.report.total_iterations(), 32);

@@ -204,7 +204,7 @@ impl CommitUnit {
         let ctrl = self.ctrl.clone();
         let mut seen = EPOCH_UNSEEN;
         loop {
-            let turn = poll::wait(&ctrl, &mut seen, None, || {
+            let turn = poll::wait(&ctrl, &mut seen, || {
                 Ok(match self.turn() {
                     StepResult::Idle => None,
                     done => Some(done),

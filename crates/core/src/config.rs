@@ -13,8 +13,8 @@ use dsmtx_mem::ShardMap;
 
 use crate::ids::{MtxId, StageId, WorkerId};
 
-/// Fault-injection configuration for a run: seed, rates, and the timing
-/// knobs that convert injected faults into recoveries. The plan injects
+/// Fault-injection configuration for a run: seed, rates, and the retry
+/// budget that converts injected faults into recoveries. The plan injects
 /// into every link of the run; every link starts at a worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
@@ -22,29 +22,19 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Per-class fault probabilities.
     pub rates: FaultRates,
-    /// Deadline on blocking data receives, microseconds; silence past it
-    /// raises a fabric-timeout recovery request.
-    pub recv_timeout_us: u64,
-    /// Send-side retry budget before a flush gives up with a timeout.
+    /// Send-side retry budget: an exhausted one raises a fabric-timeout
+    /// recovery request, the only way a fault escalates.
     pub retry: RetryPolicy,
 }
 
 impl FaultConfig {
-    /// A plan over every link with 50 ms receive deadlines and the default
-    /// retry budget.
+    /// A plan over every link with the default retry budget.
     pub fn new(seed: u64, rates: FaultRates) -> Self {
         FaultConfig {
             seed,
             rates,
-            recv_timeout_us: 50_000,
             retry: RetryPolicy::DEFAULT,
         }
-    }
-
-    /// Sets the blocking-receive deadline in microseconds.
-    pub fn recv_timeout_us(mut self, us: u64) -> Self {
-        self.recv_timeout_us = us;
-        self
     }
 
     /// Sets the send-side retry budget.
@@ -378,13 +368,6 @@ impl PipelineShape {
     pub fn fault(&self) -> Option<&FaultConfig> {
         self.fault.as_ref()
     }
-
-    /// The blocking-receive deadline implied by the fault plan, if any.
-    pub fn recv_deadline(&self) -> Option<std::time::Duration> {
-        self.fault
-            .as_ref()
-            .map(|f| std::time::Duration::from_micros(f.recv_timeout_us))
-    }
 }
 
 #[cfg(test)]
@@ -519,20 +502,15 @@ mod tests {
     fn fault_config_flows_into_the_shape() {
         let mut cfg = SystemConfig::new();
         cfg.stage(StageKind::Sequential)
-            .faults(FaultConfig::new(0xABCD, FaultRates::only_drop(0.1)).recv_timeout_us(10_000));
+            .faults(FaultConfig::new(0xABCD, FaultRates::only_drop(0.1)));
         let p = cfg.build().unwrap();
         let f = p.fault().expect("plan installed");
         assert_eq!(f.seed, 0xABCD);
-        assert_eq!(
-            p.recv_deadline(),
-            Some(std::time::Duration::from_millis(10))
-        );
         // Fault-free shape exposes nothing.
         let mut plain = SystemConfig::new();
         plain.stage(StageKind::Sequential);
         let p = plain.build().unwrap();
         assert!(p.fault().is_none());
-        assert_eq!(p.recv_deadline(), None);
     }
 
     #[test]

@@ -52,9 +52,9 @@ pub enum Interrupt {
     /// A communication peer vanished — only possible on internal error or
     /// panic of another thread.
     ChannelDown,
-    /// A fabric transfer exhausted its retry budget (or a receive missed
-    /// its deadline). The thread must request a timeout-driven recovery
-    /// round and rendezvous at the barriers.
+    /// A fabric transfer exhausted its retry budget. The thread must
+    /// request a timeout-driven recovery round and rendezvous at the
+    /// barriers.
     FabricTimeout,
 }
 

@@ -14,7 +14,7 @@
 //!   group commit, and a commit the copies in flight. No role waits on
 //!   anything while it holds that lock, so both waits are short.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::control::{ControlPlane, Interrupt};
 
@@ -51,42 +51,30 @@ fn back_off(round: u32) {
 /// control plane, then runs `step`, then backs off; the backoff restarts
 /// with every call.
 ///
-/// * `seen_epoch` is the caller's cached control epoch (see
-///   [`ControlPlane::poll`]). An interrupt wins over ready work: while the
-///   control plane has news the caller has not seen, `wait` returns it
-///   without running `step`.
-/// * `deadline` bounds an unproductive wait (when `Some`). A peer silenced
-///   by injected faults (or a real hang) must not pin this thread forever:
-///   expiry converts the silence into a recovery request. The clock starts
-///   at the first unproductive attempt, so a ready value never pays for an
-///   `Instant::now`.
+/// `seen_epoch` is the caller's cached control epoch (see
+/// [`ControlPlane::poll`]). An interrupt wins over ready work: while the
+/// control plane has news the caller has not seen, `wait` returns it
+/// without running `step`. The wait has no clock of its own: a fault
+/// escalates only through the sender's retry budget, whose exhaustion
+/// `step` reports, and the recovery round the sender then asks for
+/// releases a receiver that waits on it.
 ///
 /// # Errors
 ///
-/// Returns the interrupt published on the control plane, the error `step`
-/// returned, or [`Interrupt::FabricTimeout`] once `deadline` expires.
+/// Returns the interrupt published on the control plane, or the error
+/// `step` returned.
 pub fn wait<T>(
     ctrl: &ControlPlane,
     seen_epoch: &mut u64,
-    deadline: Option<Duration>,
     mut step: impl FnMut() -> Result<Option<T>, Interrupt>,
 ) -> Result<T, Interrupt> {
     let mut round = 0u32;
-    let mut expiry: Option<Instant> = None;
     loop {
         if let Some(intr) = ctrl.poll(seen_epoch) {
             return Err(intr);
         }
         if let Some(v) = step()? {
             return Ok(v);
-        }
-        if let Some(limit) = deadline {
-            let now = Instant::now();
-            match expiry {
-                None => expiry = Some(now + limit),
-                Some(at) if now >= at => return Err(Interrupt::FabricTimeout),
-                Some(_) => {}
-            }
         }
         round = round.saturating_add(1);
         back_off(round);
@@ -104,7 +92,7 @@ mod tests {
         let ctrl = ControlPlane::new(1);
         let mut seen = ctrl.epoch();
         let mut tries = 0;
-        let v = wait(&ctrl, &mut seen, None, || {
+        let v = wait(&ctrl, &mut seen, || {
             tries += 1;
             Ok(if tries >= 3 { Some(42) } else { None })
         })
@@ -118,7 +106,7 @@ mod tests {
         let ctrl = ControlPlane::new(1);
         let mut seen = ctrl.epoch();
         ctrl.publish(Status::Recovering { boundary: MtxId(2) });
-        let r: Result<(), _> = wait(&ctrl, &mut seen, None, || Ok(None));
+        let r: Result<(), _> = wait(&ctrl, &mut seen, || Ok(None));
         assert_eq!(r.unwrap_err(), Interrupt::Recovery { boundary: MtxId(2) });
     }
 
@@ -126,34 +114,8 @@ mod tests {
     fn wait_propagates_step_errors() {
         let ctrl = ControlPlane::new(1);
         let mut seen = ctrl.epoch();
-        let r: Result<(), _> = wait(&ctrl, &mut seen, None, || Err(Interrupt::ChannelDown));
+        let r: Result<(), _> = wait(&ctrl, &mut seen, || Err(Interrupt::ChannelDown));
         assert_eq!(r.unwrap_err(), Interrupt::ChannelDown);
-    }
-
-    #[test]
-    fn wait_times_out_on_silence() {
-        let ctrl = ControlPlane::new(1);
-        let mut seen = ctrl.epoch();
-        let started = Instant::now();
-        let r: Result<(), _> = wait(&ctrl, &mut seen, Some(Duration::from_millis(10)), || {
-            Ok(None)
-        });
-        assert_eq!(r.unwrap_err(), Interrupt::FabricTimeout);
-        assert!(started.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn wait_with_deadline_prefers_data_and_interrupts() {
-        let ctrl = ControlPlane::new(1);
-        let mut seen = ctrl.epoch();
-        let v = wait(&ctrl, &mut seen, Some(Duration::from_secs(10)), || {
-            Ok(Some(7))
-        })
-        .unwrap();
-        assert_eq!(v, 7);
-        ctrl.publish(Status::Terminating { last: None });
-        let r: Result<(), _> = wait(&ctrl, &mut seen, Some(Duration::from_secs(10)), || Ok(None));
-        assert_eq!(r.unwrap_err(), Interrupt::Terminate);
     }
 
     #[test]
@@ -162,14 +124,14 @@ mod tests {
         let mut seen = ctrl.epoch();
         ctrl.publish(Status::Recovering { boundary: MtxId(4) });
         let mut steps = 0;
-        let r = wait(&ctrl, &mut seen, None, || {
+        let r = wait(&ctrl, &mut seen, || {
             steps += 1;
             Ok(Some(9))
         });
         assert_eq!(r, Err(Interrupt::Recovery { boundary: MtxId(4) }));
         assert_eq!(steps, 0, "step ran before the interrupt was seen");
         // The interrupt is consumed: the next wait hands out the value.
-        let r = wait(&ctrl, &mut seen, None, || {
+        let r = wait(&ctrl, &mut seen, || {
             steps += 1;
             Ok(Some(9))
         });

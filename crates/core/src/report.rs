@@ -104,8 +104,8 @@ pub struct RunReport {
     /// Misspeculations workers declared explicitly (`mtx_misspec`,
     /// failed control-flow speculation).
     pub worker_misspecs: u64,
-    /// Fabric-timeout recovery requests raised (exhausted send retries or
-    /// expired receive deadlines under fault injection).
+    /// Fabric-timeout recovery requests raised (send retry budgets
+    /// exhausted under fault injection).
     pub fabric_timeouts: u64,
     /// Recovery rounds run in answer to fabric-timeout requests.
     pub fault_recoveries: u64,

@@ -27,8 +27,6 @@
 
 use std::collections::VecDeque;
 
-use std::time::Duration;
-
 use dsmtx_fabric::{FabricError, FabricStats, RecvPort, SendPort};
 use dsmtx_mem::{AccessKind, AccessRecord, SpecMem};
 use dsmtx_uva::{RegionAllocator, VAddr};
@@ -205,9 +203,6 @@ pub struct WorkerCtx {
     pub(crate) shape: PipelineShape,
     /// This worker's own trace buffer.
     pub(crate) trace: TraceBuffer,
-    /// Receive deadline under fault injection (`None` = wait forever).
-    /// Converts a peer silenced by faults into [`Interrupt::FabricTimeout`].
-    data_timeout: Option<Duration>,
 
     spec: SpecMem,
     /// Where first touches copy committed pages from.
@@ -286,7 +281,7 @@ impl UnitLink {
     /// wait ends.
     fn ship(&mut self) -> Result<(), Interrupt> {
         let Self { ctrl, epoch, port } = self;
-        poll::wait(ctrl, epoch, None, || shipped(port))
+        poll::wait(ctrl, epoch, || shipped(port))
     }
 
     /// The worker's one blocking primitive: [`poll::wait`] on `step`,
@@ -294,14 +289,13 @@ impl UnitLink {
     /// that finds nothing.
     fn wait<T>(
         &mut self,
-        timeout: Option<Duration>,
         mut step: impl FnMut() -> Result<Option<T>, Interrupt>,
     ) -> Result<T, Interrupt> {
         if let Some(v) = step()? {
             return Ok(v);
         }
         self.ship()?;
-        poll::wait(&self.ctrl, &mut self.epoch, timeout, step)
+        poll::wait(&self.ctrl, &mut self.epoch, step)
     }
 }
 
@@ -323,13 +317,11 @@ impl WorkerCtx {
     pub(crate) fn new(w: WorkerWiring) -> Self {
         let stage = w.shape.stage_of(w.worker);
         let n_stages = w.shape.n_stages() as usize;
-        let data_timeout = w.shape.recv_deadline();
         WorkerCtx {
             worker: w.worker,
             stage,
             shape: w.shape,
             trace: w.trace,
-            data_timeout,
             spec: SpecMem::new(),
             committed: w.committed,
             heap: w.heap,
@@ -581,7 +573,7 @@ impl WorkerCtx {
         // Block until the commit unit orchestrates recovery; the wait
         // ships the notice together with every frame the commit unit
         // needs to reach this MTX.
-        self.link.wait(None, || Ok(None::<T>))
+        self.link.wait(|| Ok(None::<T>))
     }
 
     // ------------------------------------------------------------------
@@ -743,7 +735,7 @@ impl WorkerCtx {
                 send(port, Msg::User { value })?;
             }
             send(port, Msg::FrameEnd { mtx })?;
-            link.wait(None, || shipped(port))?;
+            link.wait(|| shipped(port))?;
         }
         self.forwards.clear();
         self.produces.clear();
@@ -769,7 +761,7 @@ impl WorkerCtx {
                         send(port, Msg::User { value })?;
                     }
                     send(port, Msg::FrameEnd { mtx: next_mtx })?;
-                    link.wait(None, || shipped(port))?;
+                    link.wait(|| shipped(port))?;
                 }
             }
             self.ring_produces.clear();
@@ -794,17 +786,15 @@ impl WorkerCtx {
             users,
             ring_in_vals,
             link,
-            data_timeout,
             ..
         } = self;
-        let timeout = *data_timeout;
         let port = inn
             .iter_mut()
             .find(|(id, _)| *id == src)
             .map(|(_, p)| p)
             .unwrap_or_else(|| panic!("no data queue from {src}"));
 
-        let first = link.wait(timeout, || port.try_consume().map_err(classify))?;
+        let first = link.wait(|| port.try_consume().map_err(classify))?;
         match first {
             Msg::FrameBegin { mtx: m } => {
                 assert_eq!(m, mtx, "frame out of order from {src}: got {m}, want {mtx}")
@@ -812,7 +802,7 @@ impl WorkerCtx {
             other => panic!("expected FrameBegin from {src}, got {other:?}"),
         }
         loop {
-            let msg = link.wait(timeout, || port.try_consume().map_err(classify))?;
+            let msg = link.wait(|| port.try_consume().map_err(classify))?;
             match msg {
                 Msg::Forward { addr, value } => spec.apply_forwarded(VAddr::from_raw(addr), value),
                 Msg::User { value } => {
@@ -834,7 +824,7 @@ impl WorkerCtx {
     /// Blocks until an interrupt arrives (used when this worker has no
     /// iterations left under an iteration limit).
     pub(crate) fn idle_until_interrupt(&mut self) -> Result<(), Interrupt> {
-        self.link.wait(None, || Ok(None::<()>))
+        self.link.wait(|| Ok(None::<()>))
     }
 
     /// Raises a timeout-driven recovery request on the control plane and
@@ -845,7 +835,7 @@ impl WorkerCtx {
     pub(crate) fn request_fault_recovery(&mut self) -> Interrupt {
         self.link.ctrl.raise_fabric_fault();
         loop {
-            match self.link.wait(None, || Ok(None::<()>)) {
+            match self.link.wait(|| Ok(None::<()>)) {
                 Ok(()) => unreachable!("step never yields"),
                 // Shipping the held frames ran out of retries again; the
                 // request raised above already covers it.
@@ -969,6 +959,12 @@ pub(crate) fn worker_main(mut ctx: WorkerCtx, stage_fn: StageFn, limit: Option<u
         } else {
             run_iteration(&mut ctx, next, &stage_fn)
         };
+        // A transfer exhausted its retry budget: ask the commit unit for a
+        // recovery round, and handle its answer like any other interrupt.
+        let result = match result {
+            Err(Interrupt::FabricTimeout) => Err(ctx.request_fault_recovery()),
+            other => other,
+        };
         match result {
             Ok(()) => next = ctx.shape.next_assigned(ctx.worker, next.next()),
             Err(Interrupt::Recovery { boundary }) => {
@@ -983,23 +979,7 @@ pub(crate) fn worker_main(mut ctx: WorkerCtx, stage_fn: StageFn, limit: Option<u
                 break;
             }
             Err(Interrupt::FabricTimeout) => {
-                // A transfer exhausted its retry budget (or a receive
-                // starved past its deadline). Ask the commit unit for a
-                // recovery round and rendezvous.
-                match ctx.request_fault_recovery() {
-                    Interrupt::Recovery { boundary } => {
-                        ctx.do_recovery(boundary);
-                        next = ctx.shape.next_assigned(ctx.worker, boundary.next());
-                    }
-                    Interrupt::Terminate => break,
-                    Interrupt::ChannelDown => {
-                        ctx.link.ctrl.report_channel_down();
-                        break;
-                    }
-                    Interrupt::FabricTimeout => {
-                        unreachable!("request_fault_recovery absorbs timeouts")
-                    }
-                }
+                unreachable!("request_fault_recovery absorbs timeouts")
             }
         }
     }
@@ -1026,7 +1006,7 @@ mod tests {
         let (mut tx, rx) = channel::<Msg>(8, 4);
         drop(rx);
         tx.produce(Msg::User { value: 0 }).unwrap();
-        let r = poll::wait(&ctrl, &mut epoch, None, || shipped(&mut tx));
+        let r = poll::wait(&ctrl, &mut epoch, || shipped(&mut tx));
         assert_eq!(r.unwrap_err(), Interrupt::ChannelDown);
     }
 
@@ -1043,7 +1023,7 @@ mod tests {
             RetryPolicy { max_attempts: 4 },
         );
         tx.produce(Msg::User { value: 0 }).unwrap();
-        let r = poll::wait(&ctrl, &mut epoch, None, || shipped(&mut tx));
+        let r = poll::wait(&ctrl, &mut epoch, || shipped(&mut tx));
         assert_eq!(r.unwrap_err(), Interrupt::FabricTimeout);
     }
 

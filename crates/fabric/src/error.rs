@@ -14,8 +14,8 @@ pub enum FabricError {
     /// A transfer attempt was consumed by an injected fault or a full
     /// transport while a fault plan is active; retry budget remains.
     Retriable,
-    /// The bounded retry budget (or a receive deadline) was exhausted.
-    /// The runtime treats this as a fabric fault and enters recovery.
+    /// The bounded retry budget was exhausted. The runtime treats this as
+    /// a fabric fault and enters recovery.
     Timeout,
 }
 

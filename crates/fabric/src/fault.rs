@@ -1,13 +1,15 @@
 //! Deterministic, seed-driven fault injection for the fabric.
 //!
-//! A real commodity cluster drops, delays, duplicates, and reorders
-//! messages, and whole nodes stall under load. The paper's recovery
-//! protocol (§4.3) must survive all of that, so this module gives every
-//! queue an optional [`FaultInjector`] that perturbs the ship path with a
-//! schedule derived *only* from a `u64` seed and per-class rates. Two runs
-//! with the same [`FaultPlan`] and the same per-link send sequences draw
-//! identical fault decisions, which is what makes a failing schedule
-//! replayable from its `(seed, rates)` tuple.
+//! A link delivers in order and exactly once, like the MPI
+//! point-to-point messages it stands in for (MPI's non-overtaking rule).
+//! What a commodity cluster can still do to a send is fail it, or stall
+//! the peer so that sends fail for a while. The paper's recovery protocol
+//! (§4.3) must survive both, so this module gives every queue an optional
+//! [`FaultInjector`] that fails ship attempts on a schedule derived
+//! *only* from a `u64` seed and per-class rates. Two runs with the same
+//! [`FaultPlan`] and the same per-link send sequences draw identical
+//! fault decisions, which is what makes a failing schedule replayable
+//! from its `(seed, rates)` tuple.
 //!
 //! The injector is pure decision logic: it owns the RNG and the stall
 //! window state but touches neither the transport nor the statistics.
@@ -17,21 +19,16 @@
 /// Per-class fault probabilities, each in `[0, 1]`.
 ///
 /// The classes are mutually exclusive per decision: one uniform draw is
-/// partitioned by cumulative thresholds, so `drop + delay + duplicate +
-/// reorder + stall` must not exceed 1.
+/// partitioned by cumulative thresholds, so `drop + stall` must not
+/// exceed 1. Both classes fail the ship attempt they hit; the packet
+/// stays queued for the next one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRates {
-    /// Packet is discarded; the sender must retry.
+    /// The attempt fails; the sender must retry.
     pub drop: f64,
-    /// Packet ship is deferred to a later attempt.
-    pub delay: f64,
-    /// Packet is shipped twice back-to-back.
-    pub duplicate: f64,
-    /// Packet is held and shipped after its successor (swapped on the wire).
-    pub reorder: f64,
-    /// The endpoint goes unresponsive for [`FaultRates::stall_ops`] ship
-    /// attempts — the "crash" model: bounded unavailability that forces the
-    /// peer into timeout-driven recovery.
+    /// The endpoint goes unresponsive for [`FaultRates::stall_ops`] more
+    /// ship attempts — the "crash" model: bounded unavailability that
+    /// can outlast the sender's retry budget.
     pub stall: f64,
     /// Length of a stall window, in consecutive ship attempts.
     pub stall_ops: u32,
@@ -41,41 +38,14 @@ impl FaultRates {
     /// All-zero rates: the injector never fires.
     pub const NONE: FaultRates = FaultRates {
         drop: 0.0,
-        delay: 0.0,
-        duplicate: 0.0,
-        reorder: 0.0,
         stall: 0.0,
         stall_ops: 0,
     };
 
-    /// A single-class schedule dropping packets with probability `p`.
+    /// A single-class schedule dropping attempts with probability `p`.
     pub fn only_drop(p: f64) -> Self {
         FaultRates {
             drop: p,
-            ..Self::NONE
-        }
-    }
-
-    /// A single-class schedule delaying packets with probability `p`.
-    pub fn only_delay(p: f64) -> Self {
-        FaultRates {
-            delay: p,
-            ..Self::NONE
-        }
-    }
-
-    /// A single-class schedule duplicating packets with probability `p`.
-    pub fn only_duplicate(p: f64) -> Self {
-        FaultRates {
-            duplicate: p,
-            ..Self::NONE
-        }
-    }
-
-    /// A single-class schedule reordering packets with probability `p`.
-    pub fn only_reorder(p: f64) -> Self {
-        FaultRates {
-            reorder: p,
             ..Self::NONE
         }
     }
@@ -90,37 +60,22 @@ impl FaultRates {
         }
     }
 
-    /// An even mix of every class, `p` total fault probability.
+    /// An even mix of both classes, `p` total fault probability.
     pub fn uniform(p: f64) -> Self {
-        let each = p / 5.0;
         FaultRates {
-            drop: each,
-            delay: each,
-            duplicate: each,
-            reorder: each,
-            stall: each,
+            drop: p / 2.0,
+            stall: p / 2.0,
             stall_ops: 4,
         }
     }
 
     /// Sum of all class probabilities.
     pub fn total(&self) -> f64 {
-        self.drop + self.delay + self.duplicate + self.reorder + self.stall
-    }
-
-    /// True when no class can ever fire.
-    pub fn is_none(&self) -> bool {
-        self.total() == 0.0
+        self.drop + self.stall
     }
 
     fn validate(&self) {
-        for (name, p) in [
-            ("drop", self.drop),
-            ("delay", self.delay),
-            ("duplicate", self.duplicate),
-            ("reorder", self.reorder),
-            ("stall", self.stall),
-        ] {
+        for (name, p) in [("drop", self.drop), ("stall", self.stall)] {
             assert!(
                 (0.0..=1.0).contains(&p),
                 "fault rate `{name}` = {p} outside [0, 1]"
@@ -138,8 +93,8 @@ impl std::fmt::Display for FaultRates {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "drop={} delay={} dup={} reorder={} stall={}x{}",
-            self.drop, self.delay, self.duplicate, self.reorder, self.stall, self.stall_ops
+            "drop={} stall={}x{}",
+            self.drop, self.stall, self.stall_ops
         )
     }
 }
@@ -149,23 +104,18 @@ impl std::fmt::Display for FaultRates {
 pub enum FaultDecision {
     /// Ship normally.
     None,
-    /// Discard this attempt; the packet stays queued for retry.
+    /// Fail this attempt; the packet stays queued for retry.
     Drop,
-    /// Defer this attempt; the packet stays queued for retry.
-    Delay,
-    /// Ship the packet twice.
-    Duplicate,
-    /// Hold the packet; ship it after its successor.
-    Reorder,
-    /// Endpoint is inside a stall window; the attempt does nothing.
+    /// The endpoint is inside a stall window; the attempt fails and the
+    /// packet stays queued for retry.
     Stall,
 }
 
 /// Retry budget for faulted sends.
 ///
 /// The budget counts ship attempts, not time: the sender's own wait
-/// paces the attempts (in the runtime, `dsmtx::poll::wait`'s backoff or
-/// the next unit turn).
+/// paces the attempts (in the runtime, a worker's `dsmtx::poll::wait`
+/// backoff). An exhausted budget is the only way a fault escalates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts before a send gives up with [`crate::FabricError::Timeout`].
@@ -205,16 +155,6 @@ impl FaultPlan {
         FaultPlan { seed, rates }
     }
 
-    /// The seed the plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The per-class rates.
-    pub fn rates(&self) -> FaultRates {
-        self.rates
-    }
-
     /// Derives the injector for link `link`. Deterministic: the same
     /// `(seed, link)` always yields the same decision stream.
     pub fn injector(&self, link: u64) -> FaultInjector {
@@ -248,38 +188,14 @@ impl FaultInjector {
         }
         let u = unit_f64(splitmix64(&mut self.rng));
         let r = &self.rates;
-        let mut edge = r.drop;
-        if u < edge {
+        if u < r.drop {
             return FaultDecision::Drop;
         }
-        edge += r.delay;
-        if u < edge {
-            return FaultDecision::Delay;
-        }
-        edge += r.duplicate;
-        if u < edge {
-            return FaultDecision::Duplicate;
-        }
-        edge += r.reorder;
-        if u < edge {
-            return FaultDecision::Reorder;
-        }
-        edge += r.stall;
-        if u < edge {
+        if u < r.drop + r.stall {
             self.stalled_for = r.stall_ops;
             return FaultDecision::Stall;
         }
         FaultDecision::None
-    }
-
-    /// The rates the injector was derived with.
-    pub fn rates(&self) -> FaultRates {
-        self.rates
-    }
-
-    /// True while the endpoint is inside a stall window.
-    pub fn stalled(&self) -> bool {
-        self.stalled_for > 0
     }
 }
 
@@ -392,15 +308,15 @@ mod tests {
             0,
             FaultRates {
                 drop: 0.5,
-                delay: 0.6,
-                ..FaultRates::NONE
+                stall: 0.6,
+                stall_ops: 1,
             },
         );
     }
 
     #[test]
     fn rates_display_is_compact() {
-        let s = FaultRates::uniform(0.5).to_string();
+        let s = FaultRates::uniform(0.2).to_string();
         assert!(s.contains("drop=0.1"));
         assert!(s.contains("stall=0.1x4"));
     }

@@ -20,7 +20,9 @@
 //! The rest supports that queue:
 //!
 //! * [`channel_faulted`] opens a link whose send path runs under a
-//!   [`FaultInjector`] drawn from a seeded [`FaultPlan`].
+//!   [`FaultInjector`] drawn from a seeded [`FaultPlan`]. A link
+//!   delivers in order and exactly once, as MPI does, so a fault can
+//!   only fail a ship attempt (a drop, or a stall window of attempts).
 //!   [`SendPort::try_flush`] is the queue's one ship path: each call is
 //!   one attempt, a [`RetryPolicy`] bounds how many attempts faults may
 //!   consume, and the caller's own wait paces them ([`SendPort::flush`]

@@ -20,19 +20,18 @@
 //!
 //! # Fault injection
 //!
-//! A queue built through [`channel_faulted`] carries an optional
-//! [`FaultInjector`] that perturbs the ship path: packets are sequence
-//! numbered, and injected drops/delays/stalls consume attempts from a
-//! bounded [`RetryPolicy`] budget ([`FabricError::Retriable`] while budget
-//! remains, [`FabricError::Timeout`] once it exhausts). Duplicates ship a
-//! ghost copy with a stale sequence number; reorders hold a packet and swap
-//! it with its successor on the wire. The receiver discards duplicates and
-//! re-sequences out-of-order arrivals, so a correct run delivers the exact
-//! produced sequence regardless of the schedule. Recovery pairs
-//! [`SendPort::clear`] with [`RecvPort::drain`]; the drain arms a resync so
-//! the next packet re-baselines the expected sequence number.
+//! A link delivers in order and exactly once, as an MPI point-to-point
+//! channel does (MPI's non-overtaking rule): the transport is one bounded
+//! FIFO with one producer and one consumer, so the receiver accepts every
+//! packet as it arrives. A queue built through [`channel_faulted`]
+//! carries an optional [`FaultInjector`] that can only fail a ship
+//! attempt: an injected drop or stall leaves the packet queued and
+//! consumes an attempt from a bounded [`RetryPolicy`] budget
+//! ([`FabricError::Retriable`] while budget remains,
+//! [`FabricError::Timeout`] once it exhausts). Recovery pairs
+//! [`SendPort::clear`] with [`RecvPort::drain`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use crossbeam::channel;
@@ -42,10 +41,9 @@ use crate::error::{FabricError, Result};
 use crate::fault::{FaultDecision, FaultInjector, RetryPolicy};
 use crate::stats::FabricStats;
 
-/// A packet on the wire: a sequence-numbered batch of values.
+/// A packet on the wire: one batch of values.
 #[derive(Debug)]
 struct Packet<T> {
-    seq: u64,
     batch: Vec<T>,
     /// When the packet hit the transport; the receiver turns this into
     /// the queue-dwell histogram (`fabric.queue_dwell_us`).
@@ -68,12 +66,8 @@ pub struct SendPort<T> {
     stats: FabricStats,
     fault: Option<FaultInjector>,
     retry: RetryPolicy,
-    /// Sequence number of the next logical packet.
-    next_seq: u64,
     /// Consecutive consumed attempts for the packet at the head.
     attempts: u32,
-    /// A reorder-held packet (seq already assigned) awaiting its successor.
-    held: Option<(u64, Vec<T>)>,
     /// Batch buffers recycled by the receiver after unpacking.
     free_rx: channel::Receiver<Vec<T>>,
 }
@@ -85,16 +79,8 @@ pub struct RecvPort<T> {
     cur: VecDeque<T>,
     item_bytes: u64,
     cost: CostModel,
-    /// What this end unpacked, discarded and drained.
+    /// What this end unpacked and drained.
     stats: FabricStats,
-    /// Next sequence number expected in order.
-    expected_seq: u64,
-    /// Packets that arrived ahead of sequence, keyed by seq.
-    ooo: BTreeMap<u64, Vec<T>>,
-    /// Accept the next data packet's seq as the new baseline (armed by
-    /// [`RecvPort::drain`], because the peer's `clear` may have retired
-    /// sequence numbers that will never arrive).
-    resync: bool,
     /// Returns drained batch buffers to the sender for reuse.
     free_tx: channel::Sender<Vec<T>>,
 }
@@ -159,9 +145,7 @@ pub fn channel_faulted<T>(
             stats: FabricStats::new(),
             fault,
             retry,
-            next_seq: 0,
             attempts: 0,
-            held: None,
             free_rx,
         },
         RecvPort {
@@ -170,9 +154,6 @@ pub fn channel_faulted<T>(
             item_bytes: std::mem::size_of::<T>() as u64,
             cost,
             stats: FabricStats::new(),
-            expected_seq: 0,
-            ooo: BTreeMap::new(),
-            resync: false,
             free_tx,
         },
     )
@@ -238,9 +219,9 @@ impl<T> SendPort<T> {
     /// (none without a fault plan).
     ///
     /// Returns `Ok(true)` when nothing remains pending (sent, or nothing
-    /// to send) and `Ok(false)` when the transport is full or a reordered
-    /// packet is still held — retry later. Interruptible senders (the
-    /// DSMTX recovery protocol) poll this from their own wait.
+    /// to send) and `Ok(false)` when the transport is full — retry later.
+    /// Interruptible senders (the DSMTX recovery protocol) poll this from
+    /// their own wait.
     ///
     /// # Errors
     ///
@@ -249,88 +230,44 @@ impl<T> SendPort<T> {
     /// * [`FabricError::Timeout`] — the retry budget exhausted.
     /// * [`FabricError::Disconnected`] if the consumer was dropped.
     pub fn try_flush(&mut self) -> Result<bool> {
-        if !self.buf.is_empty() {
-            // One held packet at a time: while a reordered packet waits,
-            // its successor ships untouched (that IS the swap).
-            let decision = match (&mut self.fault, &self.held) {
-                (Some(fault), None) => fault.decide(),
-                _ => FaultDecision::None,
-            };
-            match decision {
+        if self.buf.is_empty() {
+            return Ok(true);
+        }
+        if let Some(fault) = &mut self.fault {
+            match fault.decide() {
+                FaultDecision::None => {}
                 FaultDecision::Drop => {
                     self.stats.fault_drops += 1;
-                    return self.consume_attempt(true);
-                }
-                FaultDecision::Delay => {
-                    self.stats.fault_delays += 1;
                     return self.consume_attempt(true);
                 }
                 FaultDecision::Stall => {
                     self.stats.fault_stalls += 1;
                     return self.consume_attempt(true);
                 }
-                FaultDecision::Reorder => {
-                    // Hold the packet with its seq; it ships right after
-                    // its successor (or at the next flush, if no successor
-                    // materializes), arriving out of order at the peer.
-                    // Reporting `false` keeps pollers coming back until
-                    // the held packet actually leaves.
-                    let fresh = self.next_buf();
-                    let batch = std::mem::replace(&mut self.buf, fresh);
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.held = Some((seq, batch));
-                    self.attempts = 0;
-                    self.stats.fault_reorders += 1;
-                    return Ok(false);
-                }
-                FaultDecision::None | FaultDecision::Duplicate => {
-                    // `take` leaves a capacity-zero Vec; a real buffer is
-                    // pulled from the freelist only after the packet
-                    // ships, so a full transport wastes no allocation.
-                    let batch = std::mem::take(&mut self.buf);
-                    let seq = self.next_seq;
-                    match self.raw_try_send(seq, batch)? {
-                        None => {
-                            self.next_seq += 1;
-                            self.attempts = 0;
-                            self.buf = self.next_buf();
-                            if decision == FaultDecision::Duplicate {
-                                // Best-effort ghost copy with the stale
-                                // seq; the receiver must discard it. (No
-                                // payload: `T` need not be `Clone`.)
-                                self.stats.fault_dups += 1;
-                                let _ = self.tx.try_send(Packet {
-                                    seq,
-                                    batch: Vec::new(),
-                                    shipped: Instant::now(),
-                                });
-                            }
-                        }
-                        Some(batch) => {
-                            self.buf = batch;
-                            return self.consume_attempt(false);
-                        }
-                    }
-                }
             }
         }
-        self.ship_held()
-    }
-
-    /// Attempts to ship a reorder-held packet. Returns `Ok(true)` when
-    /// nothing remains pending.
-    fn ship_held(&mut self) -> Result<bool> {
-        if let Some((seq, batch)) = self.held.take() {
-            match self.raw_try_send(seq, batch)? {
-                None => {}
-                Some(batch) => {
-                    self.held = Some((seq, batch));
-                    return self.consume_attempt(false);
-                }
+        // `take` leaves a capacity-zero Vec; a real buffer is pulled from
+        // the freelist only after the packet ships, so a full transport
+        // wastes no allocation.
+        let batch = std::mem::take(&mut self.buf);
+        let items = batch.len() as u64;
+        match self.tx.try_send(Packet {
+            batch,
+            shipped: Instant::now(),
+        }) {
+            Ok(()) => {
+                self.cost.charge_send();
+                self.stats.record_packet(items, items * self.item_bytes);
+                self.attempts = 0;
+                self.buf = self.next_buf();
+                Ok(true)
             }
+            Err(channel::TrySendError::Full(Packet { batch, .. })) => {
+                self.buf = batch;
+                self.consume_attempt(false)
+            }
+            Err(channel::TrySendError::Disconnected(_)) => Err(FabricError::Disconnected),
         }
-        Ok(self.buf.is_empty() && self.held.is_none())
     }
 
     /// Books one consumed attempt against the retry budget.
@@ -358,43 +295,20 @@ impl<T> SendPort<T> {
         }
     }
 
-    /// One physical ship attempt: `Ok(None)` shipped (stats charged),
-    /// `Ok(Some(batch))` transport full (batch returned).
-    fn raw_try_send(&mut self, seq: u64, batch: Vec<T>) -> Result<Option<Vec<T>>> {
-        let items = batch.len() as u64;
-        match self.tx.try_send(Packet {
-            seq,
-            batch,
-            shipped: Instant::now(),
-        }) {
-            Ok(()) => {
-                self.cost.charge_send();
-                self.stats.record_packet(items, items * self.item_bytes);
-                Ok(None)
-            }
-            Err(channel::TrySendError::Full(Packet { batch, .. })) => Ok(Some(batch)),
-            Err(channel::TrySendError::Disconnected(_)) => Err(FabricError::Disconnected),
-        }
-    }
-
-    /// Discards all locally buffered (not yet shipped) values, any
-    /// reorder-held packet, and the pending retry count.
+    /// Discards all locally buffered (not yet shipped) values and the
+    /// pending retry count.
     ///
     /// Used during misspeculation recovery: buffered speculative values
-    /// must not survive the rollback (§4.3 step "flush queues"). Under an
-    /// active fault plan the peer must [`RecvPort::drain`] in the same
-    /// recovery round, because dropping a held packet retires its sequence
-    /// number — the drain's resync forgives the gap.
+    /// must not survive the rollback (§4.3 step "flush queues"). The peer
+    /// [`RecvPort::drain`]s in the same recovery round.
     pub fn clear(&mut self) {
         self.buf.clear();
-        self.held = None;
         self.attempts = 0;
     }
 
-    /// Number of values currently buffered (not yet shipped), including a
-    /// reorder-held packet.
+    /// Number of values currently buffered (not yet shipped).
     pub fn buffered(&self) -> usize {
-        self.buf.len() + self.held.as_ref().map_or(0, |(_, b)| b.len())
+        self.buf.len()
     }
 
     /// The configured batch threshold.
@@ -425,16 +339,6 @@ impl<T> RecvPort<T> {
         }
     }
 
-    /// Accepts one in-order batch into the delivery buffer and sends the
-    /// emptied buffer home for reuse.
-    fn accept(&mut self, mut batch: Vec<T>) {
-        self.cost.charge_recv();
-        let items = batch.len() as u64;
-        self.stats.record_recv(items, items * self.item_bytes);
-        self.cur.extend(batch.drain(..));
-        self.recycle(batch);
-    }
-
     /// Returns an emptied batch buffer to the sender's freelist; dropped
     /// if the freelist is full (counted) or the sender is gone (not a
     /// drop — nobody is left to reuse it).
@@ -445,50 +349,18 @@ impl<T> RecvPort<T> {
         }
     }
 
-    /// Sequences one packet: dedup stale copies, stash early arrivals,
-    /// deliver in-order runs.
+    /// Records one packet's dwell and accepts its batch into the delivery
+    /// buffer: the link is in order and exactly once, so every packet is
+    /// the next one. The emptied buffer goes home for reuse.
     fn unpack(&mut self, pkt: Packet<T>) {
-        let Packet {
-            seq,
-            batch,
-            shipped,
-        } = pkt;
+        let Packet { mut batch, shipped } = pkt;
         self.stats
             .record_queue_dwell_us(shipped.elapsed().as_micros() as u64);
-        if self.resync {
-            // First packet after a recovery drain re-baselines the
-            // sequence (the wire was empty inside the barriers, so
-            // whatever arrives next is the peer's new head).
-            self.resync = false;
-            self.expected_seq = seq;
-        }
-        if seq < self.expected_seq {
-            // Stale duplicate: already delivered under this seq.
-            self.stats.dup_items_discarded += batch.len() as u64;
-            self.recycle(batch);
-            return;
-        }
-        if seq > self.expected_seq {
-            // Ahead of sequence (reordered): stash until the gap fills.
-            // A duplicate of a stashed packet is discarded.
-            match self.ooo.entry(seq) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(batch);
-                    self.stats.ooo_packets += 1;
-                }
-                std::collections::btree_map::Entry::Occupied(_) => {
-                    self.stats.dup_items_discarded += batch.len() as u64;
-                    self.recycle(batch);
-                }
-            }
-            return;
-        }
-        self.accept(batch);
-        self.expected_seq += 1;
-        while let Some(batch) = self.ooo.remove(&self.expected_seq) {
-            self.accept(batch);
-            self.expected_seq += 1;
-        }
+        self.cost.charge_recv();
+        let items = batch.len() as u64;
+        self.stats.record_recv(items, items * self.item_bytes);
+        self.cur.extend(batch.drain(..));
+        self.recycle(batch);
     }
 
     /// Returns one value if immediately available, without blocking.
@@ -511,33 +383,21 @@ impl<T> RecvPort<T> {
         }
     }
 
-    /// Discards every value currently in flight, stashed out-of-order, or
-    /// partially unpacked, and arms a sequence resync.
+    /// Discards every value currently in flight or partially unpacked.
     ///
     /// Used during misspeculation recovery while all threads are inside the
     /// recovery barriers, so no new speculative packets can race in.
     pub fn drain(&mut self) -> usize {
-        let mut dropped = self.cur.len();
+        let unpacked = self.cur.len();
         self.cur.clear();
-        let mut still_packed = 0u64;
-        for (_, batch) in std::mem::take(&mut self.ooo) {
-            dropped += batch.len();
-            still_packed += batch.len() as u64;
-        }
         // Items still packed on the wire were never counted as received;
         // account for them as drained so in-flight bookkeeping settles.
-        while let Ok(Packet { seq, batch, .. }) = self.rx.try_recv() {
-            if seq < self.expected_seq {
-                // Ghost duplicate: its send was never counted.
-                self.stats.dup_items_discarded += batch.len() as u64;
-            } else {
-                still_packed += batch.len() as u64;
-                dropped += batch.len();
-            }
+        let mut still_packed = 0;
+        while let Ok(Packet { batch, .. }) = self.rx.try_recv() {
+            still_packed += batch.len();
         }
-        self.stats.drained_items += still_packed;
-        self.resync = true;
-        dropped
+        self.stats.drained_items += still_packed as u64;
+        unpacked + still_packed
     }
 
     /// This end's traffic counters.
@@ -888,63 +748,6 @@ mod fault_tests {
     }
 
     #[test]
-    fn delays_are_retried_to_exact_delivery() {
-        let vals: Vec<u32> = (0..200).collect();
-        assert_eq!(pump(&vals, FaultRates::only_delay(0.3), 12), vals);
-    }
-
-    #[test]
-    fn duplicates_are_discarded_by_seq() {
-        let vals: Vec<u32> = (0..200).collect();
-        let seen = pump(&vals, FaultRates::only_duplicate(0.5), 13);
-        assert_eq!(seen, vals, "ghost copies must not surface");
-    }
-
-    #[test]
-    fn reorders_are_resequenced() {
-        let vals: Vec<u32> = (0..200).collect();
-        let (mut tx, mut rx) =
-            faulted_pair::<u32>(FaultRates::only_reorder(0.4), 14, RetryPolicy::DEFAULT);
-        for &v in &vals {
-            tx.produce(v).unwrap();
-        }
-        tx.flush().unwrap(); // ships any held packet
-        assert!(
-            tx.stats().fault_reorders() > 0,
-            "schedule must actually reorder"
-        );
-        drop(tx);
-        let mut seen = Vec::new();
-        while let Ok(v) = rx.consume() {
-            seen.push(v);
-        }
-        assert_eq!(seen, vals);
-        assert!(
-            rx.stats().ooo_packets() > 0,
-            "receiver must see packets early"
-        );
-    }
-
-    #[test]
-    fn payload_duplicate_is_discarded_by_seq() {
-        // Hand-inject a full-payload retransmit of an already-delivered
-        // seq; a receiver that ignores seq would deliver items twice.
-        let (mut tx, mut rx) = channel::<u32>(1, 16);
-        tx.produce(5).unwrap(); // seq 0 ships
-        assert_eq!(rx.consume().unwrap(), 5);
-        tx.tx
-            .send(Packet {
-                seq: 0,
-                batch: vec![5],
-                shipped: Instant::now(),
-            })
-            .unwrap();
-        tx.produce(6).unwrap(); // seq 1
-        assert_eq!(rx.consume().unwrap(), 6, "stale retransmit skipped");
-        assert_eq!(rx.stats().dup_items_discarded(), 1);
-    }
-
-    #[test]
     fn permanent_fault_times_out_after_budget() {
         let retry = RetryPolicy { max_attempts: 8 };
         let (mut tx, _rx) = faulted_pair::<u32>(FaultRates::only_drop(1.0), 15, retry);
@@ -1022,33 +825,6 @@ mod fault_tests {
             }
         }
         assert!(timed_out, "stalled peer must converge to Timeout");
-    }
-
-    #[test]
-    fn clear_drops_held_packet_and_drain_resyncs() {
-        let (mut tx, mut rx) =
-            faulted_pair::<u32>(FaultRates::only_reorder(1.0), 18, RetryPolicy::DEFAULT);
-        tx.produce(1).unwrap();
-        tx.produce(2).unwrap();
-        tx.produce(3).unwrap();
-        tx.produce(4).unwrap(); // one batch held for reorder
-        assert!(tx.buffered() > 0, "reorder must hold the batch");
-        // Recovery: both ends reset.
-        tx.clear();
-        let _ = rx.drain();
-        assert_eq!(tx.buffered(), 0);
-        // Post-recovery traffic flows despite the retired seq numbers —
-        // but rate 1.0 holds every batch, so only the flush ships it.
-        for v in [7, 8, 9, 10] {
-            tx.produce(v).unwrap();
-        }
-        tx.flush().unwrap();
-        drop(tx);
-        let mut seen = Vec::new();
-        while let Ok(v) = rx.consume() {
-            seen.push(v);
-        }
-        assert_eq!(seen, vec![7, 8, 9, 10]);
     }
 
     #[test]

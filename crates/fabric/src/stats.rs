@@ -4,7 +4,7 @@
 //! dividing the total data transferred through DSMTX by execution time.
 //! Each end of a link keeps its own [`FabricStats`]: the send end counts
 //! what it shipped and the faults injected on its ship path, the receive
-//! end what it unpacked, discarded and drained. Nothing is shared between
+//! end what it unpacked and drained. Nothing is shared between
 //! the two ends' threads, as on a cluster with no shared memory, so a
 //! record is a plain add. The runtime folds every port's counters into
 //! one set with [`FabricStats::merge`] once the run is over.
@@ -38,25 +38,15 @@ pub struct FabricStats {
     recv_bytes: u64,
     /// Items discarded still-packed by recovery drains.
     pub(crate) drained_items: u64,
-    /// Ship attempts discarded by an injected drop.
+    /// Ship attempts failed by an injected drop.
     pub(crate) fault_drops: u64,
-    /// Ship attempts deferred by an injected delay.
-    pub(crate) fault_delays: u64,
-    /// Packets shipped twice by an injected duplicate.
-    pub(crate) fault_dups: u64,
-    /// Packets held and swapped on the wire by an injected reorder.
-    pub(crate) fault_reorders: u64,
-    /// Ship attempts swallowed by an endpoint stall window.
+    /// Ship attempts failed inside an endpoint stall window.
     pub(crate) fault_stalls: u64,
     /// Send attempts consumed while a fault plan was active (faulted or
     /// transport-full); each one draws from the retry budget.
     pub(crate) retries: u64,
     /// Sends that exhausted the retry budget.
     pub(crate) send_timeouts: u64,
-    /// Items arriving in duplicate packets and discarded by seq dedup.
-    pub(crate) dup_items_discarded: u64,
-    /// Packets that arrived ahead of sequence and were stashed.
-    pub(crate) ooo_packets: u64,
     /// Recycled batch buffers dropped because the bounded freelist was
     /// full (the next ship allocates fresh instead of reusing).
     pub(crate) freelist_drops: u64,
@@ -104,14 +94,9 @@ impl FabricStats {
         self.recv_bytes += other.recv_bytes;
         self.drained_items += other.drained_items;
         self.fault_drops += other.fault_drops;
-        self.fault_delays += other.fault_delays;
-        self.fault_dups += other.fault_dups;
-        self.fault_reorders += other.fault_reorders;
         self.fault_stalls += other.fault_stalls;
         self.retries += other.retries;
         self.send_timeouts += other.send_timeouts;
-        self.dup_items_discarded += other.dup_items_discarded;
-        self.ooo_packets += other.ooo_packets;
         self.freelist_drops += other.freelist_drops;
         self.batch_items.merge(&other.batch_items);
         self.queue_dwell_us.merge(&other.queue_dwell_us);
@@ -157,33 +142,14 @@ impl FabricStats {
         self.fault_drops
     }
 
-    /// Injected delays.
-    pub fn fault_delays(&self) -> u64 {
-        self.fault_delays
-    }
-
-    /// Injected duplicates.
-    pub fn fault_dups(&self) -> u64 {
-        self.fault_dups
-    }
-
-    /// Injected reorders.
-    pub fn fault_reorders(&self) -> u64 {
-        self.fault_reorders
-    }
-
     /// Stall-window attempts.
     pub fn fault_stalls(&self) -> u64 {
         self.fault_stalls
     }
 
-    /// Total injected faults across every class.
+    /// Total injected faults across both classes.
     pub fn faults_total(&self) -> u64 {
-        self.fault_drops
-            + self.fault_delays
-            + self.fault_dups
-            + self.fault_reorders
-            + self.fault_stalls
+        self.fault_drops + self.fault_stalls
     }
 
     /// Send attempts consumed under an active fault plan.
@@ -194,16 +160,6 @@ impl FabricStats {
     /// Sends that exhausted their retry budget.
     pub fn send_timeouts(&self) -> u64 {
         self.send_timeouts
-    }
-
-    /// Items discarded by receiver-side duplicate rejection.
-    pub fn dup_items_discarded(&self) -> u64 {
-        self.dup_items_discarded
-    }
-
-    /// Packets stashed because they arrived ahead of sequence.
-    pub fn ooo_packets(&self) -> u64 {
-        self.ooo_packets
     }
 
     /// Recycled buffers dropped by a full freelist.
@@ -249,14 +205,9 @@ impl FabricStats {
             (schema::FABRIC_RECV_BYTES, self.recv_bytes),
             (schema::FABRIC_DRAINED_ITEMS, self.drained_items),
             (schema::FABRIC_FAULT_DROPS, self.fault_drops),
-            (schema::FABRIC_FAULT_DELAYS, self.fault_delays),
-            (schema::FABRIC_FAULT_DUPS, self.fault_dups),
-            (schema::FABRIC_FAULT_REORDERS, self.fault_reorders),
             (schema::FABRIC_FAULT_STALLS, self.fault_stalls),
             (schema::FABRIC_RETRIES, self.retries),
             (schema::FABRIC_SEND_TIMEOUTS, self.send_timeouts),
-            (schema::FABRIC_DUP_ITEMS_DISCARDED, self.dup_items_discarded),
-            (schema::FABRIC_OOO_PACKETS, self.ooo_packets),
             (schema::FABRIC_FREELIST_DROPS, self.freelist_drops),
         ] {
             reg.add(name, &[], value);
@@ -333,31 +284,24 @@ mod tests {
     fn fault_counters_accumulate_and_merge() {
         let mut a = FabricStats::new();
         a.fault_drops += 1;
-        a.fault_delays += 1;
-        a.fault_dups += 1;
-        a.fault_reorders += 1;
         a.fault_stalls += 1;
         a.retries += 2;
         a.send_timeouts += 1;
-        a.dup_items_discarded += 5;
-        a.ooo_packets += 1;
         a.freelist_drops += 1;
         a.record_packet(4, 32);
         a.record_queue_dwell_us(7);
         let mut b = FabricStats::new();
         b.merge(&a);
         b.merge(&a);
-        assert_eq!(b.faults_total(), 10);
+        assert_eq!(b.faults_total(), 4);
         assert_eq!(b.retries(), 4);
         assert_eq!(b.send_timeouts(), 2);
-        assert_eq!(b.dup_items_discarded(), 10);
-        assert_eq!(b.ooo_packets(), 2);
         assert_eq!(b.freelist_drops(), 2);
         assert_eq!(b.items(), 8);
         assert_eq!(b.batch_items().count(), 2);
         assert_eq!(b.queue_dwell_us().sum(), 14);
         // Merging reads `a`; it never shares or moves its counters.
-        assert_eq!(a.faults_total(), 5);
+        assert_eq!(a.faults_total(), 2);
         assert_eq!(a.batch_items().count(), 1);
     }
 
@@ -372,14 +316,9 @@ mod tests {
         let dump = reg.to_jsonl();
         for name in [
             schema::FABRIC_FAULT_DROPS,
-            schema::FABRIC_FAULT_DELAYS,
-            schema::FABRIC_FAULT_DUPS,
-            schema::FABRIC_FAULT_REORDERS,
             schema::FABRIC_FAULT_STALLS,
             schema::FABRIC_RETRIES,
             schema::FABRIC_SEND_TIMEOUTS,
-            schema::FABRIC_DUP_ITEMS_DISCARDED,
-            schema::FABRIC_OOO_PACKETS,
             schema::FABRIC_FREELIST_DROPS,
         ] {
             assert!(dump.contains(name), "missing {name} in:\n{dump}");

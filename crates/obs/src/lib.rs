@@ -112,14 +112,9 @@ pub mod schema {
 
     /// Injected-fault and retry counters (zero on fault-free runs).
     pub const FABRIC_FAULT_DROPS: &str = "fabric.fault.drops";
-    pub const FABRIC_FAULT_DELAYS: &str = "fabric.fault.delays";
-    pub const FABRIC_FAULT_DUPS: &str = "fabric.fault.dups";
-    pub const FABRIC_FAULT_REORDERS: &str = "fabric.fault.reorders";
     pub const FABRIC_FAULT_STALLS: &str = "fabric.fault.stalls";
     pub const FABRIC_RETRIES: &str = "fabric.retries";
     pub const FABRIC_SEND_TIMEOUTS: &str = "fabric.send_timeouts";
-    pub const FABRIC_DUP_ITEMS_DISCARDED: &str = "fabric.dup_items_discarded";
-    pub const FABRIC_OOO_PACKETS: &str = "fabric.ooo_packets";
     /// Batch buffers dropped at recycle because the bounded freelist was
     /// full (the allocator takes over; a liveness-neutral shed).
     pub const FABRIC_FREELIST_DROPS: &str = "fabric.freelist_drops";

@@ -28,9 +28,9 @@ use dsmtx_mem::{MasterMem, Page};
 use dsmtx_uva::{OwnerId, PageId, RegionAllocator};
 
 /// How long a faulted run may take before the watchdog declares a hang.
-/// Generous: a single recovery round is bounded by the receive deadline,
-/// a few tens of milliseconds here. The retry budget counts ship
-/// attempts, not time; each sender's own wait paces them.
+/// Generous: a fault escalates only when a sender spends its retry
+/// budget, which counts ship attempts, not time; each sender's own wait
+/// paces them, so a recovery round starts within a few milliseconds.
 pub const WATCHDOG: Duration = Duration::from_secs(30);
 
 /// Runs `f` on a thread of its own under [`WATCHDOG`]: when it is still
@@ -84,36 +84,30 @@ pub struct FaultCase {
     pub workload: Workload,
     /// Iteration count.
     pub n: u64,
-    /// Receive deadline (µs) before a starved thread requests recovery.
-    pub recv_timeout_us: u64,
     /// Send retry budget: ship attempts before a send converts into a
-    /// fabric timeout.
+    /// fabric timeout, the only way a fault escalates.
     pub max_attempts: u32,
 }
 
 impl FaultCase {
-    /// A case with the timing knobs tuned for fast tests: short receive
-    /// deadlines and a small retry budget, so injected faults convert
-    /// into recoveries in milliseconds instead of the production-scale
-    /// defaults.
+    /// A case tuned for fast tests: a small retry budget, so injected
+    /// faults convert into recoveries within a few dozen ship attempts
+    /// instead of the default 64.
     pub fn quick(seed: u64, rates: FaultRates, workload: Workload) -> Self {
         FaultCase {
             seed,
             rates,
             workload,
             n: 40,
-            recv_timeout_us: 15_000,
             max_attempts: 12,
         }
     }
 
     /// The runtime fault configuration this case expands to.
     pub fn fault_config(&self) -> FaultConfig {
-        FaultConfig::new(self.seed, self.rates)
-            .recv_timeout_us(self.recv_timeout_us)
-            .retry(RetryPolicy {
-                max_attempts: self.max_attempts,
-            })
+        FaultConfig::new(self.seed, self.rates).retry(RetryPolicy {
+            max_attempts: self.max_attempts,
+        })
     }
 
     /// The `(seed, rates, …)` tuple plus a one-liner that replays exactly
@@ -121,15 +115,9 @@ impl FaultCase {
     pub fn reproducer(&self) -> String {
         format!(
             "fault case: seed={:#x} rates=[{}] workload={:?} n={} \
-             recv_timeout_us={} max_attempts={}\n\
+             max_attempts={}\n\
              replay: DSMTX_FAULT_SEED={:#x} cargo test -q -p dsmtx-integration-tests",
-            self.seed,
-            self.rates,
-            self.workload,
-            self.n,
-            self.recv_timeout_us,
-            self.max_attempts,
-            self.seed,
+            self.seed, self.rates, self.workload, self.n, self.max_attempts, self.seed,
         )
     }
 }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use dsmtx::{
     IterOutcome, MtxId, MtxSystem, Program, StageId, StageKind, SystemConfig, TraceKind, WorkerCtx,
 };
+use dsmtx_integration_tests::under_watchdog;
 use dsmtx_mem::MasterMem;
 use dsmtx_uva::{OwnerId, RegionAllocator};
 
@@ -30,18 +31,20 @@ fn misspec_on_first_iteration() {
         ctx.write_no_forward(out.add_words(mtx.0), mtx.0)?;
         Ok(IterOutcome::Continue)
     });
-    let result = doall(2)
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                m.write(out.add_words(mtx.0), mtx.0);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(4),
-        })
-        .unwrap();
+    let result = under_watchdog("misspec_on_first_iteration", move || {
+        doall(2)
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    m.write(out.add_words(mtx.0), mtx.0);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(4),
+            })
+            .unwrap()
+    });
     assert_eq!(result.report.recoveries, 1);
     for i in 0..4 {
         assert_eq!(result.master.read(out.add_words(i)), i);
@@ -60,18 +63,20 @@ fn misspec_on_last_iteration() {
         ctx.write_no_forward(out.add_words(mtx.0), 1)?;
         Ok(IterOutcome::Continue)
     });
-    let result = doall(3)
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                m.write(out.add_words(mtx.0), 1);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("misspec_on_last_iteration", move || {
+        doall(3)
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    m.write(out.add_words(mtx.0), 1);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
     assert_eq!(result.report.recoveries, 1);
     assert_eq!(result.report.total_iterations(), N);
     assert_eq!(result.master.read(out.add_words(N - 1)), 1);
@@ -83,19 +88,21 @@ fn every_iteration_misspeculates() {
     let mut heap = heap0();
     let counter = heap.alloc_words(1).unwrap();
     let body = Arc::new(move |ctx: &mut WorkerCtx, _: MtxId| ctx.misspec());
-    let result = doall(2)
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(move |_, m| {
-                let c = m.read(counter);
-                m.write(counter, c + 1);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("every_iteration_misspeculates", move || {
+        doall(2)
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |_, m| {
+                    let c = m.read(counter);
+                    m.write(counter, c + 1);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
     assert_eq!(result.report.recoveries, N);
     assert_eq!(result.report.committed, 0, "nothing commits speculatively");
     assert_eq!(result.master.read(counter), N, "but every iteration lands");
@@ -115,22 +122,24 @@ fn recovery_exit_decision_terminates() {
         ctx.write_no_forward(out.add_words(mtx.0), 1)?;
         Ok(IterOutcome::Continue)
     });
-    let result = doall(2)
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                m.write(out.add_words(mtx.0), 1);
-                if mtx.0 == EXIT {
-                    IterOutcome::Exit
-                } else {
-                    IterOutcome::Continue
-                }
-            }),
-            on_commit: None,
-            iteration_limit: None, // uncounted: exit only via recovery
-        })
-        .unwrap();
+    let result = under_watchdog("recovery_exit_decision_terminates", move || {
+        doall(2)
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    m.write(out.add_words(mtx.0), 1);
+                    if mtx.0 == EXIT {
+                        IterOutcome::Exit
+                    } else {
+                        IterOutcome::Continue
+                    }
+                }),
+                on_commit: None,
+                iteration_limit: None, // uncounted: exit only via recovery
+            })
+            .unwrap()
+    });
     assert_eq!(result.report.last_iteration, Some(MtxId(EXIT)));
     assert_eq!(result.report.total_iterations(), EXIT + 1);
     assert_eq!(result.master.read(out.add_words(EXIT + 1)), 0, "squashed");
@@ -143,8 +152,6 @@ fn recovery_exit_decision_terminates() {
 /// or the loop never ends.
 #[test]
 fn uncounted_runahead_reaches_recovery() {
-    use dsmtx_integration_tests::under_watchdog;
-
     under_watchdog(
         "uncounted run-ahead (a worker never saw the recovery?)",
         || {
@@ -216,8 +223,6 @@ fn panicking_hook_run(misspec_at: Option<u64>, panic_at: u64) -> Result<(), dsmt
 
 #[test]
 fn panicking_commit_hook_ends_the_run() {
-    use dsmtx_integration_tests::under_watchdog;
-
     under_watchdog("panicking on_commit hook (roles never told?)", || {
         for panic_at in [2, 15] {
             let r = panicking_hook_run(None, panic_at);
@@ -231,8 +236,6 @@ fn panicking_commit_hook_ends_the_run() {
 
 #[test]
 fn panicking_recovery_body_ends_the_run() {
-    use dsmtx_integration_tests::under_watchdog;
-
     under_watchdog("panicking recovery body (roles left at B3?)", || {
         let r = panicking_hook_run(Some(3), 3);
         assert!(
@@ -283,23 +286,28 @@ fn pipeline_recovery_with_forwarding_and_consumes() {
     cfg.stage(StageKind::Sequential)
         .stage(StageKind::Parallel { replicas: 2 })
         .stage(StageKind::Sequential);
-    let result = MtxSystem::new(&cfg)
-        .unwrap()
-        .trace(true)
-        .run(Program {
-            master,
-            stages: vec![s0, s1, s2],
-            recovery: Box::new(move |mtx, m| {
-                let x = m.read(input.add_words(mtx.0));
-                m.write(staged.add_words(mtx.0), x * 2);
-                let acc = m.read(sum);
-                m.write(sum, acc + x * 2 + 1);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog(
+        "pipeline_recovery_with_forwarding_and_consumes",
+        move || {
+            MtxSystem::new(&cfg)
+                .unwrap()
+                .trace(true)
+                .run(Program {
+                    master,
+                    stages: vec![s0, s1, s2],
+                    recovery: Box::new(move |mtx, m| {
+                        let x = m.read(input.add_words(mtx.0));
+                        m.write(staged.add_words(mtx.0), x * 2);
+                        let acc = m.read(sum);
+                        m.write(sum, acc + x * 2 + 1);
+                        IterOutcome::Continue
+                    }),
+                    on_commit: None,
+                    iteration_limit: Some(N),
+                })
+                .unwrap()
+        },
+    );
 
     let expect: u64 = (1..=N).map(|x| 2 * x + 1).sum();
     assert_eq!(result.master.read(sum), expect);
@@ -344,20 +352,22 @@ fn ring_recovery_mid_stream() {
     let mut cfg = SystemConfig::new();
     cfg.stage(StageKind::Parallel { replicas: 3 })
         .ring(StageId(0));
-    let result = MtxSystem::new(&cfg)
-        .unwrap()
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                let acc = m.read(acc_cell);
-                m.write(acc_cell, acc + (mtx.0 + 1) * 10);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("ring_recovery_mid_stream", move || {
+        MtxSystem::new(&cfg)
+            .unwrap()
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    let acc = m.read(acc_cell);
+                    m.write(acc_cell, acc + (mtx.0 + 1) * 10);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
     let expect: u64 = (1..=N).map(|k| k * 10).sum();
     assert_eq!(result.master.read(acc_cell), expect);
     assert_eq!(result.report.recoveries, 1);
@@ -382,22 +392,24 @@ fn natural_validation_conflict_in_pipeline() {
         ctx.write_no_forward(out.add_words(mtx.0), v)?;
         Ok(IterOutcome::Continue)
     });
-    let result = doall(3)
-        .run(Program {
-            master,
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                let v = m.read(cell);
-                if mtx.0 == 3 {
-                    m.write(cell, v + 100);
-                }
-                m.write(out.add_words(mtx.0), v);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("natural_validation_conflict_in_pipeline", move || {
+        doall(3)
+            .run(Program {
+                master,
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    let v = m.read(cell);
+                    if mtx.0 == 3 {
+                        m.write(cell, v + 100);
+                    }
+                    m.write(out.add_words(mtx.0), v);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
     // Sequential semantics: iterations 0..=3 read 5, later ones read 105.
     for i in 0..N {
         let want = if i <= 3 { 5 } else { 105 };
@@ -419,18 +431,20 @@ fn back_to_back_recoveries() {
         ctx.write_no_forward(out.add_words(mtx.0), mtx.0 * 3)?;
         Ok(IterOutcome::Continue)
     });
-    let result = doall(2)
-        .run(Program {
-            master: MasterMem::new(),
-            stages: vec![body],
-            recovery: Box::new(move |mtx, m| {
-                m.write(out.add_words(mtx.0), mtx.0 * 3);
-                IterOutcome::Continue
-            }),
-            on_commit: None,
-            iteration_limit: Some(N),
-        })
-        .unwrap();
+    let result = under_watchdog("back_to_back_recoveries", move || {
+        doall(2)
+            .run(Program {
+                master: MasterMem::new(),
+                stages: vec![body],
+                recovery: Box::new(move |mtx, m| {
+                    m.write(out.add_words(mtx.0), mtx.0 * 3);
+                    IterOutcome::Continue
+                }),
+                on_commit: None,
+                iteration_limit: Some(N),
+            })
+            .unwrap()
+    });
     assert_eq!(result.report.recoveries, 3);
     for i in 0..N {
         assert_eq!(result.master.read(out.add_words(i)), i * 3);
@@ -508,7 +522,7 @@ fn backpressure_round() {
 
 #[test]
 fn backpressure_with_recovery() {
-    backpressure_round();
+    under_watchdog("backpressure_with_recovery", backpressure_round);
 }
 
 /// The backpressure window: stage 0 can block on the full queue to the
@@ -518,8 +532,6 @@ fn backpressure_with_recovery() {
 /// out of a hundred, so many rounds run under the harness watchdog.
 #[test]
 fn backpressure_window_never_hangs() {
-    use dsmtx_integration_tests::under_watchdog;
-
     under_watchdog(
         "backpressure rounds (a worker blocked holding unshipped frames?)",
         || {
@@ -574,8 +586,6 @@ fn short_loop(n: u64, misspec_at_zero: bool, shards: usize) {
 /// wakeup into a failure instead of a hung suite.
 #[test]
 fn start_up_window_never_hangs() {
-    use dsmtx_integration_tests::under_watchdog;
-
     under_watchdog("start-up rounds (lost control-plane wakeup?)", || {
         for round in 0..200 {
             let shards = 1 + round % 2;
@@ -586,8 +596,9 @@ fn start_up_window_never_hangs() {
     });
 }
 
-/// The fault matrix: every injectable fault class — drop, delay,
-/// duplicate, reorder, crash(stall) — injected on every link, each cell
+/// The fault matrix: both injectable fault classes — drop and
+/// crash(stall), the two ways a ship attempt fails on a link that
+/// delivers in order and exactly once — injected on every link, each cell
 /// asserting the faulted run commits byte-identical memory to the
 /// fault-free run. Every link starts at a worker: the speculation units
 /// send on none.
@@ -617,9 +628,6 @@ mod fault_matrix {
     }
 
     matrix_cell!(drop_worker_links, FaultRates::only_drop(0.08));
-    matrix_cell!(delay_worker_links, FaultRates::only_delay(0.08));
-    matrix_cell!(duplicate_worker_links, FaultRates::only_duplicate(0.08));
-    matrix_cell!(reorder_worker_links, FaultRates::only_reorder(0.08));
     matrix_cell!(crash_worker_links, FaultRates::only_stall(0.04, 6));
 
     /// A harsh cell that exhausts the retry budget: at a 40% drop rate
@@ -710,37 +718,32 @@ mod fault_matrix {
         result.report
     }
 
-    /// A fault plan reaches every link: every link starts at a worker,
-    /// and every ship attempt on a faulted link duplicates, so each packet
-    /// the run ships records exactly one `fault_dups`.
+    /// A fault plan reaches every link: every link starts at a worker.
+    /// Under a plan that fails every ship attempt, a link the plan missed
+    /// would ship, so no packet leaves any link, nothing commits
+    /// speculatively, and every MTX commits through fault recovery.
     #[test]
     fn fault_plan_reaches_every_link() {
         use dsmtx::FaultConfig;
+        use dsmtx_fabric::RetryPolicy;
         use dsmtx_integration_tests::under_watchdog;
 
-        under_watchdog("duplicate-only runs", || {
-            let plain = own_page_loop(48, None);
-            assert!(plain.stats.packets() > 0 && plain.coa_pages_served > 0);
-            assert_eq!(plain.stats.fault_dups(), 0, "no plan, yet a duplicate");
+        let plain = under_watchdog("plan-free own-page loop", || own_page_loop(48, None));
+        assert!(plain.stats.packets() > 0 && plain.coa_pages_served > 0);
+        assert_eq!(plain.committed, 48, "a plan-free run squashed an MTX");
 
-            // Duplicates lose no data and draw no retry budget, and the
-            // long deadline keeps a slow host from turning silence into a
-            // recovery round.
-            let plan =
-                FaultConfig::new(seed_from_env(DEFAULT_SEED), FaultRates::only_duplicate(1.0))
-                    .recv_timeout_us(10_000_000);
-            let faulted = own_page_loop(48, Some(plan));
-            assert_eq!(faulted.recoveries, 0, "a duplicate caused a recovery");
-            assert_eq!(
-                faulted.stats.fault_dups(),
-                faulted.stats.packets(),
-                "the plan misses a link"
-            );
+        let plan = FaultConfig::new(seed_from_env(DEFAULT_SEED), FaultRates::only_drop(1.0))
+            .retry(RetryPolicy { max_attempts: 2 });
+        let faulted = under_watchdog("drop-only own-page loop", move || {
+            own_page_loop(48, Some(plan))
         });
+        assert_eq!(faulted.stats.packets(), 0, "the plan misses a link");
+        assert_eq!(faulted.committed, 0, "an MTX committed speculatively");
+        assert_eq!(faulted.recovered_iterations, 48);
     }
 
     /// The headline acceptance check: three fixed seeds × three
-    /// workloads under a uniform mix of every fault class, injected on
+    /// workloads under a uniform mix of both fault classes, injected on
     /// every link — each run must commit byte-identical results to its
     /// fault-free twin.
     #[test]
